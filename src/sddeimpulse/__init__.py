@@ -16,9 +16,8 @@ from .simulate import (NoiseDraw, SimulationError, TimeGrid, draw_noise,
                        estimate_J, flow_stability_probe, simulate_controlled)
 from .bellman import (DivergenceError, GridBackend, GridValueFunction, Policy,
                       RegressionBackend, RegressionValueFunction, extract_policy,
-                      fit_regression_step, intervention_value, k_value_iteration,
-                      load_value_function, policy_stack, save_value_function,
-                      snell_envelope_discrete)
+                      fit_regression_step, k_value_iteration,
+                      load_value_function, policy_stack, save_value_function)
 from .oracle import (FiniteTree, build_tiny_instance, enumerate_controls,
                      exact_snell_on_tree, exact_state_axis)
 

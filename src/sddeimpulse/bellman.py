@@ -22,7 +22,7 @@ import numpy as np
 from .core import ProblemSpec, ValidationError
 from .lattice import (NoiseQuadrature, impulse_transition_batch,
                       step_transition_batch)
-from .simulate import TimeGrid, draw_noise_matrix
+from .simulate import TimeGrid, draw_noise_matrix, initial_lifted_state
 
 FORMAT_VERSION = 1
 
@@ -90,10 +90,6 @@ class GridValueFunction:
         table = self.values[time_index].reshape(self.shape)
         return multilinear_interp(self.axes, table, points)
 
-    def value_at_state(self, time_index, state):
-        lags = getattr(state, "lags", state)
-        return float(self.value_at(time_index, np.asarray(lags, dtype=float)[None, :]))
-
 
 def monomial_powers(m, degree):
     """Exponent tuples of all monomials in m variables with total degree <= degree."""
@@ -152,7 +148,7 @@ class RegressionValueFunction:
             return np.asarray(self.terminal_reward(points[:, 0]), dtype=float)
         v = design_matrix(points, self.powers) @ self.cont_coeffs[time_index]
         if self.prev is not None:
-            jump, _ = _intervention_batch(_PlainView(self.prev), time_index,
+            jump, _ = _intervention_batch(self.prev.plain_value_at, time_index,
                                           points, self.spec, self.u_grid,
                                           time_index * self.dt)
             v = np.maximum(v, jump)
@@ -166,21 +162,6 @@ class RegressionValueFunction:
             lo, hi = self.bounds[time_index]
             points = np.clip(points, lo, hi)
         return design_matrix(points, self.powers) @ self.plain_coeffs[time_index]
-
-    def value_at_state(self, time_index, state):
-        lags = getattr(state, "lags", state)
-        return float(self.value_at(time_index, np.asarray(lags, dtype=float)[None, :]))
-
-
-class _PlainView:
-    """Expose a regression level's direct value fit under the value_at name."""
-
-    def __init__(self, vf):
-        self._vf = vf
-        self.dt = vf.dt
-
-    def value_at(self, time_index, points):
-        return self._vf.plain_value_at(time_index, points)
 
 
 # ---------------------------------------------------------------------------
@@ -218,54 +199,27 @@ class RegressionBackend:
 # Operations
 # ---------------------------------------------------------------------------
 
-def snell_envelope_discrete(tree, rewards):
-    """Discrete Snell envelope on a finite tree: leaves take their reward,
-    interior nodes take max(reward, expected child value).
-
-    `tree` needs `depth` and `steps` (per-level (values, probs));
-    `rewards` maps node paths (tuples of branch indices) to reward values.
-    Returns the envelope as the same kind of mapping.
-    """
-    env = {}
-    for level in range(tree.depth, -1, -1):
-        shape = [len(tree.steps[l][0]) for l in range(level)]
-        for path in itertools.product(*(range(s) for s in shape)):
-            r = rewards[path]
-            if level == tree.depth:
-                env[path] = r
-            else:
-                probs = np.asarray(tree.steps[level][1], dtype=float)
-                if abs(probs.sum() - 1.0) > 1e-12:
-                    raise ValidationError("branch probabilities must sum to 1")
-                cont = float(np.dot(probs,
-                                    [env[path + (b,)] for b in range(len(probs))]))
-                env[path] = max(r, cont)
-    return env
+def _continuation(v, i, states, spec, quadrature, dt):
+    """One-step expectation from t_i: the running reward over [t_i, t_{i+1})
+    plus the quadrature average of v at i + 1 over the Euler successors."""
+    t = i * dt
+    acc = np.zeros(states.shape[0])
+    for z, w in zip(quadrature.nodes, quadrature.weights):
+        nxt = step_transition_batch(states, t, z, spec, dt)
+        acc += w * v.value_at(i + 1, nxt)
+    return spec.running_reward(t, states[:, 0]) * dt + acc
 
 
-def intervention_value(v_prev, time_index, state, spec: ProblemSpec, u_grid):
-    """Best immediate jump priced with the previous value level:
-    max_u V_prev(t, Gamma(state, u)) - ell(head, u, t); ties take the
-    smallest grid index."""
-    lags = np.asarray(getattr(state, "lags", state), dtype=float)[None, :]
-    t = time_index * v_prev.dt
-    best_val, best_u = -np.inf, None
-    for u in np.asarray(u_grid, dtype=float):
-        shifted = impulse_transition_batch(lags, u, spec)
-        val = float(v_prev.value_at(time_index, shifted)[0]) \
-            - float(spec.impulse_cost(lags[0, 0], u, t))
-        if val > best_val:
-            best_val, best_u = val, float(u)
-    return best_val, best_u
-
-
-def _intervention_batch(v_prev, time_index, states, spec, u_grid, t):
-    """Vectorized intervention value and argmax over a (N, m) state batch."""
+def _intervention_batch(value_at, time_index, states, spec, u_grid, t):
+    """Best immediate jump over an (N, m) state batch, priced with
+    `value_at(time_index, points)` of the level below:
+    max_u value_at(Gamma(state, u)) - ell(head, u, t) and its argmax; ties
+    take the smallest grid index."""
     best = np.full(states.shape[0], -np.inf)
     best_u = np.zeros(states.shape[0])
     for u in u_grid:
         shifted = impulse_transition_batch(states, u, spec)
-        val = v_prev.value_at(time_index, shifted) \
+        val = value_at(time_index, shifted) \
             - spec.impulse_cost(states[:, 0], u, t)
         better = val > best
         best = np.where(better, val, best)
@@ -316,17 +270,9 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
                               f"{grid.delay_steps + 1}")
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in mesh], axis=1)
-    heads = points[:, 0]
     n = grid.n_steps
     dt = grid.dt
-    terminal = np.asarray(spec.terminal_reward(heads), dtype=float)
-
-    def continuation(v, i, t):
-        acc = np.zeros(points.shape[0])
-        for z, w in zip(quadrature.nodes, quadrature.weights):
-            nxt = step_transition_batch(points, t, z, spec, dt)
-            acc += w * v.value_at(i + 1, nxt)
-        return spec.running_reward(t, heads) * dt + acc
+    terminal = np.asarray(spec.terminal_reward(points[:, 0]), dtype=float)
 
     iterates = []
     gaps = []
@@ -335,12 +281,12 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
         vf.values[n] = terminal.copy()
         prev = iterates[k - 1] if k else None
         for i in range(n - 1, -1, -1):
-            t = i * dt
-            cont = continuation(vf, i, t)
+            cont = _continuation(vf, i, points, spec, quadrature, dt)
             if k == 0:
                 vals = cont
             else:
-                interv, _ = _intervention_batch(prev, i, points, spec, u_grid, t)
+                interv, _ = _intervention_batch(prev.value_at, i, points, spec,
+                                                u_grid, i * dt)
                 vals = np.maximum(cont, interv)
             _check_finite(vals, i, k)
             vf.values[i] = vals
@@ -354,15 +300,12 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     return iterates, gaps
 
 
-def _sample_states(spec, grid, backend, u_grid):
+def _sample_states(spec, grid, backend):
     """Forward exploration cloud: (n_steps+1) arrays of (n_samples, m) states."""
     n_paths = backend.n_samples
-    m = grid.delay_steps + 1
     noise = draw_noise_matrix(backend.sample_seed, n_paths, grid)
     exp_rng = np.random.Generator(np.random.Philox(key=[backend.sample_seed, 2 ** 32]))
-    hist_t = np.arange(-grid.delay_steps, 1) * grid.dt
-    hist = np.asarray(spec.initial_segment(hist_t), dtype=float)
-    states = np.tile(hist[::-1], (n_paths, 1))
+    states = np.tile(initial_lifted_state(spec, grid), (n_paths, 1))
     clouds = []
     for k in range(grid.n_steps + 1):
         if k > 0 and backend.exploration_rate > 0:
@@ -382,16 +325,9 @@ def _sample_states(spec, grid, backend, u_grid):
 def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     m = grid.delay_steps + 1
     powers = monomial_powers(m, backend.degree)
-    clouds = _sample_states(spec, grid, backend, u_grid)
+    clouds = _sample_states(spec, grid, backend)
     n = grid.n_steps
     dt = grid.dt
-
-    def continuation(v, i, t, pts):
-        acc = np.zeros(pts.shape[0])
-        for z, w in zip(quadrature.nodes, quadrature.weights):
-            nxt = step_transition_batch(pts, t, z, spec, dt)
-            acc += w * v.value_at(i + 1, nxt)
-        return spec.running_reward(t, pts[:, 0]) * dt + acc
 
     # margin lets any in-cloud point be re-evaluated after one impulse
     # without hitting the clamp
@@ -410,16 +346,15 @@ def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
                                      prev=prev, spec=spec, u_grid=u_grid,
                                      bounds=bounds)
         for i in range(n - 1, -1, -1):
-            t = i * dt
             pts = clouds[i]
-            cont = continuation(vf, i, t, pts)
+            cont = _continuation(vf, i, pts, spec, quadrature, dt)
             _check_finite(cont, i, k)
             vf.cont_coeffs[i] = fit_regression_step(pts, cont, backend.degree,
                                                     backend.ridge_lambda,
                                                     powers=powers)
             if k >= 1:
-                interv, _ = _intervention_batch(_PlainView(prev), i, pts,
-                                                spec, u_grid, t)
+                interv, _ = _intervention_batch(prev.plain_value_at, i, pts,
+                                                spec, u_grid, i * dt)
                 vals = np.maximum(cont, interv)
                 _check_finite(vals, i, k)
                 vf.plain_coeffs[i] = fit_regression_step(pts, vals,
@@ -494,16 +429,11 @@ class Policy:
         n = self.v_top.n_steps
         if time_index >= n:
             return np.zeros(states.shape[0], dtype=bool), np.zeros(states.shape[0])
-        t = time_index * self.dt
-        heads = states[:, 0]
-        cont = self.spec.running_reward(t, heads) * self.dt
-        acc = np.zeros(states.shape[0])
-        for z, w in zip(self.quadrature.nodes, self.quadrature.weights):
-            nxt = step_transition_batch(states, t, z, self.spec, self.dt)
-            acc += w * self.v_top.value_at(time_index + 1, nxt)
-        cont = cont + acc
-        interv, best_u = _intervention_batch(self.v_prev, time_index, states,
-                                             self.spec, self.u_grid, t)
+        cont = _continuation(self.v_top, time_index, states, self.spec,
+                             self.quadrature, self.dt)
+        interv, best_u = _intervention_batch(self.v_prev.value_at, time_index,
+                                             states, self.spec, self.u_grid,
+                                             time_index * self.dt)
         mask = interv > cont
         return mask, np.where(mask, best_u, 0.0)
 
@@ -595,6 +525,21 @@ def _bounds_json(bounds):
             for b in bounds]
 
 
+def _load_table(path, shape):
+    """The values CSV at `path` as an array of `shape`; its leading index
+    columns must enumerate that shape in C order."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as e:
+        raise ValidationError(f"unreadable value file {path}: {e}")
+    index = np.indices(shape).reshape(len(shape), -1).T
+    if data.shape != (len(index), len(shape) + 1) \
+            or not np.array_equal(data[:, :-1], index):
+        raise ValidationError(f"value file {path} does not enumerate a "
+                              f"{shape} table")
+    return data[:, -1].reshape(shape)
+
+
 def load_value_function(out_dir, name, terminal_reward=None, spec=None,
                         u_grid=None):
     with open(os.path.join(out_dir, f"{name}_header.json")) as fh:
@@ -602,18 +547,12 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
     if header["format_version"] != FORMAT_VERSION:
         raise ValidationError(f"unsupported format version {header['format_version']}")
     n = header["n_steps"]
+    path = os.path.join(out_dir, f"{name}_values.csv")
 
     if header["backend"] == "GRID":
-        data = {}
-        with open(os.path.join(out_dir, f"{name}_values.csv")) as fh:
-            next(fh)
-            for line in fh:
-                i, j, v = line.split(",")
-                data.setdefault(int(i), {})[int(j)] = float(v)
-        values = [np.array([data[i][j] for j in range(len(data[i]))])
-                  for i in range(n + 1)]
         axes = tuple(np.array(ax) for ax in header["axes"])
-        return GridValueFunction(axes=axes, values=values,
+        table = _load_table(path, (n + 1, math.prod(len(ax) for ax in axes)))
+        return GridValueFunction(axes=axes, values=list(table),
                                  k_index=header["k_index"], dt=header["dt"])
 
     if terminal_reward is None:
@@ -621,29 +560,18 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
     if header["k_index"] >= 1 and (spec is None or u_grid is None):
         raise ValidationError("regression levels above 0 need spec and u_grid "
                               "to price intervention branches")
-    data = {}
-    with open(os.path.join(out_dir, f"{name}_values.csv")) as fh:
-        next(fh)
-        for line in fh:
-            s, i, j, v = line.split(",")
-            data.setdefault((int(s), int(i)), {})[int(j)] = float(v)
-
-    def slab(s, i):
-        d = data[(s, i)]
-        return np.array([d[j] for j in range(len(d))])
-
+    powers = np.array(header["powers"], dtype=int)
+    slabs = _load_table(path, (2 * header["n_levels"], n, len(powers)))
     bounds = None
     if header.get("bounds") is not None:
         bounds = [None if b is None else (np.array(b[0]), np.array(b[1]))
                   for b in header["bounds"]]
-    powers = np.array(header["powers"], dtype=int)
     vf = None
     for k in range(header["n_levels"]):
-        cont = [slab(2 * k, i) for i in range(n)] + [None]
-        plain = [slab(2 * k + 1, i) for i in range(n)] + [None]
-        vf = RegressionValueFunction(powers=powers, cont_coeffs=cont,
-                                     plain_coeffs=plain, k_index=k,
-                                     dt=header["dt"],
+        vf = RegressionValueFunction(powers=powers,
+                                     cont_coeffs=list(slabs[2 * k]) + [None],
+                                     plain_coeffs=list(slabs[2 * k + 1]) + [None],
+                                     k_index=k, dt=header["dt"],
                                      terminal_reward=terminal_reward,
                                      prev=vf, spec=spec,
                                      u_grid=None if u_grid is None

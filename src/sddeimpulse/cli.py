@@ -20,7 +20,8 @@ from . import __version__
 from .core import (ProblemSpec, ValidationError, build_problem_spec,
                    check_assumptions, ImpulseControl)
 from .simulate import (TimeGrid, estimate_J, export_trajectories_csv,
-                       flow_stability_probe, SimulationError)
+                       flow_stability_probe, initial_lifted_state,
+                       SimulationError)
 from .lattice import (gauss_hermite_quadrature, two_point_quadrature,
                       three_point_quadrature)
 from .bellman import (GridBackend, RegressionBackend, k_value_iteration,
@@ -138,10 +139,7 @@ class RunConfig:
                                  sample_seed=self.sample_seed)
 
     def initial_state(self):
-        m = self.grid.delay_steps + 1
-        hist_t = np.arange(-self.grid.delay_steps, 1) * self.dt
-        hist = np.asarray(self.spec.initial_segment(hist_t), dtype=float)
-        return hist[::-1].reshape(1, m)
+        return initial_lifted_state(self.spec, self.grid)[None, :]
 
 
 def _reject_unknown(d, allowed, where):
@@ -199,8 +197,8 @@ def cmd_solve(cfg, out_dir):
             fh.write(f"{k},{g:.17g}\n")
     save_value_function(v_top, out_dir, "v_top")
     save_value_function(v_prev, out_dir, "v_prev")
-    _write_thresholds(cfg, v_top, v_prev, quad, u_grid,
-                      os.path.join(out_dir, "thresholds.csv"))
+    policy = extract_policy(v_top, v_prev, cfg.spec, u_grid, quad)
+    _write_thresholds(cfg, policy, os.path.join(out_dir, "thresholds.csv"))
     return 0
 
 
@@ -220,17 +218,16 @@ def _load_policy(cfg, out_dir):
                               f"match config lift dimension {m}")
     if v_top.n_steps != cfg.grid.n_steps:
         raise ValidationError("artifact time grid does not match config")
-    return extract_policy(v_top, v_prev, cfg.spec, u_grid, quad), v_top, v_prev
+    return extract_policy(v_top, v_prev, cfg.spec, u_grid, quad)
 
 
 def _constant_history_points(xs, m):
     return np.repeat(np.asarray(xs, dtype=float)[:, None], m, axis=1)
 
 
-def _write_thresholds(cfg, v_top, v_prev, quad, u_grid, path):
+def _write_thresholds(cfg, policy, path):
     """Per time step, the innermost constant-history states where the policy
     acts on each side of zero (the policy-boundary curve)."""
-    policy = extract_policy(v_top, v_prev, cfg.spec, u_grid, quad)
     m = cfg.grid.delay_steps + 1
     xs = np.linspace(-cfg.grid_bound, cfg.grid_bound, 161)
     pts = _constant_history_points(xs, m)
@@ -246,7 +243,7 @@ def _write_thresholds(cfg, v_top, v_prev, quad, u_grid, path):
 
 
 def cmd_simulate(cfg, out_dir):
-    policy, _, _ = _load_policy(cfg, out_dir)
+    policy = _load_policy(cfg, out_dir)
     # trajectories are for eyeballing, a handful of paths is plenty
     n_paths = min(cfg.n_paths, 10)
     export_trajectories_csv(os.path.join(out_dir, "trajectories.csv"),
@@ -255,7 +252,7 @@ def cmd_simulate(cfg, out_dir):
 
 
 def cmd_evaluate(cfg, out_dir):
-    policy, _, _ = _load_policy(cfg, out_dir)
+    policy = _load_policy(cfg, out_dir)
     mean, se = estimate_J(cfg.spec, policy, cfg.n_paths, cfg.seed, cfg.grid)
     base, base_se = estimate_J(cfg.spec, ImpulseControl(), cfg.n_paths,
                                cfg.seed, cfg.grid)
@@ -267,10 +264,8 @@ def cmd_evaluate(cfg, out_dir):
 
 
 def cmd_export_figures(cfg, out_dir):
-    _, v_top, v_prev = _load_policy(cfg, out_dir)
-    quad = cfg.build_quadrature()
-    u_grid = cfg.u_grid()
-    policy = extract_policy(v_top, v_prev, cfg.spec, u_grid, quad)
+    policy = _load_policy(cfg, out_dir)
+    v_top = policy.v_top
     m = cfg.grid.delay_steps + 1
     xs = np.linspace(-cfg.grid_bound, cfg.grid_bound, 81)
     pts = _constant_history_points(xs, m)
@@ -347,7 +342,7 @@ def cmd_oracle_compare(cfg, out_dir):
     axis = exact_state_axis(spec, tree, k)
     iterates, _ = k_value_iteration(spec, grid, GridBackend(axes=(axis,)),
                                     quad, u_grid, k_max=k, tol=1e-12)
-    x0 = np.array([[float(spec.initial_segment(0.0))]])
+    x0 = initial_lifted_state(spec, grid)[None, :]
     dp_value = float(iterates[min(k, len(iterates) - 1)].value_at(0, x0)[0])
     oracle_value, oracle_table = enumerate_controls(spec, tree, k)
     stack = policy_stack(iterates, spec, u_grid, quad)

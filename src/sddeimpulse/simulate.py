@@ -1,8 +1,9 @@
 """Euler-Maruyama simulation of impulsively controlled delay SDE paths.
 
 Noise comes from counter-based Philox streams keyed by (seed, path index), so
-results are reproducible no matter how paths are scheduled.  Batch routines
-vectorize the time loop across paths; reductions run in path-index order.
+results are reproducible no matter how paths are scheduled.  One batch
+engine vectorizes the time loop across paths; reductions run in path-index
+order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .core import (TIME_TOL, ImpulseControl, ImpulseEvent, ProblemSpec,
                    Trajectory, ValidationError)
+from .lattice import step_transition_batch
 
 OVERFLOW_LIMIT = 1e9
 
@@ -104,115 +106,98 @@ def _events_by_index(control: ImpulseControl, spec: ProblemSpec, grid: TimeGrid)
     return out
 
 
-def simulate_controlled(spec: ProblemSpec, control: ImpulseControl,
-                        noise: NoiseDraw, grid: TimeGrid) -> Trajectory:
-    """One Euler path under a fixed control.
-
-    At each grid time the scheduled impulse is applied first (the reset acts on
-    the left limit), then the Euler step; the recorded value at t_k is the
-    post-impulse state.  Delayed reads below t = 0 come from the initial
-    segment samples.
-    """
-    if len(noise.increments) != grid.n_steps or abs(noise.dt - grid.dt) > TIME_TOL:
-        raise ValidationError("noise shape does not match grid")
-    events = _events_by_index(control, spec, grid)
-
-    off = grid.delay_steps
-    total = off + grid.n_steps + 1
-    values = np.empty(total)
-    hist_t = np.arange(-off, 1) * grid.dt
-    values[:off + 1] = spec.initial_segment(hist_t)
-    if not np.all(np.isfinite(values[:off + 1])):
+def initial_lifted_state(spec: ProblemSpec, grid: TimeGrid) -> np.ndarray:
+    """Lifted start state (X_0, X_{-dt}, ..., X_{-delay}) from the initial
+    segment; entry j is the value j steps back."""
+    hist_t = np.arange(-grid.delay_steps, 1) * grid.dt
+    hist = np.asarray(spec.initial_segment(hist_t), dtype=float)
+    if not np.all(np.isfinite(hist)):
         raise ValidationError("initial segment samples must be finite")
-
-    recorded = []
-    x = values[off]
-    for k in range(grid.n_steps + 1):
-        for idx, u in events:
-            if idx == k:
-                pre = x
-                x = float(spec.intervention(pre, u))
-                recorded.append(ImpulseEvent(index=k, pre=pre, impulse=u, post=x))
-        values[off + k] = x
-        if not math.isfinite(x) or abs(x) > OVERFLOW_LIMIT:
-            raise SimulationError(f"state overflow at step {k}", step=k,
-                                  path=noise.path_index)
-        if k == grid.n_steps:
-            break
-        t = k * grid.dt
-        x_del = values[off + k - grid.delay_steps]
-        x = x + float(spec.drift(t, x, x_del)) * grid.dt \
-            + float(spec.diffusion(t, x, x_del)) * noise.increments[k]
-
-    return Trajectory(times=grid.times(include_history=True), values=values,
-                      events=tuple(recorded), offset=off)
+    return hist[::-1]
 
 
-# ---------------------------------------------------------------------------
-# Vectorized batch engine
-# ---------------------------------------------------------------------------
+def simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
+                   policy_or_control):
+    """Euler engine: simulate all rows of `noise` at once, rows = paths.
 
-def _simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
-                    control: ImpulseControl | None = None, policy=None,
-                    return_paths: bool = False):
-    """Simulate all rows of `noise` at once under a fixed control or a policy.
+    `policy_or_control` is a fixed ImpulseControl (same events on every path)
+    or a policy queried once per grid time (at most one impulse per step) via
+    `decide_batch(time_index, states)` on the lifted states.  At each grid
+    time impulses act first (the reset acts on the left limit), then the
+    Euler step; the recorded value at t_k is the post-impulse state.
 
-    A policy is queried once per grid time (at most one impulse per step) via
-    `decide_batch(time_index, states)` on the lifted state, rows = paths.
-    Returns (payoffs, impulse_counts[, paths]); paths exclude the history part.
+    Returns (payoffs, counts, paths, events): per-path payoffs and impulse
+    counts, the (n_paths, n_steps + 1) post-impulse heads, and one
+    (k, rows, pre, u, post) array tuple per impulse batch, in time order.
     """
     n_paths, n_steps = noise.shape
     if n_steps != grid.n_steps:
         raise ValidationError("noise shape does not match grid")
-    events = _events_by_index(control, spec, grid) if control is not None else []
+    fixed = isinstance(policy_or_control, ImpulseControl)
+    scheduled = _events_by_index(policy_or_control, spec, grid) if fixed else []
 
-    m = grid.delay_steps + 1
-    hist_t = np.arange(-grid.delay_steps, 1) * grid.dt
-    hist = np.asarray(spec.initial_segment(hist_t), dtype=float)
-    # states[:, 0] is the current value, states[:, j] the value j steps back
-    states = np.tile(hist[::-1], (n_paths, 1))
-
+    states = np.tile(initial_lifted_state(spec, grid), (n_paths, 1))
     running = np.zeros(n_paths)
     cost = np.zeros(n_paths)
     counts = np.zeros(n_paths, dtype=int)
-    paths = np.empty((n_paths, grid.n_steps + 1)) if return_paths else None
+    paths = np.empty((n_paths, grid.n_steps + 1))
+    events = []
+
+    def jump(k, t, rows, u):
+        pre = states[rows, 0]
+        u = np.broadcast_to(u, pre.shape)
+        post = spec.intervention(pre, u)
+        states[rows, 0] = post
+        cost[rows] += spec.impulse_cost(pre, u, t)
+        counts[rows] += 1
+        events.append((k, rows, pre, u, post))
 
     for k in range(grid.n_steps + 1):
         t = k * grid.dt
         if k < grid.n_steps:
-            for idx, u in events:
+            for idx, u in scheduled:
                 if idx == k:
-                    pre = states[:, 0].copy()
-                    states[:, 0] = spec.intervention(pre, u)
-                    cost += spec.impulse_cost(pre, u, t)
-                    counts += 1
-            if policy is not None:
-                mask, us = policy.decide_batch(k, states)
+                    jump(k, t, np.arange(n_paths), u)
+            if not fixed:
+                mask, us = policy_or_control.decide_batch(k, states)
                 if np.any(mask):
-                    pre = states[mask, 0].copy()
-                    states[mask, 0] = spec.intervention(pre, us[mask])
-                    cost[mask] += spec.impulse_cost(pre, us[mask], t)
-                    counts[mask] += 1
+                    jump(k, t, np.nonzero(mask)[0], us[mask])
         x = states[:, 0]
         if not np.all(np.isfinite(x)) or np.any(np.abs(x) > OVERFLOW_LIMIT):
             bad = int(np.argmax(~np.isfinite(x) | (np.abs(x) > OVERFLOW_LIMIT)))
             raise SimulationError(f"state overflow at step {k} (path {bad})",
                                   step=k, path=bad)
-        if return_paths:
-            paths[:, k] = x
+        paths[:, k] = x
         if k == grid.n_steps:
             break
         running += spec.running_reward(t, x) * grid.dt
-        x_del = states[:, m - 1]
-        new = x + spec.drift(t, x, x_del) * grid.dt \
-            + spec.diffusion(t, x, x_del) * noise[:, k]
-        states[:, 1:] = states[:, :-1]
-        states[:, 0] = new
+        states = step_transition_batch(states, t, noise[:, k], spec, grid.dt)
 
     payoffs = running + spec.terminal_reward(states[:, 0]) - cost
-    if return_paths:
-        return payoffs, counts, paths
-    return payoffs, counts
+    return payoffs, counts, paths, events
+
+
+def simulate_controlled(spec: ProblemSpec, control: ImpulseControl,
+                        noise: NoiseDraw, grid: TimeGrid) -> Trajectory:
+    """One Euler path under a fixed control, with its initial-segment history.
+
+    Delayed reads below t = 0 come from the initial segment samples.
+    """
+    if len(noise.increments) != grid.n_steps or abs(noise.dt - grid.dt) > TIME_TOL:
+        raise ValidationError("noise shape does not match grid")
+    try:
+        _, _, paths, events = simulate_batch(spec, grid,
+                                             noise.increments[None, :], control)
+    except SimulationError as e:
+        raise SimulationError(f"state overflow at step {e.step}", step=e.step,
+                              path=noise.path_index) from None
+    history = initial_lifted_state(spec, grid)[:0:-1]
+    recorded = tuple(ImpulseEvent(index=k, pre=float(pre[0]),
+                                  impulse=float(u[0]), post=float(post[0]))
+                     for k, _, pre, u, post in events)
+    return Trajectory(times=grid.times(include_history=True),
+                      values=np.concatenate([history, paths[0]]),
+                      events=recorded, offset=grid.delay_steps)
 
 
 def estimate_J(spec: ProblemSpec, policy_or_control, n_paths: int, seed: int,
@@ -226,10 +211,7 @@ def estimate_J(spec: ProblemSpec, policy_or_control, n_paths: int, seed: int,
     if n_paths < 2:
         raise ValidationError("n_paths must be >= 2")
     noise = draw_noise_matrix(seed, n_paths, grid)
-    if isinstance(policy_or_control, ImpulseControl):
-        payoffs, _ = _simulate_batch(spec, grid, noise, control=policy_or_control)
-    else:
-        payoffs, _ = _simulate_batch(spec, grid, noise, policy=policy_or_control)
+    payoffs = simulate_batch(spec, grid, noise, policy_or_control)[0]
     mean = float(np.mean(payoffs))
     stderr = float(np.std(payoffs, ddof=1) / math.sqrt(n_paths))
     return mean, stderr
@@ -248,8 +230,8 @@ def coupled_sup_diffs(spec: ProblemSpec, prefix: ImpulseControl, pair_a, pair_b,
     ca = compose3(prefix, pair_a, suffix, T)
     cb = compose3(prefix, pair_b, suffix, T)
     noise = draw_noise_matrix(seed, n_paths, grid)
-    _, _, pa = _simulate_batch(spec, grid, noise, control=ca, return_paths=True)
-    _, _, pb = _simulate_batch(spec, grid, noise, control=cb, return_paths=True)
+    pa = simulate_batch(spec, grid, noise, ca)[2]
+    pb = simulate_batch(spec, grid, noise, cb)[2]
     k_hat = grid.index_of(max(pair_a[0], pair_b[0]))
     return np.max(np.abs(pa[:, k_hat:] - pb[:, k_hat:]), axis=1)
 
@@ -274,62 +256,17 @@ def export_trajectories_csv(path, spec: ProblemSpec, policy_or_control,
                             n_paths: int, seed: int, grid: TimeGrid):
     """Write controlled sample paths as CSV rows
     path_id,time,value,impulse_flag,impulse_value."""
+    noise = draw_noise_matrix(seed, n_paths, grid)
+    _, _, paths, events = simulate_batch(spec, grid, noise, policy_or_control)
+    impulses = {}
+    for k, rows, _, us, _ in events:
+        for i, u in zip(rows.tolist(), us.tolist()):
+            impulses[i, k] = f"{u:.17g}"
     lines = ["path_id,time,value,impulse_flag,impulse_value"]
     for i in range(n_paths):
-        if isinstance(policy_or_control, ImpulseControl):
-            traj = simulate_controlled(spec, policy_or_control,
-                                       draw_noise(seed, i, grid), grid)
-            values = traj.values[traj.offset:]
-            events = {ev.index: ev for ev in traj.events}
-        else:
-            noise = draw_noise(seed, i, grid).increments[None, :]
-            _, _, p, evs = _simulate_batch_with_events(spec, grid, noise,
-                                                       policy_or_control)
-            values = p[0]
-            events = {ev.index: ev for ev in evs[0]}
         for k in range(grid.n_steps + 1):
-            ev = events.get(k)
-            flag = 1 if ev is not None else 0
-            uval = f"{ev.impulse:.17g}" if ev is not None else ""
-            lines.append(f"{i},{k * grid.dt:.17g},{values[k]:.17g},{flag},{uval}")
+            uval = impulses.get((i, k), "")
+            flag = 1 if uval else 0
+            lines.append(f"{i},{k * grid.dt:.17g},{paths[i, k]:.17g},{flag},{uval}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _simulate_batch_with_events(spec, grid, noise, policy):
-    """Like _simulate_batch under a policy, but records per-path impulse events."""
-    n_paths = noise.shape[0]
-    m = grid.delay_steps + 1
-    hist_t = np.arange(-grid.delay_steps, 1) * grid.dt
-    hist = np.asarray(spec.initial_segment(hist_t), dtype=float)
-    states = np.tile(hist[::-1], (n_paths, 1))
-    running = np.zeros(n_paths)
-    cost = np.zeros(n_paths)
-    paths = np.empty((n_paths, grid.n_steps + 1))
-    events = [[] for _ in range(n_paths)]
-
-    for k in range(grid.n_steps + 1):
-        t = k * grid.dt
-        if k < grid.n_steps:
-            mask, us = policy.decide_batch(k, states)
-            if np.any(mask):
-                pre = states[mask, 0].copy()
-                post = spec.intervention(pre, us[mask])
-                states[mask, 0] = post
-                cost[mask] += spec.impulse_cost(pre, us[mask], t)
-                for j, (pi, ui, qi) in zip(np.nonzero(mask)[0], zip(pre, us[mask], post)):
-                    events[j].append(ImpulseEvent(index=k, pre=float(pi),
-                                                  impulse=float(ui), post=float(qi)))
-        paths[:, k] = states[:, 0]
-        if k == grid.n_steps:
-            break
-        x = states[:, 0]
-        running += spec.running_reward(t, x) * grid.dt
-        x_del = states[:, m - 1]
-        new = x + spec.drift(t, x, x_del) * grid.dt \
-            + spec.diffusion(t, x, x_del) * noise[:, k]
-        states[:, 1:] = states[:, :-1]
-        states[:, 0] = new
-
-    payoffs = running + spec.terminal_reward(states[:, 0]) - cost
-    return payoffs, cost, paths, [tuple(e) for e in events]

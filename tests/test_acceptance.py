@@ -23,9 +23,8 @@ from sddeimpulse.oracle import (FiniteTree, build_tiny_instance,
                                 enumerate_controls, exact_snell_on_tree,
                                 exact_state_axis, expected_reward_under_rule,
                                 table_from_decisions)
-from sddeimpulse.simulate import (TimeGrid, _simulate_batch_with_events,
-                                  draw_noise_matrix, estimate_J,
-                                  flow_stability_probe)
+from sddeimpulse.simulate import (TimeGrid, draw_noise_matrix, estimate_J,
+                                  flow_stability_probe, simulate_batch)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(HERE, os.pardir, "configs")
@@ -173,9 +172,7 @@ def test_criterion_6_policy_improvement_and_impulse_bound(capsys,
     improved = mean - base > 3.0 * float(np.hypot(se, base_se))
 
     noise = draw_noise_matrix(cfg.seed, 10000, cfg.grid)
-    payoffs, _, _, events = _simulate_batch_with_events(cfg.spec, cfg.grid,
-                                                        noise, policy)
-    counts = np.array([len(e) for e in events])
+    payoffs, counts, _, _ = simulate_batch(cfg.spec, cfg.grid, noise, policy)
     x0 = cfg.initial_state()
     v_top = float(iterates[-1].value_at(0, x0)[0])
     v_zero = float(iterates[0].value_at(0, x0)[0])

@@ -7,15 +7,15 @@ import pytest
 
 from sddeimpulse import ValidationError
 from sddeimpulse.bellman import (GridBackend, RegressionBackend,
-                                 extract_policy, fit_regression_step,
-                                 intervention_value, k_value_iteration,
+                                 _intervention_batch, extract_policy,
+                                 fit_regression_step, k_value_iteration,
                                  load_value_function, monomial_powers,
-                                 multilinear_interp, save_value_function,
-                                 snell_envelope_discrete)
+                                 multilinear_interp, save_value_function)
 from sddeimpulse.lattice import (gauss_hermite_quadrature,
                                  two_point_quadrature)
-from sddeimpulse.oracle import FiniteTree, build_tiny_instance, exact_state_axis
-from sddeimpulse.simulate import TimeGrid
+from sddeimpulse.oracle import (FiniteTree, build_tiny_instance,
+                                exact_snell_on_tree, exact_state_axis)
+from sddeimpulse.simulate import TimeGrid, export_trajectories_csv
 
 from test_simulate import feedback_spec
 
@@ -62,53 +62,52 @@ class TestSnellEnvelope:
     def test_constant_rewards(self):
         tree = FiniteTree(0.0, 0.5, (((-1.0, 1.0), (0.5, 0.5)),) * 2, (0.0,))
         rewards = {p: 3.25 for p in tree.all_nodes()}
-        env = snell_envelope_discrete(tree, rewards)
+        env, _ = exact_snell_on_tree(tree, rewards)
         assert all(v == 3.25 for v in env.values())
 
     def test_two_step_hand_value(self):
         tree = FiniteTree(0.0, 0.5, (((-1.0, 1.0), (0.5, 0.5)),) * 2, (0.0,))
         rewards = {(): 0.0, (0,): 1.0, (1,): -1.0,
                    (0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
-        env = snell_envelope_discrete(tree, rewards)
+        env, _ = exact_snell_on_tree(tree, rewards)
         assert env[()] == 0.5
         assert env[(0,)] == 1.0 and env[(1,)] == 0.0
 
     def test_growing_rewards_never_stop_early(self):
         tree = FiniteTree(0.0, 0.5, (((-1.0, 1.0), (0.5, 0.5)),) * 2, (0.0,))
         rewards = {p: float(len(p)) for p in tree.all_nodes()}
-        env = snell_envelope_discrete(tree, rewards)
+        env, _ = exact_snell_on_tree(tree, rewards)
         assert env[()] == 2.0
 
 
-class FrozenQuadratic:
+def frozen_quadratic(time_index, points):
     """Stand-in value level V(t, x) = -head^2 for intervention pricing."""
+    return -(np.asarray(points, dtype=float)[:, 0] ** 2)
 
-    dt = 0.5
 
-    def value_at(self, time_index, points):
-        pts = np.asarray(points, dtype=float)
-        return -(pts[:, 0] ** 2)
+def intervention_at(head, spec, u_grid):
+    """(value, impulse) of the best jump from the one-row state (head,)."""
+    val, u = _intervention_batch(frozen_quadratic, 0, np.array([[head]]),
+                                 spec, np.asarray(u_grid), 0.0)
+    return val[0], u[0]
 
 
 class TestInterventionValue:
     def test_hand_enumeration(self):
         spec = dataclasses.replace(feedback_spec(delay=0.0))
-        val, u = intervention_value(FrozenQuadratic(), 0, np.array([2.0]),
-                                    spec, np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
+        val, u = intervention_at(2.0, spec, [-2.0, -1.0, 0.0, 1.0, 2.0])
         assert u == -2.0
         assert val == pytest.approx(-0.5)
 
     def test_prohibitive_cost_deeply_negative(self):
         spec = dataclasses.replace(feedback_spec(delay=0.0),
                                    impulse_cost=lambda x, u, t: 1e6 + 0 * u)
-        val, _ = intervention_value(FrozenQuadratic(), 0, np.array([0.0]),
-                                    spec, np.array([-1.0, 1.0]))
+        val, _ = intervention_at(0.0, spec, [-1.0, 1.0])
         assert val < -9e5
 
     def test_symmetric_tie_takes_first_grid_index(self):
         spec = dataclasses.replace(feedback_spec(delay=0.0))
-        val, u = intervention_value(FrozenQuadratic(), 0, np.array([0.0]),
-                                    spec, np.array([-1.0, 1.0]))
+        val, u = intervention_at(0.0, spec, [-1.0, 1.0])
         assert u == -1.0
         assert val == pytest.approx(-1.2)
 
@@ -209,6 +208,22 @@ class TestPolicy:
         act, us = pol.decide_batch(10, pts)
         assert act.any()
         assert all(u in ug for u in us[act])
+
+    def test_exported_paths_do_not_depend_on_batch_size(self, tmp_path):
+        # the trajectory export simulates all paths in one batch; a path's
+        # rows must be the same whatever else shares the batch
+        spec = reduced_spec()
+        its, _, grid, quad, ug = solve_reduced(spec, k_max=1)
+        pol = extract_policy(its[-1], its[-2], spec, ug, quad)
+        one, three = tmp_path / "one.csv", tmp_path / "three.csv"
+        export_trajectories_csv(one, spec, pol, 1, 5, grid)
+        export_trajectories_csv(three, spec, pol, 3, 5, grid)
+        rows_one = one.read_text().splitlines()
+        rows_three = three.read_text().splitlines()
+        path0 = [r for r in rows_three if r.startswith("0,")]
+        assert rows_one[1:] == path0
+        assert len(path0) == grid.n_steps + 1
+        assert any(r.split(",")[3] == "1" for r in rows_three[1:])
 
     def test_mismatched_levels_rejected(self):
         its, _, grid, quad, ug = solve_reduced(reduced_spec(), k_max=1)

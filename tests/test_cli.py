@@ -133,6 +133,17 @@ class TestCommands:
         assert main(["solve", "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
 
+    def test_exit_code_2_on_truncated_value_file(self, tmp_path):
+        cfg_path = os.path.join(CONFIGS, "tiny1.json")
+        out = str(tmp_path)
+        assert main(["solve", "--config", cfg_path, "--out", out]) == 0
+        values = os.path.join(out, "v_top_values.csv")
+        with open(values) as fh:
+            lines = fh.readlines()
+        with open(values, "w") as fh:
+            fh.writelines(lines[:-3])
+        assert main(["evaluate", "--config", cfg_path, "--out", out]) == 2
+
     def test_seed_override(self, tiny_run, tmp_path):
         cfg_path, _ = tiny_run
         out = str(tmp_path)

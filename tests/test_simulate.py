@@ -37,6 +37,14 @@ def still_spec():
     return dataclasses.replace(tiny_spec(), drift=z, diffusion=z)
 
 
+class NeverIntervene:
+    """Policy stub that always continues."""
+
+    def decide_batch(self, time_index, states):
+        n = states.shape[0]
+        return np.zeros(n, dtype=bool), np.zeros(n)
+
+
 class TestTimeGrid:
     def test_step_counts_exact(self):
         g = TimeGrid.for_spec(feedback_spec(), 0.01)
@@ -112,12 +120,18 @@ class TestSimulateControlled:
         ref = np.array(buf[lag:])
         assert np.max(np.abs(traj.values[traj.offset:] - ref)) < 1e-12
 
-    def test_overflow_guard(self):
+    @pytest.mark.parametrize("runner", ["fixed_control", "policy_export"])
+    def test_overflow_guard(self, runner, tmp_path):
         spec = dataclasses.replace(
             tiny_spec(), drift=lambda t, x, y: 1e12 * (1.0 + np.abs(x)))
         g = TimeGrid.for_spec(spec, 0.5)
         with pytest.raises(SimulationError):
-            simulate_controlled(spec, ImpulseControl(), draw_noise(1, 0, g), g)
+            if runner == "fixed_control":
+                simulate_controlled(spec, ImpulseControl(),
+                                    draw_noise(1, 0, g), g)
+            else:
+                export_trajectories_csv(tmp_path / "t.csv", spec,
+                                        NeverIntervene(), 2, 1, g)
 
 
 class TestEstimateJ:

@@ -35,32 +35,46 @@ class DivergenceError(RuntimeError):
 # Interpolation
 # ---------------------------------------------------------------------------
 
+def interp_stencil(axes, points):
+    """Clamped multilinear stencil of (N, m) points on a tensor grid:
+    (base, corners), the flat index of each point's lower cell corner and
+    one (flat offset, (N,) weights) pair per corner in itertools.product
+    order.  It serves every table on the same grid."""
+    points = np.asarray(points, dtype=float)
+    shape = tuple(len(ax) for ax in axes)
+    strides = [math.prod(shape[d + 1:]) for d in range(len(axes))]
+    base = np.zeros(points.shape[0], dtype=np.intp)
+    frac = []
+    for d, ax in enumerate(axes):
+        p = np.clip(points[:, d], ax[0], ax[-1])
+        i = np.clip(np.searchsorted(ax, p, side="right") - 1, 0, len(ax) - 2)
+        base += i * strides[d]
+        frac.append((p - ax[i]) / (ax[i + 1] - ax[i]))
+    corners = []
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        w = math.prod(frac[d] if c else 1.0 - frac[d]
+                      for d, c in enumerate(corner))
+        corners.append((sum(c * s for c, s in zip(corner, strides)), w))
+    return base, corners
+
+
+def apply_stencil(stencil, flat_table):
+    """Interpolated values of the C-ordered flat table at the stencil's points."""
+    base, corners = stencil
+    out = np.zeros(base.shape[0])
+    for off, w in corners:
+        out += w * flat_table[off:][base]
+    return out
+
+
 def multilinear_interp(axes, table, points):
     """Multilinear interpolation on a tensor grid, clamped at the boundary.
 
-    axes: per-dimension sorted node arrays; table: values with shape
-    tuple(len(ax) for ax in axes); points: (N, m).  Queries exactly at nodes
-    reproduce the stored values.
+    axes: per-dimension strictly increasing node arrays; table: values with
+    shape tuple(len(ax) for ax in axes); points: (N, m).  Queries exactly at
+    nodes reproduce the stored values.
     """
-    points = np.asarray(points, dtype=float)
-    m = len(axes)
-    idx = []
-    frac = []
-    for d in range(m):
-        ax = axes[d]
-        p = np.clip(points[:, d], ax[0], ax[-1])
-        i = np.clip(np.searchsorted(ax, p, side="right") - 1, 0, len(ax) - 2)
-        idx.append(i)
-        frac.append((p - ax[i]) / (ax[i + 1] - ax[i]))
-    out = np.zeros(points.shape[0])
-    for corner in itertools.product((0, 1), repeat=m):
-        w = np.ones(points.shape[0])
-        loc = []
-        for d, c in enumerate(corner):
-            w = w * (frac[d] if c else 1.0 - frac[d])
-            loc.append(idx[d] + c)
-        out += w * table[tuple(loc)]
-    return out
+    return apply_stencil(interp_stencil(axes, points), np.ravel(table))
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +184,18 @@ class RegressionValueFunction:
 
 @dataclass(frozen=True)
 class GridBackend:
-    """Tensor-grid backend: explicit per-dimension node arrays."""
+    """Tensor-grid backend: explicit per-dimension node arrays, each finite
+    and strictly increasing with at least two nodes."""
 
     axes: tuple
+
+    def __post_init__(self):
+        for d, ax in enumerate(self.axes):
+            ax = np.asarray(ax, dtype=float)
+            if ax.ndim != 1 or len(ax) < 2 or not np.all(np.isfinite(ax)) \
+                    or not np.all(np.diff(ax) > 0):
+                raise ValidationError(f"grid axis {d} needs at least 2 "
+                                      "finite, strictly increasing nodes")
 
     @classmethod
     def uniform(cls, bound, points_per_axis, m):
@@ -203,10 +226,17 @@ def _continuation(v, i, states, spec, quadrature, dt):
     """One-step expectation from t_i: the running reward over [t_i, t_{i+1})
     plus the quadrature average of v at i + 1 over the Euler successors."""
     t = i * dt
+    return _expectation(spec, t, states, dt, quadrature.weights,
+                        lambda j: v.value_at(i + 1, step_transition_batch(
+                            states, t, quadrature.nodes[j], spec, dt)))
+
+
+def _expectation(spec, t, states, dt, weights, node_value):
+    """Running reward over [t, t + dt) plus sum_j weights[j] * node_value(j),
+    where node_value(j) gives the (N,) values at the node-j successors."""
     acc = np.zeros(states.shape[0])
-    for z, w in zip(quadrature.nodes, quadrature.weights):
-        nxt = step_transition_batch(states, t, z, spec, dt)
-        acc += w * v.value_at(i + 1, nxt)
+    for j, w in enumerate(weights):
+        acc += w * node_value(j)
     return spec.running_reward(t, states[:, 0]) * dt + acc
 
 
@@ -215,12 +245,19 @@ def _intervention_batch(value_at, time_index, states, spec, u_grid, t):
     `value_at(time_index, points)` of the level below:
     max_u value_at(Gamma(state, u)) - ell(head, u, t) and its argmax; ties
     take the smallest grid index."""
+    return _best_impulse(spec, states, u_grid, t,
+                         lambda j: value_at(time_index, impulse_transition_batch(
+                             states, u_grid[j], spec)))
+
+
+def _best_impulse(spec, states, u_grid, t, jump_value):
+    """max and argmax over j of jump_value(j) - ell(head, u_grid[j], t), where
+    jump_value(j) gives the (N,) values after impulse j; ties take the
+    smallest grid index."""
     best = np.full(states.shape[0], -np.inf)
     best_u = np.zeros(states.shape[0])
-    for u in u_grid:
-        shifted = impulse_transition_batch(states, u, spec)
-        val = value_at(time_index, shifted) \
-            - spec.impulse_cost(states[:, 0], u, t)
+    for j, u in enumerate(u_grid):
+        val = jump_value(j) - spec.impulse_cost(states[:, 0], u, t)
         better = val > best
         best = np.where(better, val, best)
         best_u = np.where(better, u, best_u)
@@ -274,6 +311,14 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     dt = grid.dt
     terminal = np.asarray(spec.terminal_reward(points[:, 0]), dtype=float)
 
+    # Every level queries the same points, so the stencils are built once:
+    # the jump map ignores t, and the Euler successors' stencils are rebuilt
+    # only when the successors change from one slice to the next.
+    shifted = (impulse_transition_batch(points, u, spec) for u in u_grid)
+    jump_stencils = [interp_stencil(axes, x) for x in shifted]
+    successors = [None] * len(quadrature.nodes)
+    step_stencils = [None] * len(quadrature.nodes)
+
     iterates = []
     gaps = []
     for k in range(k_max + 1):
@@ -281,13 +326,20 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
         vf.values[n] = terminal.copy()
         prev = iterates[k - 1] if k else None
         for i in range(n - 1, -1, -1):
-            cont = _continuation(vf, i, points, spec, quadrature, dt)
-            if k == 0:
-                vals = cont
-            else:
-                interv, _ = _intervention_batch(prev.value_at, i, points, spec,
-                                                u_grid, i * dt)
-                vals = np.maximum(cont, interv)
+            t = i * dt
+            for j, z in enumerate(quadrature.nodes):
+                nxt = step_transition_batch(points, t, z, spec, dt)
+                if not np.array_equal(nxt, successors[j]):
+                    successors[j] = nxt
+                    step_stencils[j] = interp_stencil(axes, nxt)
+            vals = _expectation(spec, t, points, dt, quadrature.weights,
+                                lambda j: apply_stencil(step_stencils[j],
+                                                        vf.values[i + 1]))
+            if k:
+                interv, _ = _best_impulse(spec, points, u_grid, t,
+                                          lambda j: apply_stencil(
+                                              jump_stencils[j], prev.values[i]))
+                vals = np.maximum(vals, interv)
             _check_finite(vals, i, k)
             vf.values[i] = vals
         iterates.append(vf)

@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .core import (ProblemSpec, ValidationError, build_problem_spec,
                    check_assumptions, ImpulseControl)
-from .simulate import (TimeGrid, estimate_J, export_trajectories_csv,
-                       flow_stability_probe, initial_lifted_state,
-                       SimulationError)
+from .simulate import (TimeGrid, draw_noise_matrix, estimate_J,
+                       export_trajectories_csv, flow_stability_probe,
+                       initial_lifted_state, SimulationError)
 from .lattice import (gauss_hermite_quadrature, two_point_quadrature,
                       three_point_quadrature)
 from .bellman import (GridBackend, RegressionBackend, k_value_iteration,
@@ -87,14 +87,19 @@ class RunConfig:
         self.seed = int(ev["seed"])
         self.output_dir = raw.get("output_dir", "runs/out")
 
-        for name, v in (("discretization.points_per_axis", self.points_per_axis),
-                        ("discretization.n_impulse", self.n_impulse),
+        for name, v in (("discretization.n_impulse", self.n_impulse),
                         ("discretization.quadrature_nodes", self.quadrature_nodes),
                         ("solver.k_max", self.k_max),
                         ("solver.n_samples", self.n_samples),
                         ("evaluation.n_paths", self.n_paths)):
             if v < 1:
                 raise ValidationError(f"{name}: must be >= 1, got {v}")
+        if self.points_per_axis < 2:
+            raise ValidationError("discretization.points_per_axis: must be "
+                                  f">= 2, got {self.points_per_axis}")
+        if not self.grid_bound > 0:
+            raise ValidationError("discretization.grid_bound: must be "
+                                  f"positive, got {self.grid_bound}")
 
         self.spec = build_problem_spec(self.problem)
         # TimeGrid.for_spec enforces that dt divides both delay and horizon
@@ -289,6 +294,7 @@ def cmd_probe_flow(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     base_t = cfg.spec.horizon / 2
     base_u = 0.5 * (cfg.spec.impulse_set.lower + cfg.spec.impulse_set.upper)
+    noise = draw_noise_matrix(cfg.seed, cfg.n_paths, cfg.grid)
     dists, moments = [], []
     for d in (0.4, 0.2, 0.1, 0.05):
         dt_off = round((d / np.sqrt(2.0)) / cfg.dt) * cfg.dt
@@ -300,8 +306,7 @@ def cmd_probe_flow(cfg, out_dir):
         pb = (base_t + dt_off, base_u + du)
         actual = float(np.hypot(pb[0] - pa[0], pb[1] - pa[1]))
         mom = flow_stability_probe(cfg.spec, ImpulseControl(), pa, pb,
-                                   ImpulseControl(), cfg.n_paths, cfg.seed,
-                                   cfg.grid)
+                                   ImpulseControl(), noise, cfg.grid)
         dists.append(actual)
         moments.append(mom)
     slope = float(np.polyfit(np.log(dists), np.log(moments), 1)[0])

@@ -222,14 +222,14 @@ def _single(pair):
 
 
 def coupled_sup_diffs(spec: ProblemSpec, prefix: ImpulseControl, pair_a, pair_b,
-                      suffix: ImpulseControl, n_paths: int, seed: int,
+                      suffix: ImpulseControl, noise: np.ndarray,
                       grid: TimeGrid) -> np.ndarray:
-    """Per-path sup_{s >= t_hat} |X^a_s - X^b_s| under common noise, where the
-    two controls are prefix o pair o suffix and t_hat is the later pair time."""
+    """Per-path sup_{s >= t_hat} |X^a_s - X^b_s|, one path pair per noise
+    row, where the controls are prefix o pair o suffix and t_hat is the
+    later pair time."""
     T = grid.horizon
     ca = compose3(prefix, pair_a, suffix, T)
     cb = compose3(prefix, pair_b, suffix, T)
-    noise = draw_noise_matrix(seed, n_paths, grid)
     pa = simulate_batch(spec, grid, noise, ca)[2]
     pb = simulate_batch(spec, grid, noise, cb)[2]
     k_hat = grid.index_of(max(pair_a[0], pair_b[0]))
@@ -243,12 +243,11 @@ def compose3(prefix, pair, suffix, horizon):
 
 
 def flow_stability_probe(spec: ProblemSpec, prefix: ImpulseControl, pair_a,
-                         pair_b, suffix: ImpulseControl, n_paths: int,
-                         seed: int, grid: TimeGrid) -> float:
+                         pair_b, suffix: ImpulseControl, noise: np.ndarray,
+                         grid: TimeGrid) -> float:
     """Monte Carlo estimate of E[sup_{s>=t_hat} |difference|^(4+2m)] for the
-    two coupled controlled paths, m = 1 (scalar impulses)."""
-    sups = coupled_sup_diffs(spec, prefix, pair_a, pair_b, suffix,
-                             n_paths, seed, grid)
+    coupled controlled paths, one pair per noise row, m = 1 (scalar impulses)."""
+    sups = coupled_sup_diffs(spec, prefix, pair_a, pair_b, suffix, noise, grid)
     return float(np.mean(sups ** 6))
 
 

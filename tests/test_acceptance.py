@@ -148,6 +148,7 @@ def test_criterion_4_setup_fidelity(capsys):
 def test_criterion_5_flow_stability_exponent(capsys):
     cfg = RunConfig.load(os.path.join(CONFIGS, "delay_feedback.json"))
     base = (0.5, 0.0)
+    noise = draw_noise_matrix(cfg.seed, 10000, cfg.grid)
     dists, moments = [], []
     for d in (0.4, 0.2, 0.1, 0.05):
         dt_off = round((d / np.sqrt(2.0)) / cfg.dt) * cfg.dt
@@ -155,8 +156,8 @@ def test_criterion_5_flow_stability_exponent(capsys):
         pb = (base[0] + dt_off, base[1] + du)
         dists.append(float(np.hypot(dt_off, du)))
         moments.append(flow_stability_probe(cfg.spec, ImpulseControl(), base,
-                                            pb, ImpulseControl(), 10000,
-                                            cfg.seed, cfg.grid))
+                                            pb, ImpulseControl(), noise,
+                                            cfg.grid))
     slope = float(np.polyfit(np.log(dists), np.log(moments), 1)[0])
     verdict(capsys, 5, f"coupled-path sixth-moment slope {slope:.2f} >= 2.4",
             slope >= 2.4)

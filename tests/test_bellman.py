@@ -1,12 +1,15 @@
 """Value iteration, interpolation, regression fits, policies, persistence."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from sddeimpulse import ValidationError
-from sddeimpulse.bellman import (GridBackend, RegressionBackend,
+from sddeimpulse import bellman
+from sddeimpulse.bellman import (GridBackend, GridValueFunction,
+                                 RegressionBackend, _continuation,
                                  _intervention_batch, extract_policy,
                                  fit_regression_step, k_value_iteration,
                                  load_value_function, monomial_powers,
@@ -34,7 +37,43 @@ def solve_reduced(spec, k_max=1, points=21, n_u=9, tol=1e-3):
     return its, gaps, grid, quad, ug
 
 
+def brute_force_interp(axes, table, points):
+    """Reference multilinear interpolation, one point and one corner at a
+    time: the cell is found by scanning the axis, the weights multiply in
+    dimension order and the corners add in itertools.product order."""
+    out = []
+    for q in np.asarray(points, dtype=float):
+        cell, frac = [], []
+        for x, ax in zip(q, axes):
+            p = min(max(x, ax[0]), ax[-1])
+            i = min(max(sum(a <= p for a in ax) - 1, 0), len(ax) - 2)
+            cell.append(i)
+            frac.append((p - ax[i]) / (ax[i + 1] - ax[i]))
+        total = 0.0
+        for corner in itertools.product((0, 1), repeat=len(axes)):
+            w = 1.0
+            for f, c in zip(frac, corner):
+                w = w * (f if c else 1.0 - f)
+            total += w * table[tuple(i + c for i, c in zip(cell, corner))]
+        out.append(total)
+    return np.array(out)
+
+
 class TestMultilinearInterp:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_brute_force_corner_loop_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        axes = tuple(np.sort(rng.uniform(-2.0, 2.0, 4 + d)) for d in range(m))
+        table = rng.normal(size=tuple(len(ax) for ax in axes))
+        inside = rng.uniform(-2.0, 2.0, (40, m))
+        outside = rng.uniform(-5.0, 5.0, (40, m))
+        nodes = np.array([[ax[j % len(ax)] for ax in axes] for j in range(8)])
+        top = np.array([[ax[-1] for ax in axes], [ax[0] for ax in axes]])
+        pts = np.concatenate([inside, outside, nodes, top])
+        got = multilinear_interp(axes, table, pts)
+        assert np.array_equal(got, brute_force_interp(axes, table, pts))
+
+
     def test_exact_at_nodes_2d(self):
         axes = (np.array([-1.0, 0.0, 2.0]), np.array([0.0, 1.0]))
         table = np.arange(6, dtype=float).reshape(3, 2)
@@ -178,6 +217,13 @@ class TestKValueIteration:
         v = its[-1].value_at(0, np.array([[0.0]]))[0]
         assert abs(v - best) <= 1e-9
 
+    @pytest.mark.parametrize("axis", [[1.0, 0.0, -1.0], [0.0],
+                                      [0.0, 0.0, 1.0], [0.0, np.nan, 1.0]],
+                             ids=["descending", "one_node", "repeated", "nan"])
+    def test_bad_grid_axis_rejected(self, axis):
+        with pytest.raises(ValidationError):
+            GridBackend(axes=(np.linspace(-1.0, 1.0, 5), np.array(axis)))
+
     def test_bad_arguments_rejected(self):
         spec = reduced_spec()
         grid = TimeGrid.for_spec(spec, 0.01)
@@ -188,6 +234,64 @@ class TestKValueIteration:
         with pytest.raises(ValidationError):
             k_value_iteration(spec, grid, GridBackend.uniform(4.0, 5, 2),
                               quad, [0.0], k_max=0)
+
+
+def reference_grid_solve(spec, grid, axes, quad, u_grid, n_levels):
+    """The grid level loop on the generic operators, interpolating afresh
+    through GridValueFunction.value_at at every query."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([g.ravel() for g in mesh], axis=1)
+    n, dt = grid.n_steps, grid.dt
+    levels = []
+    for k in range(n_levels):
+        vf = GridValueFunction(axes=axes, values=[None] * (n + 1), k_index=k,
+                               dt=dt)
+        vf.values[n] = np.asarray(spec.terminal_reward(points[:, 0]),
+                                  dtype=float)
+        for i in range(n - 1, -1, -1):
+            vals = _continuation(vf, i, points, spec, quad, dt)
+            if k:
+                interv, _ = _intervention_batch(levels[-1].value_at, i,
+                                                points, spec, u_grid, i * dt)
+                vals = np.maximum(vals, interv)
+            vf.values[i] = vals
+        levels.append(vf)
+    return levels
+
+
+def time_dependent_spec():
+    return dataclasses.replace(reduced_spec(),
+                               drift=lambda t, x, y: -(1.0 + t) * x + 0.5 * y)
+
+
+class TestStencilSolve:
+    @pytest.mark.parametrize("make_spec", [reduced_spec, time_dependent_spec])
+    def test_equals_generic_operators_bitwise(self, make_spec):
+        spec = make_spec()
+        its, gaps, grid, quad, ug = solve_reduced(spec, k_max=2, tol=1e-12)
+        ref = reference_grid_solve(spec, grid, its[0].axes, quad, ug, len(its))
+        assert len(its) == 3
+        for got, want in zip(its, ref):
+            for i in range(grid.n_steps + 1):
+                assert np.array_equal(got.values[i], want.values[i])
+        assert gaps == [max(float(np.max(np.abs(hi.values[i] - lo.values[i])))
+                            for i in range(grid.n_steps + 1))
+                        for lo, hi in zip(ref, ref[1:])]
+
+    @pytest.mark.parametrize("k_max,horizon", [(1, 0.2), (3, 0.5)])
+    def test_stencils_built_once_per_solve(self, monkeypatch, k_max, horizon):
+        calls = []
+        real = bellman.interp_stencil
+
+        def counting(axes, points):
+            calls.append(len(points))
+            return real(axes, points)
+
+        monkeypatch.setattr(bellman, "interp_stencil", counting)
+        spec = dataclasses.replace(reduced_spec(), horizon=horizon)
+        its, _, _, quad, ug = solve_reduced(spec, k_max=k_max, tol=1e-12)
+        assert len(its) == k_max + 1
+        assert len(calls) == len(ug) + len(quad.nodes)
 
 
 class TestPolicy:

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from sddeimpulse import ValidationError
+from sddeimpulse import ValidationError, simulate
 from sddeimpulse.cli import RunConfig, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -132,6 +132,31 @@ class TestCommands:
         bad.write_text(json.dumps(raw))
         assert main(["solve", "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key,value", [("grid_bound", -1.0),
+                                           ("grid_bound", 0.0),
+                                           ("points_per_axis", 1)])
+    def test_exit_code_2_on_bad_grid(self, tmp_path, key, value):
+        raw = load_raw("tiny1.json")
+        raw["discretization"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+
+    def test_probe_flow_draws_each_path_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = simulate.draw_noise
+
+        def counting(seed, path_index, grid):
+            calls.append(path_index)
+            return real(seed, path_index, grid)
+
+        monkeypatch.setattr(simulate, "draw_noise", counting)
+        cfg_path = os.path.join(CONFIGS, "tiny1.json")
+        assert main(["probe-flow", "--config", cfg_path,
+                     "--out", str(tmp_path)]) == 0
+        assert sorted(calls) == list(range(RunConfig.load(cfg_path).n_paths))
 
     def test_exit_code_2_on_truncated_value_file(self, tmp_path):
         cfg_path = os.path.join(CONFIGS, "tiny1.json")

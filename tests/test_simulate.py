@@ -173,7 +173,8 @@ class TestCoupledProbe:
         spec = feedback_spec()
         g = TimeGrid.for_spec(spec, 0.01)
         sups = coupled_sup_diffs(spec, ImpulseControl(), (0.5, 1.0),
-                                 (0.5, 1.0), ImpulseControl(), 16, 3, g)
+                                 (0.5, 1.0), ImpulseControl(),
+                                 draw_noise_matrix(3, 16, g), g)
         assert np.all(sups == 0.0)
 
     def test_still_dynamics_exact_moment(self):
@@ -181,7 +182,8 @@ class TestCoupledProbe:
         g = TimeGrid.for_spec(spec, 0.5)
         u, v = 1.0, 0.25
         mom = flow_stability_probe(spec, ImpulseControl(), (0.5, u), (0.5, v),
-                                   ImpulseControl(), 8, 3, g)
+                                   ImpulseControl(), draw_noise_matrix(3, 8, g),
+                                   g)
         assert mom == pytest.approx(abs(u - v) ** 6, abs=1e-14)
 
 

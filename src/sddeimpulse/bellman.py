@@ -112,11 +112,19 @@ def monomial_powers(m, degree):
 
 
 def design_matrix(points, powers):
+    """(N, P) monomial features: column j is the product over coordinates d,
+    in increasing d, of points[:, d] ** powers[j, d], zero exponents
+    skipped.  Each coordinate power is computed once and multiplied in place
+    into the C-ordered output, so every column is the same left-to-right
+    product as one built factor by factor."""
     out = np.ones((points.shape[0], len(powers)))
-    for j, pw in enumerate(powers):
-        for d, e in enumerate(pw):
-            if e:
-                out[:, j] *= points[:, d] ** e
+    cached = {}
+    rows, cols = np.nonzero(powers)
+    for j, d, e in zip(rows.tolist(), cols.tolist(), powers[rows, cols]):
+        p = cached.get((d, e))
+        if p is None:
+            p = cached[d, e] = points[:, d] ** e
+        out[:, j] *= p
     return out
 
 
@@ -217,6 +225,17 @@ class RegressionBackend:
     exploration_rate: float = 0.1
     sample_seed: int = 1234
 
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ValidationError(f"regression degree must be >= 0, got "
+                                  f"{self.degree}")
+        if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
+            raise ValidationError("ridge_lambda must be finite and >= 0, got "
+                                  f"{self.ridge_lambda}")
+        if not 0.0 <= self.exploration_rate <= 1.0:
+            raise ValidationError("exploration_rate must lie in [0, 1], got "
+                                  f"{self.exploration_rate}")
+
 
 # ---------------------------------------------------------------------------
 # Operations
@@ -233,10 +252,11 @@ def _continuation(v, i, states, spec, quadrature, dt):
 
 def _expectation(spec, t, states, dt, weights, node_value):
     """Running reward over [t, t + dt) plus sum_j weights[j] * node_value(j),
-    where node_value(j) gives the (N,) values at the node-j successors."""
+    where node_value(j) gives the (N,) values at the node-j successors, or
+    an (L, N) stack of L levels' values."""
     acc = np.zeros(states.shape[0])
     for j, w in enumerate(weights):
-        acc += w * node_value(j)
+        acc = acc + w * node_value(j)
     return spec.running_reward(t, states[:, 0]) * dt + acc
 
 
@@ -252,8 +272,8 @@ def _intervention_batch(value_at, time_index, states, spec, u_grid, t):
 
 def _best_impulse(spec, states, u_grid, t, jump_value):
     """max and argmax over j of jump_value(j) - ell(head, u_grid[j], t), where
-    jump_value(j) gives the (N,) values after impulse j; ties take the
-    smallest grid index."""
+    jump_value(j) gives the (N,) values after impulse j, or an (L, N) stack
+    of L levels' values; ties take the smallest grid index."""
     best = np.full(states.shape[0], -np.inf)
     best_u = np.zeros(states.shape[0])
     for j, u in enumerate(u_grid):
@@ -271,24 +291,34 @@ def fit_regression_step(samples, targets, degree, ridge_lambda=0.0, powers=None)
     caller to regularize instead of silently returning one minimizer.
     """
     samples = np.asarray(samples, dtype=float)
-    targets = np.asarray(targets, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
     if powers is None:
         powers = monomial_powers(samples.shape[1], degree)
-    A = design_matrix(samples, powers)
-    if len(targets) < A.shape[1]:
-        raise ValidationError("need at least as many samples as basis terms")
-    if not np.all(np.isfinite(targets)):
-        raise ValidationError("regression targets must be finite")
-    if ridge_lambda == 0.0:
-        coef, _, rank, _ = np.linalg.lstsq(A, targets, rcond=None)
-        if rank < A.shape[1]:
-            raise ValidationError(
-                "rank-deficient regression design; set ridge_lambda > 0")
-        return coef
-    gram = A.T @ A + ridge_lambda * np.eye(A.shape[1])
-    return np.linalg.solve(gram, A.T @ targets)
+    return _regression_fitter(design_matrix(samples, powers),
+                              ridge_lambda)(targets)
+
+
+def _regression_fitter(A, ridge_lambda):
+    """fit(targets) -> coefficients on the fixed design A, as in
+    fit_regression_step; the ridge Gram matrix is built once for all fits."""
+    if ridge_lambda != 0.0:
+        gram = A.T @ A + ridge_lambda * np.eye(A.shape[1])
+
+    def fit(targets):
+        targets = np.asarray(targets, dtype=float)
+        if len(targets) < A.shape[1]:
+            raise ValidationError("need at least as many samples as basis terms")
+        if not np.all(np.isfinite(targets)):
+            raise ValidationError("regression targets must be finite")
+        if ridge_lambda == 0.0:
+            coef, _, rank, _ = np.linalg.lstsq(A, targets, rcond=None)
+            if rank < A.shape[1]:
+                raise ValidationError(
+                    "rank-deficient regression design; set ridge_lambda > 0")
+            return coef
+        return np.linalg.solve(gram, A.T @ targets)
+    return fit
 
 
 def _check_finite(arr, time_index, k):
@@ -374,7 +404,52 @@ def _sample_states(spec, grid, backend):
     return clouds
 
 
+@dataclass
+class _RegressionLevels:
+    """Levels 0 .. L-1 of one regression solve read together: value_at and
+    plain_value_at return (L, N) stacks whose row k equals level k's own
+    method bit for bit.  One design matrix per point set serves every level."""
+
+    levels: list
+
+    def value_at(self, time_index, points):
+        base = self.levels[0]
+        if base.cont_coeffs[time_index] is None:
+            terminal = np.asarray(base.terminal_reward(points[:, 0]), dtype=float)
+            return np.tile(terminal, (len(self.levels), 1))
+        v = _fitted_values(design_matrix(points, base.powers),
+                           [lvl.cont_coeffs[time_index] for lvl in self.levels])
+        if len(self.levels) > 1:
+            jump, _ = _intervention_batch(
+                _RegressionLevels(self.levels[:-1]).plain_value_at, time_index,
+                points, base.spec, base.u_grid, time_index * base.dt)
+            v[1:] = np.maximum(v[1:], jump)
+        return v
+
+    def plain_value_at(self, time_index, points):
+        lo, hi = self.levels[0].bounds[time_index]
+        return _fitted_values(design_matrix(np.clip(points, lo, hi),
+                                            self.levels[0].powers),
+                              [lvl.plain_coeffs[time_index] for lvl in self.levels])
+
+
+def _fitted_values(A, coeffs):
+    """(L, N) stack of A @ c over the L coefficient vectors, one
+    matrix-vector product each as in a single level's value_at (one
+    matrix-matrix product would round differently)."""
+    return np.stack([A @ c for c in coeffs])
+
+
 def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
+    """Time-outer sweep over all k_max + 1 levels, then a trim at the first
+    gap below tol.  At each slice the continuation of every live level comes
+    from one design matrix per Euler successor set and per clipped jump of
+    it, and the cloud's design and Gram matrices serve both fits of every
+    level and the gap.  Levels are fitted in increasing k, since level k's
+    jump prices with level k-1's plain fit at the same slice.  A level that
+    turns non-finite ends itself and every level above it; its error is
+    raised only if no level below it converges, as a level-by-level solve
+    would have stopped first."""
     m = grid.delay_steps + 1
     powers = monomial_powers(m, backend.degree)
     clouds = _sample_states(spec, grid, backend)
@@ -386,44 +461,53 @@ def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     margin = float(np.max(np.abs(u_grid)))
     bounds = [(clouds[i].min(axis=0) - margin, clouds[i].max(axis=0) + margin)
               for i in range(n)] + [None]
-    iterates = []
-    gaps = []
+    levels = []
     for k in range(k_max + 1):
-        prev = iterates[k - 1] if k else None
-        vf = RegressionValueFunction(powers=powers,
-                                     cont_coeffs=[None] * (n + 1),
-                                     plain_coeffs=[None] * (n + 1),
-                                     k_index=k, dt=dt,
-                                     terminal_reward=spec.terminal_reward,
-                                     prev=prev, spec=spec, u_grid=u_grid,
-                                     bounds=bounds)
-        for i in range(n - 1, -1, -1):
-            pts = clouds[i]
-            cont = _continuation(vf, i, pts, spec, quadrature, dt)
-            _check_finite(cont, i, k)
-            vf.cont_coeffs[i] = fit_regression_step(pts, cont, backend.degree,
-                                                    backend.ridge_lambda,
-                                                    powers=powers)
-            if k >= 1:
-                interv, _ = _intervention_batch(prev.plain_value_at, i, pts,
-                                                spec, u_grid, i * dt)
-                vals = np.maximum(cont, interv)
-                _check_finite(vals, i, k)
-                vf.plain_coeffs[i] = fit_regression_step(pts, vals,
-                                                         backend.degree,
-                                                         backend.ridge_lambda,
-                                                         powers=powers)
-            else:
-                vf.plain_coeffs[i] = vf.cont_coeffs[i]
-        iterates.append(vf)
-        if k >= 1:
-            gap = max(float(np.max(np.abs(vf.value_at(i, clouds[i])
-                                          - prev.value_at(i, clouds[i]))))
-                      for i in range(n))
-            gaps.append(gap)
-            if gap < tol:
+        levels.append(RegressionValueFunction(
+            powers=powers, cont_coeffs=[None] * (n + 1),
+            plain_coeffs=[None] * (n + 1), k_index=k, dt=dt,
+            terminal_reward=spec.terminal_reward,
+            prev=levels[-1] if k else None, spec=spec, u_grid=u_grid,
+            bounds=bounds))
+    slice_gaps = [[None] * n for _ in range(k_max)]
+    live, failure = k_max + 1, None
+    for i in range(n - 1, -1, -1):
+        pts = clouds[i]
+        cont = _continuation(_RegressionLevels(levels[:live]), i, pts, spec,
+                             quadrature, dt)
+        A = design_matrix(pts, powers)
+        fit = _regression_fitter(A, backend.ridge_lambda)
+        below = None
+        for k in range(live):
+            vf = levels[k]
+            try:
+                _check_finite(cont[k], i, k)
+                vf.cont_coeffs[i] = fit(cont[k])
+                v = A @ vf.cont_coeffs[i]
+                if k >= 1:
+                    interv, _ = _intervention_batch(levels[k - 1].plain_value_at,
+                                                    i, pts, spec, u_grid, i * dt)
+                    vals = np.maximum(cont[k], interv)
+                    _check_finite(vals, i, k)
+                    vf.plain_coeffs[i] = fit(vals)
+                    v = np.maximum(v, interv)
+                    slice_gaps[k - 1][i] = float(np.max(np.abs(v - below)))
+                else:
+                    vf.plain_coeffs[i] = vf.cont_coeffs[i]
+                below = v
+            except DivergenceError as err:
+                live, failure = k, err
                 break
-    return iterates, gaps
+        if not live:
+            raise failure
+    gaps = []
+    for k in range(1, live):
+        gaps.append(max(slice_gaps[k - 1]))
+        if gaps[-1] < tol:
+            return levels[:k + 1], gaps
+    if failure is not None:
+        raise failure
+    return levels, gaps
 
 
 def k_value_iteration(spec: ProblemSpec, grid: TimeGrid, backend,
@@ -435,7 +519,7 @@ def k_value_iteration(spec: ProblemSpec, grid: TimeGrid, backend,
     sup-gap between successive levels; stops at the first gap below tol or
     at k_max.
     """
-    if k_max < 1 or tol <= 0:
+    if k_max < 1 or not tol > 0:
         raise ValidationError("k_max must be >= 1 and tol positive")
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.size == 0:

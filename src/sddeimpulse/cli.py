@@ -100,6 +100,17 @@ class RunConfig:
         if not self.grid_bound > 0:
             raise ValidationError("discretization.grid_bound: must be "
                                   f"positive, got {self.grid_bound}")
+        if not self.tol > 0:
+            raise ValidationError(f"solver.tol: must be > 0, got {self.tol}")
+        if self.degree < 0:
+            raise ValidationError(f"solver.degree: must be >= 0, got "
+                                  f"{self.degree}")
+        if not (np.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
+            raise ValidationError("solver.ridge_lambda: must be finite and "
+                                  f">= 0, got {self.ridge_lambda}")
+        if not 0.0 <= self.exploration_rate <= 1.0:
+            raise ValidationError("solver.exploration_rate: must lie in "
+                                  f"[0, 1], got {self.exploration_rate}")
 
         self.spec = build_problem_spec(self.problem)
         # TimeGrid.for_spec enforces that dt divides both delay and horizon

@@ -8,14 +8,16 @@ import pytest
 
 from sddeimpulse import ValidationError
 from sddeimpulse import bellman
-from sddeimpulse.bellman import (GridBackend, GridValueFunction,
-                                 RegressionBackend, _continuation,
-                                 _intervention_batch, extract_policy,
+from sddeimpulse.bellman import (DivergenceError, GridBackend,
+                                 GridValueFunction, RegressionBackend,
+                                 RegressionValueFunction, _check_finite,
+                                 _continuation, _intervention_batch,
+                                 design_matrix, extract_policy,
                                  fit_regression_step, k_value_iteration,
                                  load_value_function, monomial_powers,
                                  multilinear_interp, save_value_function)
 from sddeimpulse.lattice import (gauss_hermite_quadrature,
-                                 two_point_quadrature)
+                                 three_point_quadrature, two_point_quadrature)
 from sddeimpulse.oracle import (FiniteTree, build_tiny_instance,
                                 exact_snell_on_tree, exact_state_axis)
 from sddeimpulse.simulate import TimeGrid, export_trajectories_csv
@@ -151,6 +153,37 @@ class TestInterventionValue:
         assert val == pytest.approx(-1.2)
 
 
+def per_column_design_matrix(points, powers):
+    """Reference design matrix: every column built factor by factor, each
+    power raised afresh."""
+    out = np.ones((points.shape[0], len(powers)))
+    for j, pw in enumerate(powers):
+        for d, e in enumerate(pw):
+            if e:
+                out[:, j] *= points[:, d] ** e
+    return out
+
+
+class TestDesignMatrix:
+    @pytest.mark.parametrize("n_rows,m,degree,scale", [
+        (1, 3, 3, 1.0), (200, 1, 0, 1.0), (200, 3, 0, 1.0),
+        (200, 2, 4, 1e-3), (200, 6, 3, 1.0), (200, 3, 3, 1e5),
+        (200, 3, 3, 1e110)], ids=["one_row", "degree0_m1", "degree0_m3",
+                                  "small", "lift6", "large", "overflow"])
+    def test_matches_per_column_loop_bitwise(self, n_rows, m, degree, scale):
+        rng = np.random.default_rng(n_rows + m + degree)
+        pts = rng.normal(size=(n_rows, m)) * scale
+        pts[::7, 0] = 0.0
+        powers = monomial_powers(m, degree)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = design_matrix(pts, powers)
+            want = per_column_design_matrix(pts, powers)
+        assert got.shape == (n_rows, len(powers)) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        if scale > 1e100:
+            assert np.isinf(got).any()
+
+
 class TestFitRegressionStep:
     def test_linear_targets_zero_residual(self):
         rng = np.random.default_rng(0)
@@ -158,7 +191,6 @@ class TestFitRegressionStep:
         targets = 1.5 * xs[:, 0] - 0.5 * xs[:, 1] + 2.0
         powers = monomial_powers(2, 1)
         c = fit_regression_step(xs, targets, 1, 0.0, powers=powers)
-        from sddeimpulse.bellman import design_matrix
         assert np.max(np.abs(design_matrix(xs, powers) @ c - targets)) < 1e-9
 
     def test_square_coefficient_recovered(self):
@@ -235,6 +267,22 @@ class TestKValueIteration:
             k_value_iteration(spec, grid, GridBackend.uniform(4.0, 5, 2),
                               quad, [0.0], k_max=0)
 
+    def test_nan_tol_rejected(self):
+        spec = reduced_spec()
+        grid = TimeGrid.for_spec(spec, 0.01)
+        quad = gauss_hermite_quadrature(0.01, 3)
+        with pytest.raises(ValidationError):
+            k_value_iteration(spec, grid, GridBackend.uniform(4.0, 5, 2),
+                              quad, [0.0], k_max=1, tol=float("nan"))
+
+    @pytest.mark.parametrize("knob,value", [
+        ("degree", -1), ("ridge_lambda", -1.0), ("ridge_lambda", np.nan),
+        ("ridge_lambda", np.inf), ("exploration_rate", 2.0),
+        ("exploration_rate", -0.5), ("exploration_rate", np.nan)])
+    def test_bad_regression_knob_rejected(self, knob, value):
+        with pytest.raises(ValidationError):
+            RegressionBackend(**{knob: value})
+
 
 def reference_grid_solve(spec, grid, axes, quad, u_grid, n_levels):
     """The grid level loop on the generic operators, interpolating afresh
@@ -292,6 +340,144 @@ class TestStencilSolve:
         its, _, _, quad, ug = solve_reduced(spec, k_max=k_max, tol=1e-12)
         assert len(its) == k_max + 1
         assert len(calls) == len(ug) + len(quad.nodes)
+
+
+def reference_regression_solve(spec, grid, backend, quad, u_grid, k_max, tol):
+    """The regression solve level by level on the generic operators: every
+    query builds its own design matrix, and each level stops the solve as
+    soon as its gap falls below tol."""
+    powers = monomial_powers(grid.delay_steps + 1, backend.degree)
+    clouds = bellman._sample_states(spec, grid, backend)
+    n, dt = grid.n_steps, grid.dt
+    margin = float(np.max(np.abs(u_grid)))
+    bounds = [(c.min(axis=0) - margin, c.max(axis=0) + margin)
+              for c in clouds[:n]] + [None]
+
+    def fit(i, targets):
+        return fit_regression_step(clouds[i], targets, backend.degree,
+                                   backend.ridge_lambda, powers=powers)
+
+    levels, gaps = [], []
+    for k in range(k_max + 1):
+        prev = levels[-1] if k else None
+        vf = RegressionValueFunction(powers=powers,
+                                     cont_coeffs=[None] * (n + 1),
+                                     plain_coeffs=[None] * (n + 1),
+                                     k_index=k, dt=dt,
+                                     terminal_reward=spec.terminal_reward,
+                                     prev=prev, spec=spec, u_grid=u_grid,
+                                     bounds=bounds)
+        for i in range(n - 1, -1, -1):
+            cont = _continuation(vf, i, clouds[i], spec, quad, dt)
+            _check_finite(cont, i, k)
+            vf.cont_coeffs[i] = fit(i, cont)
+            if k:
+                interv, _ = _intervention_batch(prev.plain_value_at, i,
+                                                clouds[i], spec, u_grid, i * dt)
+                vals = np.maximum(cont, interv)
+                _check_finite(vals, i, k)
+                vf.plain_coeffs[i] = fit(i, vals)
+            else:
+                vf.plain_coeffs[i] = vf.cont_coeffs[i]
+        levels.append(vf)
+        if k:
+            gaps.append(max(float(np.max(np.abs(vf.value_at(i, clouds[i])
+                                                - prev.value_at(i, clouds[i]))))
+                            for i in range(n)))
+            if gaps[-1] < tol:
+                break
+    return levels, gaps
+
+
+def assert_same_levels(got, want):
+    assert [vf.k_index for vf in got] == [vf.k_index for vf in want]
+    for g, w in zip(got, want):
+        for a, b in zip(g.cont_coeffs + g.plain_coeffs,
+                        w.cont_coeffs + w.plain_coeffs):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def rewarded_impulse_spec(reward):
+    """Lift dimension 1 with a fee of -reward: level k is worth about
+    k * reward, so with a reward near the float range the upper levels
+    overflow while the lower ones stay finite."""
+    return dataclasses.replace(feedback_spec(delay=0.0), horizon=0.04,
+                               impulse_cost=lambda x, u, t: np.full(
+                                   np.shape(x), -reward))
+
+
+class TestRegressionSweep:
+    def test_equals_level_by_level_solve_lift3(self):
+        spec = dataclasses.replace(feedback_spec(delay=0.02), horizon=0.1)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        quad = gauss_hermite_quadrature(0.01, 3)
+        ug = spec.impulse_set.grid(5)
+        backend = RegressionBackend(degree=2, n_samples=300)
+        args = (spec, grid, backend, quad, ug, 3, 1e-12)
+        its, gaps = k_value_iteration(*args)
+        ref, ref_gaps = reference_regression_solve(*args)
+        assert grid.delay_steps + 1 == 3 and len(its) == 4
+        assert_same_levels(its, ref)
+        assert gaps == ref_gaps
+
+    def test_levels_above_convergence_are_trimmed(self):
+        spec, tree = build_tiny_instance("TINY-2")
+        grid = TimeGrid.for_spec(spec, tree.dt)
+        args = (spec, grid, RegressionBackend(), three_point_quadrature(tree.dt),
+                spec.impulse_set.grid(3), 8, 1e-2)
+        its, gaps = k_value_iteration(*args)
+        ref, ref_gaps = reference_regression_solve(*args)
+        assert len(its) < 9 and gaps[-1] < 1e-2
+        assert_same_levels(its, ref)
+        assert gaps == ref_gaps
+
+    @pytest.mark.parametrize("tol,raises", [(1e-3, True), (4.5e306, False)],
+                             ids=["at_stop_level", "above_stop_level"])
+    def test_non_finite_level(self, tol, raises):
+        # gaps are about 3e306, so tol 4.5e306 stops the solve at k = 1,
+        # below the level k = 3 that overflows
+        spec = rewarded_impulse_spec(3e306)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        args = (spec, grid, RegressionBackend(degree=1, n_samples=20,
+                                              exploration_rate=0.0),
+                gauss_hermite_quadrature(0.01, 3), spec.impulse_set.grid(3),
+                6, tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if raises:
+                with pytest.raises(DivergenceError, match="level k=3") as want:
+                    reference_regression_solve(*args)
+                with pytest.raises(DivergenceError) as got:
+                    k_value_iteration(*args)
+                assert str(got.value) == str(want.value)
+                return
+            ref, ref_gaps = reference_regression_solve(*args)
+            its, gaps = k_value_iteration(*args)
+        assert len(its) == 2
+        assert_same_levels(its, ref)
+        assert gaps == ref_gaps
+
+    def test_design_matrices_shared_by_levels(self, monkeypatch):
+        calls = []
+        real = bellman.design_matrix
+
+        def counting(points, powers):
+            calls.append(len(points))
+            return real(points, powers)
+
+        monkeypatch.setattr(bellman, "design_matrix", counting)
+        spec = dataclasses.replace(reduced_spec(), horizon=0.05)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        quad = gauss_hermite_quadrature(0.01, 3)
+        ug = spec.impulse_set.grid(5)
+        its, _ = k_value_iteration(spec, grid,
+                                   RegressionBackend(degree=2, n_samples=200),
+                                   quad, ug, k_max=3, tol=1e-12)
+        n, q, u, levels = grid.n_steps, len(quad.nodes), len(ug), len(its)
+        assert levels == 4
+        # per slice: the cloud once and its jumps once per level above 0;
+        # below the last slice, each successor set and each of its jumps once
+        assert len(calls) == n * (1 + (levels - 1) * u) + (n - 1) * q * (1 + u)
+        assert set(calls) == {200}
 
 
 class TestPolicy:
@@ -366,6 +552,28 @@ class TestPersistence:
                                    spec=spec, u_grid=ug)
         pts = np.array([[0.7, -0.2], [0.0, 0.0]])
         for i in (0, 50, 99, 100):
+            assert np.array_equal(back.value_at(i, pts),
+                                  its[-1].value_at(i, pts))
+
+    def test_regression_round_trip_four_levels(self, tmp_path):
+        spec = dataclasses.replace(feedback_spec(delay=0.02), horizon=0.1)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        ug = spec.impulse_set.grid(5)
+        backend = RegressionBackend(degree=2, n_samples=300)
+        its, _ = k_value_iteration(spec, grid, backend,
+                                   gauss_hermite_quadrature(0.01, 3), ug,
+                                   k_max=3, tol=1e-12)
+        save_value_function(its[-1], tmp_path, "vf")
+        back = load_value_function(tmp_path, "vf",
+                                   terminal_reward=spec.terminal_reward,
+                                   spec=spec, u_grid=ug)
+        chain = [back]
+        while chain[0].prev is not None:
+            chain.insert(0, chain[0].prev)
+        assert len(its) == 4
+        assert_same_levels(chain, its)
+        pts = np.array([[0.7, -0.2, 0.1], [0.0, 0.0, 0.0]])
+        for i in (0, 5, 9, 10):
             assert np.array_equal(back.value_at(i, pts),
                                   its[-1].value_at(i, pts))
 

@@ -144,6 +144,19 @@ class TestCommands:
         assert main(["solve", "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("degree", -1), ("ridge_lambda", -1.0), ("ridge_lambda", float("nan")),
+        ("exploration_rate", 2.0), ("exploration_rate", -0.5),
+        ("exploration_rate", float("nan")), ("tol", float("nan"))])
+    def test_exit_code_2_on_bad_solver_knob(self, tmp_path, key, value):
+        raw = load_raw("tiny1.json")
+        raw["solver"]["backend"] = "regression"
+        raw["solver"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+
     def test_probe_flow_draws_each_path_once(self, tmp_path, monkeypatch):
         calls = []
         real = simulate.draw_noise

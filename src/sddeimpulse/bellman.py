@@ -111,21 +111,83 @@ def monomial_powers(m, degree):
                      if sum(p) <= degree], dtype=int)
 
 
-def design_matrix(points, powers):
+def design_matrix(points, powers, lag_columns=None):
     """(N, P) monomial features: column j is the product over coordinates d,
     in increasing d, of points[:, d] ** powers[j, d], zero exponents
     skipped.  Each coordinate power is computed once and multiplied in place
     into the C-ordered output, so every column is the same left-to-right
-    product as one built factor by factor."""
-    out = np.ones((points.shape[0], len(powers)))
-    cached = {}
+    product as one built factor by factor.
+
+    With a `_LagColumns` memo bound to `powers`, the columns without a head
+    power and the lag powers come from the memo's entry for points[:, 1:],
+    and only the columns with a head power are multiplied here; the bits
+    are the same as without the memo."""
+    if lag_columns is None:
+        return _multiply_columns(np.ones((points.shape[0], len(powers))),
+                                 points, _column_factors(powers), {})
+    if lag_columns.powers is not powers:
+        raise ValueError("lag-column memo is bound to another powers array")
+    out, cached = lag_columns.start(points)
+    return _multiply_columns(out, points, lag_columns.head_factors, cached)
+
+
+def _column_factors(powers):
+    """(j, d, e) for every nonzero exponent e = powers[j, d], in increasing
+    j, then d."""
     rows, cols = np.nonzero(powers)
-    for j, d, e in zip(rows.tolist(), cols.tolist(), powers[rows, cols]):
+    return list(zip(rows.tolist(), cols.tolist(), powers[rows, cols]))
+
+
+def _multiply_columns(out, points, factors, cached):
+    """Multiply out[:, j] by points[:, d] ** e for each (j, d, e) in order;
+    `cached` maps (d, e) to that power and gains the ones raised here."""
+    for j, d, e in factors:
         p = cached.get((d, e))
         if p is None:
             p = cached[d, e] = points[:, d] ** e
         out[:, j] *= p
     return out
+
+
+class _LagColumns:
+    """Design-matrix columns without a head power, kept for the two most
+    recently used lag blocks points[:, 1:].
+
+    The point sets one regression solve or policy decision prices differ
+    mostly in the head coordinate alone: a jump moves only the head, all
+    Euler successors of one set carry the same shifted lags, and clipping
+    acts per coordinate.  Each entry holds a private copy of the lag block,
+    a C-ordered (N, P) template with the head-free columns filled as
+    design_matrix fills them and the head columns set to 1, and the lag
+    powers.  A block matches an entry only if its bytes are equal, so lags
+    that differ in the sign of a zero miss.  Calls alternate between a point
+    set and its clipped jumps, so two entries suffice."""
+
+    def __init__(self, powers):
+        self.powers = powers
+        has_head = powers[:, 0] > 0
+        factors = _column_factors(powers)
+        self.head_factors = [f for f in factors if has_head[f[0]]]
+        self.lag_factors = [f for f in factors if not has_head[f[0]]]
+        self.entries = []  # (key, template, lag powers), most recent first
+
+    def start(self, points):
+        """A copy of the template for points[:, 1:] and of its lag powers,
+        building the entry on a miss and evicting the least recently used."""
+        lags = points[:, 1:]
+        key = (lags.dtype.str, lags.shape, lags.tobytes())
+        for n, entry in enumerate(self.entries):
+            if entry[0] == key:
+                self.entries.insert(0, self.entries.pop(n))
+                break
+        else:
+            cached = {}
+            template = _multiply_columns(
+                np.ones((points.shape[0], len(self.powers))), points,
+                self.lag_factors, cached)
+            entry = (key, template, cached)
+            self.entries = [entry] + self.entries[:1]
+        return entry[1].copy(), dict(entry[2])
 
 
 @dataclass
@@ -157,6 +219,8 @@ class RegressionValueFunction:
     # evaluations get clipped into these so the kinked fit is never
     # extrapolated (impulses shift points up to the impulse-set width away)
     bounds: list = field(repr=False, default=None)
+    # shared by every level of one solve or one load, bound to `powers`
+    lag_columns: object = field(repr=False, compare=False, default=None)
 
     backend = "REGRESSION"
 
@@ -168,7 +232,8 @@ class RegressionValueFunction:
         points = np.asarray(points, dtype=float)
         if self.cont_coeffs[time_index] is None:
             return np.asarray(self.terminal_reward(points[:, 0]), dtype=float)
-        v = design_matrix(points, self.powers) @ self.cont_coeffs[time_index]
+        v = design_matrix(points, self.powers, self.lag_columns) \
+            @ self.cont_coeffs[time_index]
         if self.prev is not None:
             jump, _ = _intervention_batch(self.prev.plain_value_at, time_index,
                                           points, self.spec, self.u_grid,
@@ -183,7 +248,8 @@ class RegressionValueFunction:
         if self.bounds is not None and self.bounds[time_index] is not None:
             lo, hi = self.bounds[time_index]
             points = np.clip(points, lo, hi)
-        return design_matrix(points, self.powers) @ self.plain_coeffs[time_index]
+        return design_matrix(points, self.powers, self.lag_columns) \
+            @ self.plain_coeffs[time_index]
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +301,9 @@ class RegressionBackend:
         if not 0.0 <= self.exploration_rate <= 1.0:
             raise ValidationError("exploration_rate must lie in [0, 1], got "
                                   f"{self.exploration_rate}")
+        if not 0 <= self.sample_seed < 2 ** 64:
+            raise ValidationError("sample_seed must lie in [0, 2**64), got "
+                                  f"{self.sample_seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +455,8 @@ def _sample_states(spec, grid, backend):
     """Forward exploration cloud: (n_steps+1) arrays of (n_samples, m) states."""
     n_paths = backend.n_samples
     noise = draw_noise_matrix(backend.sample_seed, n_paths, grid)
-    exp_rng = np.random.Generator(np.random.Philox(key=[backend.sample_seed, 2 ** 32]))
+    exp_rng = np.random.Generator(np.random.Philox(
+        key=np.array([backend.sample_seed, 2 ** 32], dtype=np.uint64)))
     states = np.tile(initial_lifted_state(spec, grid), (n_paths, 1))
     clouds = []
     for k in range(grid.n_steps + 1):
@@ -417,7 +487,7 @@ class _RegressionLevels:
         if base.cont_coeffs[time_index] is None:
             terminal = np.asarray(base.terminal_reward(points[:, 0]), dtype=float)
             return np.tile(terminal, (len(self.levels), 1))
-        v = _fitted_values(design_matrix(points, base.powers),
+        v = _fitted_values(design_matrix(points, base.powers, base.lag_columns),
                            [lvl.cont_coeffs[time_index] for lvl in self.levels])
         if len(self.levels) > 1:
             jump, _ = _intervention_batch(
@@ -427,9 +497,10 @@ class _RegressionLevels:
         return v
 
     def plain_value_at(self, time_index, points):
-        lo, hi = self.levels[0].bounds[time_index]
+        base = self.levels[0]
+        lo, hi = base.bounds[time_index]
         return _fitted_values(design_matrix(np.clip(points, lo, hi),
-                                            self.levels[0].powers),
+                                            base.powers, base.lag_columns),
                               [lvl.plain_coeffs[time_index] for lvl in self.levels])
 
 
@@ -452,6 +523,7 @@ def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     would have stopped first."""
     m = grid.delay_steps + 1
     powers = monomial_powers(m, backend.degree)
+    lag_columns = _LagColumns(powers)
     clouds = _sample_states(spec, grid, backend)
     n = grid.n_steps
     dt = grid.dt
@@ -468,14 +540,14 @@ def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
             plain_coeffs=[None] * (n + 1), k_index=k, dt=dt,
             terminal_reward=spec.terminal_reward,
             prev=levels[-1] if k else None, spec=spec, u_grid=u_grid,
-            bounds=bounds))
+            bounds=bounds, lag_columns=lag_columns))
     slice_gaps = [[None] * n for _ in range(k_max)]
     live, failure = k_max + 1, None
     for i in range(n - 1, -1, -1):
         pts = clouds[i]
         cont = _continuation(_RegressionLevels(levels[:live]), i, pts, spec,
                              quadrature, dt)
-        A = design_matrix(pts, powers)
+        A = design_matrix(pts, powers, lag_columns)
         fit = _regression_fitter(A, backend.ridge_lambda)
         below = None
         for k in range(live):
@@ -702,6 +774,7 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
     if header.get("bounds") is not None:
         bounds = [None if b is None else (np.array(b[0]), np.array(b[1]))
                   for b in header["bounds"]]
+    lag_columns = _LagColumns(powers)
     vf = None
     for k in range(header["n_levels"]):
         vf = RegressionValueFunction(powers=powers,
@@ -712,5 +785,5 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
                                      prev=vf, spec=spec,
                                      u_grid=None if u_grid is None
                                      else np.asarray(u_grid, dtype=float),
-                                     bounds=bounds)
+                                     bounds=bounds, lag_columns=lag_columns)
     return vf

@@ -63,6 +63,9 @@ class RunConfig:
         self.oracle = raw.get("oracle")
 
         self.dt = float(_require(disc, "dt", "discretization"))
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError("discretization.dt: must be finite and "
+                                  f"positive, got {self.dt}")
         self.grid_bound = float(disc.get("grid_bound", 4.0))
         self.points_per_axis = int(disc.get("points_per_axis", 41))
         self.n_impulse = int(disc.get("n_impulse", 41))
@@ -78,13 +81,14 @@ class RunConfig:
         self.ridge_lambda = float(sol.get("ridge_lambda", 1e-8))
         self.n_samples = int(sol.get("n_samples", 4000))
         self.exploration_rate = float(sol.get("exploration_rate", 0.1))
-        self.sample_seed = int(sol.get("sample_seed", 1234))
+        self.sample_seed = _check_seed("solver.sample_seed",
+                                       int(sol.get("sample_seed", 1234)))
 
         self.n_paths = int(_require(ev, "n_paths", "evaluation"))
         if "seed" not in ev:
             raise ValidationError("evaluation.seed: required, refusing to "
                                   "pick a seed silently")
-        self.seed = int(ev["seed"])
+        self.seed = _check_seed("evaluation.seed", int(ev["seed"]))
         self.output_dir = raw.get("output_dir", "runs/out")
 
         for name, v in (("discretization.n_impulse", self.n_impulse),
@@ -163,6 +167,13 @@ def _reject_unknown(d, allowed, where):
     if unknown:
         raise ValidationError(f"{where}: unknown keys {unknown} "
                               f"(allowed: {sorted(allowed)})")
+
+
+def _check_seed(name, seed):
+    """The seed, if Philox can take it as a key word: 0 <= seed < 2**64."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"{name}: must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def _require(d, key, where):
@@ -305,21 +316,20 @@ def cmd_probe_flow(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     base_t = cfg.spec.horizon / 2
     base_u = 0.5 * (cfg.spec.impulse_set.lower + cfg.spec.impulse_set.upper)
+    pa = (base_t, base_u)
     noise = draw_noise_matrix(cfg.seed, cfg.n_paths, cfg.grid)
-    dists, moments = [], []
+    dists, offsets = [], []
     for d in (0.4, 0.2, 0.1, 0.05):
         dt_off = round((d / np.sqrt(2.0)) / cfg.dt) * cfg.dt
         du = np.sqrt(max(d * d - dt_off * dt_off, 0.0))
         if du == 0.0:
             du = d
             dt_off = 0.0
-        pa = (base_t, base_u)
         pb = (base_t + dt_off, base_u + du)
-        actual = float(np.hypot(pb[0] - pa[0], pb[1] - pa[1]))
-        mom = flow_stability_probe(cfg.spec, ImpulseControl(), pa, pb,
+        dists.append(float(np.hypot(pb[0] - pa[0], pb[1] - pa[1])))
+        offsets.append(pb)
+    moments = flow_stability_probe(cfg.spec, ImpulseControl(), pa, offsets,
                                    ImpulseControl(), noise, cfg.grid)
-        dists.append(actual)
-        moments.append(mom)
     slope = float(np.polyfit(np.log(dists), np.log(moments), 1)[0])
     with open(os.path.join(out_dir, "probe_flow.csv"), "w") as fh:
         fh.write("distance,moment\n")
@@ -406,7 +416,7 @@ def main(argv=None):
     try:
         cfg = RunConfig.load(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _check_seed("--seed", args.seed)
         if args.backend is not None:
             cfg.backend = args.backend
         out_dir = args.out if args.out is not None else cfg.output_dir

@@ -75,10 +75,12 @@ class ProblemSpec:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValidationError("horizon must be positive")
-        if self.delay < 0:
-            raise ValidationError("delay must be nonnegative")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValidationError(f"horizon must be finite and positive, got "
+                                  f"{self.horizon}")
+        if not (math.isfinite(self.delay) and self.delay >= 0):
+            raise ValidationError(f"delay must be finite and nonnegative, got "
+                                  f"{self.delay}")
         if not self.min_impulse_cost > 0:
             raise ValidationError("min_impulse_cost must be positive")
 

@@ -81,8 +81,11 @@ class NoiseDraw:
 
 
 def draw_noise(seed: int, path_index: int, grid: TimeGrid) -> NoiseDraw:
-    """Increments for one path; reproducible from (seed, path_index, shape)."""
-    gen = np.random.Generator(np.random.Philox(key=[seed, path_index]))
+    """Increments for one path; reproducible from (seed, path_index, shape).
+    The key is built as uint64 words, so every seed in [0, 2**64) keys its
+    own stream exactly."""
+    gen = np.random.Generator(np.random.Philox(
+        key=np.array([seed, path_index], dtype=np.uint64)))
     inc = gen.normal(0.0, math.sqrt(grid.dt), grid.n_steps)
     return NoiseDraw(increments=inc, seed=seed, path_index=path_index, dt=grid.dt)
 
@@ -221,19 +224,26 @@ def _single(pair):
     return ImpulseControl((pair,))
 
 
-def coupled_sup_diffs(spec: ProblemSpec, prefix: ImpulseControl, pair_a, pair_b,
-                      suffix: ImpulseControl, noise: np.ndarray,
-                      grid: TimeGrid) -> np.ndarray:
-    """Per-path sup_{s >= t_hat} |X^a_s - X^b_s|, one path pair per noise
-    row, where the controls are prefix o pair o suffix and t_hat is the
-    later pair time."""
+def coupled_sup_diffs(spec: ProblemSpec, prefix: ImpulseControl, pair_a,
+                      pairs_b, suffix: ImpulseControl, noise: np.ndarray,
+                      grid: TimeGrid):
+    """Per-path sup_{s >= t_hat} |X^a_s - X^b_s| for each pair_b in pairs_b,
+    one path pair per noise row, where the controls are
+    prefix o pair o suffix and t_hat is the later pair time.  The pair_a
+    paths are simulated once; the arrays are yielded in order, and no
+    pair_b paths outlive their own array."""
     T = grid.horizon
-    ca = compose3(prefix, pair_a, suffix, T)
-    cb = compose3(prefix, pair_b, suffix, T)
-    pa = simulate_batch(spec, grid, noise, ca)[2]
-    pb = simulate_batch(spec, grid, noise, cb)[2]
-    k_hat = grid.index_of(max(pair_a[0], pair_b[0]))
-    return np.max(np.abs(pa[:, k_hat:] - pb[:, k_hat:]), axis=1)
+    pa = simulate_batch(spec, grid, noise, compose3(prefix, pair_a, suffix, T))[2]
+    for pair_b in pairs_b:
+        cb = compose3(prefix, pair_b, suffix, T)
+        yield _sup_diff(pa, simulate_batch(spec, grid, noise, cb)[2],
+                        grid.index_of(max(pair_a[0], pair_b[0])))
+
+
+def _sup_diff(pa, pb, k_hat):
+    diff = pa[:, k_hat:] - pb[:, k_hat:]
+    # in place: one (n_paths, n_steps - k_hat) temporary instead of two
+    return np.max(np.abs(diff, out=diff), axis=1)
 
 
 def compose3(prefix, pair, suffix, horizon):
@@ -243,11 +253,17 @@ def compose3(prefix, pair, suffix, horizon):
 
 
 def flow_stability_probe(spec: ProblemSpec, prefix: ImpulseControl, pair_a,
-                         pair_b, suffix: ImpulseControl, noise: np.ndarray,
-                         grid: TimeGrid) -> float:
-    """Monte Carlo estimate of E[sup_{s>=t_hat} |difference|^(4+2m)] for the
-    coupled controlled paths, one pair per noise row, m = 1 (scalar impulses)."""
-    sups = coupled_sup_diffs(spec, prefix, pair_a, pair_b, suffix, noise, grid)
+                         pairs_b, suffix: ImpulseControl, noise: np.ndarray,
+                         grid: TimeGrid) -> list:
+    """Monte Carlo estimates of E[sup_{s>=t_hat} |difference|^(4+2m)] for the
+    coupled controlled paths, one per pair_b in pairs_b and one path pair per
+    noise row, m = 1 (scalar impulses)."""
+    # map keeps no reference to a pair's sup array while the next is built
+    return list(map(_sixth_moment, coupled_sup_diffs(
+        spec, prefix, pair_a, pairs_b, suffix, noise, grid)))
+
+
+def _sixth_moment(sups):
     return float(np.mean(sups ** 6))
 
 

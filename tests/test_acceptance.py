@@ -149,15 +149,14 @@ def test_criterion_5_flow_stability_exponent(capsys):
     cfg = RunConfig.load(os.path.join(CONFIGS, "delay_feedback.json"))
     base = (0.5, 0.0)
     noise = draw_noise_matrix(cfg.seed, 10000, cfg.grid)
-    dists, moments = [], []
+    dists, offsets = [], []
     for d in (0.4, 0.2, 0.1, 0.05):
         dt_off = round((d / np.sqrt(2.0)) / cfg.dt) * cfg.dt
         du = np.sqrt(max(d * d - dt_off * dt_off, 0.0))
-        pb = (base[0] + dt_off, base[1] + du)
+        offsets.append((base[0] + dt_off, base[1] + du))
         dists.append(float(np.hypot(dt_off, du)))
-        moments.append(flow_stability_probe(cfg.spec, ImpulseControl(), base,
-                                            pb, ImpulseControl(), noise,
-                                            cfg.grid))
+    moments = flow_stability_probe(cfg.spec, ImpulseControl(), base, offsets,
+                                   ImpulseControl(), noise, cfg.grid)
     slope = float(np.polyfit(np.log(dists), np.log(moments), 1)[0])
     verdict(capsys, 5, f"coupled-path sixth-moment slope {slope:.2f} >= 2.4",
             slope >= 2.4)

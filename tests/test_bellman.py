@@ -184,6 +184,86 @@ class TestDesignMatrix:
             assert np.isinf(got).any()
 
 
+def memo_design(memo, pts, powers):
+    """design_matrix through the memo, checked bit for bit against the
+    per-column reference and the memo-less call; returns the entry used."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = design_matrix(pts, powers, memo)
+        want = per_column_design_matrix(pts, powers)
+        plain = design_matrix(pts, powers)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes() == plain.tobytes()
+    assert 1 <= len(memo.entries) <= 2
+    return memo.entries[0]
+
+
+def lag_memo(m, degree, n_rows=50, scale=1.0, seed=0):
+    pts = np.random.default_rng(seed).normal(size=(n_rows, m)) * scale
+    powers = monomial_powers(m, degree)
+    return pts, powers, bellman._LagColumns(powers)
+
+
+class TestLagColumns:
+    @pytest.mark.parametrize("m,degree,scale", [
+        (6, 3, 1.0), (1, 3, 1.0), (3, 0, 1.0), (3, 3, 1e110)],
+        ids=["lift6", "m1_all_head", "degree0", "overflow"])
+    def test_head_only_change_hits(self, m, degree, scale):
+        pts, powers, memo = lag_memo(m, degree, scale=scale)
+        first = memo_design(memo, pts, powers)
+        jumped = pts.copy()
+        jumped[:, 0] = jumped[:, 0] * 0.5 + 1.0
+        assert memo_design(memo, jumped, powers) is first
+        assert len(memo.entries) == 1
+        if scale > 1e100:
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.isinf(design_matrix(jumped, powers, memo)).any()
+
+    @pytest.mark.parametrize("new", ["next_float", "signed_zero"])
+    def test_single_lag_entry_change_misses(self, new):
+        pts, powers, memo = lag_memo(6, 3)
+        pts[:, 2] = 0.0
+        first = memo_design(memo, pts, powers)
+        other = pts.copy()
+        if new == "next_float":
+            other[17, 3] = np.nextafter(other[17, 3], np.inf)
+        else:
+            # equal as numbers, but the sign of zero reaches the columns
+            other[17, 2] = -0.0
+        assert memo_design(memo, other, powers) is not first
+        assert len(memo.entries) == 2
+
+    def test_caller_mutation_between_calls(self):
+        pts, powers, memo = lag_memo(6, 3)
+        out = design_matrix(pts, powers, memo)
+        out[:] = 7.0
+        pts[:, 1:] *= 2.0
+        memo_design(memo, pts, powers)
+        pts[:, 1:] /= 2.0
+        memo_design(memo, pts, powers)
+
+    def test_row_count_change(self):
+        pts, powers, memo = lag_memo(4, 2)
+        first = memo_design(memo, pts, powers)
+        assert memo_design(memo, pts[:40], powers) is not first
+        assert memo_design(memo, pts[:1], powers) is not first
+
+    def test_keeps_the_two_most_recent_lag_blocks(self):
+        pts, powers, memo = lag_memo(3, 2)
+        sets = [pts, pts + 1.0, pts + 2.0]
+        a = memo_design(memo, sets[0], powers)
+        b = memo_design(memo, sets[1], powers)
+        assert memo_design(memo, sets[0], powers) is a
+        c = memo_design(memo, sets[2], powers)
+        assert memo.entries == [c, a]
+        assert memo_design(memo, sets[1], powers) is not b
+        assert memo.entries[1] is c
+
+    def test_memo_of_other_powers_rejected(self):
+        pts, powers, memo = lag_memo(3, 2)
+        with pytest.raises(ValueError):
+            design_matrix(pts, monomial_powers(3, 2), memo)
+
+
 class TestFitRegressionStep:
     def test_linear_targets_zero_residual(self):
         rng = np.random.default_rng(0)
@@ -278,7 +358,8 @@ class TestKValueIteration:
     @pytest.mark.parametrize("knob,value", [
         ("degree", -1), ("ridge_lambda", -1.0), ("ridge_lambda", np.nan),
         ("ridge_lambda", np.inf), ("exploration_rate", 2.0),
-        ("exploration_rate", -0.5), ("exploration_rate", np.nan)])
+        ("exploration_rate", -0.5), ("exploration_rate", np.nan),
+        ("sample_seed", -1), ("sample_seed", 2 ** 64)])
     def test_bad_regression_knob_rejected(self, knob, value):
         with pytest.raises(ValidationError):
             RegressionBackend(**{knob: value})
@@ -460,9 +541,9 @@ class TestRegressionSweep:
         calls = []
         real = bellman.design_matrix
 
-        def counting(points, powers):
+        def counting(points, powers, lag_columns=None):
             calls.append(len(points))
-            return real(points, powers)
+            return real(points, powers, lag_columns)
 
         monkeypatch.setattr(bellman, "design_matrix", counting)
         spec = dataclasses.replace(reduced_spec(), horizon=0.05)
@@ -525,6 +606,59 @@ class TestPolicy:
                                      ug, k_max=1)
         with pytest.raises(ValidationError):
             extract_policy(its[-1], other[0], spec2, ug, quad)
+
+
+def without_memo(levels):
+    """Copies of a level chain whose design matrices are built afresh."""
+    out = []
+    for vf in levels:
+        out.append(dataclasses.replace(vf, prev=out[-1] if out else None,
+                                       lag_columns=None))
+    return out
+
+
+class TestSharedLagColumns:
+    def test_decide_batch_lift6_bitwise(self):
+        spec = dataclasses.replace(feedback_spec(delay=0.05), horizon=0.05)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        quad = gauss_hermite_quadrature(0.01, 3)
+        ug = spec.impulse_set.grid(5)
+        its, _ = k_value_iteration(spec, grid,
+                                   RegressionBackend(degree=3, n_samples=200),
+                                   quad, ug, k_max=2, tol=1e-12)
+        assert grid.delay_steps + 1 == 6 and len(its) == 3
+        memo = its[0].lag_columns
+        assert memo is not None and all(vf.lag_columns is memo for vf in its)
+        bare = without_memo(its)
+        rng = np.random.default_rng(3)
+        states = np.repeat(rng.normal(size=(40, 1)), 6, axis=1)
+        states[:20] = rng.normal(size=(20, 6))
+        for i in range(grid.n_steps + 1):
+            with_memo = extract_policy(its[2], its[1], spec, ug, quad)
+            fresh = extract_policy(bare[2], bare[1], spec, ug, quad)
+            for got, want in zip(with_memo.decide_batch(i, states),
+                                 fresh.decide_batch(i, states)):
+                assert got.tobytes() == want.tobytes()
+            assert its[2].value_at(i, states).tobytes() == \
+                bare[2].value_at(i, states).tobytes()
+            assert len(memo.entries) <= 2
+
+    def test_loaded_levels_share_one_memo(self, tmp_path):
+        spec = dataclasses.replace(feedback_spec(delay=0.02), horizon=0.05)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        ug = spec.impulse_set.grid(5)
+        its, _ = k_value_iteration(spec, grid,
+                                   RegressionBackend(degree=2, n_samples=100),
+                                   gauss_hermite_quadrature(0.01, 3), ug,
+                                   k_max=2, tol=1e-12)
+        save_value_function(its[-1], tmp_path, "vf")
+        back = load_value_function(tmp_path, "vf",
+                                   terminal_reward=spec.terminal_reward,
+                                   spec=spec, u_grid=ug)
+        chain = [back, back.prev, back.prev.prev]
+        assert chain[2].prev is None
+        assert all(vf.lag_columns is back.lag_columns is not None
+                   and vf.powers is back.lag_columns.powers for vf in chain)
 
 
 class TestPersistence:

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,63 @@ class TestCommands:
         assert main(["probe-flow", "--config", cfg_path,
                      "--out", str(tmp_path)]) == 0
         assert sorted(calls) == list(range(RunConfig.load(cfg_path).n_paths))
+
+    def test_probe_flow_simulates_base_paths_once(self, tmp_path,
+                                                  monkeypatch):
+        calls = []
+        real = simulate.simulate_batch
+
+        def counting(spec, grid, noise, policy_or_control):
+            calls.append(policy_or_control.events)
+            return real(spec, grid, noise, policy_or_control)
+
+        monkeypatch.setattr(simulate, "simulate_batch", counting)
+        cfg_path = os.path.join(CONFIGS, "tiny1.json")
+        assert main(["probe-flow", "--config", cfg_path,
+                     "--out", str(tmp_path)]) == 0
+        # the base control, then each of the four offsets once
+        assert len(calls) == 5 and len(set(calls)) == 5
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("problem", "delay", float("nan")),
+        ("problem", "delay", float("inf")),
+        ("problem", "horizon", float("inf")),
+        ("discretization", "dt", float("nan")),
+        ("discretization", "dt", float("inf"))])
+    def test_exit_code_2_on_non_finite_time(self, tmp_path, section, key,
+                                            value):
+        raw = load_raw("tiny1.json")
+        raw[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("evaluation", "seed", -1), ("evaluation", "seed", 2 ** 64),
+        ("solver", "sample_seed", -1), ("solver", "sample_seed", 2 ** 64)])
+    def test_exit_code_2_on_bad_config_seed(self, tmp_path, section, key,
+                                            value):
+        raw = load_raw("tiny1.json")
+        raw[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["probe-flow", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_exit_code_2_on_bad_seed_override(self, tmp_path, seed):
+        cfg_path = os.path.join(CONFIGS, "tiny1.json")
+        assert main(["probe-flow", "--config", cfg_path, "--out", str(tmp_path),
+                     "--seed", seed]) == 2
+
+    def test_largest_seed_accepted(self, tmp_path):
+        cfg_path = os.path.join(CONFIGS, "tiny1.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["probe-flow", "--config", cfg_path,
+                         "--out", str(tmp_path),
+                         "--seed", str(2 ** 64 - 1)]) == 0
 
     def test_exit_code_2_on_truncated_value_file(self, tmp_path):
         cfg_path = os.path.join(CONFIGS, "tiny1.json")

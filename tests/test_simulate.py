@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,16 @@ class TestNoise:
         a = draw_noise(11, 0, g)
         b = draw_noise(11, 1, g)
         assert not np.array_equal(a.increments, b.increments)
+
+    def test_high_seeds_keyed_exactly(self):
+        # a key list above 2**63 used to go through float64: neighbouring
+        # seeds shared a stream and 2**64 - 1 hit an undefined cast
+        g = TimeGrid.for_spec(tiny_spec(), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [draw_noise(s, 0, g).increments
+                     for s in (2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)]
+        assert not np.array_equal(draws[0], draws[1])
 
     def test_matrix_matches_per_path_draws(self):
         g = TimeGrid.for_spec(feedback_spec(), 0.01)
@@ -172,18 +183,18 @@ class TestCoupledProbe:
     def test_identical_pairs_zero(self):
         spec = feedback_spec()
         g = TimeGrid.for_spec(spec, 0.01)
-        sups = coupled_sup_diffs(spec, ImpulseControl(), (0.5, 1.0),
-                                 (0.5, 1.0), ImpulseControl(),
-                                 draw_noise_matrix(3, 16, g), g)
+        [sups] = coupled_sup_diffs(spec, ImpulseControl(), (0.5, 1.0),
+                                   [(0.5, 1.0)], ImpulseControl(),
+                                   draw_noise_matrix(3, 16, g), g)
         assert np.all(sups == 0.0)
 
     def test_still_dynamics_exact_moment(self):
         spec = still_spec()
         g = TimeGrid.for_spec(spec, 0.5)
         u, v = 1.0, 0.25
-        mom = flow_stability_probe(spec, ImpulseControl(), (0.5, u), (0.5, v),
-                                   ImpulseControl(), draw_noise_matrix(3, 8, g),
-                                   g)
+        [mom] = flow_stability_probe(spec, ImpulseControl(), (0.5, u),
+                                     [(0.5, v)], ImpulseControl(),
+                                     draw_noise_matrix(3, 8, g), g)
         assert mom == pytest.approx(abs(u - v) ** 6, abs=1e-14)
 
 

@@ -8,14 +8,12 @@ brute-force oracles for validating the solver on small instances.
 from .core import (AssumptionReport, ImpulseControl, ImpulseEvent, ImpulseSet,
                    ProblemSpec, Trajectory, ValidationError, build_problem_spec,
                    check_assumptions, compose_controls, total_payoff)
-from .lattice import (AugmentedState, NoiseQuadrature, augment_history,
-                      gauss_hermite_quadrature, impulse_transition,
-                      step_transition, three_point_quadrature,
-                      two_point_quadrature)
+from .lattice import (NoiseQuadrature, gauss_hermite_quadrature,
+                      three_point_quadrature, two_point_quadrature)
 from .simulate import (NoiseDraw, SimulationError, TimeGrid, draw_noise,
                        estimate_J, flow_stability_probe, simulate_controlled)
 from .bellman import (DivergenceError, GridBackend, GridValueFunction, Policy,
-                      RegressionBackend, RegressionValueFunction, extract_policy,
+                      RegressionBackend, RegressionValueFunction,
                       fit_regression_step, k_value_iteration,
                       load_value_function, policy_stack, save_value_function)
 from .oracle import (FiniteTree, build_tiny_instance, enumerate_controls,

@@ -229,27 +229,10 @@ class RegressionValueFunction:
         return len(self.cont_coeffs) - 1
 
     def value_at(self, time_index, points):
-        points = np.asarray(points, dtype=float)
-        if self.cont_coeffs[time_index] is None:
-            return np.asarray(self.terminal_reward(points[:, 0]), dtype=float)
-        v = design_matrix(points, self.powers, self.lag_columns) \
-            @ self.cont_coeffs[time_index]
-        if self.prev is not None:
-            jump, _ = _intervention_batch(self.prev.plain_value_at, time_index,
-                                          points, self.spec, self.u_grid,
-                                          time_index * self.dt)
-            v = np.maximum(v, jump)
-        return v
+        return _RegressionLevels([self]).value_at(time_index, points)[0]
 
     def plain_value_at(self, time_index, points):
-        points = np.asarray(points, dtype=float)
-        if self.plain_coeffs[time_index] is None:
-            return np.asarray(self.terminal_reward(points[:, 0]), dtype=float)
-        if self.bounds is not None and self.bounds[time_index] is not None:
-            lo, hi = self.bounds[time_index]
-            points = np.clip(points, lo, hi)
-        return design_matrix(points, self.powers, self.lag_columns) \
-            @ self.plain_coeffs[time_index]
+        return _RegressionLevels([self]).plain_value_at(time_index, points)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,31 +459,38 @@ def _sample_states(spec, grid, backend):
 
 @dataclass
 class _RegressionLevels:
-    """Levels 0 .. L-1 of one regression solve read together: value_at and
-    plain_value_at return (L, N) stacks whose row k equals level k's own
-    method bit for bit.  One design matrix per point set serves every level."""
+    """Consecutive levels of one regression chain read together: value_at
+    and plain_value_at return (L, N) stacks, row by row one level each.  One
+    design matrix per point set serves every level, and the jumps of every
+    level with a `prev` are priced with one stacked plain_value_at over
+    those prevs.  At T both methods give the terminal reward."""
 
     levels: list
 
     def value_at(self, time_index, points):
+        points = np.asarray(points, dtype=float)
         base = self.levels[0]
         if base.cont_coeffs[time_index] is None:
-            terminal = np.asarray(base.terminal_reward(points[:, 0]), dtype=float)
-            return np.tile(terminal, (len(self.levels), 1))
+            return self.plain_value_at(time_index, points)
         v = _fitted_values(design_matrix(points, base.powers, base.lag_columns),
                            [lvl.cont_coeffs[time_index] for lvl in self.levels])
-        if len(self.levels) > 1:
+        prevs = [lvl.prev for lvl in self.levels if lvl.prev is not None]
+        if prevs:
             jump, _ = _intervention_batch(
-                _RegressionLevels(self.levels[:-1]).plain_value_at, time_index,
-                points, base.spec, base.u_grid, time_index * base.dt)
-            v[1:] = np.maximum(v[1:], jump)
+                _RegressionLevels(prevs).plain_value_at, time_index, points,
+                base.spec, base.u_grid, time_index * base.dt)
+            v[-len(prevs):] = np.maximum(v[-len(prevs):], jump)
         return v
 
     def plain_value_at(self, time_index, points):
         base = self.levels[0]
-        lo, hi = base.bounds[time_index]
-        return _fitted_values(design_matrix(np.clip(points, lo, hi),
-                                            base.powers, base.lag_columns),
+        if base.plain_coeffs[time_index] is None:
+            terminal = base.terminal_reward(points[:, 0])
+            return np.tile(np.asarray(terminal, dtype=float), (len(self.levels), 1))
+        if base.bounds is not None:
+            lo, hi = base.bounds[time_index]
+            points = np.clip(points, lo, hi)
+        return _fitted_values(design_matrix(points, base.powers, base.lag_columns),
                               [lvl.plain_coeffs[time_index] for lvl in self.levels])
 
 
@@ -612,8 +602,10 @@ def k_value_iteration(spec: ProblemSpec, grid: TimeGrid, backend,
 class Policy:
     """Intervention rule induced by a value-level pair (V^k, V^{k-1}).
 
-    Intervene exactly when the best immediate jump strictly beats continuing;
-    ties continue, argmax ties take the smallest impulse-grid index.
+    Intervene exactly when the best immediate jump strictly beats continuing,
+    so the first grid time where the jump value strictly exceeds continuation
+    is the intervention time; ties continue, argmax ties take the smallest
+    impulse-grid index.
     """
 
     v_top: object
@@ -647,25 +639,17 @@ class Policy:
 
     def decide(self, time_index, state):
         """("CONTINUE", None) or ("INTERVENE", u) for one lifted state."""
-        lags = np.asarray(getattr(state, "lags", state), dtype=float)[None, :]
-        mask, us = self.decide_batch(time_index, lags)
+        mask, us = self.decide_batch(time_index,
+                                     np.asarray(state, dtype=float)[None, :])
         if mask[0]:
             return "INTERVENE", float(us[0])
         return "CONTINUE", None
 
 
-def extract_policy(v_top, v_prev, spec: ProblemSpec, u_grid,
-                   quadrature: NoiseQuadrature) -> Policy:
-    """Policy from a value-level pair; the first grid time where the jump
-    value strictly exceeds continuation is the intervention time."""
-    return Policy(v_top=v_top, v_prev=v_prev, spec=spec, u_grid=u_grid,
-                  quadrature=quadrature)
-
-
 def policy_stack(iterates, spec, u_grid, quadrature):
     """Budget-aware policies: stack[j] decides when j interventions remain.
 
-    stack[0] never intervenes; stack[j] is extract_policy(V^j, V^{j-1}) with
+    stack[0] never intervenes; stack[j] is Policy(V^j, V^{j-1}) with
     j capped at the deepest computed level.
     """
     class _Never:
@@ -678,8 +662,8 @@ def policy_stack(iterates, spec, u_grid, quadrature):
 
     stack = [_Never()]
     for j in range(1, len(iterates)):
-        stack.append(extract_policy(iterates[j], iterates[j - 1], spec,
-                                    u_grid, quadrature))
+        stack.append(Policy(iterates[j], iterates[j - 1], spec, u_grid,
+                            quadrature))
     return stack
 
 

@@ -24,12 +24,11 @@ from .simulate import (TimeGrid, draw_noise_matrix, estimate_J,
                        initial_lifted_state, SimulationError)
 from .lattice import (gauss_hermite_quadrature, two_point_quadrature,
                       three_point_quadrature)
-from .bellman import (GridBackend, RegressionBackend, k_value_iteration,
-                      extract_policy, save_value_function,
+from .bellman import (GridBackend, Policy, RegressionBackend,
+                      k_value_iteration, policy_stack, save_value_function,
                       load_value_function, DivergenceError)
 from .oracle import (build_tiny_instance, enumerate_controls, exact_state_axis,
                      table_from_decisions, table_to_json)
-from .bellman import policy_stack
 
 
 _TOP_KEYS = ("problem", "discretization", "solver", "evaluation",
@@ -67,48 +66,35 @@ class RunConfig:
             raise ValidationError("discretization.dt: must be finite and "
                                   f"positive, got {self.dt}")
         self.grid_bound = float(disc.get("grid_bound", 4.0))
-        self.points_per_axis = int(disc.get("points_per_axis", 41))
-        self.n_impulse = int(disc.get("n_impulse", 41))
+        self.points_per_axis = _integer(disc, "discretization",
+                                        "points_per_axis", 41, lowest=2)
+        self.n_impulse = _integer(disc, "discretization", "n_impulse", 41)
         self.quadrature = disc.get("quadrature", "gauss_hermite")
-        self.quadrature_nodes = int(disc.get("quadrature_nodes", 7))
+        self.quadrature_nodes = _integer(disc, "discretization",
+                                         "quadrature_nodes", 7)
 
         self.backend = sol.get("backend", "grid")
         if self.backend not in ("grid", "regression"):
             raise ValidationError(f"solver.backend: unknown backend {self.backend!r}")
-        self.k_max = int(sol.get("k_max", 10))
+        self.k_max = _integer(sol, "solver", "k_max", 10)
         self.tol = float(sol.get("tol", 1e-3))
-        self.degree = int(sol.get("degree", 3))
+        self.degree = _integer(sol, "solver", "degree", 3, lowest=0)
         self.ridge_lambda = float(sol.get("ridge_lambda", 1e-8))
-        self.n_samples = int(sol.get("n_samples", 4000))
+        self.n_samples = _integer(sol, "solver", "n_samples", 4000)
         self.exploration_rate = float(sol.get("exploration_rate", 0.1))
-        self.sample_seed = _check_seed("solver.sample_seed",
-                                       int(sol.get("sample_seed", 1234)))
+        self.sample_seed = _check_seed("solver.sample_seed", _integer(
+            sol, "solver", "sample_seed", 1234, lowest=None))
 
-        self.n_paths = int(_require(ev, "n_paths", "evaluation"))
-        if "seed" not in ev:
-            raise ValidationError("evaluation.seed: required, refusing to "
-                                  "pick a seed silently")
-        self.seed = _check_seed("evaluation.seed", int(ev["seed"]))
+        self.n_paths = _integer(ev, "evaluation", "n_paths")
+        self.seed = _check_seed("evaluation.seed", _integer(
+            ev, "evaluation", "seed", lowest=None))
         self.output_dir = raw.get("output_dir", "runs/out")
 
-        for name, v in (("discretization.n_impulse", self.n_impulse),
-                        ("discretization.quadrature_nodes", self.quadrature_nodes),
-                        ("solver.k_max", self.k_max),
-                        ("solver.n_samples", self.n_samples),
-                        ("evaluation.n_paths", self.n_paths)):
-            if v < 1:
-                raise ValidationError(f"{name}: must be >= 1, got {v}")
-        if self.points_per_axis < 2:
-            raise ValidationError("discretization.points_per_axis: must be "
-                                  f">= 2, got {self.points_per_axis}")
         if not self.grid_bound > 0:
             raise ValidationError("discretization.grid_bound: must be "
                                   f"positive, got {self.grid_bound}")
         if not self.tol > 0:
             raise ValidationError(f"solver.tol: must be > 0, got {self.tol}")
-        if self.degree < 0:
-            raise ValidationError(f"solver.degree: must be >= 0, got "
-                                  f"{self.degree}")
         if not (np.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
             raise ValidationError("solver.ridge_lambda: must be finite and "
                                   f">= 0, got {self.ridge_lambda}")
@@ -182,6 +168,18 @@ def _require(d, key, where):
     return d[key]
 
 
+def _integer(d, where, key, default=None, lowest=1):
+    """d[key], or `default` when the key is absent (required when there is
+    no default), if it is a JSON integer of at least `lowest` (None: no
+    bound).  Floats, strings and booleans are rejected."""
+    v = _require(d, key, where) if default is None else d.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValidationError(f"{where}.{key}: must be an integer, got {v!r}")
+    if lowest is not None and v < lowest:
+        raise ValidationError(f"{where}.{key}: must be >= {lowest}, got {v}")
+    return v
+
+
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
@@ -224,7 +222,7 @@ def cmd_solve(cfg, out_dir):
             fh.write(f"{k},{g:.17g}\n")
     save_value_function(v_top, out_dir, "v_top")
     save_value_function(v_prev, out_dir, "v_prev")
-    policy = extract_policy(v_top, v_prev, cfg.spec, u_grid, quad)
+    policy = Policy(v_top, v_prev, cfg.spec, u_grid, quad)
     _write_thresholds(cfg, policy, os.path.join(out_dir, "thresholds.csv"))
     return 0
 
@@ -245,7 +243,7 @@ def _load_policy(cfg, out_dir):
                               f"match config lift dimension {m}")
     if v_top.n_steps != cfg.grid.n_steps:
         raise ValidationError("artifact time grid does not match config")
-    return extract_policy(v_top, v_prev, cfg.spec, u_grid, quad)
+    return Policy(v_top, v_prev, cfg.spec, u_grid, quad)
 
 
 def _constant_history_points(xs, m):
@@ -359,7 +357,7 @@ def cmd_oracle_compare(cfg, out_dir):
                               "oracle-compare (instance, max_impulses)")
     os.makedirs(out_dir, exist_ok=True)
     name = cfg.oracle["instance"]
-    k = int(cfg.oracle.get("max_impulses", 1))
+    k = _integer(cfg.oracle, "oracle", "max_impulses", 1)
     spec, tree = build_tiny_instance(name)
     grid = TimeGrid.for_spec(spec, tree.dt)
     quad = (two_point_quadrature if name == "TINY-1"

@@ -102,12 +102,6 @@ class ImpulseControl:
         if any(b < a - TIME_TOL for a, b in zip(times, times[1:])):
             raise ValidationError("impulse times must be nondecreasing")
 
-    def __len__(self):
-        return len(self.events)
-
-    def times(self):
-        return np.array([t for t, _ in self.events])
-
     def validate_against(self, spec: ProblemSpec):
         for t, u in self.events:
             if t < -TIME_TOL or t > spec.horizon + TIME_TOL:
@@ -146,10 +140,6 @@ class Trajectory:
     @property
     def dt(self):
         return float(self.times[1] - self.times[0])
-
-    def value_at_step(self, k):
-        """State at grid time t_k = k*dt, k counted from zero."""
-        return float(self.values[self.offset + k])
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +382,10 @@ def _build_initial_segment(cfg):
     raise ValidationError(f"unknown initial_segment registry name: {name!r}")
 
 
-_PROBLEM_KEYS = {"drift", "diffusion", "intervention", "running_reward",
-                 "terminal_reward", "impulse_cost", "initial_segment",
-                 "impulse_set", "horizon", "delay", "min_impulse_cost"}
+_REGISTRY_KEYS = {"drift", "diffusion", "intervention", "running_reward",
+                  "terminal_reward", "impulse_cost", "initial_segment"}
+_PROBLEM_KEYS = _REGISTRY_KEYS | {"impulse_set", "horizon", "delay",
+                                  "min_impulse_cost"}
 
 
 def build_problem_spec(problem_cfg: dict) -> ProblemSpec:
@@ -408,7 +399,15 @@ def build_problem_spec(problem_cfg: dict) -> ProblemSpec:
     for key in sorted(_PROBLEM_KEYS - {"min_impulse_cost"}):
         if key not in problem_cfg:
             raise ValidationError(f"missing key {key!r} in problem config")
-    lo, hi = problem_cfg["impulse_set"]
+    for key in sorted(_REGISTRY_KEYS):
+        if not isinstance(problem_cfg[key], dict):
+            raise ValidationError(f"problem.{key}: must be an object with a "
+                                  f"registry name, got {problem_cfg[key]!r}")
+    bounds = problem_cfg["impulse_set"]
+    if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+        raise ValidationError("problem.impulse_set: must be a [lower, upper] "
+                              f"pair, got {bounds!r}")
+    lo, hi = bounds
     return ProblemSpec(
         horizon=float(problem_cfg["horizon"]),
         delay=float(problem_cfg["delay"]),

@@ -1,8 +1,9 @@
 """Markov lift of the delay system and one-step transition kernels.
 
 The lifted state is the shift register (X_t, X_{t-dt}, ..., X_{t-delay});
-its length is delay/dt + 1.  Noise expectations are taken against a small
-moment-matched quadrature (Gauss-Hermite by default).
+its length m is delay/dt + 1, and a batch of N lifted states is one (N, m)
+array, newest value first in each row.  Noise expectations are taken
+against a small moment-matched quadrature (Gauss-Hermite by default).
 """
 
 from __future__ import annotations
@@ -12,27 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .core import ProblemSpec, Trajectory, ValidationError
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """Vector of lagged values; lags[0] is the current value X_t."""
-
-    lags: np.ndarray
-
-    def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=float)
-        object.__setattr__(self, "lags", lags)
-        if lags.ndim != 1 or not np.all(np.isfinite(lags)):
-            raise ValidationError("augmented state must be a finite vector")
-
-    @property
-    def head(self):
-        return float(self.lags[0])
-
-    def __len__(self):
-        return len(self.lags)
+from .core import ProblemSpec, ValidationError
 
 
 @dataclass(frozen=True)
@@ -82,29 +63,10 @@ def three_point_quadrature(dt: float) -> NoiseQuadrature:
                            weights=np.array([1 / 6, 2 / 3, 1 / 6]), dt=dt)
 
 
-def augment_history(traj: Trajectory, grid_index: int, delay_steps: int) -> AugmentedState:
-    """Lifted state at grid time t_k: (X_k, X_{k-1}, ..., X_{k-delay_steps})."""
-    if grid_index < 0:
-        raise ValidationError("grid_index must be nonnegative")
-    lo = traj.offset + grid_index - delay_steps
-    if lo < 0:
-        raise ValidationError("insufficient history for requested lag depth")
-    window = traj.values[lo:traj.offset + grid_index + 1]
-    return AugmentedState(lags=window[::-1].copy())
-
-
-def step_transition(state: AugmentedState, t: float, z: float,
-                    spec: ProblemSpec, dt: float) -> AugmentedState:
-    """Euler step on the head, then shift the register."""
-    out = step_transition_batch(state.lags[None, :], t, z, spec, dt)[0]
-    if not np.all(np.isfinite(out)):
-        raise ValidationError("non-finite state after transition")
-    return AugmentedState(lags=out)
-
-
 def step_transition_batch(states: np.ndarray, t: float, z, spec: ProblemSpec,
                           dt: float) -> np.ndarray:
-    """Vectorized step_transition; states is (N, m), z scalar or (N,)."""
+    """Euler step on the head, then shift the register; states is (N, m),
+    z scalar or (N,)."""
     x = states[:, 0]
     x_del = states[:, -1]
     new_head = x + spec.drift(t, x, x_del) * dt + spec.diffusion(t, x, x_del) * z
@@ -114,16 +76,8 @@ def step_transition_batch(states: np.ndarray, t: float, z, spec: ProblemSpec,
     return out
 
 
-def impulse_transition(state: AugmentedState, u: float, spec: ProblemSpec) -> AugmentedState:
-    """Apply the jump map to the head only; past observed values stay put."""
-    if not spec.impulse_set.contains(u):
-        raise ValidationError(f"impulse {u} outside admissible set")
-    lags = state.lags.copy()
-    lags[0] = spec.intervention(lags[0], u)
-    return AugmentedState(lags=lags)
-
-
 def impulse_transition_batch(states: np.ndarray, u, spec: ProblemSpec) -> np.ndarray:
+    """Apply the jump map to the head only; past observed values stay put."""
     out = states.copy()
     out[:, 0] = spec.intervention(states[:, 0], u)
     return out

@@ -63,19 +63,6 @@ class FiniteTree:
                 width *= len(self.steps[level][0])
         return total
 
-    def state_nodes(self, spec: ProblemSpec):
-        """No-control state value at every node (Euler recursion, no impulses)."""
-        out = {(): self.initial_state}
-        for level in range(self.depth):
-            values, _ = self.steps[level]
-            t = level * self.dt
-            for path in self.nodes(level):
-                x = out[path]
-                for b, z in enumerate(values):
-                    out[path + (b,)] = x + float(spec.drift(t, x, x)) * self.dt \
-                        + float(spec.diffusion(t, x, x)) * z
-        return out
-
 
 def build_tiny_instance(name: str):
     """Hand-sized instances for validating the solver end to end.
@@ -239,7 +226,6 @@ def exact_snell_on_tree(tree: FiniteTree, rewards):
             env[path] = r
             return r
         values, probs = tree.steps[level]
-        cont = 0.0
         children = [backward(level + 1, path + (b,)) for b in range(len(values))]
         cont = float(np.dot(np.asarray(probs, dtype=float), children))
         env[path] = max(r, cont)

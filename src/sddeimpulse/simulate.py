@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (TIME_TOL, ImpulseControl, ImpulseEvent, ProblemSpec,
-                   Trajectory, ValidationError)
+                   Trajectory, ValidationError, compose_controls)
 from .lattice import step_transition_batch
 
 OVERFLOW_LIMIT = 1e9
@@ -247,7 +247,6 @@ def _sup_diff(pa, pb, k_hat):
 
 
 def compose3(prefix, pair, suffix, horizon):
-    from .core import compose_controls
     return compose_controls(compose_controls(prefix, _single(pair), horizon),
                             suffix, horizon)
 

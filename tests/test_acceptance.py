@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sddeimpulse.bellman import (GridBackend, RegressionBackend,
-                                 extract_policy, k_value_iteration,
+                                 Policy, k_value_iteration,
                                  policy_stack)
 from sddeimpulse.cli import RunConfig, main
 from sddeimpulse.core import ImpulseControl
@@ -165,7 +165,7 @@ def test_criterion_5_flow_stability_exponent(capsys):
 def test_criterion_6_policy_improvement_and_impulse_bound(capsys,
                                                           reduced_solution):
     cfg, quad, u_grid, iterates, _ = reduced_solution
-    policy = extract_policy(iterates[-1], iterates[-2], cfg.spec, u_grid, quad)
+    policy = Policy(iterates[-1], iterates[-2], cfg.spec, u_grid, quad)
     mean, se = estimate_J(cfg.spec, policy, 10000, cfg.seed, cfg.grid)
     base, base_se = estimate_J(cfg.spec, ImpulseControl(), 10000, cfg.seed,
                                cfg.grid)

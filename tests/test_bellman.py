@@ -12,7 +12,7 @@ from sddeimpulse.bellman import (DivergenceError, GridBackend,
                                  GridValueFunction, RegressionBackend,
                                  RegressionValueFunction, _check_finite,
                                  _continuation, _intervention_batch,
-                                 design_matrix, extract_policy,
+                                 Policy, design_matrix,
                                  fit_regression_step, k_value_iteration,
                                  load_value_function, monomial_powers,
                                  multilinear_interp, save_value_function)
@@ -423,10 +423,36 @@ class TestStencilSolve:
         assert len(calls) == len(ug) + len(quad.nodes)
 
 
+class ReferenceLevel:
+    """One regression level evaluated on its own: a fresh design matrix per
+    query, one matrix-vector product, and jumps priced with the level
+    below's plain fit, one level at a time."""
+
+    def __init__(self, vf):
+        self.vf = vf
+
+    def value_at(self, i, points):
+        vf = self.vf
+        if vf.cont_coeffs[i] is None:
+            return np.asarray(vf.terminal_reward(points[:, 0]), dtype=float)
+        v = design_matrix(points, vf.powers) @ vf.cont_coeffs[i]
+        if vf.prev is not None:
+            jump, _ = _intervention_batch(ReferenceLevel(vf.prev).plain_value_at,
+                                          i, points, vf.spec, vf.u_grid, i * vf.dt)
+            v = np.maximum(v, jump)
+        return v
+
+    def plain_value_at(self, i, points):
+        vf = self.vf
+        lo, hi = vf.bounds[i]
+        return design_matrix(np.clip(points, lo, hi), vf.powers) \
+            @ vf.plain_coeffs[i]
+
+
 def reference_regression_solve(spec, grid, backend, quad, u_grid, k_max, tol):
-    """The regression solve level by level on the generic operators: every
-    query builds its own design matrix, and each level stops the solve as
-    soon as its gap falls below tol."""
+    """The regression solve level by level on the generic operators, with
+    each level read through ReferenceLevel, and each level stops the solve
+    as soon as its gap falls below tol."""
     powers = monomial_powers(grid.delay_steps + 1, backend.degree)
     clouds = bellman._sample_states(spec, grid, backend)
     n, dt = grid.n_steps, grid.dt
@@ -448,13 +474,14 @@ def reference_regression_solve(spec, grid, backend, quad, u_grid, k_max, tol):
                                      terminal_reward=spec.terminal_reward,
                                      prev=prev, spec=spec, u_grid=u_grid,
                                      bounds=bounds)
+        ref = ReferenceLevel(vf)
         for i in range(n - 1, -1, -1):
-            cont = _continuation(vf, i, clouds[i], spec, quad, dt)
+            cont = _continuation(ref, i, clouds[i], spec, quad, dt)
             _check_finite(cont, i, k)
             vf.cont_coeffs[i] = fit(i, cont)
             if k:
-                interv, _ = _intervention_batch(prev.plain_value_at, i,
-                                                clouds[i], spec, u_grid, i * dt)
+                interv, _ = _intervention_batch(ReferenceLevel(prev).plain_value_at,
+                                                i, clouds[i], spec, u_grid, i * dt)
                 vals = np.maximum(cont, interv)
                 _check_finite(vals, i, k)
                 vf.plain_coeffs[i] = fit(i, vals)
@@ -462,8 +489,9 @@ def reference_regression_solve(spec, grid, backend, quad, u_grid, k_max, tol):
                 vf.plain_coeffs[i] = vf.cont_coeffs[i]
         levels.append(vf)
         if k:
-            gaps.append(max(float(np.max(np.abs(vf.value_at(i, clouds[i])
-                                                - prev.value_at(i, clouds[i]))))
+            below = ReferenceLevel(prev)
+            gaps.append(max(float(np.max(np.abs(ref.value_at(i, clouds[i])
+                                                - below.value_at(i, clouds[i]))))
                             for i in range(n)))
             if gaps[-1] < tol:
                 break
@@ -566,7 +594,7 @@ class TestPolicy:
         spec = dataclasses.replace(reduced_spec(),
                                    impulse_cost=lambda x, u, t: 1e6 + 0 * u)
         its, _, grid, quad, ug = solve_reduced(spec, k_max=1)
-        pol = extract_policy(its[-1], its[-2], spec, ug, quad)
+        pol = Policy(its[-1], its[-2], spec, ug, quad)
         pts = np.array([[x, 0.0] for x in np.linspace(-4, 4, 33)])
         for i in (0, 30, 60, 99):
             act, _ = pol.decide_batch(i, pts)
@@ -574,7 +602,7 @@ class TestPolicy:
 
     def test_impulses_come_from_the_grid(self):
         its, _, grid, quad, ug = solve_reduced(reduced_spec(), k_max=1)
-        pol = extract_policy(its[-1], its[-2], reduced_spec(), ug, quad)
+        pol = Policy(its[-1], its[-2], reduced_spec(), ug, quad)
         pts = np.array([[x, x] for x in np.linspace(-4, 4, 65)])
         act, us = pol.decide_batch(10, pts)
         assert act.any()
@@ -585,7 +613,7 @@ class TestPolicy:
         # rows must be the same whatever else shares the batch
         spec = reduced_spec()
         its, _, grid, quad, ug = solve_reduced(spec, k_max=1)
-        pol = extract_policy(its[-1], its[-2], spec, ug, quad)
+        pol = Policy(its[-1], its[-2], spec, ug, quad)
         one, three = tmp_path / "one.csv", tmp_path / "three.csv"
         export_trajectories_csv(one, spec, pol, 1, 5, grid)
         export_trajectories_csv(three, spec, pol, 3, 5, grid)
@@ -605,7 +633,7 @@ class TestPolicy:
                                      b2, gauss_hermite_quadrature(0.02, 3),
                                      ug, k_max=1)
         with pytest.raises(ValidationError):
-            extract_policy(its[-1], other[0], spec2, ug, quad)
+            Policy(its[-1], other[0], spec2, ug, quad)
 
 
 def without_memo(levels):
@@ -634,13 +662,14 @@ class TestSharedLagColumns:
         states = np.repeat(rng.normal(size=(40, 1)), 6, axis=1)
         states[:20] = rng.normal(size=(20, 6))
         for i in range(grid.n_steps + 1):
-            with_memo = extract_policy(its[2], its[1], spec, ug, quad)
-            fresh = extract_policy(bare[2], bare[1], spec, ug, quad)
+            with_memo = Policy(its[2], its[1], spec, ug, quad)
+            fresh = Policy(bare[2], bare[1], spec, ug, quad)
             for got, want in zip(with_memo.decide_batch(i, states),
                                  fresh.decide_batch(i, states)):
                 assert got.tobytes() == want.tobytes()
             assert its[2].value_at(i, states).tobytes() == \
-                bare[2].value_at(i, states).tobytes()
+                bare[2].value_at(i, states).tobytes() == \
+                ReferenceLevel(bare[2]).value_at(i, states).tobytes()
             assert len(memo.entries) <= 2
 
     def test_loaded_levels_share_one_memo(self, tmp_path):

@@ -215,6 +215,37 @@ class TestCommands:
         assert main(["probe-flow", "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("evaluation", "n_paths", "many"), ("evaluation", "seed", 1.5),
+        ("discretization", "n_impulse", 2.9), ("solver", "k_max", True),
+        ("discretization", "points_per_axis", 41.0),
+        ("discretization", "quadrature_nodes", "7"),
+        ("solver", "degree", 2.0), ("solver", "n_samples", None),
+        ("solver", "sample_seed", False), ("oracle", "max_impulses", 1.5)])
+    def test_exit_code_2_on_non_integer_setting(self, tmp_path, capsys,
+                                                section, key, value):
+        raw = load_raw("tiny1.json")
+        raw[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        command = "oracle-compare" if section == "oracle" else "solve"
+        assert main([command, "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        assert f"{section}.{key}: must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("impulse_set", [1.0]), ("impulse_set", [-1, 1, 2]),
+        ("impulse_set", 1.0), ("drift", "zero")])
+    def test_exit_code_2_on_malformed_problem(self, tmp_path, capsys, key,
+                                              value):
+        raw = load_raw("tiny1.json")
+        raw["problem"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        assert f"problem.{key}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_exit_code_2_on_bad_seed_override(self, tmp_path, seed):
         cfg_path = os.path.join(CONFIGS, "tiny1.json")

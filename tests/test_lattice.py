@@ -1,16 +1,19 @@
-"""Lifted delay state, transitions, and noise quadratures."""
+"""Lifted delay state, transitions, and noise quadratures.
+
+A batch of lifted states is one (N, m) array, newest value first per row.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sddeimpulse import ValidationError, build_problem_spec
-from sddeimpulse.lattice import (AugmentedState, NoiseQuadrature,
-                                 augment_history, gauss_hermite_quadrature,
-                                 impulse_transition, impulse_transition_batch,
-                                 step_transition, step_transition_batch,
+from sddeimpulse import ValidationError
+from sddeimpulse.lattice import (NoiseQuadrature, gauss_hermite_quadrature,
+                                 impulse_transition_batch,
+                                 step_transition_batch,
                                  three_point_quadrature, two_point_quadrature)
-from sddeimpulse.simulate import TimeGrid, draw_noise, simulate_controlled
+from sddeimpulse.simulate import (TimeGrid, draw_noise_matrix,
+                                  initial_lifted_state, simulate_batch)
 from sddeimpulse.core import ImpulseControl
 
 from test_simulate import feedback_spec, still_spec
@@ -36,20 +39,13 @@ class TestQuadratures:
 class TestAugmentedState:
     def test_no_delay_is_scalar_state(self):
         spec = still_spec()
-        grid = TimeGrid.for_spec(spec, 0.5)
-        traj = simulate_controlled(spec, ImpulseControl(),
-                                   draw_noise(0, 0, grid), grid)
-        s = augment_history(traj, 1, 0)
-        assert len(s.lags) == 1
+        s = initial_lifted_state(spec, TimeGrid.for_spec(spec, 0.5))
+        assert s.shape == (1,)
 
     def test_zero_history_padding(self):
         spec = feedback_spec()
-        grid = TimeGrid.for_spec(spec, 0.01)
-        traj = simulate_controlled(spec, ImpulseControl(),
-                                   draw_noise(0, 0, grid), grid)
-        s = augment_history(traj, 0, 5)
-        assert len(s.lags) == 6
-        assert list(s.lags) == [0.0] * 6
+        s = initial_lifted_state(spec, TimeGrid.for_spec(spec, 0.01))
+        assert list(s) == [0.0] * 6
 
     def test_lift_dimension_from_delay_ratio(self):
         grid = TimeGrid.for_spec(feedback_spec(delay=0.05), 0.01)
@@ -58,21 +54,22 @@ class TestAugmentedState:
     def test_lags_order_newest_first(self):
         spec = feedback_spec()
         grid = TimeGrid.for_spec(spec, 0.01)
-        traj = simulate_controlled(spec, ImpulseControl(),
-                                   draw_noise(3, 0, grid), grid)
+        noise = draw_noise_matrix(3, 1, grid)
+        vals = simulate_batch(spec, grid, noise, ImpulseControl())[2][0]
+        s = initial_lifted_state(spec, grid)[None, :]
         k = 40
-        s = augment_history(traj, k, 5)
-        vals = traj.values[traj.offset:]
-        assert s.lags[0] == vals[k]
-        assert s.lags[5] == vals[k - 5]
+        for j in range(k):
+            s = step_transition_batch(s, j * grid.dt, noise[:, j], spec, grid.dt)
+        assert s[0, 0] == vals[k]
+        assert s[0, 5] == vals[k - 5]
 
 
 class TestStepTransition:
     def test_pure_shift(self):
         spec = still_spec()
-        s = np.array([3.0, 2.0, 1.0])
-        out = step_transition(AugmentedState(tuple(s)), 0.0, 0.0, spec, 0.5)
-        assert list(out.lags) == [3.0, 3.0, 2.0]
+        s = np.array([[3.0, 2.0, 1.0]])
+        out = step_transition_batch(s, 0.0, 0.0, spec, 0.5)
+        assert list(out[0]) == [3.0, 3.0, 2.0]
 
     def test_delay_feedback_hand_value(self):
         spec = feedback_spec()
@@ -101,15 +98,14 @@ class TestStepTransition:
 class TestImpulseTransition:
     def test_additive_on_head_only(self):
         spec = feedback_spec()
-        s = AugmentedState((0.0,) * 6)
-        out = impulse_transition(s, 2.0, spec)
-        assert list(out.lags) == [2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        out = impulse_transition_batch(np.zeros((1, 6)), 2.0, spec)
+        assert list(out[0]) == [2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_neutral_impulse_identity(self):
         spec = feedback_spec()
-        s = AugmentedState((0.7, -0.1, 0.0, 0.2, 0.0, 0.0))
-        out = impulse_transition(s, 0.0, spec)
-        assert list(out.lags) == list(s.lags)
+        s = np.array([[0.7, -0.1, 0.0, 0.2, 0.0, 0.0]])
+        out = impulse_transition_batch(s, 0.0, spec)
+        assert list(out[0]) == list(s[0])
 
     def test_double_impulse_composes(self):
         spec = feedback_spec()
@@ -121,8 +117,10 @@ class TestImpulseTransition:
 
     def test_inadmissible_impulse_rejected(self):
         spec = feedback_spec()
-        with pytest.raises(ValidationError):
-            impulse_transition(AugmentedState((0.0,) * 6), 5.0, spec)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        with pytest.raises(ValidationError, match="outside admissible set"):
+            simulate_batch(spec, grid, draw_noise_matrix(0, 2, grid),
+                           ImpulseControl(((0.1, 5.0),)))
 
     @given(st.lists(st.floats(-3, 3), min_size=2, max_size=6),
            st.floats(-2, 2))

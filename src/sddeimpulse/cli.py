@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .core import (ProblemSpec, ValidationError, build_problem_spec,
-                   check_assumptions, ImpulseControl)
+                   check_assumptions, ImpulseControl, real_number)
 from .simulate import (TimeGrid, draw_noise_matrix, estimate_J,
                        export_trajectories_csv, flow_stability_probe,
                        initial_lifted_state, SimulationError)
@@ -61,11 +61,13 @@ class RunConfig:
             _reject_unknown(raw["oracle"], _ORACLE_KEYS, "oracle")
         self.oracle = raw.get("oracle")
 
-        self.dt = float(_require(disc, "dt", "discretization"))
+        self.dt = real_number(_require(disc, "dt", "discretization"),
+                              "discretization.dt")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValidationError("discretization.dt: must be finite and "
                                   f"positive, got {self.dt}")
-        self.grid_bound = float(disc.get("grid_bound", 4.0))
+        self.grid_bound = real_number(disc.get("grid_bound", 4.0),
+                                      "discretization.grid_bound")
         self.points_per_axis = _integer(disc, "discretization",
                                         "points_per_axis", 41, lowest=2)
         self.n_impulse = _integer(disc, "discretization", "n_impulse", 41)
@@ -77,11 +79,13 @@ class RunConfig:
         if self.backend not in ("grid", "regression"):
             raise ValidationError(f"solver.backend: unknown backend {self.backend!r}")
         self.k_max = _integer(sol, "solver", "k_max", 10)
-        self.tol = float(sol.get("tol", 1e-3))
+        self.tol = real_number(sol.get("tol", 1e-3), "solver.tol")
         self.degree = _integer(sol, "solver", "degree", 3, lowest=0)
-        self.ridge_lambda = float(sol.get("ridge_lambda", 1e-8))
+        self.ridge_lambda = real_number(sol.get("ridge_lambda", 1e-8),
+                                        "solver.ridge_lambda")
         self.n_samples = _integer(sol, "solver", "n_samples", 4000)
-        self.exploration_rate = float(sol.get("exploration_rate", 0.1))
+        self.exploration_rate = real_number(sol.get("exploration_rate", 0.1),
+                                            "solver.exploration_rate")
         self.sample_seed = _check_seed("solver.sample_seed", _integer(
             sol, "solver", "sample_seed", 1234, lowest=None))
 
@@ -113,7 +117,7 @@ class RunConfig:
                 raw = json.load(fh)
         except OSError as e:
             raise ValidationError(f"cannot read config {path}: {e}")
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # bad JSON, bad UTF-8, over-long integers
             raise ValidationError(f"config {path} is not valid JSON: {e}")
         return cls(raw)
 

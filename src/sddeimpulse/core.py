@@ -287,6 +287,17 @@ def check_assumptions(spec: ProblemSpec, sample_budget: int, rng_seed: int,
 # Coefficient registry (JSON-loadable problem specs)
 # ---------------------------------------------------------------------------
 
+def real_number(v, name):
+    """v as a float, if it is a JSON number (an int or a float, not a bool);
+    anything else is a ValidationError naming the setting."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValidationError(f"{name}: must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValidationError(f"{name}: too large for a float") from None
+
+
 def _take(cfg, name, *, required=(), optional=()):
     unknown = set(cfg) - {"name"} - set(required) - set(o for o, _ in optional)
     if unknown:
@@ -294,8 +305,9 @@ def _take(cfg, name, *, required=(), optional=()):
     missing = [k for k in required if k not in cfg]
     if missing:
         raise ValidationError(f"missing keys {missing} in {name} config")
-    out = {k: float(cfg[k]) for k in required}
-    out.update({k: float(cfg.get(k, d)) for k, d in optional})
+    out = {k: real_number(cfg[k], f"problem.{name}.{k}") for k in required}
+    out.update({k: real_number(cfg.get(k, d), f"problem.{name}.{k}")
+                for k, d in optional})
     return out
 
 
@@ -409,16 +421,18 @@ def build_problem_spec(problem_cfg: dict) -> ProblemSpec:
                               f"pair, got {bounds!r}")
     lo, hi = bounds
     return ProblemSpec(
-        horizon=float(problem_cfg["horizon"]),
-        delay=float(problem_cfg["delay"]),
+        horizon=real_number(problem_cfg["horizon"], "problem.horizon"),
+        delay=real_number(problem_cfg["delay"], "problem.delay"),
         drift=_build_drift(problem_cfg["drift"]),
         diffusion=_build_diffusion(problem_cfg["diffusion"]),
         intervention=_build_intervention(problem_cfg["intervention"]),
         running_reward=_build_running_reward(problem_cfg["running_reward"]),
         terminal_reward=_build_terminal_reward(problem_cfg["terminal_reward"]),
         impulse_cost=_build_impulse_cost(problem_cfg["impulse_cost"]),
-        impulse_set=ImpulseSet(float(lo), float(hi)),
+        impulse_set=ImpulseSet(real_number(lo, "problem.impulse_set"),
+                               real_number(hi, "problem.impulse_set")),
         initial_segment=_build_initial_segment(problem_cfg["initial_segment"]),
-        min_impulse_cost=float(problem_cfg.get("min_impulse_cost", 0.05)),
+        min_impulse_cost=real_number(problem_cfg.get("min_impulse_cost", 0.05),
+                                     "problem.min_impulse_cost"),
         meta={"problem": problem_cfg},
     )

@@ -80,22 +80,33 @@ class NoiseDraw:
             raise ValidationError("increments must be one row per grid step")
 
 
+def _keyed_normal_rows(seed: int, paths, grid: TimeGrid) -> np.ndarray:
+    """Row r: increments of the (seed, paths[r]) stream.  A Philox stream is
+    fixed by its key and a zero counter, so one bit generator whose key and
+    counter are reset per row draws what a fresh generator keyed so would.
+    Key words are uint64, so every seed in [0, 2**64) keys its own stream."""
+    bitgen = np.random.Philox(0)  # seeded: constructing pulls no OS entropy
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # zero counter, empty buffer
+    key = state["state"]["key"]
+    key[0] = seed
+    out = np.empty((len(paths), grid.n_steps))
+    for row, i in zip(out, paths):
+        key[1] = i
+        bitgen.state = state
+        row[:] = gen.normal(0.0, math.sqrt(grid.dt), grid.n_steps)
+    return out
+
+
 def draw_noise(seed: int, path_index: int, grid: TimeGrid) -> NoiseDraw:
-    """Increments for one path; reproducible from (seed, path_index, shape).
-    The key is built as uint64 words, so every seed in [0, 2**64) keys its
-    own stream exactly."""
-    gen = np.random.Generator(np.random.Philox(
-        key=np.array([seed, path_index], dtype=np.uint64)))
-    inc = gen.normal(0.0, math.sqrt(grid.dt), grid.n_steps)
+    """Increments for one path; reproducible from (seed, path_index, shape)."""
+    inc = _keyed_normal_rows(seed, (path_index,), grid)[0]
     return NoiseDraw(increments=inc, seed=seed, path_index=path_index, dt=grid.dt)
 
 
 def draw_noise_matrix(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
     """(n_paths, n_steps) increments; row i is path i's stream."""
-    out = np.empty((n_paths, grid.n_steps))
-    for i in range(n_paths):
-        out[i] = draw_noise(seed, i, grid).increments
-    return out
+    return _keyed_normal_rows(seed, range(n_paths), grid)
 
 
 def _events_by_index(control: ImpulseControl, spec: ProblemSpec, grid: TimeGrid):

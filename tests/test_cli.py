@@ -159,14 +159,16 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 2
 
     def test_probe_flow_draws_each_path_once(self, tmp_path, monkeypatch):
+        # counted at the keyed-stream kernel, which every noise row goes
+        # through, whether drawn singly or as a matrix
         calls = []
-        real = simulate.draw_noise
+        real = simulate._keyed_normal_rows
 
-        def counting(seed, path_index, grid):
-            calls.append(path_index)
-            return real(seed, path_index, grid)
+        def counting(seed, paths, grid):
+            calls.extend(paths)
+            return real(seed, paths, grid)
 
-        monkeypatch.setattr(simulate, "draw_noise", counting)
+        monkeypatch.setattr(simulate, "_keyed_normal_rows", counting)
         cfg_path = os.path.join(CONFIGS, "tiny1.json")
         assert main(["probe-flow", "--config", cfg_path,
                      "--out", str(tmp_path)]) == 0
@@ -233,6 +235,31 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 2
         assert f"{section}.{key}: must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys,value", [
+        (("problem", "horizon"), "one"), (("problem", "delay"), None),
+        pytest.param(("problem", "horizon"), 10 ** 400, id="huge-horizon"),
+        (("problem", "impulse_set"), ["a", "b"]),
+        (("problem", "impulse_set"), [-1, True]),
+        (("problem", "min_impulse_cost"), "0.05"),
+        (("problem", "diffusion", "value"), "x"),
+        (("problem", "impulse_cost", "scale"), "0.1"),
+        (("discretization", "dt"), "0.01"),
+        (("discretization", "grid_bound"), "big"),
+        (("solver", "tol"), [1]), (("solver", "ridge_lambda"), False),
+        (("solver", "exploration_rate"), "0.1")])
+    def test_exit_code_2_on_non_number_setting(self, tmp_path, capsys, keys,
+                                               value):
+        raw = load_raw("tiny1.json")
+        section = raw
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        assert ".".join(keys) + ":" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,value", [
         ("impulse_set", [1.0]), ("impulse_set", [-1, 1, 2]),
         ("impulse_set", 1.0), ("drift", "zero")])
@@ -245,6 +272,13 @@ class TestCommands:
         assert main(["solve", "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
         assert f"problem.{key}:" in capsys.readouterr().err
+
+    def test_exit_code_2_on_integer_literal_too_long_to_parse(self, tmp_path):
+        text = json.dumps(load_raw("tiny1.json"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"horizon": 1.0', '"horizon": ' + "1" * 5000))
+        assert main(["solve", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_exit_code_2_on_bad_seed_override(self, tmp_path, seed):

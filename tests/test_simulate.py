@@ -62,6 +62,14 @@ class TestTimeGrid:
             TimeGrid.for_spec(spec, 0.4)
 
 
+def reference_noise(seed, path_index, grid):
+    """Path increments from a freshly constructed generator keyed
+    (seed, path_index): the stream definition the noise draws must match."""
+    gen = np.random.Generator(np.random.Philox(
+        key=np.array([seed, path_index], dtype=np.uint64)))
+    return gen.normal(0.0, math.sqrt(grid.dt), grid.n_steps)
+
+
 class TestNoise:
     def test_reproducible_stream(self):
         g = TimeGrid.for_spec(tiny_spec(), 0.5)
@@ -88,9 +96,28 @@ class TestNoise:
 
     def test_matrix_matches_per_path_draws(self):
         g = TimeGrid.for_spec(feedback_spec(), 0.01)
-        mat = draw_noise_matrix(5, 4, g)
-        for i in range(4):
-            assert np.array_equal(mat[i], draw_noise(5, i, g).increments)
+        for seed in (5, 0, 2 ** 63, 2 ** 64 - 1):
+            mat = draw_noise_matrix(seed, 4, g)
+            for i in range(4):
+                assert np.array_equal(mat[i], draw_noise(seed, i, g).increments)
+                assert mat[i].tobytes() == reference_noise(seed, i, g).tobytes()
+
+    def test_large_path_index_matches_reference(self):
+        g = TimeGrid.for_spec(feedback_spec(), 0.01)
+        i = 2 ** 32 + 1
+        assert (draw_noise(7, i, g).increments.tobytes()
+                == reference_noise(7, i, g).tobytes())
+
+    def test_matrices_share_no_state_across_calls(self):
+        g = TimeGrid.for_spec(feedback_spec(), 0.01)
+        interleaved = [draw_noise_matrix(s, 3, g) for s in (1, 2, 1, 2)]
+        for mat, s in zip(interleaved, (1, 2, 1, 2)):
+            assert mat.tobytes() == np.stack(
+                [reference_noise(s, i, g) for i in range(3)]).tobytes()
+
+    def test_empty_matrix_keeps_step_axis(self):
+        g = TimeGrid.for_spec(feedback_spec(), 0.01)
+        assert draw_noise_matrix(5, 0, g).shape == (0, g.n_steps)
 
 
 class TestSimulateControlled:

@@ -17,8 +17,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import (ProblemSpec, ValidationError, build_problem_spec,
-                   check_assumptions, ImpulseControl, real_number)
+from .core import (ValidationError, build_problem_spec, check_assumptions,
+                   ImpulseControl, json_object, real_number, reject_unknown,
+                   require)
 from .simulate import (TimeGrid, draw_noise_matrix, estimate_J,
                        export_trajectories_csv, flow_stability_probe,
                        initial_lifted_state, SimulationError)
@@ -45,27 +46,22 @@ class RunConfig:
     """Validated run configuration; see configs/ for examples."""
 
     def __init__(self, raw):
-        _reject_unknown(raw, _TOP_KEYS, "config")
-        for section in ("problem", "discretization", "solver", "evaluation"):
-            if section not in raw:
-                raise ValidationError(f"config: missing section {section!r}")
+        reject_unknown(json_object(raw, "config"), _TOP_KEYS, "config")
         self.raw = raw
-        self.problem = raw["problem"]
-        disc = dict(raw["discretization"])
-        _reject_unknown(disc, _DISC_KEYS, "discretization")
-        sol = dict(raw["solver"])
-        _reject_unknown(sol, _SOLVER_KEYS, "solver")
-        ev = dict(raw["evaluation"])
-        _reject_unknown(ev, _EVAL_KEYS, "evaluation")
-        if raw.get("oracle") is not None:
-            _reject_unknown(raw["oracle"], _ORACLE_KEYS, "oracle")
+        self.problem, disc, sol, ev = (
+            json_object(require(raw, section, "config"), section)
+            for section in ("problem", "discretization", "solver",
+                            "evaluation"))
+        reject_unknown(disc, _DISC_KEYS, "discretization")
+        reject_unknown(sol, _SOLVER_KEYS, "solver")
+        reject_unknown(ev, _EVAL_KEYS, "evaluation")
         self.oracle = raw.get("oracle")
+        if self.oracle is not None:
+            reject_unknown(json_object(self.oracle, "oracle"), _ORACLE_KEYS,
+                           "oracle")
 
-        self.dt = real_number(_require(disc, "dt", "discretization"),
+        self.dt = real_number(require(disc, "dt", "discretization"),
                               "discretization.dt")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError("discretization.dt: must be finite and "
-                                  f"positive, got {self.dt}")
         self.grid_bound = real_number(disc.get("grid_bound", 4.0),
                                       "discretization.grid_bound")
         self.points_per_axis = _integer(disc, "discretization",
@@ -80,14 +76,14 @@ class RunConfig:
             raise ValidationError(f"solver.backend: unknown backend {self.backend!r}")
         self.k_max = _integer(sol, "solver", "k_max", 10)
         self.tol = real_number(sol.get("tol", 1e-3), "solver.tol")
-        self.degree = _integer(sol, "solver", "degree", 3, lowest=0)
+        self.degree = _integer(sol, "solver", "degree", 3, lowest=None)
         self.ridge_lambda = real_number(sol.get("ridge_lambda", 1e-8),
                                         "solver.ridge_lambda")
         self.n_samples = _integer(sol, "solver", "n_samples", 4000)
         self.exploration_rate = real_number(sol.get("exploration_rate", 0.1),
                                             "solver.exploration_rate")
-        self.sample_seed = _check_seed("solver.sample_seed", _integer(
-            sol, "solver", "sample_seed", 1234, lowest=None))
+        self.sample_seed = _integer(sol, "solver", "sample_seed", 1234,
+                                    lowest=None)
 
         self.n_paths = _integer(ev, "evaluation", "n_paths")
         self.seed = _check_seed("evaluation.seed", _integer(
@@ -99,13 +95,12 @@ class RunConfig:
                                   f"positive, got {self.grid_bound}")
         if not self.tol > 0:
             raise ValidationError(f"solver.tol: must be > 0, got {self.tol}")
-        if not (np.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
-            raise ValidationError("solver.ridge_lambda: must be finite and "
-                                  f">= 0, got {self.ridge_lambda}")
-        if not 0.0 <= self.exploration_rate <= 1.0:
-            raise ValidationError("solver.exploration_rate: must lie in "
-                                  f"[0, 1], got {self.exploration_rate}")
 
+        # the backend and the time grid own the range rules of their settings
+        self.regression = RegressionBackend(
+            degree=self.degree, ridge_lambda=self.ridge_lambda,
+            n_samples=self.n_samples, exploration_rate=self.exploration_rate,
+            sample_seed=self.sample_seed)
         self.spec = build_problem_spec(self.problem)
         # TimeGrid.for_spec enforces that dt divides both delay and horizon
         self.grid = TimeGrid.for_spec(self.spec, self.dt)
@@ -139,24 +134,13 @@ class RunConfig:
         return self.spec.impulse_set.grid(self.n_impulse)
 
     def build_backend(self):
-        m = self.grid.delay_steps + 1
-        if self.backend == "grid":
-            return GridBackend.uniform(self.grid_bound, self.points_per_axis, m)
-        return RegressionBackend(degree=self.degree,
-                                 ridge_lambda=self.ridge_lambda,
-                                 n_samples=self.n_samples,
-                                 exploration_rate=self.exploration_rate,
-                                 sample_seed=self.sample_seed)
+        if self.backend == "regression":
+            return self.regression
+        return GridBackend.uniform(self.grid_bound, self.points_per_axis,
+                                   self.grid.delay_steps + 1)
 
     def initial_state(self):
         return initial_lifted_state(self.spec, self.grid)[None, :]
-
-
-def _reject_unknown(d, allowed, where):
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ValidationError(f"{where}: unknown keys {unknown} "
-                              f"(allowed: {sorted(allowed)})")
 
 
 def _check_seed(name, seed):
@@ -166,17 +150,11 @@ def _check_seed(name, seed):
     return seed
 
 
-def _require(d, key, where):
-    if key not in d:
-        raise ValidationError(f"{where}.{key}: required")
-    return d[key]
-
-
 def _integer(d, where, key, default=None, lowest=1):
     """d[key], or `default` when the key is absent (required when there is
     no default), if it is a JSON integer of at least `lowest` (None: no
     bound).  Floats, strings and booleans are rejected."""
-    v = _require(d, key, where) if default is None else d.get(key, default)
+    v = require(d, key, where) if default is None else d.get(key, default)
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValidationError(f"{where}.{key}: must be an integer, got {v!r}")
     if lowest is not None and v < lowest:
@@ -242,9 +220,10 @@ def _load_policy(cfg, out_dir):
     except OSError as e:
         raise ValidationError(f"missing solve artifacts in {out_dir}: {e}")
     m = cfg.grid.delay_steps + 1
-    if v_top.backend == "GRID" and len(v_top.axes) != m:
-        raise ValidationError(f"artifact dimension {len(v_top.axes)} does not "
-                              f"match config lift dimension {m}")
+    dim = len(v_top.axes) if v_top.backend == "GRID" else v_top.powers.shape[1]
+    if dim != m:
+        raise ValidationError(f"artifact dimension {dim} does not match "
+                              f"config lift dimension {m}")
     if v_top.n_steps != cfg.grid.n_steps:
         raise ValidationError("artifact time grid does not match config")
     return Policy(v_top, v_prev, cfg.spec, u_grid, quad)
@@ -360,7 +339,7 @@ def cmd_oracle_compare(cfg, out_dir):
         raise ValidationError("oracle: config section required for "
                               "oracle-compare (instance, max_impulses)")
     os.makedirs(out_dir, exist_ok=True)
-    name = cfg.oracle["instance"]
+    name = require(cfg.oracle, "instance", "oracle")
     k = _integer(cfg.oracle, "oracle", "max_impulses", 1)
     spec, tree = build_tiny_instance(name)
     grid = TimeGrid.for_spec(spec, tree.dt)

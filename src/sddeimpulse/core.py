@@ -298,106 +298,96 @@ def real_number(v, name):
         raise ValidationError(f"{name}: too large for a float") from None
 
 
-def _take(cfg, name, *, required=(), optional=()):
-    unknown = set(cfg) - {"name"} - set(required) - set(o for o, _ in optional)
+def json_object(v, name):
+    """v, if it is a JSON object; anything else is a ValidationError naming
+    the section."""
+    if not isinstance(v, dict):
+        raise ValidationError(f"{name}: must be a JSON object, got {v!r}")
+    return v
+
+
+def reject_unknown(d, allowed, where):
+    unknown = sorted(set(d) - set(allowed))
     if unknown:
-        raise ValidationError(f"unknown keys {sorted(unknown)} in {name} config")
-    missing = [k for k in required if k not in cfg]
-    if missing:
-        raise ValidationError(f"missing keys {missing} in {name} config")
-    out = {k: real_number(cfg[k], f"problem.{name}.{k}") for k in required}
-    out.update({k: real_number(cfg.get(k, d), f"problem.{name}.{k}")
-                for k, d in optional})
-    return out
+        raise ValidationError(f"{where}: unknown keys {unknown} "
+                              f"(allowed: {sorted(allowed)})")
 
 
-def _build_drift(cfg):
-    name = cfg.get("name")
-    if name == "zero":
-        _take(cfg, "drift")
-        return lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float))
-    if name == "linear_delay_feedback":
-        p = _take(cfg, "drift", required=("a", "k_p"))
-        a, kp = p["a"], p["k_p"]
-        return lambda t, x, y: a * x - kp * y
-    if name == "custom_affine":
-        p = _take(cfg, "drift", optional=(("c0", 0.0), ("c_x", 0.0), ("c_y", 0.0)))
-        return lambda t, x, y: p["c0"] + p["c_x"] * x + p["c_y"] * y
-    raise ValidationError(f"unknown drift registry name: {name!r}")
+def require(d, key, where):
+    if key not in d:
+        raise ValidationError(f"{where}.{key}: required")
+    return d[key]
 
 
-def _build_diffusion(cfg):
-    name = cfg.get("name")
-    if name == "constant":
-        p = _take(cfg, "diffusion", required=("value",))
-        val = p["value"]
-        return lambda t, x, y: np.full_like(np.asarray(x, dtype=float), val)
-    if name == "zero":
-        _take(cfg, "diffusion")
-        return lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float))
-    raise ValidationError(f"unknown diffusion registry name: {name!r}")
+def _zeros(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _build_intervention(cfg):
-    name = cfg.get("name")
-    if name == "additive":
-        _take(cfg, "intervention")
-        return lambda x, u: x + u
-    if name == "additive_clamped":
-        p = _take(cfg, "intervention", required=("limit",))
-        lim = p["limit"]
-        return lambda x, u: np.clip(x + u, -lim, lim)
-    raise ValidationError(f"unknown intervention registry name: {name!r}")
+def _full(x, value):
+    return np.full_like(np.asarray(x, dtype=float), value)
 
 
-def _build_running_reward(cfg):
-    name = cfg.get("name")
-    if name == "neg_square":
-        _take(cfg, "running_reward")
-        return lambda t, x: -(x * x)
-    if name == "zero":
-        _take(cfg, "running_reward")
-        return lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
-    raise ValidationError(f"unknown running_reward registry name: {name!r}")
+# family -> registry name -> (required parameters, optional parameters with
+# their defaults, factory taking the parameters by keyword and returning the
+# coefficient)
+_REGISTRY = {
+    "drift": {
+        "zero": ((), {}, lambda: lambda t, x, y: _zeros(x)),
+        "linear_delay_feedback": (
+            ("a", "k_p"), {}, lambda a, k_p: lambda t, x, y: a * x - k_p * y),
+        "custom_affine": (
+            (), {"c0": 0.0, "c_x": 0.0, "c_y": 0.0},
+            lambda c0, c_x, c_y: lambda t, x, y: c0 + c_x * x + c_y * y),
+    },
+    "diffusion": {
+        "constant": (("value",), {},
+                     lambda value: lambda t, x, y: _full(x, value)),
+        "zero": ((), {}, lambda: lambda t, x, y: _zeros(x)),
+    },
+    "intervention": {
+        "additive": ((), {}, lambda: lambda x, u: x + u),
+        "additive_clamped": (
+            ("limit",), {},
+            lambda limit: lambda x, u: np.clip(x + u, -limit, limit)),
+    },
+    "running_reward": {
+        "neg_square": ((), {}, lambda: lambda t, x: -(x * x)),
+        "zero": ((), {}, lambda: lambda t, x: _zeros(x)),
+    },
+    "terminal_reward": {
+        "neg_square": ((), {}, lambda: lambda x: -(x * x)),
+        "zero": ((), {}, lambda: lambda x: _zeros(x)),
+    },
+    "impulse_cost": {
+        "quadratic": ((), {"scale": 0.1},
+                      lambda scale: lambda x, u, t: scale * (1.0 + u * u)),
+        "constant": (("value",), {}, lambda value: lambda x, u, t: _full(
+            np.broadcast_arrays(x, u)[0], value)),
+    },
+    "initial_segment": {
+        "constant": ((), {"value": 0.0},
+                     lambda value: lambda t: _full(t, value)),
+    },
+}
+_PROBLEM_KEYS = (*_REGISTRY, "impulse_set", "horizon", "delay",
+                 "min_impulse_cost")
 
 
-def _build_terminal_reward(cfg):
-    name = cfg.get("name")
-    if name == "neg_square":
-        _take(cfg, "terminal_reward")
-        return lambda x: -(x * x)
-    if name == "zero":
-        _take(cfg, "terminal_reward")
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    raise ValidationError(f"unknown terminal_reward registry name: {name!r}")
-
-
-def _build_impulse_cost(cfg):
-    name = cfg.get("name")
-    if name == "quadratic":
-        p = _take(cfg, "impulse_cost", optional=(("scale", 0.1),))
-        s = p["scale"]
-        return lambda x, u, t: s * (1.0 + u * u)
-    if name == "constant":
-        p = _take(cfg, "impulse_cost", required=("value",))
-        val = p["value"]
-        return lambda x, u, t: np.full_like(np.asarray(np.broadcast_arrays(x, u)[0], dtype=float), val)
-    raise ValidationError(f"unknown impulse_cost registry name: {name!r}")
-
-
-def _build_initial_segment(cfg):
-    name = cfg.get("name")
-    if name == "constant":
-        p = _take(cfg, "initial_segment", optional=(("value", 0.0),))
-        val = p["value"]
-        return lambda t: np.full_like(np.asarray(t, dtype=float), val)
-    raise ValidationError(f"unknown initial_segment registry name: {name!r}")
-
-
-_REGISTRY_KEYS = {"drift", "diffusion", "intervention", "running_reward",
-                  "terminal_reward", "impulse_cost", "initial_segment"}
-_PROBLEM_KEYS = _REGISTRY_KEYS | {"impulse_set", "horizon", "delay",
-                                  "min_impulse_cost"}
+def _build(family, cfg):
+    """The `family` coefficient that the registry entry `cfg` names."""
+    where = f"problem.{family}"
+    name = json_object(cfg, where).get("name")
+    # a name that is not a string is unknown too, not an unhashable key
+    entry = _REGISTRY[family].get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise ValidationError(f"{where}.name: unknown {family} registry "
+                              f"name {name!r}")
+    required, optional, factory = entry
+    reject_unknown(cfg, ("name", *required, *optional), where)
+    params = {k: require(cfg, k, where) for k in required}
+    params.update({k: cfg.get(k, d) for k, d in optional.items()})
+    return factory(**{k: real_number(v, f"{where}.{k}")
+                      for k, v in params.items()})
 
 
 def build_problem_spec(problem_cfg: dict) -> ProblemSpec:
@@ -405,34 +395,21 @@ def build_problem_spec(problem_cfg: dict) -> ProblemSpec:
 
     Unknown keys anywhere in the document are errors.
     """
-    unknown = set(problem_cfg) - _PROBLEM_KEYS
-    if unknown:
-        raise ValidationError(f"unknown keys {sorted(unknown)} in problem config")
-    for key in sorted(_PROBLEM_KEYS - {"min_impulse_cost"}):
-        if key not in problem_cfg:
-            raise ValidationError(f"missing key {key!r} in problem config")
-    for key in sorted(_REGISTRY_KEYS):
-        if not isinstance(problem_cfg[key], dict):
-            raise ValidationError(f"problem.{key}: must be an object with a "
-                                  f"registry name, got {problem_cfg[key]!r}")
-    bounds = problem_cfg["impulse_set"]
+    reject_unknown(problem_cfg, _PROBLEM_KEYS, "problem")
+    bounds = require(problem_cfg, "impulse_set", "problem")
     if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
         raise ValidationError("problem.impulse_set: must be a [lower, upper] "
                               f"pair, got {bounds!r}")
     lo, hi = bounds
     return ProblemSpec(
-        horizon=real_number(problem_cfg["horizon"], "problem.horizon"),
-        delay=real_number(problem_cfg["delay"], "problem.delay"),
-        drift=_build_drift(problem_cfg["drift"]),
-        diffusion=_build_diffusion(problem_cfg["diffusion"]),
-        intervention=_build_intervention(problem_cfg["intervention"]),
-        running_reward=_build_running_reward(problem_cfg["running_reward"]),
-        terminal_reward=_build_terminal_reward(problem_cfg["terminal_reward"]),
-        impulse_cost=_build_impulse_cost(problem_cfg["impulse_cost"]),
+        horizon=real_number(require(problem_cfg, "horizon", "problem"),
+                            "problem.horizon"),
+        delay=real_number(require(problem_cfg, "delay", "problem"),
+                          "problem.delay"),
         impulse_set=ImpulseSet(real_number(lo, "problem.impulse_set"),
                                real_number(hi, "problem.impulse_set")),
-        initial_segment=_build_initial_segment(problem_cfg["initial_segment"]),
         min_impulse_cost=real_number(problem_cfg.get("min_impulse_cost", 0.05),
                                      "problem.min_impulse_cost"),
         meta={"problem": problem_cfg},
-    )
+        **{family: _build(family, require(problem_cfg, family, "problem"))
+           for family in _REGISTRY})

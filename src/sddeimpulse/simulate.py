@@ -43,6 +43,8 @@ class TimeGrid:
 
     @classmethod
     def for_spec(cls, spec: ProblemSpec, dt: float) -> "TimeGrid":
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValidationError(f"dt must be finite and positive, got {dt}")
         n = round(spec.horizon / dt)
         if abs(n * dt - spec.horizon) > TIME_TOL:
             raise ValidationError(f"dt={dt} does not divide horizon {spec.horizon}")

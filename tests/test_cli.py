@@ -149,14 +149,19 @@ class TestCommands:
         ("degree", -1), ("ridge_lambda", -1.0), ("ridge_lambda", float("nan")),
         ("exploration_rate", 2.0), ("exploration_rate", -0.5),
         ("exploration_rate", float("nan")), ("tol", float("nan"))])
-    def test_exit_code_2_on_bad_solver_knob(self, tmp_path, key, value):
-        raw = load_raw("tiny1.json")
-        raw["solver"]["backend"] = "regression"
-        raw["solver"][key] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
-        assert main(["solve", "--config", str(bad),
-                     "--out", str(tmp_path)]) == 2
+    def test_exit_code_2_on_bad_solver_knob(self, tmp_path, capsys, key,
+                                            value):
+        # every setting is checked at load, whatever the backend and command
+        for command, backend in (("solve", "regression"),
+                                 ("probe-flow", "grid")):
+            raw = load_raw("tiny1.json")
+            raw["solver"]["backend"] = backend
+            raw["solver"][key] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(raw))
+            assert main([command, "--config", str(bad),
+                         "--out", str(tmp_path)]) == 2
+            assert key in capsys.readouterr().err
 
     def test_probe_flow_draws_each_path_once(self, tmp_path, monkeypatch):
         # counted at the keyed-stream kernel, which every noise row goes
@@ -196,14 +201,16 @@ class TestCommands:
         ("problem", "horizon", float("inf")),
         ("discretization", "dt", float("nan")),
         ("discretization", "dt", float("inf"))])
-    def test_exit_code_2_on_non_finite_time(self, tmp_path, section, key,
-                                            value):
+    def test_exit_code_2_on_non_finite_time(self, tmp_path, capsys, section,
+                                            key, value):
         raw = load_raw("tiny1.json")
         raw[section][key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
-        assert main(["solve", "--config", str(bad),
-                     "--out", str(tmp_path)]) == 2
+        for command in ("solve", "probe-flow"):
+            assert main([command, "--config", str(bad),
+                         "--out", str(tmp_path)]) == 2
+            assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key,value", [
         ("evaluation", "seed", -1), ("evaluation", "seed", 2 ** 64),
@@ -272,6 +279,48 @@ class TestCommands:
         assert main(["solve", "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
         assert f"problem.{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,value", [
+        ("solver", "grid"), ("discretization", [1, 2]), ("oracle", 5),
+        ("config", 5)])
+    def test_exit_code_2_on_section_not_an_object(self, tmp_path, capsys,
+                                                  section, value):
+        raw = load_raw("tiny1.json")
+        if section == "config":
+            raw = value
+        else:
+            raw[section] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        assert f"{section}: must be a JSON object" in capsys.readouterr().err
+
+    def test_exit_code_2_on_oracle_without_instance(self, tmp_path, capsys):
+        raw = load_raw("tiny1.json")
+        raw["oracle"] = {"max_impulses": 2}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["oracle-compare", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        assert "oracle.instance: required" in capsys.readouterr().err
+
+    def test_exit_code_2_on_regression_artifact_of_other_lift(self, tmp_path,
+                                                              capsys):
+        # lift 6 at solve, lift 2 at evaluate, on the same 5-step time grid
+        raw = load_raw("delay_feedback.json")
+        raw["problem"]["horizon"] = 0.05
+        raw["solver"].update(k_max=1, n_samples=200)
+        raw["discretization"]["n_impulse"] = 3
+        raw["evaluation"]["n_paths"] = 10
+        cfg = tmp_path / "cfg.json"
+        out = str(tmp_path / "run")
+        cfg.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(cfg), "--out", out]) == 0
+        raw["problem"]["delay"] = 0.01
+        cfg.write_text(json.dumps(raw))
+        assert main(["evaluate", "--config", str(cfg), "--out", out]) == 2
+        assert "lift dimension 2" in capsys.readouterr().err
 
     def test_exit_code_2_on_integer_literal_too_long_to_parse(self, tmp_path):
         text = json.dumps(load_raw("tiny1.json"))

@@ -203,3 +203,64 @@ class TestRegistry:
         cfg = dict(self.BASE, horizon=-1.0)
         with pytest.raises(ValidationError):
             build_problem_spec(cfg)
+
+    def test_unknown_name_that_is_not_a_string(self):
+        for name in (["zero"], {"zero": 1}, 3, None):
+            cfg = dict(self.BASE, drift={"name": name})
+            with pytest.raises(ValidationError,
+                               match="unknown drift registry name"):
+                build_problem_spec(cfg)
+
+
+# Array inputs whose shapes differ, so each coefficient's broadcast shape shows
+_T = np.array([[0.1], [0.7]])
+_X = np.array([[-3.5, -0.25, 0.0], [0.5, 1.75, 4.0]])
+_Y = np.array([2.25, -1.5, 0.75])
+_U = np.array([[-2.0, 0.5, 1.25]])
+_ARGS = {"drift": (_T, _X, _Y), "diffusion": (_T, _X, _Y),
+         "intervention": (_X, _U), "running_reward": (_T, _X),
+         "terminal_reward": (_X,), "impulse_cost": (_X, _U, _T),
+         "initial_segment": (_T,)}
+
+# Every registry entry, with its closed form on the _ARGS of its family
+REGISTRY_ENTRIES = [
+    ("drift", {"name": "zero"}, lambda t, x, y: np.zeros((2, 3))),
+    ("drift", {"name": "linear_delay_feedback", "a": 1.5, "k_p": 0.7},
+     lambda t, x, y: 1.5 * x - 0.7 * y),
+    ("drift", {"name": "custom_affine", "c0": 0.25, "c_x": -1.5, "c_y": 0.5},
+     lambda t, x, y: 0.25 + -1.5 * x + 0.5 * y),
+    ("drift", {"name": "custom_affine"},
+     lambda t, x, y: 0.0 + 0.0 * x + 0.0 * y),
+    ("diffusion", {"name": "constant", "value": 0.3},
+     lambda t, x, y: np.full((2, 3), 0.3)),
+    ("diffusion", {"name": "zero"}, lambda t, x, y: np.zeros((2, 3))),
+    ("intervention", {"name": "additive"}, lambda x, u: x + u),
+    ("intervention", {"name": "additive_clamped", "limit": 1.5},
+     lambda x, u: np.minimum(np.maximum(x + u, -1.5), 1.5)),
+    ("running_reward", {"name": "neg_square"}, lambda t, x: -(x * x)),
+    ("running_reward", {"name": "zero"}, lambda t, x: np.zeros((2, 3))),
+    ("terminal_reward", {"name": "neg_square"}, lambda x: -(x * x)),
+    ("terminal_reward", {"name": "zero"}, lambda x: np.zeros((2, 3))),
+    ("impulse_cost", {"name": "quadratic", "scale": 0.2},
+     lambda x, u, t: 0.2 * (1.0 + u * u)),
+    ("impulse_cost", {"name": "quadratic"},
+     lambda x, u, t: 0.1 * (1.0 + u * u)),
+    ("impulse_cost", {"name": "constant", "value": 0.4},
+     lambda x, u, t: np.full((2, 3), 0.4)),
+    ("initial_segment", {"name": "constant", "value": -0.5},
+     lambda t: np.full((2, 1), -0.5)),
+    ("initial_segment", {"name": "constant"}, lambda t: np.zeros((2, 1))),
+]
+
+
+@pytest.mark.parametrize(
+    "family,entry,closed_form", REGISTRY_ENTRIES,
+    ids=["-".join([f, *map(str, e.values())]) for f, e, _ in REGISTRY_ENTRIES])
+def test_registry_entry_matches_closed_form(family, entry, closed_form):
+    spec = build_problem_spec(dict(TestRegistry.BASE, **{family: entry}))
+    got = getattr(spec, family)(*_ARGS[family])
+    want = closed_form(*_ARGS[family])
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+

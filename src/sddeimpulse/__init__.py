@@ -16,7 +16,7 @@ from .bellman import (DivergenceError, GridBackend, GridValueFunction, Policy,
                       RegressionBackend, RegressionValueFunction,
                       fit_regression_step, k_value_iteration,
                       load_value_function, policy_stack, save_value_function)
-from .oracle import (FiniteTree, build_tiny_instance, enumerate_controls,
-                     exact_snell_on_tree, exact_state_axis)
+from .oracle import (FiniteTree, enumerate_controls, exact_snell_on_tree,
+                     exact_state_axis)
 
 __version__ = "0.1.0"

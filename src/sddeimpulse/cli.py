@@ -28,18 +28,17 @@ from .lattice import (gauss_hermite_quadrature, two_point_quadrature,
 from .bellman import (GridBackend, Policy, RegressionBackend,
                       k_value_iteration, policy_stack, save_value_function,
                       load_value_function, DivergenceError)
-from .oracle import (build_tiny_instance, enumerate_controls, exact_state_axis,
+from .oracle import (FiniteTree, enumerate_controls, exact_state_axis,
                      table_from_decisions, table_to_json)
 
 
 _TOP_KEYS = ("problem", "discretization", "solver", "evaluation",
-             "output_dir", "oracle")
+             "output_dir")
 _DISC_KEYS = ("dt", "grid_bound", "points_per_axis", "n_impulse",
               "quadrature", "quadrature_nodes")
 _SOLVER_KEYS = ("backend", "k_max", "tol", "degree", "ridge_lambda",
                 "n_samples", "exploration_rate", "sample_seed")
 _EVAL_KEYS = ("n_paths", "seed")
-_ORACLE_KEYS = ("instance", "max_impulses")
 
 
 class RunConfig:
@@ -55,10 +54,6 @@ class RunConfig:
         reject_unknown(disc, _DISC_KEYS, "discretization")
         reject_unknown(sol, _SOLVER_KEYS, "solver")
         reject_unknown(ev, _EVAL_KEYS, "evaluation")
-        self.oracle = raw.get("oracle")
-        if self.oracle is not None:
-            reject_unknown(json_object(self.oracle, "oracle"), _ORACLE_KEYS,
-                           "oracle")
 
         self.dt = real_number(require(disc, "dt", "discretization"),
                               "discretization.dt")
@@ -67,9 +62,10 @@ class RunConfig:
         self.points_per_axis = _integer(disc, "discretization",
                                         "points_per_axis", 41, lowest=2)
         self.n_impulse = _integer(disc, "discretization", "n_impulse", 41)
-        self.quadrature = disc.get("quadrature", "gauss_hermite")
-        self.quadrature_nodes = _integer(disc, "discretization",
-                                         "quadrature_nodes", 7)
+        quadrature = disc.get("quadrature", "gauss_hermite")
+        # fewer than two Gauss-Hermite nodes cannot carry the variance dt
+        quadrature_nodes = _integer(disc, "discretization",
+                                    "quadrature_nodes", 7, lowest=2)
 
         self.backend = sol.get("backend", "grid")
         if self.backend not in ("grid", "regression"):
@@ -104,6 +100,7 @@ class RunConfig:
         self.spec = build_problem_spec(self.problem)
         # TimeGrid.for_spec enforces that dt divides both delay and horizon
         self.grid = TimeGrid.for_spec(self.spec, self.dt)
+        self.quadrature = _quadrature(quadrature, self.dt, quadrature_nodes)
 
     @classmethod
     def load(cls, path):
@@ -121,14 +118,7 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
     def build_quadrature(self):
-        if self.quadrature == "gauss_hermite":
-            return gauss_hermite_quadrature(self.dt, self.quadrature_nodes)
-        if self.quadrature == "two_point":
-            return two_point_quadrature(self.dt)
-        if self.quadrature == "three_point":
-            return three_point_quadrature(self.dt)
-        raise ValidationError(f"discretization.quadrature: unknown kind "
-                              f"{self.quadrature!r}")
+        return self.quadrature
 
     def u_grid(self):
         return self.spec.impulse_set.grid(self.n_impulse)
@@ -141,6 +131,16 @@ class RunConfig:
 
     def initial_state(self):
         return initial_lifted_state(self.spec, self.grid)[None, :]
+
+
+def _quadrature(kind, dt, n_nodes):
+    if kind == "gauss_hermite":
+        return gauss_hermite_quadrature(dt, n_nodes)
+    if kind == "two_point":
+        return two_point_quadrature(dt)
+    if kind == "three_point":
+        return three_point_quadrature(dt)
+    raise ValidationError(f"discretization.quadrature: unknown kind {kind!r}")
 
 
 def _check_seed(name, seed):
@@ -309,8 +309,7 @@ def cmd_probe_flow(cfg, out_dir):
         pb = (base_t + dt_off, base_u + du)
         dists.append(float(np.hypot(pb[0] - pa[0], pb[1] - pa[1])))
         offsets.append(pb)
-    moments = flow_stability_probe(cfg.spec, ImpulseControl(), pa, offsets,
-                                   ImpulseControl(), noise, cfg.grid)
+    moments = flow_stability_probe(cfg.spec, pa, offsets, noise, cfg.grid)
     slope = float(np.polyfit(np.log(dists), np.log(moments), 1)[0])
     with open(os.path.join(out_dir, "probe_flow.csv"), "w") as fh:
         fh.write("distance,moment\n")
@@ -335,32 +334,33 @@ def cmd_check_assumptions(cfg, out_dir):
 
 
 def cmd_oracle_compare(cfg, out_dir):
-    if cfg.oracle is None:
-        raise ValidationError("oracle: config section required for "
-                              "oracle-compare (instance, max_impulses)")
+    """The config's own problem on the tree that branches like its
+    quadrature, at budget k_max: grid DP on the exact state axis against
+    exhaustive enumeration."""
+    k = cfg.k_max
+    quad = cfg.build_quadrature()
+    u_grid = cfg.u_grid()
+    x0 = cfg.initial_state()
+    tree = FiniteTree.for_grid(x0[0, 0], cfg.dt, cfg.grid.n_steps, quad.nodes,
+                               quad.weights, u_grid)
+    # first, so that a delay or a tree beyond the budget stops the command
+    # before any solve
+    oracle_value, oracle_table = enumerate_controls(cfg.spec, tree, k)
     os.makedirs(out_dir, exist_ok=True)
-    name = require(cfg.oracle, "instance", "oracle")
-    k = _integer(cfg.oracle, "oracle", "max_impulses", 1)
-    spec, tree = build_tiny_instance(name)
-    grid = TimeGrid.for_spec(spec, tree.dt)
-    quad = (two_point_quadrature if name == "TINY-1"
-            else three_point_quadrature)(tree.dt)
-    u_grid = np.asarray(tree.u_grid, dtype=float)
-    axis = exact_state_axis(spec, tree, k)
-    iterates, _ = k_value_iteration(spec, grid, GridBackend(axes=(axis,)),
-                                    quad, u_grid, k_max=k, tol=1e-12)
-    x0 = initial_lifted_state(spec, grid)[None, :]
+    axis = exact_state_axis(cfg.spec, tree, k)
+    iterates, _ = k_value_iteration(cfg.spec, cfg.grid,
+                                    GridBackend(axes=(axis,)), quad, u_grid,
+                                    k_max=k, tol=1e-12)
     dp_value = float(iterates[min(k, len(iterates) - 1)].value_at(0, x0)[0])
-    oracle_value, oracle_table = enumerate_controls(spec, tree, k)
-    stack = policy_stack(iterates, spec, u_grid, quad)
+    stack = policy_stack(iterates, cfg.spec, u_grid, quad)
 
     def decide(level, state, budget):
         pol = stack[min(budget, len(stack) - 1)]
         action, u = pol.decide(level, np.array([state]))
         return None if action == "CONTINUE" else u
 
-    dp_table = table_from_decisions(decide, spec, tree, k)
-    result = {"instance": name, "max_impulses": k,
+    dp_table = table_from_decisions(decide, cfg.spec, tree, k)
+    result = {"max_impulses": k,
               "dp_value": dp_value, "oracle_value": oracle_value,
               "abs_diff": abs(dp_value - oracle_value),
               "tables_equal": dp_table == oracle_table,

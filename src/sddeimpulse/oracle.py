@@ -2,8 +2,12 @@
 
 Exhaustive search over adapted decision tables and an exact Snell recursion,
 kept deliberately simple and separate from the production solver so the two
-can be compared.  Only the delay-free case is carried on trees; both tiny
-validation instances have zero delay.
+can be compared.  Only the delay-free case is carried on trees.  The module
+defines no problem of its own: `FiniteTree.for_grid` builds the tree whose
+every level branches like a noise quadrature, and `oracle-compare` feeds it a
+config's quadrature, impulse grid, time step and initial state, so
+`configs/tiny1.json` and `configs/tiny2.json` are the one definition of the
+instances the solver is checked on.
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ImpulseSet, ProblemSpec, ValidationError
+from .core import ProblemSpec, ValidationError
 
 EVAL_BUDGET = 10_000_000
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(ValidationError):
     """Enumeration would exceed the evaluation guard."""
 
 
@@ -43,6 +47,14 @@ class FiniteTree:
             if abs(sum(probs) - 1.0) > 1e-12:
                 raise ValidationError("branch probabilities must sum to 1")
 
+    @classmethod
+    def for_grid(cls, initial_state, dt, depth, nodes, weights, u_grid):
+        """The tree of `depth` levels that each branch into the quadrature
+        `nodes` with probabilities `weights`, rooted at `initial_state`."""
+        step = (tuple(map(float, nodes)), tuple(map(float, weights)))
+        return cls(initial_state=float(initial_state), dt=dt,
+                   steps=(step,) * depth, u_grid=tuple(map(float, u_grid)))
+
     @property
     def depth(self):
         return len(self.steps)
@@ -64,43 +76,6 @@ class FiniteTree:
         return total
 
 
-def build_tiny_instance(name: str):
-    """Hand-sized instances for validating the solver end to end.
-
-    TINY-1: two half-steps of Bernoulli noise, driftless, additive jumps,
-    squared-state penalties.  TINY-2: the same with unit linear drift and
-    three-point noise.
-    """
-    if name not in ("TINY-1", "TINY-2"):
-        raise ValidationError(f"unknown tiny instance {name!r}")
-    dt = 0.5
-    if name == "TINY-1":
-        drift = lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float))
-        r = np.sqrt(dt)
-        step = ((-r, r), (0.5, 0.5))
-    else:
-        drift = lambda t, x, y: np.asarray(x, dtype=float)
-        r = np.sqrt(3.0 * dt)
-        step = ((-r, 0.0, r), (1 / 6, 2 / 3, 1 / 6))
-    spec = ProblemSpec(
-        horizon=1.0,
-        delay=0.0,
-        drift=drift,
-        diffusion=lambda t, x, y: np.ones_like(np.asarray(x, dtype=float)),
-        intervention=lambda x, u: x + u,
-        running_reward=lambda t, x: -(x * x),
-        impulse_cost=lambda x, u, t: 0.1 * (1.0 + u * u),
-        terminal_reward=lambda x: -(x * x),
-        impulse_set=ImpulseSet(-1.0, 1.0),
-        initial_segment=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        min_impulse_cost=0.05,
-        meta={"name": name},
-    )
-    tree = FiniteTree(initial_state=0.0, dt=dt, steps=(step, step),
-                      u_grid=(-1.0, 0.0, 1.0))
-    return spec, tree
-
-
 def _child_state(spec, tree, level, post, z):
     t = level * tree.dt
     return post + float(spec.drift(t, post, post)) * tree.dt \
@@ -119,8 +94,12 @@ def enumerate_controls(spec: ProblemSpec, tree: FiniteTree, max_impulses: int):
     """
     if spec.delay != 0:
         raise ValidationError("tree oracle only carries the delay-free case")
-    if tree.node_count() * (len(tree.u_grid) + 1) ** max_impulses > EVAL_BUDGET:
-        raise BudgetExceeded("instance too large for exhaustive enumeration")
+    options = len(tree.u_grid) + 1  # CONTINUE or one impulse per node
+    if tree.node_count() * options ** max_impulses > EVAL_BUDGET:
+        raise BudgetExceeded(
+            f"budget of {max_impulses} impulses: {tree.node_count()} nodes "
+            f"x {options}**{max_impulses} choices exceed the enumeration "
+            f"limit of {EVAL_BUDGET} evaluations")
     evals = [0]
 
     def best(level, path, state, budget):
@@ -254,7 +233,7 @@ def exact_state_axis(spec: ProblemSpec, tree: FiniteTree, k_max: int,
     """All state values reachable through Euler steps and up to `k_max`
     impulse applications per decision level, deduplicated; using these as
     grid nodes makes grid-backend interpolation exact on the tree."""
-    level_states = {0.0}
+    level_states = {float(tree.initial_state)}
     collected = set()
     for level in range(tree.depth + 1):
         expanded = set(level_states)

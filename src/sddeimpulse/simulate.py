@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (TIME_TOL, ImpulseControl, ImpulseEvent, ProblemSpec,
-                   Trajectory, ValidationError, compose_controls)
+                   Trajectory, ValidationError)
 from .lattice import step_transition_batch
 
 OVERFLOW_LIMIT = 1e9
@@ -233,50 +233,24 @@ def estimate_J(spec: ProblemSpec, policy_or_control, n_paths: int, seed: int,
     return mean, stderr
 
 
-def _single(pair):
-    return ImpulseControl((pair,))
+def flow_stability_probe(spec: ProblemSpec, pair_a, pairs_b,
+                         noise: np.ndarray, grid: TimeGrid) -> list:
+    """Monte Carlo estimates of E[sup_{s>=t_hat} |X^a_s - X^b_s|^(4+2m)],
+    one per pair_b in pairs_b and one path pair per noise row, where X^a and
+    X^b run under the one-impulse controls (pair_a,) and (pair_b,), t_hat is
+    the later pair time and m = 1 (scalar impulses).  The pair_a paths are
+    simulated once, and no pair_b paths outlive their own moment."""
+    pa = simulate_batch(spec, grid, noise, ImpulseControl((pair_a,)))[2]
 
+    def moment(pair_b):
+        pb = simulate_batch(spec, grid, noise, ImpulseControl((pair_b,)))[2]
+        k_hat = grid.index_of(max(pair_a[0], pair_b[0]))
+        diff = pa[:, k_hat:] - pb[:, k_hat:]
+        # in place: one (n_paths, n_steps - k_hat) temporary instead of two
+        sups = np.max(np.abs(diff, out=diff), axis=1)
+        return float(np.mean(sups ** 6))
 
-def coupled_sup_diffs(spec: ProblemSpec, prefix: ImpulseControl, pair_a,
-                      pairs_b, suffix: ImpulseControl, noise: np.ndarray,
-                      grid: TimeGrid):
-    """Per-path sup_{s >= t_hat} |X^a_s - X^b_s| for each pair_b in pairs_b,
-    one path pair per noise row, where the controls are
-    prefix o pair o suffix and t_hat is the later pair time.  The pair_a
-    paths are simulated once; the arrays are yielded in order, and no
-    pair_b paths outlive their own array."""
-    T = grid.horizon
-    pa = simulate_batch(spec, grid, noise, compose3(prefix, pair_a, suffix, T))[2]
-    for pair_b in pairs_b:
-        cb = compose3(prefix, pair_b, suffix, T)
-        yield _sup_diff(pa, simulate_batch(spec, grid, noise, cb)[2],
-                        grid.index_of(max(pair_a[0], pair_b[0])))
-
-
-def _sup_diff(pa, pb, k_hat):
-    diff = pa[:, k_hat:] - pb[:, k_hat:]
-    # in place: one (n_paths, n_steps - k_hat) temporary instead of two
-    return np.max(np.abs(diff, out=diff), axis=1)
-
-
-def compose3(prefix, pair, suffix, horizon):
-    return compose_controls(compose_controls(prefix, _single(pair), horizon),
-                            suffix, horizon)
-
-
-def flow_stability_probe(spec: ProblemSpec, prefix: ImpulseControl, pair_a,
-                         pairs_b, suffix: ImpulseControl, noise: np.ndarray,
-                         grid: TimeGrid) -> list:
-    """Monte Carlo estimates of E[sup_{s>=t_hat} |difference|^(4+2m)] for the
-    coupled controlled paths, one per pair_b in pairs_b and one path pair per
-    noise row, m = 1 (scalar impulses)."""
-    # map keeps no reference to a pair's sup array while the next is built
-    return list(map(_sixth_moment, coupled_sup_diffs(
-        spec, prefix, pair_a, pairs_b, suffix, noise, grid)))
-
-
-def _sixth_moment(sups):
-    return float(np.mean(sups ** 6))
+    return [moment(pair_b) for pair_b in pairs_b]
 
 
 def export_trajectories_csv(path, spec: ProblemSpec, policy_or_control,

@@ -17,14 +17,14 @@ from sddeimpulse.bellman import (GridBackend, RegressionBackend,
                                  policy_stack)
 from sddeimpulse.cli import RunConfig, main
 from sddeimpulse.core import ImpulseControl
-from sddeimpulse.lattice import (gauss_hermite_quadrature,
-                                 three_point_quadrature, two_point_quadrature)
-from sddeimpulse.oracle import (FiniteTree, build_tiny_instance,
-                                enumerate_controls, exact_snell_on_tree,
-                                exact_state_axis, expected_reward_under_rule,
+from sddeimpulse.oracle import (FiniteTree, enumerate_controls,
+                                exact_snell_on_tree, exact_state_axis,
+                                expected_reward_under_rule,
                                 table_from_decisions)
-from sddeimpulse.simulate import (TimeGrid, draw_noise_matrix, estimate_J,
+from sddeimpulse.simulate import (draw_noise_matrix, estimate_J,
                                   flow_stability_probe, simulate_batch)
+
+from test_oracle import tiny_instance
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(HERE, os.pardir, "configs")
@@ -51,16 +51,14 @@ def reduced_solution():
 
 
 def test_criterion_1_oracle_equivalence(capsys):
-    quads = {"TINY-1": two_point_quadrature, "TINY-2": three_point_quadrature}
     ok = True
-    for name in ("TINY-1", "TINY-2"):
-        spec, tree = build_tiny_instance(name)
-        grid = TimeGrid.for_spec(spec, tree.dt)
-        quad = quads[name](tree.dt)
-        u_grid = np.asarray(tree.u_grid, dtype=float)
+    for name in ("tiny1.json", "tiny2.json"):
+        cfg, tree = tiny_instance(name)
+        spec, quad, u_grid = cfg.spec, cfg.build_quadrature(), cfg.u_grid()
         for k in (1, 2, 3):
             axis = exact_state_axis(spec, tree, k)
-            its, _ = k_value_iteration(spec, grid, GridBackend(axes=(axis,)),
+            its, _ = k_value_iteration(spec, cfg.grid,
+                                       GridBackend(axes=(axis,)),
                                        quad, u_grid, k_max=k, tol=1e-12)
             best, oracle_table = enumerate_controls(spec, tree, k)
             v = float(its[min(k, len(its) - 1)].value_at(
@@ -155,8 +153,7 @@ def test_criterion_5_flow_stability_exponent(capsys):
         du = np.sqrt(max(d * d - dt_off * dt_off, 0.0))
         offsets.append((base[0] + dt_off, base[1] + du))
         dists.append(float(np.hypot(dt_off, du)))
-    moments = flow_stability_probe(cfg.spec, ImpulseControl(), base, offsets,
-                                   ImpulseControl(), noise, cfg.grid)
+    moments = flow_stability_probe(cfg.spec, base, offsets, noise, cfg.grid)
     slope = float(np.polyfit(np.log(dists), np.log(moments), 1)[0])
     verdict(capsys, 5, f"coupled-path sixth-moment slope {slope:.2f} >= 2.4",
             slope >= 2.4)

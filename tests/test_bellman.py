@@ -16,12 +16,12 @@ from sddeimpulse.bellman import (DivergenceError, GridBackend,
                                  fit_regression_step, k_value_iteration,
                                  load_value_function, monomial_powers,
                                  multilinear_interp, save_value_function)
-from sddeimpulse.lattice import (gauss_hermite_quadrature,
-                                 three_point_quadrature, two_point_quadrature)
-from sddeimpulse.oracle import (FiniteTree, build_tiny_instance,
-                                exact_snell_on_tree, exact_state_axis)
+from sddeimpulse.lattice import gauss_hermite_quadrature
+from sddeimpulse.oracle import (FiniteTree, exact_snell_on_tree,
+                                exact_state_axis)
 from sddeimpulse.simulate import TimeGrid, export_trajectories_csv
 
+from test_oracle import tiny_instance
 from test_simulate import feedback_spec
 
 
@@ -318,14 +318,13 @@ class TestKValueIteration:
 
     def test_single_impulse_level_matches_tree_search(self):
         from sddeimpulse.oracle import enumerate_controls
-        spec, tree = build_tiny_instance("TINY-1")
-        grid = TimeGrid.for_spec(spec, tree.dt)
-        quad = two_point_quadrature(tree.dt)
-        axis = exact_state_axis(spec, tree, 1)
-        its, _ = k_value_iteration(spec, grid, GridBackend(axes=(axis,)),
-                                   quad, np.asarray(tree.u_grid), k_max=1,
-                                   tol=1e-12)
-        best, _ = enumerate_controls(spec, tree, 1)
+        cfg, tree = tiny_instance("tiny1.json")
+        axis = exact_state_axis(cfg.spec, tree, 1)
+        its, _ = k_value_iteration(cfg.spec, cfg.grid,
+                                   GridBackend(axes=(axis,)),
+                                   cfg.build_quadrature(), cfg.u_grid(),
+                                   k_max=1, tol=1e-12)
+        best, _ = enumerate_controls(cfg.spec, tree, 1)
         v = its[-1].value_at(0, np.array([[0.0]]))[0]
         assert abs(v - best) <= 1e-9
 
@@ -530,10 +529,9 @@ class TestRegressionSweep:
         assert gaps == ref_gaps
 
     def test_levels_above_convergence_are_trimmed(self):
-        spec, tree = build_tiny_instance("TINY-2")
-        grid = TimeGrid.for_spec(spec, tree.dt)
-        args = (spec, grid, RegressionBackend(), three_point_quadrature(tree.dt),
-                spec.impulse_set.grid(3), 8, 1e-2)
+        cfg, _ = tiny_instance("tiny2.json")
+        args = (cfg.spec, cfg.grid, RegressionBackend(),
+                cfg.build_quadrature(), cfg.u_grid(), 8, 1e-2)
         its, gaps = k_value_iteration(*args)
         ref, ref_gaps = reference_regression_solve(*args)
         assert len(its) < 9 and gaps[-1] < 1e-2

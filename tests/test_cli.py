@@ -91,6 +91,45 @@ class TestCommands:
         assert rep["abs_diff"] <= 1e-9
         assert rep["tables_equal"] is True
 
+    @pytest.mark.parametrize("name,start,value", [
+        ("tiny1.json", 0.5, -0.78934), ("tiny2.json", 0.0, -0.61297)],
+        ids=["tiny1-start-0.5", "tiny2"])
+    def test_oracle_compare_checks_the_configs_problem(self, tmp_path, name,
+                                                       start, value):
+        raw = load_raw(name)
+        raw["problem"]["initial_segment"]["value"] = start
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["oracle-compare", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "oracle_compare.json") as fh:
+            rep = json.load(fh)
+        assert rep["abs_diff"] <= 1e-9
+        assert rep["tables_equal"] is True
+        assert rep["max_impulses"] == raw["solver"]["k_max"]
+        assert rep["oracle_value"] == pytest.approx(value, abs=1e-5)
+
+    @pytest.mark.parametrize("name,settings,message", [
+        ("delay_feedback_reduced.json", {}, "delay-free"),
+        ("tiny1.json", {"solver": {"k_max": 12}}, "budget of 12 impulses"),
+        ("tiny1.json", {"oracle": {"instance": "TINY-1", "max_impulses": 2}},
+         "unknown keys ['oracle']")],
+        ids=["delay", "budget", "oracle-section"])
+    def test_exit_code_2_on_problem_beyond_the_oracle(self, tmp_path, capsys,
+                                                      name, settings,
+                                                      message):
+        raw = load_raw(name)
+        for section, values in settings.items():
+            raw.setdefault(section, {}).update(values)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["oracle-compare", "--config", str(bad),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        # rejected before any solve
+        assert not out.exists()
+
     def test_simulate_deterministic(self, tiny_run, tmp_path):
         cfg_path, out = tiny_run
         assert main(["simulate", "--config", cfg_path, "--out", out]) == 0
@@ -163,6 +202,22 @@ class TestCommands:
                          "--out", str(tmp_path)]) == 2
             assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("settings,key", [
+        ({"quadrature": "nonsense"}, "discretization.quadrature:"),
+        ({"quadrature": "gauss_hermite", "quadrature_nodes": 1},
+         "discretization.quadrature_nodes:")],
+        ids=["unknown-kind", "one-node"])
+    def test_exit_code_2_on_bad_quadrature(self, tmp_path, capsys, settings,
+                                           key):
+        # checked at load, also for a command that takes no expectation
+        raw = load_raw("tiny1.json")
+        raw["discretization"].update(settings)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["probe-flow", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_probe_flow_draws_each_path_once(self, tmp_path, monkeypatch):
         # counted at the keyed-stream kernel, which every noise row goes
         # through, whether drawn singly or as a matrix
@@ -230,15 +285,14 @@ class TestCommands:
         ("discretization", "points_per_axis", 41.0),
         ("discretization", "quadrature_nodes", "7"),
         ("solver", "degree", 2.0), ("solver", "n_samples", None),
-        ("solver", "sample_seed", False), ("oracle", "max_impulses", 1.5)])
+        ("solver", "sample_seed", False)])
     def test_exit_code_2_on_non_integer_setting(self, tmp_path, capsys,
                                                 section, key, value):
         raw = load_raw("tiny1.json")
         raw[section][key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
-        command = "oracle-compare" if section == "oracle" else "solve"
-        assert main([command, "--config", str(bad),
+        assert main(["solve", "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
         assert f"{section}.{key}: must be an integer" in capsys.readouterr().err
 
@@ -281,8 +335,7 @@ class TestCommands:
         assert f"problem.{key}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,value", [
-        ("solver", "grid"), ("discretization", [1, 2]), ("oracle", 5),
-        ("config", 5)])
+        ("solver", "grid"), ("discretization", [1, 2]), ("config", 5)])
     def test_exit_code_2_on_section_not_an_object(self, tmp_path, capsys,
                                                   section, value):
         raw = load_raw("tiny1.json")
@@ -295,15 +348,6 @@ class TestCommands:
         assert main(["solve", "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
         assert f"{section}: must be a JSON object" in capsys.readouterr().err
-
-    def test_exit_code_2_on_oracle_without_instance(self, tmp_path, capsys):
-        raw = load_raw("tiny1.json")
-        raw["oracle"] = {"max_impulses": 2}
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
-        assert main(["oracle-compare", "--config", str(bad),
-                     "--out", str(tmp_path)]) == 2
-        assert "oracle.instance: required" in capsys.readouterr().err
 
     def test_exit_code_2_on_regression_artifact_of_other_lift(self, tmp_path,
                                                               capsys):

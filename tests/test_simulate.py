@@ -10,8 +10,7 @@ import pytest
 from sddeimpulse import (ImpulseControl, ImpulseSet, ProblemSpec,
                          ValidationError, build_problem_spec)
 from sddeimpulse.simulate import (NoiseDraw, SimulationError, TimeGrid,
-                                  coupled_sup_diffs, draw_noise,
-                                  draw_noise_matrix, estimate_J,
+                                  draw_noise, draw_noise_matrix, estimate_J,
                                   export_trajectories_csv,
                                   flow_stability_probe, simulate_controlled)
 
@@ -210,17 +209,15 @@ class TestCoupledProbe:
     def test_identical_pairs_zero(self):
         spec = feedback_spec()
         g = TimeGrid.for_spec(spec, 0.01)
-        [sups] = coupled_sup_diffs(spec, ImpulseControl(), (0.5, 1.0),
-                                   [(0.5, 1.0)], ImpulseControl(),
-                                   draw_noise_matrix(3, 16, g), g)
-        assert np.all(sups == 0.0)
+        # the moment is 0.0 exactly when every path's sup is
+        assert flow_stability_probe(spec, (0.5, 1.0), [(0.5, 1.0)],
+                                    draw_noise_matrix(3, 16, g), g) == [0.0]
 
     def test_still_dynamics_exact_moment(self):
         spec = still_spec()
         g = TimeGrid.for_spec(spec, 0.5)
         u, v = 1.0, 0.25
-        [mom] = flow_stability_probe(spec, ImpulseControl(), (0.5, u),
-                                     [(0.5, v)], ImpulseControl(),
+        [mom] = flow_stability_probe(spec, (0.5, u), [(0.5, v)],
                                      draw_noise_matrix(3, 8, g), g)
         assert mom == pytest.approx(abs(u - v) ** 6, abs=1e-14)
 

@@ -11,9 +11,11 @@ forward-simulated sample clouds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -35,27 +37,49 @@ class DivergenceError(RuntimeError):
 # Interpolation
 # ---------------------------------------------------------------------------
 
-def interp_stencil(axes, points):
+def interp_stencil(axes, points, lag_cells=None):
     """Clamped multilinear stencil of (N, m) points on a tensor grid:
     (base, corners), the flat index of each point's lower cell corner and
     one (flat offset, (N,) weights) pair per corner in itertools.product
-    order.  It serves every table on the same grid."""
+    order.  It serves every table on the same grid.  Given `lag_cells`, the
+    `_lag_cells(axes, points[:, 1:])` of these points, only the head axis
+    is searched."""
     points = np.asarray(points, dtype=float)
-    shape = tuple(len(ax) for ax in axes)
-    strides = [math.prod(shape[d + 1:]) for d in range(len(axes))]
+    if lag_cells is None:
+        lag_cells = _lag_cells(axes, points[:, 1:])
+    cells = [_axis_cells(axes[0], points[:, 0])] + lag_cells
+    strides, corners = _grid_corners(tuple(len(ax) for ax in axes))
     base = np.zeros(points.shape[0], dtype=np.intp)
-    frac = []
-    for d, ax in enumerate(axes):
-        p = np.clip(points[:, d], ax[0], ax[-1])
-        i = np.clip(np.searchsorted(ax, p, side="right") - 1, 0, len(ax) - 2)
-        base += i * strides[d]
-        frac.append((p - ax[i]) / (ax[i + 1] - ax[i]))
-    corners = []
-    for corner in itertools.product((0, 1), repeat=len(axes)):
-        w = math.prod(frac[d] if c else 1.0 - frac[d]
-                      for d, c in enumerate(corner))
-        corners.append((sum(c * s for c, s in zip(corner, strides)), w))
-    return base, corners
+    for (i, _), s in zip(cells, strides):
+        base += i * s
+    return base, [(off, functools.reduce(
+                      operator.mul, (w[c] for (_, w), c in zip(cells, corner))))
+                  for corner, off in corners]
+
+
+def _axis_cells(ax, x):
+    """Clamped cell index of x on one increasing axis and the corner
+    weights (1 - fraction, fraction) along it."""
+    p = np.clip(x, ax[0], ax[-1])
+    # p >= ax[0], so the search returns at least 1
+    i = np.minimum(np.searchsorted(ax, p, side="right") - 1, len(ax) - 2)
+    lo = ax[i]
+    frac = (p - lo) / (ax[i + 1] - lo)
+    return i, (1.0 - frac, frac)
+
+
+def _lag_cells(axes, lags):
+    """_axis_cells of the (N, m - 1) lag block on axes 1..m-1."""
+    return [_axis_cells(ax, lags[:, d]) for d, ax in enumerate(axes[1:])]
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_corners(shape):
+    """Strides of a C-ordered table of `shape` and its cell corners in
+    itertools.product order, each with its flat offset."""
+    strides = tuple(math.prod(shape[d + 1:]) for d in range(len(shape)))
+    return strides, tuple((c, sum(a * s for a, s in zip(c, strides)))
+                          for c in itertools.product((0, 1), repeat=len(shape)))
 
 
 def apply_stencil(stencil, flat_table):
@@ -67,14 +91,15 @@ def apply_stencil(stencil, flat_table):
     return out
 
 
-def multilinear_interp(axes, table, points):
+def multilinear_interp(axes, table, points, lag_cells=None):
     """Multilinear interpolation on a tensor grid, clamped at the boundary.
 
     axes: per-dimension strictly increasing node arrays; table: values with
     shape tuple(len(ax) for ax in axes); points: (N, m).  Queries exactly at
-    nodes reproduce the stored values.
+    nodes reproduce the stored values.  `lag_cells` is as in interp_stencil.
     """
-    return apply_stencil(interp_stencil(axes, points), np.ravel(table))
+    return apply_stencil(interp_stencil(axes, points, lag_cells),
+                         np.ravel(table))
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +114,11 @@ class GridValueFunction:
     values: list  # one flat array of len prod(shape) per time index
     k_index: int
     dt: float
+    # (lag-block bytes, its _lag_cells) of the last query: the point sets
+    # one decision prices share their lags, since a jump moves only the
+    # head and every Euler successor carries the same shifted history
+    _lags: tuple = field(default=(None, None), init=False, repr=False,
+                         compare=False)
 
     backend = "GRID"
 
@@ -101,8 +131,13 @@ class GridValueFunction:
         return tuple(len(ax) for ax in self.axes)
 
     def value_at(self, time_index, points):
+        points = np.asarray(points, dtype=float)
+        lags = points[:, 1:]
+        key = lags.tobytes()
+        if self._lags[0] != key:
+            self._lags = (key, _lag_cells(self.axes, lags))
         table = self.values[time_index].reshape(self.shape)
-        return multilinear_interp(self.axes, table, points)
+        return multilinear_interp(self.axes, table, points, self._lags[1])
 
 
 def monomial_powers(m, degree):
@@ -394,10 +429,11 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     terminal = np.asarray(spec.terminal_reward(points[:, 0]), dtype=float)
 
     # Every level queries the same points, so the stencils are built once:
-    # the jump map ignores t, and the Euler successors' stencils are rebuilt
-    # only when the successors change from one slice to the next.
-    shifted = (impulse_transition_batch(points, u, spec) for u in u_grid)
-    jump_stencils = [interp_stencil(axes, x) for x in shifted]
+    # one over the U jumped copies of the points stacked (the jump map
+    # ignores t), and the Euler successors' stencils are rebuilt only when
+    # the successors change from one slice to the next.
+    jump_stencil = interp_stencil(axes, np.concatenate(
+        [impulse_transition_batch(points, u, spec) for u in u_grid]))
     successors = [None] * len(quadrature.nodes)
     step_stencils = [None] * len(quadrature.nodes)
 
@@ -418,9 +454,10 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
                                 lambda j: apply_stencil(step_stencils[j],
                                                         vf.values[i + 1]))
             if k:
+                jumped = apply_stencil(jump_stencil, prev.values[i]).reshape(
+                    len(u_grid), -1)
                 interv, _ = _best_impulse(spec, points, u_grid, t,
-                                          lambda j: apply_stencil(
-                                              jump_stencils[j], prev.values[i]))
+                                          lambda j: jumped[j])
                 vals = np.maximum(vals, interv)
             _check_finite(vals, i, k)
             vf.values[i] = vals
@@ -742,7 +779,8 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
     path = os.path.join(out_dir, f"{name}_values.csv")
 
     if header["backend"] == "GRID":
-        axes = tuple(np.array(ax) for ax in header["axes"])
+        axes = GridBackend(axes=tuple(np.array(ax, dtype=float)
+                                      for ax in header["axes"])).axes
         table = _load_table(path, (n + 1, math.prod(len(ax) for ax in axes)))
         return GridValueFunction(axes=axes, values=list(table),
                                  k_index=header["k_index"], dt=header["dt"])

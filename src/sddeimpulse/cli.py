@@ -224,7 +224,8 @@ def _load_policy(cfg, out_dir):
     if dim != m:
         raise ValidationError(f"artifact dimension {dim} does not match "
                               f"config lift dimension {m}")
-    if v_top.n_steps != cfg.grid.n_steps:
+    if v_top.n_steps != cfg.grid.n_steps \
+            or any(v.dt != cfg.grid.dt for v in (v_top, v_prev)):
         raise ValidationError("artifact time grid does not match config")
     return Policy(v_top, v_prev, cfg.spec, u_grid, quad)
 

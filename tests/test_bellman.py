@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from sddeimpulse.bellman import (DivergenceError, GridBackend,
                                  fit_regression_step, k_value_iteration,
                                  load_value_function, monomial_powers,
                                  multilinear_interp, save_value_function)
+from sddeimpulse.cli import RunConfig
 from sddeimpulse.lattice import gauss_hermite_quadrature
 from sddeimpulse.oracle import (FiniteTree, exact_snell_on_tree,
                                 exact_state_axis)
 from sddeimpulse.simulate import TimeGrid, export_trajectories_csv
 
+from test_cli import CONFIGS
 from test_oracle import tiny_instance
 from test_simulate import feedback_spec
 
@@ -419,7 +422,85 @@ class TestStencilSolve:
         spec = dataclasses.replace(reduced_spec(), horizon=horizon)
         its, _, _, quad, ug = solve_reduced(spec, k_max=k_max, tol=1e-12)
         assert len(its) == k_max + 1
-        assert len(calls) == len(ug) + len(quad.nodes)
+        assert len(calls) == 1 + len(quad.nodes)
+
+
+class FreshGridLevel:
+    """One grid level read through a fresh multilinear_interp per query,
+    with no lag memo."""
+
+    def __init__(self, vf):
+        self.vf, self.n_steps, self.dt = vf, vf.n_steps, vf.dt
+
+    def value_at(self, i, points):
+        return multilinear_interp(self.vf.axes,
+                                  self.vf.values[i].reshape(self.vf.shape),
+                                  points)
+
+
+def tiny1_levels():
+    cfg = RunConfig.load(os.path.join(CONFIGS, "tiny1.json"))
+    its, _ = k_value_iteration(cfg.spec, cfg.grid, cfg.build_backend(),
+                               cfg.quadrature, cfg.u_grid(), k_max=cfg.k_max,
+                               tol=cfg.tol)
+    return its, cfg.spec, cfg.quadrature, cfg.u_grid()
+
+
+def lift_levels(delay):
+    spec = dataclasses.replace(feedback_spec(delay=delay), horizon=0.05)
+    its, _, _, quad, ug = solve_reduced(spec, k_max=2, points=11, n_u=7,
+                                        tol=1e-12)
+    return its, spec, quad, ug
+
+
+def memo_batches(m, rng):
+    """A, B, A again, A with zero lags, the same with -0.0 lags, and a
+    shorter batch: every case where the lag memo must miss or may hit."""
+    a = rng.uniform(-5.0, 5.0, (40, m))
+    b = rng.uniform(-5.0, 5.0, (40, m))
+    zero = a.copy()
+    zero[:, 1:] = 0.0
+    negative_zero = a.copy()
+    negative_zero[:, 1:] = -0.0
+    return [a, b, a, zero, negative_zero, a[:7]]
+
+
+class TestGridLagMemo:
+    @pytest.mark.parametrize("make,m", [
+        (tiny1_levels, 1), (lambda: lift_levels(0.01), 2),
+        (lambda: lift_levels(0.02), 3)], ids=["tiny1", "reduced", "lift3"])
+    def test_decide_batch_and_value_at_bitwise(self, make, m):
+        its, spec, quad, ug = make()
+        assert len(its[0].axes) == m and len(its) >= 2
+        top, prev = its[-1], its[-2]
+        policy = Policy(top, prev, spec, ug, quad)
+        fresh = Policy(FreshGridLevel(top), FreshGridLevel(prev), spec, ug,
+                       quad)
+        for batch in memo_batches(m, np.random.default_rng(m)):
+            for i in range(top.n_steps + 1):
+                for got, want in zip(policy.decide_batch(i, batch),
+                                     fresh.decide_batch(i, batch)):
+                    assert got.tobytes() == want.tobytes()
+                for vf in (top, prev):
+                    assert vf.value_at(i, batch).tobytes() == \
+                        FreshGridLevel(vf).value_at(i, batch).tobytes()
+
+    def test_one_lag_search_per_value_function_and_batch(self, monkeypatch):
+        its, spec, quad, ug = lift_levels(0.01)
+        calls = []
+        real = bellman._lag_cells
+
+        def counting(axes, lags):
+            calls.append(len(lags))
+            return real(axes, lags)
+
+        monkeypatch.setattr(bellman, "_lag_cells", counting)
+        policy = Policy(its[-1], its[-2], spec, ug, quad)
+        states = np.random.default_rng(0).normal(size=(30, 2))
+        for i in range(its[-1].n_steps):
+            policy.decide_batch(i, states)
+        # successor lags on V^k, jump lags on V^{k-1}, then only hits
+        assert calls == [30, 30]
 
 
 class ReferenceLevel:

@@ -366,6 +366,39 @@ class TestCommands:
         assert main(["evaluate", "--config", str(cfg), "--out", out]) == 2
         assert "lift dimension 2" in capsys.readouterr().err
 
+    def test_exit_code_2_on_artifact_of_other_dt(self, tmp_path, capsys):
+        # 20 steps of 0.01 at solve, 20 steps of 0.02 at evaluate, lift 2
+        raw = load_raw("delay_feedback_reduced.json")
+        raw["problem"]["horizon"] = 0.2
+        raw["discretization"].update(points_per_axis=11, n_impulse=5)
+        raw["solver"]["k_max"] = 1
+        raw["evaluation"]["n_paths"] = 10
+        cfg = tmp_path / "cfg.json"
+        out = str(tmp_path / "run")
+        cfg.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(cfg), "--out", out]) == 0
+        raw["problem"].update(horizon=0.4, delay=0.02)
+        raw["discretization"]["dt"] = 0.02
+        cfg.write_text(json.dumps(raw))
+        assert main(["evaluate", "--config", str(cfg), "--out", out]) == 2
+        assert "artifact time grid does not match config" in \
+            capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "evaluate.json"))
+
+    def test_exit_code_2_on_reversed_artifact_axis(self, tmp_path, capsys):
+        cfg_path = os.path.join(CONFIGS, "tiny1.json")
+        out = str(tmp_path)
+        assert main(["solve", "--config", cfg_path, "--out", out]) == 0
+        for name in ("v_top", "v_prev"):
+            path = os.path.join(out, f"{name}_header.json")
+            with open(path) as fh:
+                header = json.load(fh)
+            header["axes"][0].reverse()
+            with open(path, "w") as fh:
+                json.dump(header, fh)
+        assert main(["evaluate", "--config", cfg_path, "--out", out]) == 2
+        assert "grid axis 0" in capsys.readouterr().err
+
     def test_exit_code_2_on_integer_literal_too_long_to_parse(self, tmp_path):
         text = json.dumps(load_raw("tiny1.json"))
         bad = tmp_path / "bad.json"

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemSpec, ValidationError
+from .core import (ProblemSpec, ValidationError, integer, json_object,
+                   real_number, require)
 from .lattice import (NoiseQuadrature, impulse_transition_batch,
                       step_transition_batch)
 from .simulate import TimeGrid, draw_noise_matrix, initial_lifted_state
@@ -674,34 +675,21 @@ class Policy:
         mask = interv > cont
         return mask, np.where(mask, best_u, 0.0)
 
-    def decide(self, time_index, state):
-        """("CONTINUE", None) or ("INTERVENE", u) for one lifted state."""
-        mask, us = self.decide_batch(time_index,
-                                     np.asarray(state, dtype=float)[None, :])
-        if mask[0]:
-            return "INTERVENE", float(us[0])
-        return "CONTINUE", None
 
+def budget_decider(iterates, spec, u_grid, quadrature):
+    """decide(level, state, budget) for oracle.table_from_decisions: the
+    impulse that Policy(V^j, V^{j-1}) takes at the scalar `state` at time
+    index `level`, with j = min(budget, deepest level), or None to continue.
+    `budget` is at least 1."""
+    policies = [Policy(hi, lo, spec, u_grid, quadrature)
+                for lo, hi in zip(iterates, iterates[1:])]
 
-def policy_stack(iterates, spec, u_grid, quadrature):
-    """Budget-aware policies: stack[j] decides when j interventions remain.
+    def decide(level, state, budget):
+        pol = policies[min(budget, len(policies)) - 1]
+        mask, us = pol.decide_batch(level, np.array([[state]], dtype=float))
+        return float(us[0]) if mask[0] else None
 
-    stack[0] never intervenes; stack[j] is Policy(V^j, V^{j-1}) with
-    j capped at the deepest computed level.
-    """
-    class _Never:
-        def decide_batch(self, time_index, states):
-            n = np.asarray(states).shape[0]
-            return np.zeros(n, dtype=bool), np.zeros(n)
-
-        def decide(self, time_index, state):
-            return "CONTINUE", None
-
-    stack = [_Never()]
-    for j in range(1, len(iterates)):
-        stack.append(Policy(iterates[j], iterates[j - 1], spec, u_grid,
-                            quadrature))
-    return stack
+    return decide
 
 
 # ---------------------------------------------------------------------------
@@ -769,40 +757,71 @@ def _load_table(path, shape):
     return data[:, -1].reshape(shape)
 
 
+def _json_array(v, name, ndim, integers=False):
+    """v as an array, if it is a JSON array nested `ndim` deep of numbers
+    (of integers if `integers`); anything else is a ValidationError naming
+    the field."""
+    try:
+        a = np.array(v)
+    except ValueError:  # ragged nesting
+        a = np.array(None)
+    if a.ndim != ndim or a.dtype.kind not in ("i" if integers else "if"):
+        raise ValidationError(f"{name}: must be a {ndim}-d array of "
+                              f"{'integers' if integers else 'numbers'}")
+    return a if integers else a.astype(float)
+
+
 def load_value_function(out_dir, name, terminal_reward=None, spec=None,
                         u_grid=None):
-    with open(os.path.join(out_dir, f"{name}_header.json")) as fh:
-        header = json.load(fh)
-    if header["format_version"] != FORMAT_VERSION:
-        raise ValidationError(f"unsupported format version {header['format_version']}")
-    n = header["n_steps"]
+    path = os.path.join(out_dir, f"{name}_header.json")
+    with open(path) as fh:
+        try:
+            header = json.load(fh)
+        except ValueError as e:  # bad JSON or bad UTF-8
+            raise ValidationError(f"header {path} is not valid JSON: {e}")
+    where = f"{name}_header"
+    json_object(header, where)
+    version = integer(header, where, "format_version", lowest=None)
+    if version != FORMAT_VERSION:
+        raise ValidationError(f"unsupported format version {version}")
+    backend = require(header, "backend", where)
+    n = integer(header, where, "n_steps")
+    k_index = integer(header, where, "k_index", lowest=0)
+    dt = real_number(require(header, "dt", where), f"{where}.dt")
     path = os.path.join(out_dir, f"{name}_values.csv")
 
-    if header["backend"] == "GRID":
-        axes = GridBackend(axes=tuple(np.array(ax, dtype=float)
-                                      for ax in header["axes"])).axes
+    if backend == "GRID":
+        axes = require(header, "axes", where)
+        # a non-list is checked as one axis, which then fails the 1-d check
+        axes = GridBackend(axes=tuple(
+            _json_array(ax, f"{where}.axes", 1)
+            for ax in (axes if isinstance(axes, list) else [axes]))).axes
         table = _load_table(path, (n + 1, math.prod(len(ax) for ax in axes)))
         return GridValueFunction(axes=axes, values=list(table),
-                                 k_index=header["k_index"], dt=header["dt"])
+                                 k_index=k_index, dt=dt)
+    if backend != "REGRESSION":
+        raise ValidationError(f"{where}.backend: unknown backend {backend!r}")
 
     if terminal_reward is None:
         raise ValidationError("regression value functions need terminal_reward")
-    if header["k_index"] >= 1 and (spec is None or u_grid is None):
+    if k_index >= 1 and (spec is None or u_grid is None):
         raise ValidationError("regression levels above 0 need spec and u_grid "
                               "to price intervention branches")
-    powers = np.array(header["powers"], dtype=int)
-    slabs = _load_table(path, (2 * header["n_levels"], n, len(powers)))
-    bounds = None
-    if header.get("bounds") is not None:
-        bounds = [None if b is None else (np.array(b[0]), np.array(b[1]))
-                  for b in header["bounds"]]
+    powers = _json_array(require(header, "powers", where), f"{where}.powers",
+                         2, integers=True)
+    n_levels = integer(header, where, "n_levels")
+    slabs = _load_table(path, (2 * n_levels, n, len(powers)))
+    bounds = header.get("bounds")
+    if bounds is not None:
+        bounds = [None if b is None else _json_array(b, f"{where}.bounds", 2)
+                  for b in (bounds if isinstance(bounds, list) else [bounds])]
     lag_columns = _LagColumns(powers)
     vf = None
-    for k in range(header["n_levels"]):
+    for k in range(n_levels):
         vf = RegressionValueFunction(powers=powers,
                                      cont_coeffs=list(slabs[2 * k]) + [None],
                                      plain_coeffs=list(slabs[2 * k + 1]) + [None],
-                                     k_index=k, dt=header["dt"],
+                                     k_index=k, dt=dt,
                                      terminal_reward=terminal_reward,
                                      prev=vf, spec=spec,
                                      u_grid=None if u_grid is None

@@ -18,15 +18,15 @@ import numpy as np
 
 from . import __version__
 from .core import (ValidationError, build_problem_spec, check_assumptions,
-                   ImpulseControl, json_object, real_number, reject_unknown,
-                   require)
+                   ImpulseControl, integer, json_object, real_number,
+                   reject_unknown, require)
 from .simulate import (TimeGrid, draw_noise_matrix, estimate_J,
                        export_trajectories_csv, flow_stability_probe,
                        initial_lifted_state, SimulationError)
 from .lattice import (gauss_hermite_quadrature, two_point_quadrature,
                       three_point_quadrature)
-from .bellman import (GridBackend, Policy, RegressionBackend,
-                      k_value_iteration, policy_stack, save_value_function,
+from .bellman import (GridBackend, Policy, RegressionBackend, budget_decider,
+                      k_value_iteration, save_value_function,
                       load_value_function, DivergenceError)
 from .oracle import (FiniteTree, enumerate_controls, exact_state_axis,
                      table_from_decisions, table_to_json)
@@ -59,32 +59,27 @@ class RunConfig:
                               "discretization.dt")
         self.grid_bound = real_number(disc.get("grid_bound", 4.0),
                                       "discretization.grid_bound")
-        self.points_per_axis = _integer(disc, "discretization",
-                                        "points_per_axis", 41, lowest=2)
-        self.n_impulse = _integer(disc, "discretization", "n_impulse", 41)
+        self.points_per_axis = integer(disc, "discretization",
+                                       "points_per_axis", 41, lowest=2)
+        self.n_impulse = integer(disc, "discretization", "n_impulse", 41)
         quadrature = disc.get("quadrature", "gauss_hermite")
         # fewer than two Gauss-Hermite nodes cannot carry the variance dt
-        quadrature_nodes = _integer(disc, "discretization",
-                                    "quadrature_nodes", 7, lowest=2)
+        quadrature_nodes = integer(disc, "discretization",
+                                   "quadrature_nodes", 7, lowest=2)
 
         self.backend = sol.get("backend", "grid")
         if self.backend not in ("grid", "regression"):
             raise ValidationError(f"solver.backend: unknown backend {self.backend!r}")
-        self.k_max = _integer(sol, "solver", "k_max", 10)
+        self.k_max = integer(sol, "solver", "k_max", 10)
         self.tol = real_number(sol.get("tol", 1e-3), "solver.tol")
-        self.degree = _integer(sol, "solver", "degree", 3, lowest=None)
-        self.ridge_lambda = real_number(sol.get("ridge_lambda", 1e-8),
-                                        "solver.ridge_lambda")
-        self.n_samples = _integer(sol, "solver", "n_samples", 4000)
-        self.exploration_rate = real_number(sol.get("exploration_rate", 0.1),
-                                            "solver.exploration_rate")
-        self.sample_seed = _integer(sol, "solver", "sample_seed", 1234,
-                                    lowest=None)
 
-        self.n_paths = _integer(ev, "evaluation", "n_paths")
-        self.seed = _check_seed("evaluation.seed", _integer(
+        self.n_paths = integer(ev, "evaluation", "n_paths")
+        self.seed = _check_seed("evaluation.seed", integer(
             ev, "evaluation", "seed", lowest=None))
         self.output_dir = raw.get("output_dir", "runs/out")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ValidationError("output_dir: must be a nonempty string, got "
+                                  f"{self.output_dir!r}")
 
         if not self.grid_bound > 0:
             raise ValidationError("discretization.grid_bound: must be "
@@ -94,9 +89,14 @@ class RunConfig:
 
         # the backend and the time grid own the range rules of their settings
         self.regression = RegressionBackend(
-            degree=self.degree, ridge_lambda=self.ridge_lambda,
-            n_samples=self.n_samples, exploration_rate=self.exploration_rate,
-            sample_seed=self.sample_seed)
+            degree=integer(sol, "solver", "degree", 3, lowest=None),
+            ridge_lambda=real_number(sol.get("ridge_lambda", 1e-8),
+                                     "solver.ridge_lambda"),
+            n_samples=integer(sol, "solver", "n_samples", 4000),
+            exploration_rate=real_number(sol.get("exploration_rate", 0.1),
+                                         "solver.exploration_rate"),
+            sample_seed=integer(sol, "solver", "sample_seed", 1234,
+                                lowest=None))
         self.spec = build_problem_spec(self.problem)
         # TimeGrid.for_spec enforces that dt divides both delay and horizon
         self.grid = TimeGrid.for_spec(self.spec, self.dt)
@@ -117,8 +117,9 @@ class RunConfig:
         blob = json.dumps(self.raw, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def build_quadrature(self):
-        return self.quadrature
+    @property
+    def sample_seed(self):
+        return self.regression.sample_seed
 
     def u_grid(self):
         return self.spec.impulse_set.grid(self.n_impulse)
@@ -150,18 +151,6 @@ def _check_seed(name, seed):
     return seed
 
 
-def _integer(d, where, key, default=None, lowest=1):
-    """d[key], or `default` when the key is absent (required when there is
-    no default), if it is a JSON integer of at least `lowest` (None: no
-    bound).  Floats, strings and booleans are rejected."""
-    v = require(d, key, where) if default is None else d.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValidationError(f"{where}.{key}: must be an integer, got {v!r}")
-    if lowest is not None and v < lowest:
-        raise ValidationError(f"{where}.{key}: must be >= {lowest}, got {v}")
-    return v
-
-
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
@@ -179,15 +168,13 @@ def _write_manifest(out_dir, cfg, command):
 
 def cmd_solve(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    quad = cfg.build_quadrature()
     u_grid = cfg.u_grid()
     t0 = time.perf_counter()
     iterates, gaps = k_value_iteration(cfg.spec, cfg.grid, cfg.build_backend(),
-                                       quad, u_grid, k_max=cfg.k_max,
+                                       cfg.quadrature, u_grid, k_max=cfg.k_max,
                                        tol=cfg.tol)
     wall = time.perf_counter() - t0
-    v_top = iterates[-1]
-    v_prev = iterates[-2] if len(iterates) >= 2 else iterates[-1]
+    v_top, v_prev = iterates[-1], iterates[-2]
     x0 = cfg.initial_state()
     v0 = float(v_top.value_at(0, x0)[0])
 
@@ -204,13 +191,12 @@ def cmd_solve(cfg, out_dir):
             fh.write(f"{k},{g:.17g}\n")
     save_value_function(v_top, out_dir, "v_top")
     save_value_function(v_prev, out_dir, "v_prev")
-    policy = Policy(v_top, v_prev, cfg.spec, u_grid, quad)
+    policy = Policy(v_top, v_prev, cfg.spec, u_grid, cfg.quadrature)
     _write_thresholds(cfg, policy, os.path.join(out_dir, "thresholds.csv"))
     return 0
 
 
 def _load_policy(cfg, out_dir):
-    quad = cfg.build_quadrature()
     u_grid = cfg.u_grid()
     kw = dict(terminal_reward=cfg.spec.terminal_reward, spec=cfg.spec,
               u_grid=u_grid)
@@ -227,7 +213,7 @@ def _load_policy(cfg, out_dir):
     if v_top.n_steps != cfg.grid.n_steps \
             or any(v.dt != cfg.grid.dt for v in (v_top, v_prev)):
         raise ValidationError("artifact time grid does not match config")
-    return Policy(v_top, v_prev, cfg.spec, u_grid, quad)
+    return Policy(v_top, v_prev, cfg.spec, u_grid, cfg.quadrature)
 
 
 def _constant_history_points(xs, m):
@@ -339,7 +325,7 @@ def cmd_oracle_compare(cfg, out_dir):
     quadrature, at budget k_max: grid DP on the exact state axis against
     exhaustive enumeration."""
     k = cfg.k_max
-    quad = cfg.build_quadrature()
+    quad = cfg.quadrature
     u_grid = cfg.u_grid()
     x0 = cfg.initial_state()
     tree = FiniteTree.for_grid(x0[0, 0], cfg.dt, cfg.grid.n_steps, quad.nodes,
@@ -353,14 +339,8 @@ def cmd_oracle_compare(cfg, out_dir):
                                     GridBackend(axes=(axis,)), quad, u_grid,
                                     k_max=k, tol=1e-12)
     dp_value = float(iterates[min(k, len(iterates) - 1)].value_at(0, x0)[0])
-    stack = policy_stack(iterates, cfg.spec, u_grid, quad)
-
-    def decide(level, state, budget):
-        pol = stack[min(budget, len(stack) - 1)]
-        action, u = pol.decide(level, np.array([state]))
-        return None if action == "CONTINUE" else u
-
-    dp_table = table_from_decisions(decide, cfg.spec, tree, k)
+    dp_table = table_from_decisions(
+        budget_decider(iterates, cfg.spec, u_grid, quad), cfg.spec, tree, k)
     result = {"max_impulses": k,
               "dp_value": dp_value, "oracle_value": oracle_value,
               "abs_diff": abs(dp_value - oracle_value),

@@ -1,4 +1,4 @@
-"""Problem definitions, control algebra, payoff evaluation and assumption checks.
+"""Problem definitions, fixed controls, assumption checks and JSON key checks.
 
 State and impulses are scalar: the delayed-feedback application and both tiny
 validation instances are one-dimensional, and every downstream module (lattice,
@@ -11,7 +11,7 @@ registry functions do).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,7 +72,6 @@ class ProblemSpec:
     impulse_set: ImpulseSet
     initial_segment: Callable  # alpha(t) on [-delay, 0]
     min_impulse_cost: float = 0.05  # strict lower bound required of ell
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
@@ -110,85 +109,9 @@ class ImpulseControl:
                 raise ValidationError(f"impulse {u} outside admissible set")
 
 
-@dataclass(frozen=True)
-class ImpulseEvent:
-    """One applied impulse: grid index and pre/post state values."""
-
-    index: int
-    pre: float
-    impulse: float
-    post: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-gridded controlled path, including the initial-segment history.
-
-    `times` runs from -delay to the horizon; `offset` is the index of t = 0.
-    `values[offset + k]` is the post-impulse state at grid time t_k.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    events: tuple
-    offset: int = 0
-
-    def __post_init__(self):
-        if len(self.times) != len(self.values):
-            raise ValidationError("times and values length mismatch")
-
-    @property
-    def dt(self):
-        return float(self.times[1] - self.times[0])
-
-
 # ---------------------------------------------------------------------------
-# Operations
+# Assumption checks
 # ---------------------------------------------------------------------------
-
-def compose_controls(first: ImpulseControl, second: ImpulseControl,
-                     horizon: float, impulse_set: ImpulseSet | None = None) -> ImpulseControl:
-    """Concatenate two controls: keep `first` strictly before the horizon, then
-    append `second` with each time floored by the last kept time of `first`."""
-    if impulse_set is not None:
-        for ctrl in (first, second):
-            for _, u in ctrl.events:
-                if not impulse_set.contains(u):
-                    raise ValidationError(f"impulse {u} outside admissible set")
-    kept = [(t, u) for t, u in first.events if t < horizon - TIME_TOL]
-    floor = kept[-1][0] if kept else 0.0
-    tail = [(max(t, floor), u) for t, u in second.events]
-    return ImpulseControl(tuple(kept) + tuple(tail))
-
-
-def total_payoff(spec: ProblemSpec, traj: Trajectory, control: ImpulseControl) -> float:
-    """Realized payoff of one controlled path: left-endpoint quadrature of the
-    running reward, terminal reward, minus impulse costs at pre-impulse values.
-
-    The trajectory's recorded impulse events must match `control` (inert
-    time-T events excluded); a mismatch is an error, not a silent zero.
-    """
-    dt = traj.dt
-    n_steps = len(traj.times) - 1 - traj.offset
-    active = [(t, u) for t, u in control.events if t < spec.horizon - TIME_TOL]
-    if len(active) != len(traj.events):
-        raise ValidationError(
-            f"control has {len(active)} active events, trajectory recorded {len(traj.events)}")
-    for (t, u), ev in zip(active, traj.events):
-        k = int(round(t / dt))
-        if abs(t - k * dt) > TIME_TOL or k != ev.index:
-            raise ValidationError(f"control event at t={t} does not match trajectory index {ev.index}")
-        if abs(u - ev.impulse) > TIME_TOL:
-            raise ValidationError(f"impulse mismatch at t={t}: {u} vs {ev.impulse}")
-
-    ks = np.arange(n_steps)
-    xs = traj.values[traj.offset:traj.offset + n_steps]
-    running = float(np.sum(spec.running_reward(ks * dt, xs)) * dt)
-    terminal = float(spec.terminal_reward(traj.values[-1]))
-    cost = sum(float(spec.impulse_cost(ev.pre, ev.impulse, ev.index * dt))
-               for ev in traj.events)
-    return running + terminal - cost
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -319,6 +242,18 @@ def require(d, key, where):
     return d[key]
 
 
+def integer(d, where, key, default=None, lowest=1):
+    """d[key], or `default` when the key is absent (required when there is
+    no default), if it is a JSON integer of at least `lowest` (None: no
+    bound).  Floats, strings and booleans are rejected."""
+    v = require(d, key, where) if default is None else d.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValidationError(f"{where}.{key}: must be an integer, got {v!r}")
+    if lowest is not None and v < lowest:
+        raise ValidationError(f"{where}.{key}: must be >= {lowest}, got {v}")
+    return v
+
+
 def _zeros(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -410,6 +345,5 @@ def build_problem_spec(problem_cfg: dict) -> ProblemSpec:
                                real_number(hi, "problem.impulse_set")),
         min_impulse_cost=real_number(problem_cfg.get("min_impulse_cost", 0.05),
                                      "problem.min_impulse_cost"),
-        meta={"problem": problem_cfg},
         **{family: _build(family, require(problem_cfg, family, "problem"))
            for family in _REGISTRY})

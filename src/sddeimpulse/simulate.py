@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (TIME_TOL, ImpulseControl, ImpulseEvent, ProblemSpec,
-                   Trajectory, ValidationError)
+from .core import TIME_TOL, ImpulseControl, ProblemSpec, ValidationError
 from .lattice import step_transition_batch
 
 OVERFLOW_LIMIT = 1e9
@@ -22,11 +21,6 @@ OVERFLOW_LIMIT = 1e9
 
 class SimulationError(RuntimeError):
     """Non-finite or exploding state during path simulation."""
-
-    def __init__(self, message, step=None, path=None):
-        super().__init__(message)
-        self.step = step
-        self.path = path
 
 
 @dataclass(frozen=True)
@@ -57,29 +51,11 @@ class TimeGrid:
     def horizon(self):
         return self.n_steps * self.dt
 
-    def times(self, include_history=False):
-        start = -self.delay_steps if include_history else 0
-        return np.arange(start, self.n_steps + 1) * self.dt
-
     def index_of(self, t):
         k = int(round(t / self.dt))
         if abs(t - k * self.dt) > TIME_TOL or k < 0 or k > self.n_steps:
             raise ValidationError(f"time {t} is not on the grid")
         return k
-
-
-@dataclass(frozen=True)
-class NoiseDraw:
-    """Gaussian increments N(0, dt), one per grid step, from a keyed stream."""
-
-    increments: np.ndarray
-    seed: int
-    path_index: int
-    dt: float
-
-    def __post_init__(self):
-        if self.increments.ndim != 1:
-            raise ValidationError("increments must be one row per grid step")
 
 
 def _keyed_normal_rows(seed: int, paths, grid: TimeGrid) -> np.ndarray:
@@ -100,10 +76,10 @@ def _keyed_normal_rows(seed: int, paths, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def draw_noise(seed: int, path_index: int, grid: TimeGrid) -> NoiseDraw:
-    """Increments for one path; reproducible from (seed, path_index, shape)."""
-    inc = _keyed_normal_rows(seed, (path_index,), grid)[0]
-    return NoiseDraw(increments=inc, seed=seed, path_index=path_index, dt=grid.dt)
+def draw_noise(seed: int, path_index: int, grid: TimeGrid) -> np.ndarray:
+    """(n_steps,) increments of one path; row path_index of
+    draw_noise_matrix(seed, ...)."""
+    return _keyed_normal_rows(seed, (path_index,), grid)[0]
 
 
 def draw_noise_matrix(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
@@ -144,7 +120,7 @@ def simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
 
     Returns (payoffs, counts, paths, events): per-path payoffs and impulse
     counts, the (n_paths, n_steps + 1) post-impulse heads, and one
-    (k, rows, pre, u, post) array tuple per impulse batch, in time order.
+    (k, rows, u) tuple per impulse batch, in time order.
     """
     n_paths, n_steps = noise.shape
     if n_steps != grid.n_steps:
@@ -162,11 +138,10 @@ def simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
     def jump(k, t, rows, u):
         pre = states[rows, 0]
         u = np.broadcast_to(u, pre.shape)
-        post = spec.intervention(pre, u)
-        states[rows, 0] = post
+        states[rows, 0] = spec.intervention(pre, u)
         cost[rows] += spec.impulse_cost(pre, u, t)
         counts[rows] += 1
-        events.append((k, rows, pre, u, post))
+        events.append((k, rows, u))
 
     for k in range(grid.n_steps + 1):
         t = k * grid.dt
@@ -181,8 +156,7 @@ def simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
         x = states[:, 0]
         if not np.all(np.isfinite(x)) or np.any(np.abs(x) > OVERFLOW_LIMIT):
             bad = int(np.argmax(~np.isfinite(x) | (np.abs(x) > OVERFLOW_LIMIT)))
-            raise SimulationError(f"state overflow at step {k} (path {bad})",
-                                  step=k, path=bad)
+            raise SimulationError(f"state overflow at step {k} (path {bad})")
         paths[:, k] = x
         if k == grid.n_steps:
             break
@@ -191,29 +165,6 @@ def simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
 
     payoffs = running + spec.terminal_reward(states[:, 0]) - cost
     return payoffs, counts, paths, events
-
-
-def simulate_controlled(spec: ProblemSpec, control: ImpulseControl,
-                        noise: NoiseDraw, grid: TimeGrid) -> Trajectory:
-    """One Euler path under a fixed control, with its initial-segment history.
-
-    Delayed reads below t = 0 come from the initial segment samples.
-    """
-    if len(noise.increments) != grid.n_steps or abs(noise.dt - grid.dt) > TIME_TOL:
-        raise ValidationError("noise shape does not match grid")
-    try:
-        _, _, paths, events = simulate_batch(spec, grid,
-                                             noise.increments[None, :], control)
-    except SimulationError as e:
-        raise SimulationError(f"state overflow at step {e.step}", step=e.step,
-                              path=noise.path_index) from None
-    history = initial_lifted_state(spec, grid)[:0:-1]
-    recorded = tuple(ImpulseEvent(index=k, pre=float(pre[0]),
-                                  impulse=float(u[0]), post=float(post[0]))
-                     for k, _, pre, u, post in events)
-    return Trajectory(times=grid.times(include_history=True),
-                      values=np.concatenate([history, paths[0]]),
-                      events=recorded, offset=grid.delay_steps)
 
 
 def estimate_J(spec: ProblemSpec, policy_or_control, n_paths: int, seed: int,
@@ -260,7 +211,7 @@ def export_trajectories_csv(path, spec: ProblemSpec, policy_or_control,
     noise = draw_noise_matrix(seed, n_paths, grid)
     _, _, paths, events = simulate_batch(spec, grid, noise, policy_or_control)
     impulses = {}
-    for k, rows, _, us, _ in events:
+    for k, rows, us in events:
         for i, u in zip(rows.tolist(), us.tolist()):
             impulses[i, k] = f"{u:.17g}"
     lines = ["path_id,time,value,impulse_flag,impulse_value"]

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from sddeimpulse.bellman import (GridBackend, RegressionBackend,
-                                 Policy, k_value_iteration,
-                                 policy_stack)
+                                 Policy, budget_decider, k_value_iteration)
 from sddeimpulse.cli import RunConfig, main
 from sddeimpulse.core import ImpulseControl
 from sddeimpulse.oracle import (FiniteTree, enumerate_controls,
@@ -42,7 +41,7 @@ def reduced_solution():
     """Shared GRID solve of the reduced delay-feedback instance
     (delay = dt, lift dimension 2, 41 points per axis, 100 time steps)."""
     cfg = RunConfig.load(os.path.join(CONFIGS, "delay_feedback_reduced.json"))
-    quad = cfg.build_quadrature()
+    quad = cfg.quadrature
     u_grid = cfg.u_grid()
     iterates, gaps = k_value_iteration(cfg.spec, cfg.grid, cfg.build_backend(),
                                        quad, u_grid, k_max=cfg.k_max,
@@ -54,7 +53,7 @@ def test_criterion_1_oracle_equivalence(capsys):
     ok = True
     for name in ("tiny1.json", "tiny2.json"):
         cfg, tree = tiny_instance(name)
-        spec, quad, u_grid = cfg.spec, cfg.build_quadrature(), cfg.u_grid()
+        spec, quad, u_grid = cfg.spec, cfg.quadrature, cfg.u_grid()
         for k in (1, 2, 3):
             axis = exact_state_axis(spec, tree, k)
             its, _ = k_value_iteration(spec, cfg.grid,
@@ -63,14 +62,8 @@ def test_criterion_1_oracle_equivalence(capsys):
             best, oracle_table = enumerate_controls(spec, tree, k)
             v = float(its[min(k, len(its) - 1)].value_at(
                 0, np.array([[0.0]]))[0])
-            stack = policy_stack(its, spec, u_grid, quad)
-
-            def decide(level, state, budget):
-                pol = stack[min(budget, len(stack) - 1)]
-                action, u = pol.decide(level, np.array([state]))
-                return None if action == "CONTINUE" else u
-
-            dp_table = table_from_decisions(decide, spec, tree, k)
+            dp_table = table_from_decisions(
+                budget_decider(its, spec, u_grid, quad), spec, tree, k)
             ok = ok and abs(v - best) <= 1e-9 and dp_table == oracle_table
     verdict(capsys, 1, "tree-oracle equivalence on TINY instances", ok)
 
@@ -181,7 +174,7 @@ def test_criterion_6_policy_improvement_and_impulse_bound(capsys,
 
 def test_criterion_7_backend_cross_validation(capsys):
     cfg = RunConfig.load(os.path.join(CONFIGS, "delay_feedback_reduced.json"))
-    quad = cfg.build_quadrature()
+    quad = cfg.quadrature
     u_grid = cfg.u_grid()
     # fine axes: value interpolation bias at 41 points per axis is larger
     # than the backend discrepancy this criterion is after

@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -325,7 +327,7 @@ class TestKValueIteration:
         axis = exact_state_axis(cfg.spec, tree, 1)
         its, _ = k_value_iteration(cfg.spec, cfg.grid,
                                    GridBackend(axes=(axis,)),
-                                   cfg.build_quadrature(), cfg.u_grid(),
+                                   cfg.quadrature, cfg.u_grid(),
                                    k_max=1, tol=1e-12)
         best, _ = enumerate_controls(cfg.spec, tree, 1)
         v = its[-1].value_at(0, np.array([[0.0]]))[0]
@@ -612,7 +614,7 @@ class TestRegressionSweep:
     def test_levels_above_convergence_are_trimmed(self):
         cfg, _ = tiny_instance("tiny2.json")
         args = (cfg.spec, cfg.grid, RegressionBackend(),
-                cfg.build_quadrature(), cfg.u_grid(), 8, 1e-2)
+                cfg.quadrature, cfg.u_grid(), 8, 1e-2)
         its, gaps = k_value_iteration(*args)
         ref, ref_gaps = reference_regression_solve(*args)
         assert len(its) < 9 and gaps[-1] < 1e-2
@@ -818,6 +820,35 @@ class TestPersistence:
         for i in (0, 5, 9, 10):
             assert np.array_equal(back.value_at(i, pts),
                                   its[-1].value_at(i, pts))
+
+    @pytest.mark.parametrize("key,value,field", [
+        ("powers", [[0, "1"]], "vf_header.powers: must be a 2-d array of "
+         "integers"),
+        ("powers", [[0, 1], [2]], "vf_header.powers"),
+        ("powers", [[0.0, 1.0]], "vf_header.powers"),
+        ("n_levels", "3", "vf_header.n_levels: must be an integer"),
+        ("bounds", [[["x", 0.0], [1.0, 1.0]]], "vf_header.bounds: must be a "
+         "2-d array of numbers")],
+        ids=["powers-string", "powers-ragged", "powers-float",
+             "n_levels-string", "bounds-string"])
+    def test_bad_regression_header_field_rejected(self, tmp_path, key, value,
+                                                  field):
+        spec = dataclasses.replace(feedback_spec(delay=0.02), horizon=0.05)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        ug = spec.impulse_set.grid(5)
+        its, _ = k_value_iteration(spec, grid,
+                                   RegressionBackend(degree=2, n_samples=100),
+                                   gauss_hermite_quadrature(0.01, 3), ug,
+                                   k_max=2, tol=1e-12)
+        save_value_function(its[-1], tmp_path, "vf")
+        path = tmp_path / "vf_header.json"
+        header = json.loads(path.read_text())
+        header[key] = value
+        path.write_text(json.dumps(header))
+        with pytest.raises(ValidationError, match=re.escape(field)):
+            load_value_function(tmp_path, "vf",
+                                terminal_reward=spec.terminal_reward,
+                                spec=spec, u_grid=ug)
 
     def test_regression_load_needs_context(self, tmp_path):
         spec = reduced_spec()

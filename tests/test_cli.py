@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -33,7 +34,7 @@ class TestRunConfig:
         assert cfg.dt == 0.01
         assert cfg.spec.delay == pytest.approx(0.05)
         assert cfg.n_paths == 10000 and cfg.seed == 2718
-        assert cfg.exploration_rate == 0.0
+        assert cfg.regression.exploration_rate == 0.0
 
     def test_dt_must_divide_delay(self):
         raw = load_raw("delay_feedback.json")
@@ -398,6 +399,54 @@ class TestCommands:
                 json.dump(header, fh)
         assert main(["evaluate", "--config", cfg_path, "--out", out]) == 2
         assert "grid axis 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: dict(h, axes=[["x"] + h["axes"][0][1:]]),
+         "v_top_header.axes: must be a 1-d array of numbers"),
+        (lambda h: dict(h, axes="x"),
+         "v_top_header.axes: must be a 1-d array of numbers"),
+        (lambda h: {k: v for k, v in h.items() if k != "dt"},
+         "v_top_header.dt: required"),
+        (lambda h: {k: v for k, v in h.items() if k != "k_index"},
+         "v_top_header.k_index: required"),
+        (lambda h: {k: v for k, v in h.items() if k != "format_version"},
+         "v_top_header.format_version: required"),
+        (lambda h: dict(h, n_steps="2"),
+         "v_top_header.n_steps: must be an integer"),
+        (lambda h: dict(h, backend="bogus"),
+         "v_top_header.backend: unknown backend 'bogus'"),
+        (lambda h: "{", "v_top_header.json is not valid JSON"),
+        (lambda h: [], "v_top_header: must be a JSON object")],
+        ids=["axis-entry-string", "axes-string", "no-dt", "no-k_index",
+             "no-format_version", "n_steps-string", "backend-bogus",
+             "not-json", "not-an-object"])
+    def test_exit_code_2_on_bad_artifact_header(self, tiny_run, tmp_path,
+                                                capsys, edit, message):
+        cfg_path, run = tiny_run
+        out = str(tmp_path / "run")
+        shutil.copytree(run, out)
+        for name in ("v_top", "v_prev"):
+            path = os.path.join(out, f"{name}_header.json")
+            with open(path) as fh:
+                header = edit(json.load(fh))
+            with open(path, "w") as fh:
+                fh.write(header if isinstance(header, str)
+                         else json.dumps(header))
+        assert main(["evaluate", "--config", cfg_path, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [5, None, ["a"], ""],
+                             ids=["int", "null", "list", "empty"])
+    def test_exit_code_2_on_bad_output_dir(self, tmp_path, monkeypatch,
+                                           capsys, value):
+        raw = load_raw("tiny1.json")
+        raw["output_dir"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        assert main(["check-assumptions", "--config", str(bad)]) == 2
+        assert "output_dir: must be a nonempty string" in \
+            capsys.readouterr().err
 
     def test_exit_code_2_on_integer_literal_too_long_to_parse(self, tmp_path):
         text = json.dumps(load_raw("tiny1.json"))

@@ -1,17 +1,14 @@
-"""Problem specs, control composition, payoff evaluation, assumption probes."""
+"""Problem specs, fixed controls, payoff evaluation, assumption probes."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from sddeimpulse import (ImpulseControl, ImpulseSet, ProblemSpec, Trajectory,
-                         ValidationError, build_problem_spec, check_assumptions,
-                         compose_controls, total_payoff)
-from sddeimpulse.core import TIME_TOL
-from sddeimpulse.simulate import TimeGrid, NoiseDraw, simulate_controlled
+from sddeimpulse import (ImpulseControl, ImpulseSet, ProblemSpec,
+                         ValidationError, build_problem_spec, check_assumptions)
+from sddeimpulse.simulate import TimeGrid, simulate_batch
 
 
 def tiny_spec():
@@ -54,49 +51,15 @@ class TestImpulseControl:
         assert len(c.events) == 2
 
 
-class TestComposeControls:
-    def test_empty_prefix_is_identity(self):
-        second = ImpulseControl(((0.2, -1.0),))
-        out = compose_controls(ImpulseControl(), second, 1.0)
-        assert out.events == ((0.2, -1.0),)
-
-    def test_second_times_floored_by_first(self):
-        first = ImpulseControl(((0.3, 1.0),))
-        second = ImpulseControl(((0.2, -1.0),))
-        out = compose_controls(first, second, 1.0)
-        assert out.events == ((0.3, 1.0), (0.3, -1.0))
-
-    def test_horizon_event_of_first_dropped(self):
-        first = ImpulseControl(((1.0, 0.5),))
-        second = ImpulseControl(((0.4, 2.0),))
-        out = compose_controls(first, second, 1.0)
-        assert out.events == ((0.4, 2.0),)
-
-    def test_impulse_set_enforced(self):
-        with pytest.raises(ValidationError):
-            compose_controls(ImpulseControl(((0.2, 5.0),)), ImpulseControl(),
-                             1.0, impulse_set=ImpulseSet(-2.0, 2.0))
-
-    @given(st.lists(st.tuples(st.floats(0, 1), st.floats(-1, 1)),
-                    max_size=5),
-           st.lists(st.tuples(st.floats(0, 1), st.floats(-1, 1)),
-                    max_size=5))
-    def test_composition_times_nondecreasing(self, evs1, evs2):
-        first = ImpulseControl(tuple(sorted(evs1)))
-        second = ImpulseControl(tuple(sorted(evs2)))
-        out = compose_controls(first, second, 1.0)
-        times = [t for t, _ in out.events]
-        assert times == sorted(times)
-        assert all(t <= 1.0 + TIME_TOL for t in times)
-
-
 class TestTotalPayoff:
+    """simulate_batch's per-path payoffs against sums written out by hand."""
+
     def test_zero_path_zero_value(self):
         spec = tiny_spec()
         grid = TimeGrid.for_spec(spec, 0.5)
-        noise = NoiseDraw(increments=np.zeros(2), seed=0, path_index=0, dt=0.5)
-        traj = simulate_controlled(spec, ImpulseControl(), noise, grid)
-        assert total_payoff(spec, traj, ImpulseControl()) == 0.0
+        payoffs = simulate_batch(spec, grid, np.zeros((1, 2)),
+                                 ImpulseControl())[0]
+        assert payoffs.tolist() == [0.0]
 
     def test_constant_path_left_endpoint_rule(self):
         # x == 1 on two half steps: running -2*(1*0.5), terminal -1
@@ -105,35 +68,24 @@ class TestTotalPayoff:
             diffusion=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
             initial_segment=lambda t: np.ones_like(np.asarray(t, dtype=float)))
         grid = TimeGrid.for_spec(spec, 0.5)
-        noise = NoiseDraw(increments=np.zeros(2), seed=0, path_index=0, dt=0.5)
-        traj = simulate_controlled(spec, ImpulseControl(), noise, grid)
-        assert total_payoff(spec, traj, ImpulseControl()) == pytest.approx(-2.0)
+        payoffs = simulate_batch(spec, grid, np.zeros((1, 2)),
+                                 ImpulseControl())[0]
+        assert payoffs[0] == pytest.approx(-2.0)
 
     def test_single_impulse_hand_sum(self):
-        # impulse -1 at t=0.5 on one noise branch, checked against the
-        # discrete sum written out by hand
+        # impulse -1 at t=0.5 on each noise branch, one path per branch,
+        # checked against the discrete sum written out by hand
         spec = tiny_spec()
         grid = TimeGrid.for_spec(spec, 0.5)
         r = math.sqrt(0.5)
-        ctrl = ImpulseControl(((0.5, -1.0),))
-        for z1 in (-r, r):
-            for z2 in (-r, r):
-                noise = NoiseDraw(increments=np.array([z1, z2]),
-                                  seed=0, path_index=0, dt=0.5)
-                traj = simulate_controlled(spec, ctrl, noise, grid)
-                x_half = z1 - 1.0
-                x_end = x_half + z2
-                expect = -(0.0 + x_half ** 2) * 0.5 - x_end ** 2 - 0.2
-                assert total_payoff(spec, traj, ctrl) == pytest.approx(expect,
-                                                                       abs=1e-12)
-
-    def test_event_mismatch_is_error(self):
-        spec = tiny_spec()
-        grid = TimeGrid.for_spec(spec, 0.5)
-        noise = NoiseDraw(increments=np.zeros(2), seed=0, path_index=0, dt=0.5)
-        traj = simulate_controlled(spec, ImpulseControl(), noise, grid)
-        with pytest.raises(ValidationError):
-            total_payoff(spec, traj, ImpulseControl(((0.5, 1.0),)))
+        branches = [(z1, z2) for z1 in (-r, r) for z2 in (-r, r)]
+        payoffs = simulate_batch(spec, grid, np.array(branches),
+                                 ImpulseControl(((0.5, -1.0),)))[0]
+        for (z1, z2), payoff in zip(branches, payoffs):
+            x_half = z1 - 1.0
+            x_end = x_half + z2
+            expect = -(0.0 + x_half ** 2) * 0.5 - x_end ** 2 - 0.2
+            assert payoff == pytest.approx(expect, abs=1e-12)
 
 
 class TestCheckAssumptions:

@@ -22,7 +22,7 @@ def tiny_instance(name):
     """(cfg, tree) for configs/<name>: the loaded config and the tree that
     oracle-compare builds from it."""
     cfg = RunConfig.load(os.path.join(CONFIGS, name))
-    quad = cfg.build_quadrature()
+    quad = cfg.quadrature
     tree = FiniteTree.for_grid(cfg.initial_state()[0, 0], cfg.dt,
                                cfg.grid.n_steps, quad.nodes, quad.weights,
                                cfg.u_grid())
@@ -131,7 +131,7 @@ class TestDualRoute:
                 axis = exact_state_axis(cfg.spec, tree, k)
                 its, _ = k_value_iteration(
                     cfg.spec, cfg.grid, GridBackend(axes=(axis,)),
-                    cfg.build_quadrature(), cfg.u_grid(), k_max=k, tol=1e-12)
+                    cfg.quadrature, cfg.u_grid(), k_max=k, tol=1e-12)
                 best, _ = enumerate_controls(cfg.spec, tree, k)
                 v = its[-1].value_at(0, np.array([[start]]))[0]
                 assert abs(v - best) <= 1e-9

@@ -9,10 +9,10 @@ import pytest
 
 from sddeimpulse import (ImpulseControl, ImpulseSet, ProblemSpec,
                          ValidationError, build_problem_spec)
-from sddeimpulse.simulate import (NoiseDraw, SimulationError, TimeGrid,
-                                  draw_noise, draw_noise_matrix, estimate_J,
+from sddeimpulse.simulate import (SimulationError, TimeGrid, draw_noise,
+                                  draw_noise_matrix, estimate_J,
                                   export_trajectories_csv,
-                                  flow_stability_probe, simulate_controlled)
+                                  flow_stability_probe, simulate_batch)
 
 from test_core import tiny_spec
 
@@ -74,14 +74,14 @@ class TestNoise:
         g = TimeGrid.for_spec(tiny_spec(), 0.5)
         a = draw_noise(11, 3, g)
         b = draw_noise(11, 3, g)
-        assert np.array_equal(a.increments, b.increments)
-        assert a.increments.shape == (2,)
+        assert np.array_equal(a, b)
+        assert a.shape == (2,)
 
     def test_paths_are_distinct(self):
         g = TimeGrid.for_spec(tiny_spec(), 0.5)
         a = draw_noise(11, 0, g)
         b = draw_noise(11, 1, g)
-        assert not np.array_equal(a.increments, b.increments)
+        assert not np.array_equal(a, b)
 
     def test_high_seeds_keyed_exactly(self):
         # a key list above 2**63 used to go through float64: neighbouring
@@ -89,7 +89,7 @@ class TestNoise:
         g = TimeGrid.for_spec(tiny_spec(), 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            draws = [draw_noise(s, 0, g).increments
+            draws = [draw_noise(s, 0, g)
                      for s in (2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)]
         assert not np.array_equal(draws[0], draws[1])
 
@@ -98,13 +98,13 @@ class TestNoise:
         for seed in (5, 0, 2 ** 63, 2 ** 64 - 1):
             mat = draw_noise_matrix(seed, 4, g)
             for i in range(4):
-                assert np.array_equal(mat[i], draw_noise(seed, i, g).increments)
+                assert np.array_equal(mat[i], draw_noise(seed, i, g))
                 assert mat[i].tobytes() == reference_noise(seed, i, g).tobytes()
 
     def test_large_path_index_matches_reference(self):
         g = TimeGrid.for_spec(feedback_spec(), 0.01)
         i = 2 ** 32 + 1
-        assert (draw_noise(7, i, g).increments.tobytes()
+        assert (draw_noise(7, i, g).tobytes()
                 == reference_noise(7, i, g).tobytes())
 
     def test_matrices_share_no_state_across_calls(self):
@@ -119,32 +119,41 @@ class TestNoise:
         assert draw_noise_matrix(5, 0, g).shape == (0, g.n_steps)
 
 
+def one_path(spec, grid, control, noise_row):
+    """simulate_batch on the single path with increments `noise_row`:
+    (payoff, impulse count, post-impulse heads, impulse batches)."""
+    payoffs, counts, paths, events = simulate_batch(spec, grid,
+                                                    noise_row[None, :], control)
+    return payoffs[0], counts[0], paths[0], events
+
+
 class TestSimulateControlled:
     def test_still_dynamics_stay_zero(self):
         spec = still_spec()
         g = TimeGrid.for_spec(spec, 0.5)
-        noise = draw_noise(1, 0, g)
-        traj = simulate_controlled(spec, ImpulseControl(), noise, g)
-        assert np.all(traj.values == 0.0)
+        _, count, path, events = one_path(spec, g, ImpulseControl(),
+                                          draw_noise(1, 0, g))
+        assert np.all(path == 0.0)
+        assert count == 0 and events == []
 
     def test_deterministic_jump_only(self):
         spec = still_spec()
         g = TimeGrid.for_spec(spec, 0.5)
-        noise = draw_noise(1, 0, g)
-        traj = simulate_controlled(spec, ImpulseControl(((0.5, 1.0),)),
-                                   noise, g)
-        vals = traj.values[traj.offset:]
-        assert list(vals) == [0.0, 1.0, 1.0]
-        assert len(traj.events) == 1
-        ev = traj.events[0]
-        assert ev.pre == 0.0 and ev.post == 1.0 and ev.impulse == 1.0
+        payoff, count, path, events = one_path(
+            spec, g, ImpulseControl(((0.5, 1.0),)), draw_noise(1, 0, g))
+        assert list(path) == [0.0, 1.0, 1.0]
+        assert count == 1 and len(events) == 1
+        k, rows, us = events[0]
+        assert k == 1 and rows.tolist() == [0] and us.tolist() == [1.0]
+        # running -(1*1)*0.5 after the jump, terminal -1, fee 0.1*(1+1)
+        assert payoff == pytest.approx(-1.7, abs=1e-12)
 
     def test_matches_independent_euler_recursion(self):
         # independent re-implementation of the delayed Euler recursion
         spec = feedback_spec()
         g = TimeGrid.for_spec(spec, 0.01)
         noise = draw_noise(42, 0, g)
-        traj = simulate_controlled(spec, ImpulseControl(), noise, g)
+        _, _, path, _ = one_path(spec, g, ImpulseControl(), noise)
 
         dt, lag = 0.01, 5
         xs = [0.0]
@@ -153,9 +162,9 @@ class TestSimulateControlled:
         for k in range(100):
             x = buf[-1]
             x_del = buf[-1 - lag]
-            buf.append(x + (x - x_del) * dt + noise.increments[k])
+            buf.append(x + (x - x_del) * dt + noise[k])
         ref = np.array(buf[lag:])
-        assert np.max(np.abs(traj.values[traj.offset:] - ref)) < 1e-12
+        assert np.max(np.abs(path - ref)) < 1e-12
 
     @pytest.mark.parametrize("runner", ["fixed_control", "policy_export"])
     def test_overflow_guard(self, runner, tmp_path):
@@ -164,8 +173,7 @@ class TestSimulateControlled:
         g = TimeGrid.for_spec(spec, 0.5)
         with pytest.raises(SimulationError):
             if runner == "fixed_control":
-                simulate_controlled(spec, ImpulseControl(),
-                                    draw_noise(1, 0, g), g)
+                one_path(spec, g, ImpulseControl(), draw_noise(1, 0, g))
             else:
                 export_trajectories_csv(tmp_path / "t.csv", spec,
                                         NeverIntervene(), 2, 1, g)
@@ -186,20 +194,14 @@ class TestEstimateJ:
         assert abs(m1 - m2) < 3.0 * math.hypot(s1, s2)
 
     def test_fixed_control_matches_branch_average(self):
-        # Bernoulli +-sqrt(dt) branches evaluated one by one equal the
+        # Bernoulli +-sqrt(dt) branches, one path each, average to the
         # exact two-step tree average for the same fixed control
         spec = tiny_spec()
         g = TimeGrid.for_spec(spec, 0.5)
         r = math.sqrt(0.5)
-        ctrl = ImpulseControl(((0.5, -1.0),))
-        from sddeimpulse.core import total_payoff
-        vals = []
-        for z1 in (-r, r):
-            for z2 in (-r, r):
-                nd = NoiseDraw(increments=np.array([z1, z2]), seed=0,
-                               path_index=0, dt=0.5)
-                traj = simulate_controlled(spec, ctrl, nd, g)
-                vals.append(total_payoff(spec, traj, ctrl))
+        branches = np.array([(z1, z2) for z1 in (-r, r) for z2 in (-r, r)])
+        vals = simulate_batch(spec, g, branches,
+                              ImpulseControl(((0.5, -1.0),)))[0]
         # hand tree sum: E[-(z1-1)^2 * .5 - (z1-1+z2)^2] - 0.2
         expect = -0.5 * (0.5 + 1.0) - (0.5 + 1.0 + 0.5) - 0.2
         assert np.mean(vals) == pytest.approx(expect, abs=1e-12)

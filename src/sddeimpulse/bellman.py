@@ -39,18 +39,18 @@ class DivergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def interp_stencil(axes, points, lag_cells=None):
-    """Clamped multilinear stencil of (N, m) points on a tensor grid:
+    """Clamped multilinear stencil of (..., m) points on a tensor grid:
     (base, corners), the flat index of each point's lower cell corner and
-    one (flat offset, (N,) weights) pair per corner in itertools.product
-    order.  It serves every table on the same grid.  Given `lag_cells`, the
-    `_lag_cells(axes, points[:, 1:])` of these points, only the head axis
-    is searched."""
+    one (flat offset, weights) pair per corner in itertools.product order,
+    shaped as the points' leading axes.  It serves every table on the same
+    grid.  Given `lag_cells`, the `_lag_cells` of lags that broadcast
+    against those axes, only the head column points[..., 0] is read."""
     points = np.asarray(points, dtype=float)
     if lag_cells is None:
-        lag_cells = _lag_cells(axes, points[:, 1:])
-    cells = [_axis_cells(axes[0], points[:, 0])] + lag_cells
+        lag_cells = _lag_cells(axes, points[..., 1:])
+    cells = [_axis_cells(axes[0], points[..., 0])] + lag_cells
     strides, corners = _grid_corners(tuple(len(ax) for ax in axes))
-    base = np.zeros(points.shape[0], dtype=np.intp)
+    base = np.zeros(points.shape[:-1], dtype=np.intp)
     for (i, _), s in zip(cells, strides):
         base += i * s
     return base, [(off, functools.reduce(
@@ -70,8 +70,8 @@ def _axis_cells(ax, x):
 
 
 def _lag_cells(axes, lags):
-    """_axis_cells of the (N, m - 1) lag block on axes 1..m-1."""
-    return [_axis_cells(ax, lags[:, d]) for d, ax in enumerate(axes[1:])]
+    """_axis_cells of the (..., m - 1) lag block on axes 1..m-1."""
+    return [_axis_cells(ax, lags[..., d]) for d, ax in enumerate(axes[1:])]
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,7 +86,7 @@ def _grid_corners(shape):
 def apply_stencil(stencil, flat_table):
     """Interpolated values of the C-ordered flat table at the stencil's points."""
     base, corners = stencil
-    out = np.zeros(base.shape[0])
+    out = np.zeros(base.shape)
     for off, w in corners:
         out += w * flat_table[off:][base]
     return out
@@ -147,83 +147,80 @@ def monomial_powers(m, degree):
                      if sum(p) <= degree], dtype=int)
 
 
-def design_matrix(points, powers, lag_columns=None):
+def design_matrix(points, powers):
     """(N, P) monomial features: column j is the product over coordinates d,
     in increasing d, of points[:, d] ** powers[j, d], zero exponents
     skipped.  Each coordinate power is computed once and multiplied in place
     into the C-ordered output, so every column is the same left-to-right
-    product as one built factor by factor.
-
-    With a `_LagColumns` memo bound to `powers`, the columns without a head
-    power and the lag powers come from the memo's entry for points[:, 1:],
-    and only the columns with a head power are multiplied here; the bits
-    are the same as without the memo."""
-    if lag_columns is None:
-        return _multiply_columns(np.ones((points.shape[0], len(powers))),
-                                 points, _column_factors(powers), {})
-    if lag_columns.powers is not powers:
-        raise ValueError("lag-column memo is bound to another powers array")
-    out, cached = lag_columns.start(points)
-    return _multiply_columns(out, points, lag_columns.head_factors, cached)
-
-
-def _column_factors(powers):
-    """(j, d, e) for every nonzero exponent e = powers[j, d], in increasing
-    j, then d."""
+    product as one built factor by factor."""
+    out = np.ones((points.shape[0], len(powers)))
     rows, cols = np.nonzero(powers)
-    return list(zip(rows.tolist(), cols.tolist(), powers[rows, cols]))
-
-
-def _multiply_columns(out, points, factors, cached):
-    """Multiply out[:, j] by points[:, d] ** e for each (j, d, e) in order;
-    `cached` maps (d, e) to that power and gains the ones raised here."""
-    for j, d, e in factors:
-        p = cached.get((d, e))
+    raised = {}
+    for j, d, e in zip(rows.tolist(), cols.tolist(), powers[rows, cols]):
+        p = raised.get((d, e))
         if p is None:
-            p = cached[d, e] = points[:, d] ** e
+            p = raised[d, e] = points[:, d] ** e
         out[:, j] *= p
     return out
 
 
-class _LagColumns:
-    """Design-matrix columns without a head power, kept for the two most
-    recently used lag blocks points[:, 1:].
+class _LagMemo:
+    """Fits evaluated as polynomials in the head h whose coefficients
+    depend on the lags: A @ c = sum_e h**e * (L @ C_e), where L is the
+    design of the lag block on the distinct lag exponents and C_e holds the
+    entries of c whose column has head power e.
 
-    The point sets one regression solve or policy decision prices differ
-    mostly in the head coordinate alone: a jump moves only the head, all
-    Euler successors of one set carry the same shifted lags, and clipping
-    acts per coordinate.  Each entry holds a private copy of the lag block,
-    a C-ordered (N, P) template with the head-free columns filled as
-    design_matrix fills them and the head columns set to 1, and the lag
-    powers.  A block matches an entry only if its bytes are equal, so lags
-    that differ in the sign of a zero miss.  Calls alternate between a point
-    set and its clipped jumps, so two entries suffice."""
+    The point sets one regression solve or policy decision prices share
+    their lag block: a jump moves only the head, and all Euler successors
+    of a set carry the same shifted lags.  So for the two most recently
+    used pairs of a time index and a lag block, keyed by the block's bytes
+    (lags that differ in the sign of a zero miss), an entry keeps L and,
+    per coefficient vector served, the (d + 1, N) head coefficients; every
+    further point set with those lags costs one Horner pass in the head.
+    The time index bounds an entry's fits by two per level, also at lift 1
+    where every lag block of N rows is the same.  Calls alternate between a
+    point set and its clipped jumps, so two entries suffice."""
 
     def __init__(self, powers):
         self.powers = powers
-        has_head = powers[:, 0] > 0
-        factors = _column_factors(powers)
-        self.head_factors = [f for f in factors if has_head[f[0]]]
-        self.lag_factors = [f for f in factors if not has_head[f[0]]]
-        self.entries = []  # (key, template, lag powers), most recent first
+        self.lag_powers, where = np.unique(powers[:, 1:], axis=0,
+                                           return_inverse=True)
+        self.slots = (powers[:, 0], where.reshape(-1))
+        self.entries = []  # (key, L, {coefficient bytes: head coefficients})
+        self.clipped = (None, None)  # (key of a lag block, its clipped copy)
 
-    def start(self, points):
-        """A copy of the template for points[:, 1:] and of its lag powers,
-        building the entry on a miss and evicting the least recently used."""
-        lags = points[:, 1:]
-        key = (lags.dtype.str, lags.shape, lags.tobytes())
+    def values(self, time_index, head, lags, coeffs, bounds=None):
+        """(L, N) stack of each fit in `coeffs`, of slice `time_index`, at
+        the points (head, lags) clipped into `bounds` = (lo, hi) if given,
+        the lags once per run of calls on one block (the U jumps of a point
+        set).  One Horner pass per fit; its head coefficients are computed
+        at the first point set with these lags, the same bytes thereafter."""
+        if bounds is not None:
+            (lo, hi), raw = bounds, (time_index, lags.shape, lags.tobytes())
+            if self.clipped[0] != raw:
+                self.clipped = (raw, np.clip(lags, lo[1:], hi[1:]))
+            head, lags = np.clip(head, lo[0], hi[0]), self.clipped[1]
+        key = (time_index, lags.shape, lags.tobytes())
         for n, entry in enumerate(self.entries):
             if entry[0] == key:
                 self.entries.insert(0, self.entries.pop(n))
                 break
         else:
-            cached = {}
-            template = _multiply_columns(
-                np.ones((points.shape[0], len(self.powers))), points,
-                self.lag_factors, cached)
-            entry = (key, template, cached)
+            entry = (key, design_matrix(lags, self.lag_powers), {})
             self.entries = [entry] + self.entries[:1]
-        return entry[1].copy(), dict(entry[2])
+        _, lag_design, served = entry
+        out = np.empty((len(coeffs), len(head)))
+        for row, c in zip(out, coeffs):
+            hc = served.get(c.tobytes())
+            if hc is None:
+                by_head = np.zeros((self.slots[0].max() + 1, len(self.lag_powers)))
+                by_head[self.slots] = c
+                hc = served[c.tobytes()] = by_head @ lag_design.T
+            row[:] = hc[-1]
+            for e in range(len(hc) - 2, -1, -1):
+                row *= head
+                row += hc[e]
+        return out
 
 
 @dataclass
@@ -255,10 +252,14 @@ class RegressionValueFunction:
     # evaluations get clipped into these so the kinked fit is never
     # extrapolated (impulses shift points up to the impulse-set width away)
     bounds: list = field(repr=False, default=None)
-    # shared by every level of one solve or one load, bound to `powers`
-    lag_columns: object = field(repr=False, compare=False, default=None)
+    # a _LagMemo of `powers`, shared by every level of one solve or one load
+    lag_memo: object = field(repr=False, compare=False, default=None)
 
     backend = "REGRESSION"
+
+    def __post_init__(self):
+        if self.lag_memo is None:
+            self.lag_memo = _LagMemo(self.powers)
 
     @property
     def n_steps(self):
@@ -430,11 +431,15 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     terminal = np.asarray(spec.terminal_reward(points[:, 0]), dtype=float)
 
     # Every level queries the same points, so the stencils are built once:
-    # one over the U jumped copies of the points stacked (the jump map
-    # ignores t), and the Euler successors' stencils are rebuilt only when
-    # the successors change from one slice to the next.
-    jump_stencil = interp_stencil(axes, np.concatenate(
-        [impulse_transition_batch(points, u, spec) for u in u_grid]))
+    # one (U, N) stencil over the U jumped copies of the points (the jump
+    # map ignores t and moves only the head, so the lag cells of the N
+    # points broadcast over every copy), and the Euler successors' stencils
+    # are rebuilt only when the successors change from one slice to the next.
+    heads = np.empty((len(u_grid), len(points), 1))
+    for j, u in enumerate(u_grid):
+        heads[j, :, 0] = impulse_transition_batch(points, u, spec)[:, 0]
+    jump_stencil = interp_stencil(axes, heads, _lag_cells(axes, points[:, 1:]))
+    del heads
     successors = [None] * len(quadrature.nodes)
     step_stencils = [None] * len(quadrature.nodes)
 
@@ -455,8 +460,7 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
                                 lambda j: apply_stencil(step_stencils[j],
                                                         vf.values[i + 1]))
             if k:
-                jumped = apply_stencil(jump_stencil, prev.values[i]).reshape(
-                    len(u_grid), -1)
+                jumped = apply_stencil(jump_stencil, prev.values[i])
                 interv, _ = _best_impulse(spec, points, u_grid, t,
                                           lambda j: jumped[j])
                 vals = np.maximum(vals, interv)
@@ -498,10 +502,10 @@ def _sample_states(spec, grid, backend):
 @dataclass
 class _RegressionLevels:
     """Consecutive levels of one regression chain read together: value_at
-    and plain_value_at return (L, N) stacks, row by row one level each.  One
-    design matrix per point set serves every level, and the jumps of every
-    level with a `prev` are priced with one stacked plain_value_at over
-    those prevs.  At T both methods give the terminal reward."""
+    and plain_value_at return (L, N) stacks, row by row one level each,
+    through the first level's lag memo.  The jumps of every level with a
+    `prev` are priced with one stacked plain_value_at over those prevs.  At
+    T both methods give the terminal reward."""
 
     levels: list
 
@@ -510,8 +514,8 @@ class _RegressionLevels:
         base = self.levels[0]
         if base.cont_coeffs[time_index] is None:
             return self.plain_value_at(time_index, points)
-        v = _fitted_values(design_matrix(points, base.powers, base.lag_columns),
-                           [lvl.cont_coeffs[time_index] for lvl in self.levels])
+        v = base.lag_memo.values(time_index, points[:, 0], points[:, 1:],
+                                 [lvl.cont_coeffs[time_index] for lvl in self.levels])
         prevs = [lvl.prev for lvl in self.levels if lvl.prev is not None]
         if prevs:
             jump, _ = _intervention_batch(
@@ -525,33 +529,25 @@ class _RegressionLevels:
         if base.plain_coeffs[time_index] is None:
             terminal = base.terminal_reward(points[:, 0])
             return np.tile(np.asarray(terminal, dtype=float), (len(self.levels), 1))
-        if base.bounds is not None:
-            lo, hi = base.bounds[time_index]
-            points = np.clip(points, lo, hi)
-        return _fitted_values(design_matrix(points, base.powers, base.lag_columns),
-                              [lvl.plain_coeffs[time_index] for lvl in self.levels])
-
-
-def _fitted_values(A, coeffs):
-    """(L, N) stack of A @ c over the L coefficient vectors, one
-    matrix-vector product each as in a single level's value_at (one
-    matrix-matrix product would round differently)."""
-    return np.stack([A @ c for c in coeffs])
+        return base.lag_memo.values(
+            time_index, points[:, 0], points[:, 1:],
+            [lvl.plain_coeffs[time_index] for lvl in self.levels],
+            None if base.bounds is None else base.bounds[time_index])
 
 
 def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     """Time-outer sweep over all k_max + 1 levels, then a trim at the first
-    gap below tol.  At each slice the continuation of every live level comes
-    from one design matrix per Euler successor set and per clipped jump of
-    it, and the cloud's design and Gram matrices serve both fits of every
-    level and the gap.  Levels are fitted in increasing k, since level k's
-    jump prices with level k-1's plain fit at the same slice.  A level that
-    turns non-finite ends itself and every level above it; its error is
-    raised only if no level below it converges, as a level-by-level solve
-    would have stopped first."""
+    gap below tol.  Fits are read through one lag memo: the Euler successors
+    of cloud i carry the lags of cloud i + 1, read at the slice above, and
+    its jumps its own.  The cloud's design and Gram matrices serve both fits
+    of every level.  Levels are fitted in increasing k, since level k's jump
+    prices with level k-1's plain fit at the same slice.  A level that turns
+    non-finite ends itself and every level above it; its error is raised
+    only if no level below it converges, as a level-by-level solve would
+    have stopped first."""
     m = grid.delay_steps + 1
     powers = monomial_powers(m, backend.degree)
-    lag_columns = _LagColumns(powers)
+    lag_memo = _LagMemo(powers)
     clouds = _sample_states(spec, grid, backend)
     n = grid.n_steps
     dt = grid.dt
@@ -568,22 +564,22 @@ def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
             plain_coeffs=[None] * (n + 1), k_index=k, dt=dt,
             terminal_reward=spec.terminal_reward,
             prev=levels[-1] if k else None, spec=spec, u_grid=u_grid,
-            bounds=bounds, lag_columns=lag_columns))
+            bounds=bounds, lag_memo=lag_memo))
     slice_gaps = [[None] * n for _ in range(k_max)]
     live, failure = k_max + 1, None
     for i in range(n - 1, -1, -1):
         pts = clouds[i]
         cont = _continuation(_RegressionLevels(levels[:live]), i, pts, spec,
                              quadrature, dt)
-        A = design_matrix(pts, powers, lag_columns)
-        fit = _regression_fitter(A, backend.ridge_lambda)
+        fit = _regression_fitter(design_matrix(pts, powers), backend.ridge_lambda)
         below = None
         for k in range(live):
             vf = levels[k]
             try:
                 _check_finite(cont[k], i, k)
                 vf.cont_coeffs[i] = fit(cont[k])
-                v = A @ vf.cont_coeffs[i]
+                v = lag_memo.values(i, pts[:, 0], pts[:, 1:],
+                                    [vf.cont_coeffs[i]])[0]
                 if k >= 1:
                     interv, _ = _intervention_batch(levels[k - 1].plain_value_at,
                                                     i, pts, spec, u_grid, i * dt)
@@ -815,7 +811,11 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
     if bounds is not None:
         bounds = [None if b is None else _json_array(b, f"{where}.bounds", 2)
                   for b in (bounds if isinstance(bounds, list) else [bounds])]
-    lag_columns = _LagColumns(powers)
+        if len(bounds) != n + 1 or bounds[-1] is not None or any(
+                b is None or b.shape != (2, powers.shape[1]) for b in bounds[:-1]):
+            raise ValidationError(f"{where}.bounds: must hold n_steps = {n} arrays "
+                                  f"of shape (2, {powers.shape[1]}), then null")
+    lag_memo = _LagMemo(powers)
     vf = None
     for k in range(n_levels):
         vf = RegressionValueFunction(powers=powers,
@@ -826,5 +826,5 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
                                      prev=vf, spec=spec,
                                      u_grid=None if u_grid is None
                                      else np.asarray(u_grid, dtype=float),
-                                     bounds=bounds, lag_columns=lag_columns)
+                                     bounds=bounds, lag_memo=lag_memo)
     return vf

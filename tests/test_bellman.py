@@ -20,7 +20,8 @@ from sddeimpulse.bellman import (DivergenceError, GridBackend,
                                  load_value_function, monomial_powers,
                                  multilinear_interp, save_value_function)
 from sddeimpulse.cli import RunConfig
-from sddeimpulse.lattice import gauss_hermite_quadrature
+from sddeimpulse.lattice import (gauss_hermite_quadrature,
+                                 impulse_transition_batch)
 from sddeimpulse.oracle import (FiniteTree, exact_snell_on_tree,
                                 exact_state_axis)
 from sddeimpulse.simulate import TimeGrid, export_trajectories_csv
@@ -189,23 +190,70 @@ class TestDesignMatrix:
             assert np.isinf(got).any()
 
 
-def memo_design(memo, pts, powers):
-    """design_matrix through the memo, checked bit for bit against the
-    per-column reference and the memo-less call; returns the entry used."""
+def fresh_values(pts, powers, c):
+    """One fit at `pts` through a memo that has seen nothing."""
+    return bellman._LagMemo(powers).values(0, pts[:, 0], pts[:, 1:], [c])[0]
+
+
+def assert_within_rounding(pts, powers, c):
+    """The head polynomial at `pts` against a fresh design_matrix @ c, within
+    64 eps of the sum of the terms' magnitudes."""
+    A = design_matrix(pts, powers)
+    bound = 64 * np.finfo(float).eps * (np.abs(A) @ np.abs(c))
+    assert np.all(np.abs(fresh_values(pts, powers, c) - A @ c) <= bound)
+
+
+def lag_memo(m, degree, n_rows=50, scale=1.0, seed=0):
+    """Points, powers, a memo of those powers and two coefficient vectors."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n_rows, m)) * scale
+    powers = monomial_powers(m, degree)
+    coeffs = list(rng.normal(size=(2, len(powers))))
+    return pts, powers, bellman._LagMemo(powers), coeffs
+
+
+def memo_values(memo, pts, coeffs, time_index=0):
+    """memo.values at `pts`, checked bit for bit against a fresh memo;
+    returns the entry used."""
     with np.errstate(over="ignore", invalid="ignore"):
-        got = design_matrix(pts, powers, memo)
-        want = per_column_design_matrix(pts, powers)
-        plain = design_matrix(pts, powers)
-    assert got.shape == want.shape and got.flags.c_contiguous
-    assert got.tobytes() == want.tobytes() == plain.tobytes()
+        got = memo.values(time_index, pts[:, 0], pts[:, 1:], coeffs)
+        want = [fresh_values(pts, memo.powers, c) for c in coeffs]
+    assert got.shape == (len(coeffs), len(pts))
+    assert got.tobytes() == np.stack(want).tobytes()
     assert 1 <= len(memo.entries) <= 2
     return memo.entries[0]
 
 
-def lag_memo(m, degree, n_rows=50, scale=1.0, seed=0):
-    pts = np.random.default_rng(seed).normal(size=(n_rows, m)) * scale
-    powers = monomial_powers(m, degree)
-    return pts, powers, bellman._LagColumns(powers)
+class TestHeadPolynomial:
+    @pytest.mark.parametrize("m,degree", [(6, 3), (1, 3), (3, 0), (2, 4)],
+                             ids=["lift6_degree3", "lift1", "degree0",
+                                  "lift2_degree4"])
+    def test_matches_fresh_design_within_rounding(self, m, degree):
+        pts, powers, _, coeffs = lag_memo(m, degree, n_rows=300, scale=2.0)
+        pts[::7, 0] = 0.0
+        for c in coeffs:
+            assert_within_rounding(pts, powers, c)
+        if degree == 0:
+            assert np.all(fresh_values(pts, powers, coeffs[0])
+                          == coeffs[0][0])
+
+    def test_non_finite_fit_raises_divergence(self):
+        pts, powers, _, coeffs = lag_memo(6, 3, scale=1e110)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = fresh_values(pts, powers, coeffs[0])
+            want = design_matrix(pts, powers) @ coeffs[0]
+        assert not np.all(np.isfinite(want))
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        with pytest.raises(DivergenceError):
+            _check_finite(got, 0, 1)
+
+    def test_memo_hit_returns_the_bytes_of_a_fresh_evaluation(self):
+        pts, powers, memo, coeffs = lag_memo(6, 3)
+        first = memo_values(memo, pts, coeffs)
+        hit = memo.values(0, pts[:, 0], pts[:, 1:], coeffs[::-1])
+        assert memo.entries[0] is first
+        assert hit.tobytes() == np.stack(
+            [fresh_values(pts, powers, c) for c in coeffs[::-1]]).tobytes()
 
 
 class TestLagColumns:
@@ -213,60 +261,76 @@ class TestLagColumns:
         (6, 3, 1.0), (1, 3, 1.0), (3, 0, 1.0), (3, 3, 1e110)],
         ids=["lift6", "m1_all_head", "degree0", "overflow"])
     def test_head_only_change_hits(self, m, degree, scale):
-        pts, powers, memo = lag_memo(m, degree, scale=scale)
-        first = memo_design(memo, pts, powers)
+        pts, powers, memo, coeffs = lag_memo(m, degree, scale=scale)
+        first = memo_values(memo, pts, coeffs)
         jumped = pts.copy()
         jumped[:, 0] = jumped[:, 0] * 0.5 + 1.0
-        assert memo_design(memo, jumped, powers) is first
+        assert memo_values(memo, jumped, coeffs) is first
         assert len(memo.entries) == 1
+        assert len(first[2]) == len(coeffs)
         if scale > 1e100:
             with np.errstate(over="ignore", invalid="ignore"):
-                assert np.isinf(design_matrix(jumped, powers, memo)).any()
+                assert not np.all(np.isfinite(
+                    memo.values(0, jumped[:, 0], jumped[:, 1:], coeffs)))
 
-    @pytest.mark.parametrize("new", ["next_float", "signed_zero"])
+    @pytest.mark.parametrize("new", ["next_float", "signed_zero",
+                                     "time_index"])
     def test_single_lag_entry_change_misses(self, new):
-        pts, powers, memo = lag_memo(6, 3)
+        pts, powers, memo, coeffs = lag_memo(6, 3)
         pts[:, 2] = 0.0
-        first = memo_design(memo, pts, powers)
-        other = pts.copy()
+        first = memo_values(memo, pts, coeffs)
+        other, time_index = pts.copy(), 0
         if new == "next_float":
             other[17, 3] = np.nextafter(other[17, 3], np.inf)
-        else:
-            # equal as numbers, but the sign of zero reaches the columns
+        elif new == "signed_zero":
+            # equal as numbers, but the key is the bytes
             other[17, 2] = -0.0
-        assert memo_design(memo, other, powers) is not first
+        else:
+            time_index = 1
+        assert memo_values(memo, other, coeffs, time_index) is not first
         assert len(memo.entries) == 2
 
     def test_caller_mutation_between_calls(self):
-        pts, powers, memo = lag_memo(6, 3)
-        out = design_matrix(pts, powers, memo)
+        pts, powers, memo, coeffs = lag_memo(6, 3)
+        out = memo.values(0, pts[:, 0], pts[:, 1:], coeffs)
         out[:] = 7.0
         pts[:, 1:] *= 2.0
-        memo_design(memo, pts, powers)
+        memo_values(memo, pts, coeffs)
         pts[:, 1:] /= 2.0
-        memo_design(memo, pts, powers)
+        memo_values(memo, pts, coeffs)
+        coeffs[0] *= 3.0
+        memo_values(memo, pts, coeffs)
 
     def test_row_count_change(self):
-        pts, powers, memo = lag_memo(4, 2)
-        first = memo_design(memo, pts, powers)
-        assert memo_design(memo, pts[:40], powers) is not first
-        assert memo_design(memo, pts[:1], powers) is not first
+        pts, powers, memo, coeffs = lag_memo(4, 2)
+        first = memo_values(memo, pts, coeffs)
+        assert memo_values(memo, pts[:40], coeffs) is not first
+        assert memo_values(memo, pts[:1], coeffs) is not first
+
+    def test_lags_clipped_once_per_lag_block(self):
+        pts, powers, memo, coeffs = lag_memo(6, 3)
+        bounds = (np.full(6, -0.5), np.full(6, 0.5))
+        jumped = pts.copy()
+        jumped[:, 0] += 1.0
+        first = memo.values(0, pts[:, 0], pts[:, 1:], coeffs, bounds)
+        clipped = memo.clipped[1]
+        again = memo.values(0, jumped[:, 0], jumped[:, 1:], coeffs, bounds)
+        assert memo.clipped[1] is clipped and len(memo.entries) == 1
+        for got, p in ((first, pts), (again, jumped)):
+            assert got.tobytes() == np.stack(
+                [fresh_values(np.clip(p, *bounds), powers, c)
+                 for c in coeffs]).tobytes()
 
     def test_keeps_the_two_most_recent_lag_blocks(self):
-        pts, powers, memo = lag_memo(3, 2)
+        pts, powers, memo, coeffs = lag_memo(3, 2)
         sets = [pts, pts + 1.0, pts + 2.0]
-        a = memo_design(memo, sets[0], powers)
-        b = memo_design(memo, sets[1], powers)
-        assert memo_design(memo, sets[0], powers) is a
-        c = memo_design(memo, sets[2], powers)
+        a = memo_values(memo, sets[0], coeffs)
+        b = memo_values(memo, sets[1], coeffs)
+        assert memo_values(memo, sets[0], coeffs) is a
+        c = memo_values(memo, sets[2], coeffs)
         assert memo.entries == [c, a]
-        assert memo_design(memo, sets[1], powers) is not b
+        assert memo_values(memo, sets[1], coeffs) is not b
         assert memo.entries[1] is c
-
-    def test_memo_of_other_powers_rejected(self):
-        pts, powers, memo = lag_memo(3, 2)
-        with pytest.raises(ValueError):
-            design_matrix(pts, monomial_powers(3, 2), memo)
 
 
 class TestFitRegressionStep:
@@ -416,15 +480,42 @@ class TestStencilSolve:
         calls = []
         real = bellman.interp_stencil
 
-        def counting(axes, points):
+        def counting(axes, points, lag_cells=None):
             calls.append(len(points))
-            return real(axes, points)
+            return real(axes, points, lag_cells)
 
         monkeypatch.setattr(bellman, "interp_stencil", counting)
         spec = dataclasses.replace(reduced_spec(), horizon=horizon)
         its, _, _, quad, ug = solve_reduced(spec, k_max=k_max, tol=1e-12)
         assert len(its) == k_max + 1
         assert len(calls) == 1 + len(quad.nodes)
+
+    @pytest.mark.parametrize("delay", [0.01, 0.02], ids=["reduced", "lift3"])
+    def test_jump_stencil_equals_one_on_the_stacked_jumps(self, monkeypatch,
+                                                          delay):
+        built = []
+        real = bellman.interp_stencil
+
+        def recording(axes, points, lag_cells=None):
+            out = real(axes, points, lag_cells)
+            if lag_cells is not None:
+                built.append(out)
+            return out
+
+        monkeypatch.setattr(bellman, "interp_stencil", recording)
+        spec = dataclasses.replace(feedback_spec(delay=delay), horizon=0.05)
+        its, _, _, _, ug = solve_reduced(spec, k_max=1, points=11, n_u=7)
+        axes = its[0].axes
+        points = np.stack([g.ravel() for g in np.meshgrid(*axes,
+                                                          indexing="ij")], 1)
+        base, corners = real(axes, np.concatenate(
+            [impulse_transition_batch(points, u, spec) for u in ug]))
+        (got_base, got_corners), = built
+        assert got_base.shape == (len(ug), len(points))
+        assert got_base.tobytes() == base.tobytes()
+        assert [off for off, _ in got_corners] == [off for off, _ in corners]
+        for (_, got), (_, want) in zip(got_corners, corners):
+            assert got.tobytes() == want.tobytes()
 
 
 class FreshGridLevel:
@@ -506,18 +597,18 @@ class TestGridLagMemo:
 
 
 class ReferenceLevel:
-    """One regression level evaluated on its own: a fresh design matrix per
-    query, one matrix-vector product, and jumps priced with the level
-    below's plain fit, one level at a time."""
+    """One regression level evaluated on its own: the head-polynomial kernel
+    through a fresh memo per query, and jumps priced with the level below's
+    plain fit, one level at a time."""
 
     def __init__(self, vf):
-        self.vf = vf
+        self.vf, self.n_steps, self.dt = vf, vf.n_steps, vf.dt
 
     def value_at(self, i, points):
         vf = self.vf
         if vf.cont_coeffs[i] is None:
             return np.asarray(vf.terminal_reward(points[:, 0]), dtype=float)
-        v = design_matrix(points, vf.powers) @ vf.cont_coeffs[i]
+        v = fresh_values(points, vf.powers, vf.cont_coeffs[i])
         if vf.prev is not None:
             jump, _ = _intervention_batch(ReferenceLevel(vf.prev).plain_value_at,
                                           i, points, vf.spec, vf.u_grid, i * vf.dt)
@@ -527,8 +618,8 @@ class ReferenceLevel:
     def plain_value_at(self, i, points):
         vf = self.vf
         lo, hi = vf.bounds[i]
-        return design_matrix(np.clip(points, lo, hi), vf.powers) \
-            @ vf.plain_coeffs[i]
+        return fresh_values(np.clip(points, lo, hi), vf.powers,
+                            vf.plain_coeffs[i])
 
 
 def reference_regression_solve(spec, grid, backend, quad, u_grid, k_max, tol):
@@ -650,9 +741,9 @@ class TestRegressionSweep:
         calls = []
         real = bellman.design_matrix
 
-        def counting(points, powers, lag_columns=None):
-            calls.append(len(points))
-            return real(points, powers, lag_columns)
+        def counting(points, powers):
+            calls.append(points.shape)
+            return real(points, powers)
 
         monkeypatch.setattr(bellman, "design_matrix", counting)
         spec = dataclasses.replace(reduced_spec(), horizon=0.05)
@@ -662,12 +753,11 @@ class TestRegressionSweep:
         its, _ = k_value_iteration(spec, grid,
                                    RegressionBackend(degree=2, n_samples=200),
                                    quad, ug, k_max=3, tol=1e-12)
-        n, q, u, levels = grid.n_steps, len(quad.nodes), len(ug), len(its)
-        assert levels == 4
-        # per slice: the cloud once and its jumps once per level above 0;
-        # below the last slice, each successor set and each of its jumps once
-        assert len(calls) == n * (1 + (levels - 1) * u) + (n - 1) * q * (1 + u)
-        assert set(calls) == {200}
+        assert len(its) == 4
+        # per slice: the cloud's fit design, and one lag design for the
+        # cloud, its jumps and the successors of the slice below, which
+        # carry the same lags
+        assert calls == [(200, 2), (200, 1)] * grid.n_steps
 
 
 class TestPolicy:
@@ -717,15 +807,6 @@ class TestPolicy:
             Policy(its[-1], other[0], spec2, ug, quad)
 
 
-def without_memo(levels):
-    """Copies of a level chain whose design matrices are built afresh."""
-    out = []
-    for vf in levels:
-        out.append(dataclasses.replace(vf, prev=out[-1] if out else None,
-                                       lag_columns=None))
-    return out
-
-
 class TestSharedLagColumns:
     def test_decide_batch_lift6_bitwise(self):
         spec = dataclasses.replace(feedback_spec(delay=0.05), horizon=0.05)
@@ -736,22 +817,47 @@ class TestSharedLagColumns:
                                    RegressionBackend(degree=3, n_samples=200),
                                    quad, ug, k_max=2, tol=1e-12)
         assert grid.delay_steps + 1 == 6 and len(its) == 3
-        memo = its[0].lag_columns
-        assert memo is not None and all(vf.lag_columns is memo for vf in its)
-        bare = without_memo(its)
+        memo = its[0].lag_memo
+        assert all(vf.lag_memo is memo for vf in its)
         rng = np.random.default_rng(3)
         states = np.repeat(rng.normal(size=(40, 1)), 6, axis=1)
         states[:20] = rng.normal(size=(20, 6))
         for i in range(grid.n_steps + 1):
             with_memo = Policy(its[2], its[1], spec, ug, quad)
-            fresh = Policy(bare[2], bare[1], spec, ug, quad)
+            fresh = Policy(ReferenceLevel(its[2]), ReferenceLevel(its[1]),
+                           spec, ug, quad)
             for got, want in zip(with_memo.decide_batch(i, states),
                                  fresh.decide_batch(i, states)):
                 assert got.tobytes() == want.tobytes()
             assert its[2].value_at(i, states).tobytes() == \
-                bare[2].value_at(i, states).tobytes() == \
-                ReferenceLevel(bare[2]).value_at(i, states).tobytes()
+                ReferenceLevel(its[2]).value_at(i, states).tobytes()
             assert len(memo.entries) <= 2
+
+    def test_lag_designs_per_decision(self, monkeypatch):
+        spec = dataclasses.replace(feedback_spec(delay=0.05), horizon=0.05)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        quad = gauss_hermite_quadrature(0.01, 3)
+        ug = spec.impulse_set.grid(5)
+        its, _ = k_value_iteration(spec, grid,
+                                   RegressionBackend(degree=3, n_samples=200),
+                                   quad, ug, k_max=2, tol=1e-12)
+        calls = []
+        real = bellman.design_matrix
+
+        def counting(points, powers):
+            calls.append(points.shape)
+            return real(points, powers)
+
+        monkeypatch.setattr(bellman, "design_matrix", counting)
+        policy = Policy(its[2], its[1], spec, ug, quad)
+        # inside every slice's cloud box, so clipping leaves the lags alone
+        states = np.random.default_rng(0).uniform(-0.1, 0.1, (30, 6))
+        for i in range(grid.n_steps):
+            del calls[:]
+            policy.decide_batch(i, states)
+            # the successors' lags for V^k at i + 1 (none at T), and the
+            # states' lags for V^{k-1} at i; every jump of either hits
+            assert calls == [(30, 5)] * (1 if i == grid.n_steps - 1 else 2)
 
     def test_loaded_levels_share_one_memo(self, tmp_path):
         spec = dataclasses.replace(feedback_spec(delay=0.02), horizon=0.05)
@@ -767,8 +873,8 @@ class TestSharedLagColumns:
                                    spec=spec, u_grid=ug)
         chain = [back, back.prev, back.prev.prev]
         assert chain[2].prev is None
-        assert all(vf.lag_columns is back.lag_columns is not None
-                   and vf.powers is back.lag_columns.powers for vf in chain)
+        assert all(vf.lag_memo is back.lag_memo
+                   and vf.powers is back.lag_memo.powers for vf in chain)
 
 
 class TestPersistence:

@@ -367,6 +367,31 @@ class TestCommands:
         assert main(["evaluate", "--config", str(cfg), "--out", out]) == 2
         assert "lift dimension 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda b: [b[0] + [b[0][0]]] + b[1:],
+        lambda b: b[:1]], ids=["three-rows", "one-entry"])
+    def test_exit_code_2_on_bad_regression_bounds(self, tmp_path, capsys,
+                                                  edit):
+        raw = load_raw("delay_feedback.json")
+        raw["problem"]["horizon"] = 0.05
+        raw["solver"].update(k_max=1, n_samples=200)
+        raw["discretization"]["n_impulse"] = 3
+        raw["evaluation"]["n_paths"] = 10
+        cfg = tmp_path / "cfg.json"
+        out = str(tmp_path / "run")
+        cfg.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(cfg), "--out", out]) == 0
+        for name in ("v_top", "v_prev"):
+            path = os.path.join(out, f"{name}_header.json")
+            with open(path) as fh:
+                header = json.load(fh)
+            header["bounds"] = edit(header["bounds"])
+            with open(path, "w") as fh:
+                json.dump(header, fh)
+        assert main(["evaluate", "--config", str(cfg), "--out", out]) == 2
+        assert "v_top_header.bounds: must hold n_steps = 5 arrays of shape " \
+            "(2, 6), then null" in capsys.readouterr().err
+
     def test_exit_code_2_on_artifact_of_other_dt(self, tmp_path, capsys):
         # 20 steps of 0.01 at solve, 20 steps of 0.02 at evaluate, lift 2
         raw = load_raw("delay_feedback_reduced.json")

@@ -41,3 +41,63 @@ def test_wall_time_ignored_and_first_difference_named(tmp_path):
     (b / "extra.csv").write_text("")
     code, out = run(a, b)
     assert code == 1 and "extra.csv: only in" in out
+
+
+def run_rtol(a, b, rtol):
+    proc = subprocess.run([sys.executable, TOOL, "--rtol", str(rtol), str(a),
+                           str(b)], capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout
+
+
+def test_rtol_compares_numbers_and_reports_the_largest_difference(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, wall, v, cell, action in ((a, 1.5, -0.5, "0.25", "CONTINUE"),
+                                     (b, 9.0, -0.5000001, "0.2500001",
+                                      "CONTINUE")):
+        d.mkdir()
+        (d / "summary.json").write_text(json.dumps(
+            {"v": v, "k": 3, "backend": "grid", "wall_time": wall}, indent=2))
+        (d / "values.csv").write_text(f"t,x,value\n0,1,{cell}\n0,2,{action}\n")
+        (d / "notes.txt").write_text("same\n")
+    assert run(a, b)[0] == 1
+    code, out = run_rtol(a, b, 1e-6)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "summary.json: max abs diff 1e-07, max rel diff " \
+        "2e-07, 0 cells beyond rtol"
+    assert lines[1].startswith("values.csv: max abs diff 1e-07, max rel diff "
+                               "4e-07, 0 cells beyond rtol")
+    assert lines[2] == "within rtol 1e-06: 3 files"
+
+    code, out = run_rtol(a, b, 1e-7)
+    assert code == 1
+    assert "values.csv: max abs diff 1e-07, max rel diff 4e-07, 1 cells " \
+        "beyond rtol" in out
+    assert "differ: summary.json: 1 cells beyond rtol 1e-07" in out
+
+    # a flipped text cell counts, whatever the tolerance
+    (b / "summary.json").write_text((a / "summary.json").read_text())
+    (b / "values.csv").write_text("t,x,value\n0,1,0.25\n0,2,-1\n")
+    code, out = run_rtol(a, b, 1.0)
+    assert code == 1 and "values.csv: 1 cells beyond rtol" in out
+
+
+def test_rtol_still_requires_the_same_shape_and_other_bytes(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+        (d / "values.csv").write_text("k,v\n1,0.25\n")
+        (d / "evaluate.json").write_text(json.dumps({"mean": 1.0, "n": 2}))
+    (b / "values.csv").write_text("k,v\n1,0.25\n2,0.5\n")
+    assert run_rtol(a, b, 1.0) == (1, "differ: values.csv: rows, cells or "
+                                      "keys differ\n")
+    (b / "values.csv").write_text("k,v\n1,0.25\n")
+    (b / "evaluate.json").write_text(json.dumps({"mean": 1.0, "m": 2}))
+    code, out = run_rtol(a, b, 1.0)
+    assert code == 1 and "evaluate.json: rows, cells or keys differ" in out
+    (b / "evaluate.json").write_text(json.dumps({"mean": 1.0, "n": 2}))
+    (a / "manifest.txt").write_text("x")
+    (b / "manifest.txt").write_text("y")
+    code, out = run_rtol(a, b, 1.0)
+    assert code == 1 and "manifest.txt: contents differ" in out
+    assert run_rtol(a, b, -1.0)[0] == 2

@@ -1,21 +1,35 @@
 #!/usr/bin/env python3
-"""Check that two run directories hold the same artifacts, byte for byte.
+"""Check that two run directories hold the same artifacts.
 
-    python3 tools/same_artifacts.py DIR_A DIR_B
+    python3 tools/same_artifacts.py [--rtol R] DIR_A DIR_B
 
-Both trees are walked; every file must exist on both sides with the same
-bytes.  A file named summary.json is compared without the line that holds
-its wall_time key (the CLI writes one key per line), the one field a run is
-allowed to vary.  Prints the number of files
-compared and exits 0 when everything matches; otherwise prints the first
-difference (in sorted path order) and exits 1.  Uses the standard library
-only.
+Both trees are walked; every file must exist on both sides.  A file named
+summary.json is compared without its wall_time key, the one field a run is
+allowed to vary.
+
+By default the files must hold the same bytes (summary.json without the
+line that holds wall_time; the CLI writes one key per line).  Prints the
+number of files compared and exits 0 when everything matches; otherwise
+prints the first difference (in sorted path order) and exits 1.
+
+With --rtol R, .csv and .json files are compared as numbers: a CSV cell or
+JSON number on one side may differ from its counterpart by at most R times
+the larger magnitude of the two, and everything else (row and cell counts,
+text cells, keys, strings) must be equal.  Other files are still compared
+byte for byte.  For every file that differs in its bytes the tool prints
+the maximum absolute and relative difference over its numbers and the
+number of cells beyond R (a text cell that differs, such as a policy
+action that flipped, counts as one); it exits 1 if any file has a cell
+beyond R or a structural difference.  Uses the standard library only.
 """
 
+import argparse
+import json
+import math
 import os
 import sys
 
-VARYING = {"summary.json": b'"wall_time":'}
+VARYING = {"summary.json": ("wall_time", b'"wall_time":')}
 
 
 def relative_files(root):
@@ -29,37 +43,118 @@ def relative_files(root):
 def content(path):
     with open(path, "rb") as fh:
         blob = fh.read()
-    key = VARYING.get(os.path.basename(path))
-    if key is None:
+    varying = VARYING.get(os.path.basename(path))
+    if varying is None:
         return blob
     return [line for line in blob.splitlines(keepends=True)
-            if not line.lstrip().startswith(key)]
+            if not line.lstrip().startswith(varying[1])]
 
 
-def first_difference(dir_a, dir_b):
-    """(message, n_files): message is None when the trees match."""
+class Diff:
+    """Maximum absolute and relative difference over the numbers compared,
+    and the count of cells beyond the tolerance."""
+
+    def __init__(self, rtol):
+        self.rtol, self.abs, self.rel, self.beyond = rtol, 0.0, 0.0, 0
+
+    def numbers(self, a, b):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return
+        d = abs(a - b)
+        rel = d / max(abs(a), abs(b)) if math.isfinite(d) else math.inf
+        self.abs, self.rel = max(self.abs, d), max(self.rel, rel)
+        self.beyond += not rel <= self.rtol
+
+    def cells(self, a, b):
+        try:
+            self.numbers(float(a), float(b))
+        except ValueError:
+            self.beyond += a != b
+
+    def json(self, a, b):
+        """Walk two parsed JSON values; False on a structural difference."""
+        number = (int, float)
+        if isinstance(a, number) and isinstance(b, number) \
+                and not isinstance(a, bool) and not isinstance(b, bool):
+            self.numbers(float(a), float(b))
+            return True
+        if isinstance(a, dict) and isinstance(b, dict):
+            return a.keys() == b.keys() and all(self.json(a[k], b[k]) for k in a)
+        if isinstance(a, list) and isinstance(b, list):
+            return len(a) == len(b) and all(map(self.json, a, b))
+        return a == b
+
+
+def numeric_difference(path_a, path_b, rtol):
+    """A Diff of two .csv or .json files, or None if their shapes differ."""
+    diff = Diff(rtol)
+    with open(path_a) as fa, open(path_b) as fb:
+        if path_a.endswith(".json"):
+            a, b = json.load(fa), json.load(fb)
+            varying = VARYING.get(os.path.basename(path_a))
+            if varying and isinstance(a, dict) and isinstance(b, dict):
+                a.pop(varying[0], None), b.pop(varying[0], None)
+            return diff if diff.json(a, b) else None
+        rows_a, rows_b = fa.read().splitlines(), fb.read().splitlines()
+    if len(rows_a) != len(rows_b):
+        return None
+    for ra, rb in zip(rows_a, rows_b):
+        ca, cb = ra.split(","), rb.split(",")
+        if len(ca) != len(cb):
+            return None
+        for a, b in zip(ca, cb):
+            diff.cells(a, b)
+    return diff
+
+
+def compare(dir_a, dir_b, rtol=None):
+    """(message, n_files, per-file lines): message is None when the trees
+    match (within rtol, if given)."""
     files_a, files_b = relative_files(dir_a), relative_files(dir_b)
     only = sorted(set(files_a) ^ set(files_b))
     if only:
         side = dir_a if only[0] in files_a else dir_b
-        return f"{only[0]}: only in {side}", len(files_a)
+        return f"{only[0]}: only in {side}", len(files_a), []
+    message, report = None, []
     for rel in files_a:
-        if content(os.path.join(dir_a, rel)) != content(os.path.join(dir_b, rel)):
-            return f"{rel}: contents differ", len(files_a)
-    return None, len(files_a)
+        pa, pb = os.path.join(dir_a, rel), os.path.join(dir_b, rel)
+        if content(pa) == content(pb):
+            continue
+        if rtol is None or not rel.endswith((".csv", ".json")):
+            return f"{rel}: contents differ", len(files_a), report
+        diff = numeric_difference(pa, pb, rtol)
+        if diff is None:
+            return f"{rel}: rows, cells or keys differ", len(files_a), report
+        report.append(f"{rel}: max abs diff {diff.abs:.3g}, max rel diff "
+                      f"{diff.rel:.3g}, {diff.beyond} cells beyond rtol")
+        if diff.beyond and message is None:
+            message = f"{rel}: {diff.beyond} cells beyond rtol {rtol:g}"
+    return message, len(files_a), report
 
 
 def main(argv=None):
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2 or not all(os.path.isdir(d) for d in args):
-        print("usage: same_artifacts.py DIR_A DIR_B (two directories)",
-              file=sys.stderr)
+    parser = argparse.ArgumentParser(
+        description="Compare the artifacts of two run directories.")
+    parser.add_argument("dirs", nargs="*", metavar="DIR")
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="compare CSV cells and JSON numbers within this "
+                             "relative tolerance (default: byte for byte)")
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    if len(args.dirs) != 2 or not all(os.path.isdir(d) for d in args.dirs) \
+            or (args.rtol is not None and not args.rtol >= 0):
+        print("usage: same_artifacts.py [--rtol R >= 0] DIR_A DIR_B "
+              "(two directories)", file=sys.stderr)
         return 2
-    message, n = first_difference(*args)
+    message, n, report = compare(*args.dirs, rtol=args.rtol)
+    for line in report:
+        print(line)
     if message is not None:
         print(f"differ: {message}")
         return 1
-    print(f"identical: {n} files")
+    if report:
+        print(f"within rtol {args.rtol:g}: {n} files")
+    else:
+        print(f"identical: {n} files")
     return 0
 
 

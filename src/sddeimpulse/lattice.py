@@ -63,15 +63,17 @@ def three_point_quadrature(dt: float) -> NoiseQuadrature:
                            weights=np.array([1 / 6, 2 / 3, 1 / 6]), dt=dt)
 
 
+def euler_head(x, x_del, t: float, z, spec: ProblemSpec, dt: float):
+    """Euler update of the head x given the delayed value x_del."""
+    return x + spec.drift(t, x, x_del) * dt + spec.diffusion(t, x, x_del) * z
+
+
 def step_transition_batch(states: np.ndarray, t: float, z, spec: ProblemSpec,
                           dt: float) -> np.ndarray:
     """Euler step on the head, then shift the register; states is (N, m),
     z scalar or (N,)."""
-    x = states[:, 0]
-    x_del = states[:, -1]
-    new_head = x + spec.drift(t, x, x_del) * dt + spec.diffusion(t, x, x_del) * z
     out = np.empty_like(states)
-    out[:, 0] = new_head
+    out[:, 0] = euler_head(states[:, 0], states[:, -1], t, z, spec, dt)
     out[:, 1:] = states[:, :-1]
     return out
 

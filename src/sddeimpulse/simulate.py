@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TIME_TOL, ImpulseControl, ProblemSpec, ValidationError
-from .lattice import step_transition_batch
+from .lattice import euler_head
 
 OVERFLOW_LIMIT = 1e9
+BLOCK = 256  # paths per noise block
 
 
 class SimulationError(RuntimeError):
@@ -62,18 +63,24 @@ def _keyed_normal_rows(seed: int, paths, grid: TimeGrid) -> np.ndarray:
     """Row r: increments of the (seed, paths[r]) stream.  A Philox stream is
     fixed by its key and a zero counter, so one bit generator whose key and
     counter are reset per row draws what a fresh generator keyed so would.
-    Key words are uint64, so every seed in [0, 2**64) keys its own stream."""
+    Key words are uint64, so every seed in [0, 2**64) keys its own stream.
+    Storage is time-major (the result is a transposed view); rows are drawn
+    into a path-major block of BLOCK paths, which is transposed in."""
     bitgen = np.random.Philox(0)  # seeded: constructing pulls no OS entropy
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # zero counter, empty buffer
     key = state["state"]["key"]
     key[0] = seed
-    out = np.empty((len(paths), grid.n_steps))
-    for row, i in zip(out, paths):
-        key[1] = i
-        bitgen.state = state
-        row[:] = gen.normal(0.0, math.sqrt(grid.dt), grid.n_steps)
-    return out
+    out = np.empty((grid.n_steps, len(paths)))
+    block = np.empty((min(BLOCK, len(paths)), grid.n_steps))
+    for start in range(0, len(paths), BLOCK):
+        chunk = paths[start:start + BLOCK]
+        for row, i in zip(block, chunk):
+            key[1] = i
+            bitgen.state = state
+            row[:] = gen.normal(0.0, math.sqrt(grid.dt), grid.n_steps)
+        out[:, start:start + len(chunk)] = block[:len(chunk)].T
+    return out.T
 
 
 def draw_noise(seed: int, path_index: int, grid: TimeGrid) -> np.ndarray:
@@ -83,19 +90,16 @@ def draw_noise(seed: int, path_index: int, grid: TimeGrid) -> np.ndarray:
 
 
 def draw_noise_matrix(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
-    """(n_paths, n_steps) increments; row i is path i's stream."""
+    """(n_paths, n_steps) increments; row i is path i's stream.  A
+    transposed view of time-major storage, so noise[:, k] is contiguous."""
     return _keyed_normal_rows(seed, range(n_paths), grid)
 
 
 def _events_by_index(control: ImpulseControl, spec: ProblemSpec, grid: TimeGrid):
     """Active (index, impulse) pairs; time-horizon events are inert."""
     control.validate_against(spec)
-    out = []
-    for t, u in control.events:
-        if t >= grid.horizon - TIME_TOL:
-            continue
-        out.append((grid.index_of(t), u))
-    return out
+    return [(grid.index_of(t), u) for t, u in control.events
+            if t < grid.horizon - TIME_TOL]
 
 
 def initial_lifted_state(spec: ProblemSpec, grid: TimeGrid) -> np.ndarray:
@@ -118,9 +122,13 @@ def simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
     time impulses act first (the reset acts on the left limit), then the
     Euler step; the recorded value at t_k is the post-impulse state.
 
+    Row j of the time-major history is every head at time (j - d) * dt,
+    d = delay_steps; a step writes row k + d + 1 from rows k + d and k, and
+    a policy gets rows k .. k + d as a C-ordered (N, m) copy, newest first.
+
     Returns (payoffs, counts, paths, events): per-path payoffs and impulse
-    counts, the (n_paths, n_steps + 1) post-impulse heads, and one
-    (k, rows, u) tuple per impulse batch, in time order.
+    counts, the (n_paths, n_steps + 1) post-impulse heads (a view of the
+    history), and one (k, rows, u) tuple per impulse batch, in time order.
     """
     n_paths, n_steps = noise.shape
     if n_steps != grid.n_steps:
@@ -128,43 +136,43 @@ def simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
     fixed = isinstance(policy_or_control, ImpulseControl)
     scheduled = _events_by_index(policy_or_control, spec, grid) if fixed else []
 
-    states = np.tile(initial_lifted_state(spec, grid), (n_paths, 1))
+    d = grid.delay_steps
+    hist = np.empty((d + n_steps + 1, n_paths))
+    hist[:d + 1] = initial_lifted_state(spec, grid)[::-1, None]
     running = np.zeros(n_paths)
     cost = np.zeros(n_paths)
     counts = np.zeros(n_paths, dtype=int)
-    paths = np.empty((n_paths, grid.n_steps + 1))
     events = []
 
     def jump(k, t, rows, u):
-        pre = states[rows, 0]
+        pre = hist[k + d, rows]
         u = np.broadcast_to(u, pre.shape)
-        states[rows, 0] = spec.intervention(pre, u)
+        hist[k + d, rows] = spec.intervention(pre, u)
         cost[rows] += spec.impulse_cost(pre, u, t)
         counts[rows] += 1
         events.append((k, rows, u))
 
-    for k in range(grid.n_steps + 1):
+    for k in range(n_steps + 1):
         t = k * grid.dt
-        if k < grid.n_steps:
-            for idx, u in scheduled:
-                if idx == k:
-                    jump(k, t, np.arange(n_paths), u)
-            if not fixed:
-                mask, us = policy_or_control.decide_batch(k, states)
-                if np.any(mask):
-                    jump(k, t, np.nonzero(mask)[0], us[mask])
-        x = states[:, 0]
+        for idx, u in scheduled:  # every scheduled index is below n_steps
+            if idx == k:
+                jump(k, t, np.arange(n_paths), u)
+        if not fixed and k < n_steps:
+            states = np.ascontiguousarray(hist[k:k + d + 1][::-1].T)
+            mask, us = policy_or_control.decide_batch(k, states)
+            if np.any(mask):
+                jump(k, t, np.nonzero(mask)[0], us[mask])
+        x = hist[k + d]
         if not np.all(np.isfinite(x)) or np.any(np.abs(x) > OVERFLOW_LIMIT):
             bad = int(np.argmax(~np.isfinite(x) | (np.abs(x) > OVERFLOW_LIMIT)))
             raise SimulationError(f"state overflow at step {k} (path {bad})")
-        paths[:, k] = x
-        if k == grid.n_steps:
+        if k == n_steps:
             break
         running += spec.running_reward(t, x) * grid.dt
-        states = step_transition_batch(states, t, noise[:, k], spec, grid.dt)
+        hist[k + d + 1] = euler_head(x, hist[k], t, noise[:, k], spec, grid.dt)
 
-    payoffs = running + spec.terminal_reward(states[:, 0]) - cost
-    return payoffs, counts, paths, events
+    payoffs = running + spec.terminal_reward(hist[-1]) - cost
+    return payoffs, counts, hist[d:].T, events
 
 
 def estimate_J(spec: ProblemSpec, policy_or_control, n_paths: int, seed: int,
@@ -196,8 +204,8 @@ def flow_stability_probe(spec: ProblemSpec, pair_a, pairs_b,
     def moment(pair_b):
         pb = simulate_batch(spec, grid, noise, ImpulseControl((pair_b,)))[2]
         k_hat = grid.index_of(max(pair_a[0], pair_b[0]))
-        diff = pa[:, k_hat:] - pb[:, k_hat:]
-        # in place: one (n_paths, n_steps - k_hat) temporary instead of two
+        # in place in pb's own buffer: no (n_paths, n_steps - k_hat) temporary
+        diff = np.subtract(pa[:, k_hat:], pb[:, k_hat:], out=pb[:, k_hat:])
         sups = np.max(np.abs(diff, out=diff), axis=1)
         return float(np.mean(sups ** 6))
 

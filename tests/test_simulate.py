@@ -1,6 +1,7 @@
 """Path simulation, noise streams, Monte Carlo estimates, coupled probes."""
 
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -12,7 +13,8 @@ from sddeimpulse import (ImpulseControl, ImpulseSet, ProblemSpec,
 from sddeimpulse.simulate import (SimulationError, TimeGrid, draw_noise,
                                   draw_noise_matrix, estimate_J,
                                   export_trajectories_csv,
-                                  flow_stability_probe, simulate_batch)
+                                  flow_stability_probe, initial_lifted_state,
+                                  simulate_batch)
 
 from test_core import tiny_spec
 
@@ -118,6 +120,20 @@ class TestNoise:
         g = TimeGrid.for_spec(feedback_spec(), 0.01)
         assert draw_noise_matrix(5, 0, g).shape == (0, g.n_steps)
 
+    @pytest.mark.parametrize("n_paths", [0, 1, 255, 256, 257, 513])
+    def test_matrix_blocks_match_per_path_draws(self, n_paths):
+        # rows are drawn in blocks of paths; every block edge must keep
+        # path i on its own stream
+        g = TimeGrid.for_spec(tiny_spec(), 0.5)
+        mat = draw_noise_matrix(9, n_paths, g)
+        assert mat.shape == (n_paths, g.n_steps)
+        for i in range(n_paths):
+            assert mat[i].tobytes() == draw_noise(9, i, g).tobytes()
+
+    def test_step_columns_contiguous(self):
+        g = TimeGrid.for_spec(feedback_spec(), 0.01)
+        assert draw_noise_matrix(5, 7, g)[:, 3].flags.c_contiguous
+
 
 def one_path(spec, grid, control, noise_row):
     """simulate_batch on the single path with increments `noise_row`:
@@ -179,6 +195,88 @@ class TestSimulateControlled:
                                         NeverIntervene(), 2, 1, g)
 
 
+class RecordingPolicy:
+    """Policy stub that keeps a copy of every state batch it is given and
+    moves every head by `u` at step `k_jump`."""
+
+    def __init__(self, k_jump, u):
+        self.k_jump, self.u, self.seen = k_jump, u, []
+
+    def decide_batch(self, time_index, states):
+        self.seen.append((time_index, states.flags.c_contiguous,
+                          states.copy()))
+        n = states.shape[0]
+        return np.full(n, time_index == self.k_jump), np.full(n, self.u)
+
+
+class TestPolicyWindows:
+    def test_states_are_newest_first_windows_of_the_paths(self):
+        # a sloped initial segment, so every lag column has its own value
+        spec = dataclasses.replace(feedback_spec(),
+                                   initial_segment=lambda t: 1.0 + 3.0 * t)
+        g = TimeGrid.for_spec(spec, 0.01)
+        d, k_jump = g.delay_steps, 10
+        assert d >= 2
+        policy = RecordingPolicy(k_jump, 5.0)
+        _, counts, paths, _ = simulate_batch(
+            spec, g, draw_noise_matrix(4, 6, g), policy)
+        assert counts.tolist() == [1] * 6
+        segment = initial_lifted_state(spec, g)
+        assert [k for k, _, _ in policy.seen] == list(range(g.n_steps))
+        for k, contiguous, states in policy.seen:
+            assert contiguous and states.shape == (6, d + 1)
+            for j in range(d + 1):
+                if (k, j) == (k_jump, 0):
+                    continue  # decided on before the jump, checked below
+                want = paths[:, k - j] if j <= k else segment[j - k]
+                assert np.array_equal(states[:, j], np.broadcast_to(want, (6,)))
+        # the post-impulse head, not the pre-impulse one, fills later lags
+        post = paths[:, k_jump]
+        pre = policy.seen[k_jump][2][:, 0]
+        assert np.array_equal(post, pre + 5.0)
+        for j in range(1, d + 1):
+            assert np.array_equal(policy.seen[k_jump + j][2][:, j], post)
+
+
+class LagPolicy:
+    """Deterministic policy stub that reads the head and the oldest lag."""
+
+    def decide_batch(self, time_index, states):
+        return states[:, 0] - states[:, -1] > 0.25, -0.5 * states[:, 0]
+
+
+class TestGoldenBits:
+    """Engine and probe outputs pinned bit for bit (64 paths, seed 17)."""
+
+    def run(self, control):
+        spec = feedback_spec()
+        g = TimeGrid.for_spec(spec, 0.01)
+        payoffs, counts, _, _ = simulate_batch(
+            spec, g, draw_noise_matrix(17, 64, g), control)
+        return (hashlib.sha256(payoffs.tobytes()).hexdigest(),
+                payoffs[0].hex(), int(counts.sum()))
+
+    def test_fixed_control_payoffs(self):
+        assert self.run(ImpulseControl(((0.25, 1.0),))) == (
+            "5d625e61579f5ba1c5e31d63bb9c92cddcfac25f12e88b1567c7c5dec0250983",
+            "-0x1.5ce321809652cp-1", 64)
+
+    def test_policy_payoffs(self):
+        assert self.run(LagPolicy()) == (
+            "84b11c03b9e3d3c1f24b06c3a6f20e0cad60806533a550399ff007d9011161fa",
+            "-0x1.60736ba2f894cp+0", 700)
+
+    def test_flow_moments(self):
+        spec = feedback_spec()
+        g = TimeGrid.for_spec(spec, 0.01)
+        moments = flow_stability_probe(
+            spec, (0.5, 1.0), [(0.5, 0.5), (0.55, 1.0), (0.45, -1.0)],
+            draw_noise_matrix(17, 64, g), g)
+        assert [m.hex() for m in moments] == [
+            "0x1.5c417ad23697ap-6", "0x1.2ea8d6f1fc6d0p-26",
+            "0x1.5c417ad23696cp+6"]
+
+
 class TestEstimateJ:
     def test_still_dynamics_zero_mean_zero_stderr(self):
         spec = still_spec()
@@ -214,6 +312,15 @@ class TestCoupledProbe:
         # the moment is 0.0 exactly when every path's sup is
         assert flow_stability_probe(spec, (0.5, 1.0), [(0.5, 1.0)],
                                     draw_noise_matrix(3, 16, g), g) == [0.0]
+
+    def test_repeated_pair_same_moment(self):
+        # each moment's in-place difference must leave the base paths alone
+        spec = feedback_spec()
+        g = TimeGrid.for_spec(spec, 0.01)
+        p = (0.3, -1.0)
+        a, b = flow_stability_probe(spec, (0.5, 1.0), [p, p],
+                                    draw_noise_matrix(3, 16, g), g)
+        assert a == b and a > 0.0
 
     def test_still_dynamics_exact_moment(self):
         spec = still_spec()

@@ -23,11 +23,13 @@ import numpy as np
 
 from .core import (ProblemSpec, ValidationError, integer, json_object,
                    real_number, require)
-from .lattice import (NoiseQuadrature, impulse_transition_batch,
-                      step_transition_batch)
+from .lattice import NoiseQuadrature, euler_head, step_transition_batch
+# no longer called here; bench/layers.py traces it under this name
+from .lattice import impulse_transition_batch  # noqa: F401
 from .simulate import TimeGrid, draw_noise_matrix, initial_lifted_state
 
 FORMAT_VERSION = 1
+CHUNK = 16384  # head-stack entries per interpolation chunk
 
 
 class DivergenceError(RuntimeError):
@@ -60,13 +62,35 @@ def interp_stencil(axes, points, lag_cells=None):
 
 def _axis_cells(ax, x):
     """Clamped cell index of x on one increasing axis and the corner
-    weights (1 - fraction, fraction) along it."""
+    weights (1 - fraction, fraction) along it.  The index is the last node
+    at or below x, at most len(ax) - 2, as searchsorted finds it; a NaN
+    query takes the last cell.  On a uniform axis it is guessed from the
+    spacing and moved by at most one cell against the nodes."""
     p = np.clip(x, ax[0], ax[-1])
-    # p >= ax[0], so the search returns at least 1
-    i = np.minimum(np.searchsorted(ax, p, side="right") - 1, len(ax) - 2)
+    last = len(ax) - 2
+    step = _uniform_step(ax.dtype.str, ax.tobytes())
+    if step is None:
+        # p >= ax[0], so the search returns at least 1
+        i = np.minimum(np.searchsorted(ax, p, side="right") - 1, last)
+    else:
+        # fmin sends a NaN guess to the last cell
+        i = np.fmax(np.fmin((p - ax[0]) / step, last), 0).astype(np.intp)
+        i = np.minimum(i + (ax[i + 1] <= p), last)
+        i -= ax[i] > p
     lo = ax[i]
     frac = (p - lo) / (ax[i + 1] - lo)
     return i, (1.0 - frac, frac)
+
+
+@functools.lru_cache(maxsize=None)
+def _uniform_step(dtype, raw):
+    """Node spacing of the axis with these bytes if every node lies within a
+    quarter cell of its evenly spaced place, else None.  The spacing then
+    guesses each query's cell to within one cell."""
+    ax = np.frombuffer(raw, dtype=dtype)
+    step = (ax[-1] - ax[0]) / (len(ax) - 1)
+    even = ax[0] + np.arange(len(ax)) * step
+    return step if np.all(np.abs(ax - even) <= 0.25 * step) else None
 
 
 def _lag_cells(axes, lags):
@@ -96,8 +120,9 @@ def multilinear_interp(axes, table, points, lag_cells=None):
     """Multilinear interpolation on a tensor grid, clamped at the boundary.
 
     axes: per-dimension strictly increasing node arrays; table: values with
-    shape tuple(len(ax) for ax in axes); points: (N, m).  Queries exactly at
-    nodes reproduce the stored values.  `lag_cells` is as in interp_stencil.
+    shape tuple(len(ax) for ax in axes); points: (..., m).  Queries exactly
+    at nodes reproduce the stored values.  `lag_cells` is as in
+    interp_stencil.
     """
     return apply_stencil(interp_stencil(axes, points, lag_cells),
                          np.ravel(table))
@@ -107,17 +132,27 @@ def multilinear_interp(axes, table, points, lag_cells=None):
 # Value representations
 # ---------------------------------------------------------------------------
 
+class _HeadStacks:
+    """value_at(i, points) of a value function whose one query is
+    value_at_heads(i, heads, lags): the values at the points
+    (heads[..., n], lags[n]), every row of the head stack sharing the
+    (N, m - 1) lag block, since a jump moves only the head and every Euler
+    successor of a point set carries the same shifted history."""
+
+    def value_at(self, time_index, points):
+        points = np.asarray(points, dtype=float)
+        return self.value_at_heads(time_index, points[:, 0], points[:, 1:])
+
+
 @dataclass
-class GridValueFunction:
+class GridValueFunction(_HeadStacks):
     """Per-time-step values on a fixed tensor grid over the lifted state."""
 
     axes: tuple
     values: list  # one flat array of len prod(shape) per time index
     k_index: int
     dt: float
-    # (lag-block bytes, its _lag_cells) of the last query: the point sets
-    # one decision prices share their lags, since a jump moves only the
-    # head and every Euler successor carries the same shifted history
+    # (lag-block bytes, its _lag_cells) of the last query
     _lags: tuple = field(default=(None, None), init=False, repr=False,
                          compare=False)
 
@@ -131,14 +166,23 @@ class GridValueFunction:
     def shape(self):
         return tuple(len(ax) for ax in self.axes)
 
-    def value_at(self, time_index, points):
-        points = np.asarray(points, dtype=float)
-        lags = points[:, 1:]
+    def value_at_heads(self, time_index, heads, lags):
+        """The lag cells are searched once per block, the head stack in
+        chunks of about CHUNK entries, paths at a time."""
         key = lags.tobytes()
         if self._lags[0] != key:
             self._lags = (key, _lag_cells(self.axes, lags))
         table = self.values[time_index].reshape(self.shape)
-        return multilinear_interp(self.axes, table, points, self._lags[1])
+        heads = np.asarray(heads, dtype=float)
+        stack = heads.reshape(-1, heads.shape[-1])
+        out = np.empty(stack.shape)
+        step = max(1, CHUNK // len(stack))
+        for start in range(0, stack.shape[1], step):
+            c = slice(start, start + step)
+            out[:, c] = multilinear_interp(
+                self.axes, table, stack[:, c, None],
+                [(i[c], (w0[c], w1[c])) for i, (w0, w1) in self._lags[1]])
+        return out.reshape(heads.shape)
 
 
 def monomial_powers(m, degree):
@@ -190,11 +234,12 @@ class _LagMemo:
         self.clipped = (None, None)  # (key of a lag block, its clipped copy)
 
     def values(self, time_index, head, lags, coeffs, bounds=None):
-        """(L, N) stack of each fit in `coeffs`, of slice `time_index`, at
-        the points (head, lags) clipped into `bounds` = (lo, hi) if given,
-        the lags once per run of calls on one block (the U jumps of a point
-        set).  One Horner pass per fit; its head coefficients are computed
-        at the first point set with these lags, the same bytes thereafter."""
+        """(L,) + head.shape stack of each fit in `coeffs`, of slice
+        `time_index`, at the points (head[..., n], lags[n]) clipped into
+        `bounds` = (lo, hi) if given, the lags once per run of calls on one
+        block.  One Horner pass per fit over the whole head stack; its head
+        coefficients are computed at the first query with these lags, the
+        same bytes thereafter."""
         if bounds is not None:
             (lo, hi), raw = bounds, (time_index, lags.shape, lags.tobytes())
             if self.clipped[0] != raw:
@@ -209,7 +254,7 @@ class _LagMemo:
             entry = (key, design_matrix(lags, self.lag_powers), {})
             self.entries = [entry] + self.entries[:1]
         _, lag_design, served = entry
-        out = np.empty((len(coeffs), len(head)))
+        out = np.empty((len(coeffs),) + head.shape)
         for row, c in zip(out, coeffs):
             hc = served.get(c.tobytes())
             if hc is None:
@@ -224,7 +269,7 @@ class _LagMemo:
 
 
 @dataclass
-class RegressionValueFunction:
+class RegressionValueFunction(_HeadStacks):
     """Per-time-step polynomial fits on the lifted state.
 
     Two fits per slice. cont_coeffs approximates the continuation value,
@@ -265,11 +310,13 @@ class RegressionValueFunction:
     def n_steps(self):
         return len(self.cont_coeffs) - 1
 
-    def value_at(self, time_index, points):
-        return _RegressionLevels([self]).value_at(time_index, points)[0]
+    def value_at_heads(self, time_index, heads, lags):
+        return _RegressionLevels([self]).value_at_heads(time_index, heads,
+                                                        lags)[0]
 
-    def plain_value_at(self, time_index, points):
-        return _RegressionLevels([self]).plain_value_at(time_index, points)[0]
+    def plain_value_at_heads(self, time_index, heads, lags):
+        return _RegressionLevels([self]).plain_value_at_heads(time_index, heads,
+                                                              lags)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +379,14 @@ class RegressionBackend:
 
 def _continuation(v, i, states, spec, quadrature, dt):
     """One-step expectation from t_i: the running reward over [t_i, t_{i+1})
-    plus the quadrature average of v at i + 1 over the Euler successors."""
+    plus the quadrature average of v at i + 1 over the Euler successors,
+    priced as one (Q, N) head stack over their shifted lags."""
     t = i * dt
+    heads = euler_head(states[:, 0], states[:, -1], t, quadrature.nodes[:, None],
+                       spec, dt)
+    vals = v.value_at_heads(i + 1, heads, states[:, :-1])
     return _expectation(spec, t, states, dt, quadrature.weights,
-                        lambda j: v.value_at(i + 1, step_transition_batch(
-                            states, t, quadrature.nodes[j], spec, dt)))
+                        lambda j: vals[..., j, :])
 
 
 def _expectation(spec, t, states, dt, weights, node_value):
@@ -349,28 +399,20 @@ def _expectation(spec, t, states, dt, weights, node_value):
     return spec.running_reward(t, states[:, 0]) * dt + acc
 
 
-def _intervention_batch(value_at, time_index, states, spec, u_grid, t):
-    """Best immediate jump over an (N, m) state batch, priced with
-    `value_at(time_index, points)` of the level below:
-    max_u value_at(Gamma(state, u)) - ell(head, u, t) and its argmax; ties
-    take the smallest grid index."""
-    return _best_impulse(spec, states, u_grid, t,
-                         lambda j: value_at(time_index, impulse_transition_batch(
-                             states, u_grid[j], spec)))
-
-
-def _best_impulse(spec, states, u_grid, t, jump_value):
-    """max and argmax over j of jump_value(j) - ell(head, u_grid[j], t), where
-    jump_value(j) gives the (N,) values after impulse j, or an (L, N) stack
-    of L levels' values; ties take the smallest grid index."""
-    best = np.full(states.shape[0], -np.inf)
-    best_u = np.zeros(states.shape[0])
-    for j, u in enumerate(u_grid):
-        val = jump_value(j) - spec.impulse_cost(states[:, 0], u, t)
-        better = val > best
-        best = np.where(better, val, best)
-        best_u = np.where(better, u, best_u)
-    return best, best_u
+def _intervention_batch(value_at_heads, time_index, heads, lags, spec, u_grid,
+                        t):
+    """Best immediate jump from the points (heads[..., n], lags[n]), priced
+    with value_at_heads(time_index, jumped heads, lags) of the level below
+    as one (U,) + heads.shape stack: max_u V(Gamma(head, u), lags) -
+    ell(head, u, t) and its argmax; ties take the smallest grid index.  A
+    level stack that prices with (L, U, ...) values gives (L, ...) results."""
+    us = u_grid.reshape((-1,) + (1,) * heads.ndim)
+    val = (value_at_heads(time_index, spec.intervention(heads, us), lags)
+           - spec.impulse_cost(heads, us, t))
+    axis = val.ndim - heads.ndim - 1
+    best = np.expand_dims(np.argmax(val, axis=axis), axis)
+    return (np.take_along_axis(val, best, axis).squeeze(axis),
+            u_grid[best.squeeze(axis)])
 
 
 def fit_regression_step(samples, targets, degree, ridge_lambda=0.0, powers=None):
@@ -431,15 +473,9 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     terminal = np.asarray(spec.terminal_reward(points[:, 0]), dtype=float)
 
     # Every level queries the same points, so the stencils are built once:
-    # one (U, N) stencil over the U jumped copies of the points (the jump
-    # map ignores t and moves only the head, so the lag cells of the N
-    # points broadcast over every copy), and the Euler successors' stencils
-    # are rebuilt only when the successors change from one slice to the next.
-    heads = np.empty((len(u_grid), len(points), 1))
-    for j, u in enumerate(u_grid):
-        heads[j, :, 0] = impulse_transition_batch(points, u, spec)[:, 0]
-    jump_stencil = interp_stencil(axes, heads, _lag_cells(axes, points[:, 1:]))
-    del heads
+    # the head-row jump stencil, and the Euler successors' stencils, rebuilt
+    # only when the successors change from one slice to the next.
+    jumped_rows = _jump_rows(axes, spec, u_grid)
     successors = [None] * len(quadrature.nodes)
     step_stencils = [None] * len(quadrature.nodes)
 
@@ -460,10 +496,12 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
                                 lambda j: apply_stencil(step_stencils[j],
                                                         vf.values[i + 1]))
             if k:
-                jumped = apply_stencil(jump_stencil, prev.values[i])
-                interv, _ = _best_impulse(spec, points, u_grid, t,
-                                          lambda j: jumped[j])
-                vals = np.maximum(vals, interv)
+                # the tables are finite, so no value is NaN or -0.0 and the
+                # plain max is the first-index max of _intervention_batch
+                jumped = jumped_rows(prev.values[i])
+                jumped -= np.asarray(spec.impulse_cost(
+                    axes[0], u_grid[:, None], t))[..., None]
+                vals = np.maximum(vals, jumped.max(axis=0).ravel())
             _check_finite(vals, i, k)
             vf.values[i] = vals
         iterates.append(vf)
@@ -474,6 +512,28 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
             if gap < tol:
                 break
     return iterates, gaps
+
+
+def _jump_rows(axes, spec, u_grid):
+    """jumped(table) -> the (U, H, L) values of the flat grid `table` after
+    each impulse of u_grid from every grid node, H = len(axes[0]).  A jump
+    moves only the head, so the U * N jumped nodes have U * H distinct
+    heads, and their lags sit on nodes with lag weights exactly 1 and 0:
+    each value is w0 * table[ih] + w1 * table[ih + 1] over whole head rows
+    of the (H, L) table.  Summed into +0.0, the zero-weight corners of the
+    multilinear stencil would add only +-0.0 to a sum that is never -0.0,
+    so these are its values bit for bit."""
+    heads = axes[0]
+    cell, (w0, w1) = _axis_cells(heads, spec.intervention(heads, u_grid[:, None]))
+    w0, w1 = w0[..., None], w1[..., None]
+
+    def jumped(table):
+        rows = table.reshape(len(heads), -1)
+        out = np.zeros(cell.shape + rows.shape[1:])
+        out += w0 * rows[cell]
+        out += w1 * rows[cell + 1]
+        return out
+    return jumped
 
 
 def _sample_states(spec, grid, backend):
@@ -501,36 +561,42 @@ def _sample_states(spec, grid, backend):
 
 @dataclass
 class _RegressionLevels:
-    """Consecutive levels of one regression chain read together: value_at
-    and plain_value_at return (L, N) stacks, row by row one level each,
-    through the first level's lag memo.  The jumps of every level with a
-    `prev` are priced with one stacked plain_value_at over those prevs.  At
-    T both methods give the terminal reward."""
+    """Consecutive levels of one regression chain read together:
+    value_at_heads and plain_value_at_heads return (L,) + heads.shape
+    stacks, row by row one level each, through the first level's lag memo.
+    The jumps of every level with a `prev` are priced with one stacked
+    plain_value_at_heads over those prevs.  At T both methods give the
+    terminal reward."""
 
     levels: list
 
-    def value_at(self, time_index, points):
-        points = np.asarray(points, dtype=float)
+    def value_at_heads(self, time_index, heads, lags):
         base = self.levels[0]
         if base.cont_coeffs[time_index] is None:
-            return self.plain_value_at(time_index, points)
-        v = base.lag_memo.values(time_index, points[:, 0], points[:, 1:],
+            return self.plain_value_at_heads(time_index, heads, lags)
+        v = base.lag_memo.values(time_index, heads, lags,
                                  [lvl.cont_coeffs[time_index] for lvl in self.levels])
         prevs = [lvl.prev for lvl in self.levels if lvl.prev is not None]
         if prevs:
-            jump, _ = _intervention_batch(
-                _RegressionLevels(prevs).plain_value_at, time_index, points,
-                base.spec, base.u_grid, time_index * base.dt)
-            v[-len(prevs):] = np.maximum(v[-len(prevs):], jump)
+            # whole head rows at a time, about CHUNK jumped heads per call
+            plain = _RegressionLevels(prevs).plain_value_at_heads
+            rows = heads.reshape(-1, heads.shape[-1])
+            top = v[-len(prevs):].reshape(len(prevs), len(rows), -1)
+            step = max(1, CHUNK // (len(base.u_grid) * max(1, rows.shape[1])))
+            for r in range(0, len(rows), step):
+                jump, _ = _intervention_batch(plain, time_index, rows[r:r + step],
+                                              lags, base.spec, base.u_grid,
+                                              time_index * base.dt)
+                np.maximum(top[:, r:r + step], jump, out=top[:, r:r + step])
         return v
 
-    def plain_value_at(self, time_index, points):
+    def plain_value_at_heads(self, time_index, heads, lags):
         base = self.levels[0]
         if base.plain_coeffs[time_index] is None:
-            terminal = base.terminal_reward(points[:, 0])
-            return np.tile(np.asarray(terminal, dtype=float), (len(self.levels), 1))
+            terminal = np.asarray(base.terminal_reward(heads), dtype=float)
+            return np.tile(terminal, (len(self.levels),) + (1,) * terminal.ndim)
         return base.lag_memo.values(
-            time_index, points[:, 0], points[:, 1:],
+            time_index, heads, lags,
             [lvl.plain_coeffs[time_index] for lvl in self.levels],
             None if base.bounds is None else base.bounds[time_index])
 
@@ -581,8 +647,9 @@ def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
                 v = lag_memo.values(i, pts[:, 0], pts[:, 1:],
                                     [vf.cont_coeffs[i]])[0]
                 if k >= 1:
-                    interv, _ = _intervention_batch(levels[k - 1].plain_value_at,
-                                                    i, pts, spec, u_grid, i * dt)
+                    interv, _ = _intervention_batch(
+                        levels[k - 1].plain_value_at_heads, i, pts[:, 0],
+                        pts[:, 1:], spec, u_grid, i * dt)
                     vals = np.maximum(cont[k], interv)
                     _check_finite(vals, i, k)
                     vf.plain_coeffs[i] = fit(vals)
@@ -665,9 +732,9 @@ class Policy:
             return np.zeros(states.shape[0], dtype=bool), np.zeros(states.shape[0])
         cont = _continuation(self.v_top, time_index, states, self.spec,
                              self.quadrature, self.dt)
-        interv, best_u = _intervention_batch(self.v_prev.value_at, time_index,
-                                             states, self.spec, self.u_grid,
-                                             time_index * self.dt)
+        interv, best_u = _intervention_batch(
+            self.v_prev.value_at_heads, time_index, states[:, 0], states[:, 1:],
+            self.spec, self.u_grid, time_index * self.dt)
         mask = interv > cont
         return mask, np.where(mask, best_u, 0.0)
 

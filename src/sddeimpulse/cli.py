@@ -248,9 +248,10 @@ def cmd_simulate(cfg, out_dir):
 
 def cmd_evaluate(cfg, out_dir):
     policy = _load_policy(cfg, out_dir)
-    mean, se = estimate_J(cfg.spec, policy, cfg.n_paths, cfg.seed, cfg.grid)
-    base, base_se = estimate_J(cfg.spec, ImpulseControl(), cfg.n_paths,
-                               cfg.seed, cfg.grid)
+    # both estimates run on the same paths
+    noise = draw_noise_matrix(cfg.seed, cfg.n_paths, cfg.grid)
+    mean, se = estimate_J(cfg.spec, policy, noise, cfg.grid)
+    base, base_se = estimate_J(cfg.spec, ImpulseControl(), noise, cfg.grid)
     _write_json(os.path.join(out_dir, "evaluate.json"),
                 {"policy_mean": mean, "policy_stderr": se,
                  "baseline_mean": base, "baseline_stderr": base_se,

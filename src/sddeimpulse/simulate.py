@@ -175,17 +175,17 @@ def simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
     return payoffs, counts, hist[d:].T, events
 
 
-def estimate_J(spec: ProblemSpec, policy_or_control, n_paths: int, seed: int,
+def estimate_J(spec: ProblemSpec, policy_or_control, noise: np.ndarray,
                grid: TimeGrid):
-    """Monte Carlo mean and standard error of the total payoff.
+    """Monte Carlo mean and standard error of the total payoff over the
+    paths of `noise`, one per row (draw_noise_matrix).
 
     `policy_or_control` is either a fixed ImpulseControl (same events on every
-    path) or a policy object with decide_batch.  Deterministic for a fixed
-    seed: path i always consumes the (seed, i) noise stream.
+    path) or a policy object with decide_batch.
     """
+    n_paths = noise.shape[0]
     if n_paths < 2:
         raise ValidationError("n_paths must be >= 2")
-    noise = draw_noise_matrix(seed, n_paths, grid)
     payoffs = simulate_batch(spec, grid, noise, policy_or_control)[0]
     mean = float(np.mean(payoffs))
     stderr = float(np.std(payoffs, ddof=1) / math.sqrt(n_paths))

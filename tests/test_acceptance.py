@@ -156,9 +156,9 @@ def test_criterion_6_policy_improvement_and_impulse_bound(capsys,
                                                           reduced_solution):
     cfg, quad, u_grid, iterates, _ = reduced_solution
     policy = Policy(iterates[-1], iterates[-2], cfg.spec, u_grid, quad)
-    mean, se = estimate_J(cfg.spec, policy, 10000, cfg.seed, cfg.grid)
-    base, base_se = estimate_J(cfg.spec, ImpulseControl(), 10000, cfg.seed,
-                               cfg.grid)
+    noise = draw_noise_matrix(cfg.seed, 10000, cfg.grid)
+    mean, se = estimate_J(cfg.spec, policy, noise, cfg.grid)
+    base, base_se = estimate_J(cfg.spec, ImpulseControl(), noise, cfg.grid)
     improved = mean - base > 3.0 * float(np.hypot(se, base_se))
 
     noise = draw_noise_matrix(cfg.seed, 10000, cfg.grid)

@@ -1,6 +1,7 @@
 """Value iteration, interpolation, regression fits, policies, persistence."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -24,7 +25,8 @@ from sddeimpulse.lattice import (gauss_hermite_quadrature,
                                  impulse_transition_batch)
 from sddeimpulse.oracle import (FiniteTree, exact_snell_on_tree,
                                 exact_state_axis)
-from sddeimpulse.simulate import TimeGrid, export_trajectories_csv
+from sddeimpulse.simulate import (TimeGrid, draw_noise_matrix,
+                                  export_trajectories_csv, simulate_batch)
 
 from test_cli import CONFIGS
 from test_oracle import tiny_instance
@@ -105,6 +107,55 @@ class TestMultilinearInterp:
         assert list(out) == [5.0, 7.0]
 
 
+def searchsorted_cells(ax, x):
+    """Reference cell search: clamped searchsorted, then the corner weights
+    as _axis_cells computes them."""
+    p = np.clip(x, ax[0], ax[-1])
+    i = np.minimum(np.searchsorted(ax, p, side="right") - 1, len(ax) - 2)
+    lo = ax[i]
+    frac = (p - lo) / (ax[i + 1] - lo)
+    return i, (1.0 - frac, frac)
+
+
+def axis_queries(ax):
+    """The nodes, one ulp either side of each, the box ends and beyond,
+    uniform draws over a wider box, and the non-finite values."""
+    span = ax[-1] - ax[0]
+    rng = np.random.default_rng(len(ax))
+    return np.concatenate([
+        ax, np.nextafter(ax, np.inf), np.nextafter(ax, -np.inf),
+        [ax[0] - span, ax[-1] + span, -1e300, 1e300, -0.0, 0.0],
+        rng.uniform(ax[0] - 0.1 * span, ax[-1] + 0.1 * span, 2000),
+        [np.inf, -np.inf, np.nan]])
+
+
+def assert_searchsorted_cells(ax):
+    q = axis_queries(ax)
+    (i, (w0, w1)), (ri, (r0, r1)) = (bellman._axis_cells(ax, q),
+                                     searchsorted_cells(ax, q))
+    assert i.dtype == ri.dtype and i.tobytes() == ri.tobytes()
+    assert w0.tobytes() == r0.tobytes() and w1.tobytes() == r1.tobytes()
+    # NaN takes the last cell with NaN weights
+    assert i[-1] == len(ax) - 2 and np.isnan(w0[-1]) and np.isnan(w1[-1])
+
+
+class TestAxisCells:
+    @pytest.mark.parametrize("n", [2, 3, 41, 161])
+    @pytest.mark.parametrize("lo,hi", [(-4.0, 4.0), (0.0, 1.0), (-1e-3, 7.3),
+                                       (1e5, 1e5 + 3.0), (-2.5, -0.1)])
+    def test_uniform_axis_matches_searchsorted_bitwise(self, n, lo, hi):
+        ax = np.linspace(lo, hi, n)
+        assert bellman._uniform_step(ax.dtype.str, ax.tobytes()) is not None
+        assert_searchsorted_cells(ax)
+
+    @pytest.mark.parametrize("ax", [
+        np.array([-1.0, 0.0, 0.1, 2.0, 5.0]), np.geomspace(1e-3, 10.0, 41)],
+        ids=["hand", "geometric"])
+    def test_non_uniform_axis_keeps_the_search(self, ax):
+        assert bellman._uniform_step(ax.dtype.str, ax.tobytes()) is None
+        assert_searchsorted_cells(ax)
+
+
 class TestSnellEnvelope:
     def test_constant_rewards(self):
         tree = FiniteTree(0.0, 0.5, (((-1.0, 1.0), (0.5, 0.5)),) * 2, (0.0,))
@@ -127,15 +178,16 @@ class TestSnellEnvelope:
         assert env[()] == 2.0
 
 
-def frozen_quadratic(time_index, points):
+def frozen_quadratic(time_index, heads, lags):
     """Stand-in value level V(t, x) = -head^2 for intervention pricing."""
-    return -(np.asarray(points, dtype=float)[:, 0] ** 2)
+    return -(heads ** 2)
 
 
 def intervention_at(head, spec, u_grid):
     """(value, impulse) of the best jump from the one-row state (head,)."""
-    val, u = _intervention_batch(frozen_quadratic, 0, np.array([[head]]),
-                                 spec, np.asarray(u_grid), 0.0)
+    val, u = _intervention_batch(frozen_quadratic, 0, np.array([head]),
+                                 np.zeros((1, 0)), spec, np.asarray(u_grid),
+                                 0.0)
     return val[0], u[0]
 
 
@@ -448,8 +500,9 @@ def reference_grid_solve(spec, grid, axes, quad, u_grid, n_levels):
         for i in range(n - 1, -1, -1):
             vals = _continuation(vf, i, points, spec, quad, dt)
             if k:
-                interv, _ = _intervention_batch(levels[-1].value_at, i,
-                                                points, spec, u_grid, i * dt)
+                interv, _ = _intervention_batch(levels[-1].value_at_heads, i,
+                                                points[:, 0], points[:, 1:],
+                                                spec, u_grid, i * dt)
                 vals = np.maximum(vals, interv)
             vf.values[i] = vals
         levels.append(vf)
@@ -488,39 +541,42 @@ class TestStencilSolve:
         spec = dataclasses.replace(reduced_spec(), horizon=horizon)
         its, _, _, quad, ug = solve_reduced(spec, k_max=k_max, tol=1e-12)
         assert len(its) == k_max + 1
-        assert len(calls) == 1 + len(quad.nodes)
+        # one per quadrature node; the jumps use head rows, not a stencil
+        assert len(calls) == len(quad.nodes)
 
     @pytest.mark.parametrize("delay", [0.01, 0.02], ids=["reduced", "lift3"])
-    def test_jump_stencil_equals_one_on_the_stacked_jumps(self, monkeypatch,
-                                                          delay):
-        built = []
-        real = bellman.interp_stencil
-
-        def recording(axes, points, lag_cells=None):
-            out = real(axes, points, lag_cells)
-            if lag_cells is not None:
-                built.append(out)
-            return out
-
-        monkeypatch.setattr(bellman, "interp_stencil", recording)
+    def test_head_row_jumps_equal_the_stencil_on_the_stacked_jumps(self,
+                                                                  delay):
         spec = dataclasses.replace(feedback_spec(delay=delay), horizon=0.05)
         its, _, _, _, ug = solve_reduced(spec, k_max=1, points=11, n_u=7)
         axes = its[0].axes
         points = np.stack([g.ravel() for g in np.meshgrid(*axes,
                                                           indexing="ij")], 1)
-        base, corners = real(axes, np.concatenate(
+        stencil = bellman.interp_stencil(axes, np.concatenate(
             [impulse_transition_batch(points, u, spec) for u in ug]))
-        (got_base, got_corners), = built
-        assert got_base.shape == (len(ug), len(points))
-        assert got_base.tobytes() == base.tobytes()
-        assert [off for off, _ in got_corners] == [off for off, _ in corners]
-        for (_, got), (_, want) in zip(got_corners, corners):
-            assert got.tobytes() == want.tobytes()
+        jumped = bellman._jump_rows(axes, spec, ug)
+        # the solve's own tables, and tables with zeros of both signs
+        signed_zeros = np.random.default_rng(1).choice(
+            [-0.0, 0.0, -1.5, 2.25], len(points))
+        for table in [vf.values[i] for vf in its for i in (0, 3)] \
+                + [signed_zeros]:
+            want = bellman.apply_stencil(stencil, table)
+            assert jumped(table).tobytes() == want.tobytes()
+
+
+def looped_rows(value_at, i, heads, lags):
+    """A stacked query answered with one value_at call per head row."""
+    rows = heads.reshape(-1, heads.shape[-1])
+    return np.stack([value_at(i, np.column_stack([h, lags]))
+                     for h in rows]).reshape(heads.shape)
 
 
 class FreshGridLevel:
     """One grid level read through a fresh multilinear_interp per query,
-    with no lag memo."""
+    with no lag memo; its stacked query loops over the head rows."""
+
+    def value_at_heads(self, i, heads, lags):
+        return looped_rows(self.value_at, i, heads, lags)
 
     def __init__(self, vf):
         self.vf, self.n_steps, self.dt = vf, vf.n_steps, vf.dt
@@ -578,6 +634,23 @@ class TestGridLagMemo:
                     assert vf.value_at(i, batch).tobytes() == \
                         FreshGridLevel(vf).value_at(i, batch).tobytes()
 
+    def test_decide_batch_at_chunk_boundaries(self):
+        spec = dataclasses.replace(reduced_spec(), horizon=0.05)
+        its, _, _, quad, ug = solve_reduced(spec, k_max=1, points=11, n_u=41)
+        policy = Policy(its[1], its[0], spec, ug, quad)
+        fresh = Policy(FreshGridLevel(its[1]), FreshGridLevel(its[0]), spec,
+                       ug, quad)
+        rng = np.random.default_rng(7)
+        # the jump stack is chunked at CHUNK // U paths, the Euler one at
+        # CHUNK // Q
+        for step in (bellman.CHUNK // len(ug), bellman.CHUNK // len(quad.nodes)):
+            for n in (1, step - 1, step, step + 1):
+                states = rng.uniform(-5.0, 5.0, (n, 2))
+                for i in (0, its[1].n_steps - 1):
+                    for got, want in zip(policy.decide_batch(i, states),
+                                         fresh.decide_batch(i, states)):
+                        assert got.tobytes() == want.tobytes()
+
     def test_one_lag_search_per_value_function_and_batch(self, monkeypatch):
         its, spec, quad, ug = lift_levels(0.01)
         calls = []
@@ -596,10 +669,64 @@ class TestGridLagMemo:
         assert calls == [30, 30]
 
 
+def sha256_of(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestGridGoldenBits:
+    """The reduced grid config (horizon cut to 0.1) pinned bit for bit: the
+    solve's tables, its policy's decisions and the policy's payoffs."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        cfg = RunConfig.load(os.path.join(CONFIGS,
+                                          "delay_feedback_reduced.json"))
+        spec = dataclasses.replace(cfg.spec, horizon=0.1)
+        grid = TimeGrid.for_spec(spec, cfg.dt)
+        its, _ = k_value_iteration(spec, grid, cfg.build_backend(),
+                                   cfg.quadrature, cfg.u_grid(),
+                                   k_max=cfg.k_max, tol=cfg.tol)
+        return its, grid, Policy(its[-1], its[-2], spec, cfg.u_grid(),
+                                 cfg.quadrature)
+
+    def test_solve_tables(self, solved):
+        its, _, _ = solved
+        assert len(its) == 8
+        assert sha256_of(*[v for vf in its for v in vf.values]) == \
+            "9e0ae8f3eee7c3ffeb81789aebeabf8c3e34e0f3320da5a9349cbceba8e3cb3b"
+
+    def test_decide_batch(self, solved):
+        _, grid, policy = solved
+        states = np.random.default_rng(5).normal(0.0, 2.5, (200, 2))
+        out = [a for i in range(grid.n_steps)
+               for a in policy.decide_batch(i, states)]
+        assert sum(int(mask.sum()) for mask in out[0::2]) == 1345
+        assert sha256_of(*out) == \
+            "b2b1b4fb97805a842bcabb0c911b937e93ecbc5a77be09ecc2be4343d1426008"
+
+    def test_policy_payoffs(self, solved):
+        _, grid, policy = solved
+        payoffs, counts, _, _ = simulate_batch(
+            policy.spec, grid, draw_noise_matrix(17, 200, grid), policy)
+        assert int(counts.sum()) == 51
+        assert sha256_of(payoffs) == \
+            "24d4a02b29372fdbad944014108625d960dd2d10de4d029229ae87f115b5528d"
+
+
 class ReferenceLevel:
     """One regression level evaluated on its own: the head-polynomial kernel
     through a fresh memo per query, and jumps priced with the level below's
-    plain fit, one level at a time."""
+    plain fit, one level at a time; its stacked queries loop over the head
+    rows."""
+
+    def value_at_heads(self, i, heads, lags):
+        return looped_rows(self.value_at, i, heads, lags)
+
+    def plain_value_at_heads(self, i, heads, lags):
+        return looped_rows(self.plain_value_at, i, heads, lags)
 
     def __init__(self, vf):
         self.vf, self.n_steps, self.dt = vf, vf.n_steps, vf.dt
@@ -610,8 +737,9 @@ class ReferenceLevel:
             return np.asarray(vf.terminal_reward(points[:, 0]), dtype=float)
         v = fresh_values(points, vf.powers, vf.cont_coeffs[i])
         if vf.prev is not None:
-            jump, _ = _intervention_batch(ReferenceLevel(vf.prev).plain_value_at,
-                                          i, points, vf.spec, vf.u_grid, i * vf.dt)
+            jump, _ = _intervention_batch(
+                ReferenceLevel(vf.prev).plain_value_at_heads, i, points[:, 0],
+                points[:, 1:], vf.spec, vf.u_grid, i * vf.dt)
             v = np.maximum(v, jump)
         return v
 
@@ -653,8 +781,9 @@ def reference_regression_solve(spec, grid, backend, quad, u_grid, k_max, tol):
             _check_finite(cont, i, k)
             vf.cont_coeffs[i] = fit(i, cont)
             if k:
-                interv, _ = _intervention_batch(ReferenceLevel(prev).plain_value_at,
-                                                i, clouds[i], spec, u_grid, i * dt)
+                interv, _ = _intervention_batch(
+                    ReferenceLevel(prev).plain_value_at_heads, i,
+                    clouds[i][:, 0], clouds[i][:, 1:], spec, u_grid, i * dt)
                 vals = np.maximum(cont, interv)
                 _check_finite(vals, i, k)
                 vf.plain_coeffs[i] = fit(i, vals)

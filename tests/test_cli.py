@@ -235,6 +235,23 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 0
         assert sorted(calls) == list(range(RunConfig.load(cfg_path).n_paths))
 
+    def test_evaluate_draws_each_path_once(self, tmp_path, monkeypatch):
+        # the policy and the never-intervene estimates share one draw
+        cfg_path = os.path.join(CONFIGS, "tiny1.json")
+        assert main(["solve", "--config", cfg_path,
+                     "--out", str(tmp_path)]) == 0
+        calls = []
+        real = simulate._keyed_normal_rows
+
+        def counting(seed, paths, grid):
+            calls.extend(paths)
+            return real(seed, paths, grid)
+
+        monkeypatch.setattr(simulate, "_keyed_normal_rows", counting)
+        assert main(["evaluate", "--config", cfg_path,
+                     "--out", str(tmp_path)]) == 0
+        assert sorted(calls) == list(range(RunConfig.load(cfg_path).n_paths))
+
     def test_probe_flow_simulates_base_paths_once(self, tmp_path,
                                                   monkeypatch):
         calls = []

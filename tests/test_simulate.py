@@ -281,14 +281,17 @@ class TestEstimateJ:
     def test_still_dynamics_zero_mean_zero_stderr(self):
         spec = still_spec()
         g = TimeGrid.for_spec(spec, 0.5)
-        mean, se = estimate_J(spec, ImpulseControl(), 64, 7, g)
+        mean, se = estimate_J(spec, ImpulseControl(),
+                              draw_noise_matrix(7, 64, g), g)
         assert mean == 0.0 and se == 0.0
 
     def test_two_seed_consistency(self):
         spec = feedback_spec()
         g = TimeGrid.for_spec(spec, 0.01)
-        m1, s1 = estimate_J(spec, ImpulseControl(), 10000, 1, g)
-        m2, s2 = estimate_J(spec, ImpulseControl(), 10000, 2, g)
+        m1, s1 = estimate_J(spec, ImpulseControl(),
+                            draw_noise_matrix(1, 10000, g), g)
+        m2, s2 = estimate_J(spec, ImpulseControl(),
+                            draw_noise_matrix(2, 10000, g), g)
         assert abs(m1 - m2) < 3.0 * math.hypot(s1, s2)
 
     def test_fixed_control_matches_branch_average(self):

@@ -40,26 +40,6 @@ class DivergenceError(RuntimeError):
 # Interpolation
 # ---------------------------------------------------------------------------
 
-def interp_stencil(axes, points, lag_cells=None):
-    """Clamped multilinear stencil of (..., m) points on a tensor grid:
-    (base, corners), the flat index of each point's lower cell corner and
-    one (flat offset, weights) pair per corner in itertools.product order,
-    shaped as the points' leading axes.  It serves every table on the same
-    grid.  Given `lag_cells`, the `_lag_cells` of lags that broadcast
-    against those axes, only the head column points[..., 0] is read."""
-    points = np.asarray(points, dtype=float)
-    if lag_cells is None:
-        lag_cells = _lag_cells(axes, points[..., 1:])
-    cells = [_axis_cells(axes[0], points[..., 0])] + lag_cells
-    strides, corners = _grid_corners(tuple(len(ax) for ax in axes))
-    base = np.zeros(points.shape[:-1], dtype=np.intp)
-    for (i, _), s in zip(cells, strides):
-        base += i * s
-    return base, [(off, functools.reduce(
-                      operator.mul, (w[c] for (_, w), c in zip(cells, corner))))
-                  for corner, off in corners]
-
-
 def _axis_cells(ax, x):
     """Clamped cell index of x on one increasing axis and the corner
     weights (1 - fraction, fraction) along it.  The index is the last node
@@ -107,25 +87,31 @@ def _grid_corners(shape):
                           for c in itertools.product((0, 1), repeat=len(shape)))
 
 
-def apply_stencil(stencil, flat_table):
-    """Interpolated values of the C-ordered flat table at the stencil's points."""
-    base, corners = stencil
-    out = np.zeros(base.shape)
-    for off, w in corners:
-        out += w * flat_table[off:][base]
-    return out
-
-
 def multilinear_interp(axes, table, points, lag_cells=None):
     """Multilinear interpolation on a tensor grid, clamped at the boundary.
 
     axes: per-dimension strictly increasing node arrays; table: values with
     shape tuple(len(ax) for ax in axes); points: (..., m).  Queries exactly
-    at nodes reproduce the stored values.  `lag_cells` is as in
-    interp_stencil.
+    at nodes reproduce the stored values.  The corners add into zeros in
+    itertools.product order.  Given `lag_cells`, the `_lag_cells` of lags
+    that broadcast against the points' leading axes, only the head column
+    points[..., 0] is read.
     """
-    return apply_stencil(interp_stencil(axes, points, lag_cells),
-                         np.ravel(table))
+    points = np.asarray(points, dtype=float)
+    if lag_cells is None:
+        lag_cells = _lag_cells(axes, points[..., 1:])
+    cells = [_axis_cells(axes[0], points[..., 0])] + lag_cells
+    strides, corners = _grid_corners(tuple(len(ax) for ax in axes))
+    base = np.zeros(points.shape[:-1], dtype=np.intp)
+    for (i, _), s in zip(cells, strides):
+        base += i * s
+    flat = np.ravel(table)
+    out = np.zeros(base.shape)
+    for corner, off in corners:
+        weight = functools.reduce(operator.mul,
+                                  (w[c] for (_, w), c in zip(cells, corner)))
+        out += weight * flat[off:][base]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,25 +309,27 @@ class RegressionValueFunction(_HeadStacks):
 # Backend configuration
 # ---------------------------------------------------------------------------
 
+def _grid_axis(ax, name):
+    """ax as a float array, if it holds at least two finite, strictly
+    increasing nodes; else a ValidationError naming it `name`."""
+    ax = np.asarray(ax, dtype=float)
+    if ax.ndim != 1 or len(ax) < 2 or not np.all(np.isfinite(ax)) \
+            or not np.all(np.diff(ax) > 0):
+        raise ValidationError(f"{name} needs at least 2 finite, strictly "
+                              "increasing nodes")
+    return ax
+
+
 @dataclass(frozen=True)
 class GridBackend:
-    """Tensor-grid backend: explicit per-dimension node arrays, each finite
-    and strictly increasing with at least two nodes."""
+    """Tensor-grid backend: one node array that every coordinate of the
+    lifted state shares, since all of them are values of the same scalar
+    path; the grid dimension comes from the time grid."""
 
-    axes: tuple
+    axis: np.ndarray
 
     def __post_init__(self):
-        for d, ax in enumerate(self.axes):
-            ax = np.asarray(ax, dtype=float)
-            if ax.ndim != 1 or len(ax) < 2 or not np.all(np.isfinite(ax)) \
-                    or not np.all(np.diff(ax) > 0):
-                raise ValidationError(f"grid axis {d} needs at least 2 "
-                                      "finite, strictly increasing nodes")
-
-    @classmethod
-    def uniform(cls, bound, points_per_axis, m):
-        ax = np.linspace(-bound, bound, points_per_axis)
-        return cls(axes=tuple(ax.copy() for _ in range(m)))
+        object.__setattr__(self, "axis", _grid_axis(self.axis, "grid axis"))
 
 
 @dataclass(frozen=True)
@@ -461,26 +449,23 @@ def _check_finite(arr, time_index, k):
 
 
 def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
-    axes = tuple(np.asarray(ax, dtype=float) for ax in backend.axes)
-    m = len(axes)
-    if m != grid.delay_steps + 1:
-        raise ValidationError(f"grid backend has {m} axes, lifted state needs "
-                              f"{grid.delay_steps + 1}")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in mesh], axis=1)
-    n = grid.n_steps
-    dt = grid.dt
+    axis = backend.axis
+    axes = (axis,) * (grid.delay_steps + 1)
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                      axis=1)
+    n_rows = len(points) // len(axis)  # L lag rows of the (H, L) table
+    n, dt = grid.n_steps, grid.dt
     terminal = np.asarray(spec.terminal_reward(points[:, 0]), dtype=float)
 
-    # Every level queries the same points, so the stencils are built once:
-    # the head-row jump stencil, and the Euler successors' stencils, rebuilt
-    # only when the successors change from one slice to the next.
-    jumped_rows = _jump_rows(axes, spec, u_grid)
-    successors = [None] * len(quadrature.nodes)
-    step_stencils = [None] * len(quadrature.nodes)
+    # Every level queries the same points, so the head stencils are built
+    # once: the jumps', and the Euler successors', rebuilt only when the
+    # successors' heads change from one slice to the next.
+    jumped_rows = _head_stencil(axis, spec.intervention(axis, u_grid[:, None]),
+                                0, 1, n_rows)
+    successor_rows = np.arange(len(points)) // len(axis)
+    heads, step_rows = {}, {}  # per quadrature node
 
-    iterates = []
-    gaps = []
+    iterates, gaps = [], []
     for k in range(k_max + 1):
         vf = GridValueFunction(axes=axes, values=[None] * (n + 1), k_index=k, dt=dt)
         vf.values[n] = terminal.copy()
@@ -488,19 +473,18 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
         for i in range(n - 1, -1, -1):
             t = i * dt
             for j, z in enumerate(quadrature.nodes):
-                nxt = step_transition_batch(points, t, z, spec, dt)
-                if not np.array_equal(nxt, successors[j]):
-                    successors[j] = nxt
-                    step_stencils[j] = interp_stencil(axes, nxt)
+                h = euler_head(points[:, 0], points[:, -1], t, z, spec, dt)
+                if not np.array_equal(h, heads.get(j)):
+                    heads[j] = h
+                    step_rows[j] = _head_stencil(axis, h, successor_rows, n_rows)
             vals = _expectation(spec, t, points, dt, quadrature.weights,
-                                lambda j: apply_stencil(step_stencils[j],
-                                                        vf.values[i + 1]))
+                                lambda j: step_rows[j](vf.values[i + 1]))
             if k:
                 # the tables are finite, so no value is NaN or -0.0 and the
                 # plain max is the first-index max of _intervention_batch
                 jumped = jumped_rows(prev.values[i])
                 jumped -= np.asarray(spec.impulse_cost(
-                    axes[0], u_grid[:, None], t))[..., None]
+                    axis, u_grid[:, None], t))[..., None]
                 vals = np.maximum(vals, jumped.max(axis=0).ravel())
             _check_finite(vals, i, k)
             vf.values[i] = vals
@@ -514,26 +498,33 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     return iterates, gaps
 
 
-def _jump_rows(axes, spec, u_grid):
-    """jumped(table) -> the (U, H, L) values of the flat grid `table` after
-    each impulse of u_grid from every grid node, H = len(axes[0]).  A jump
-    moves only the head, so the U * N jumped nodes have U * H distinct
-    heads, and their lags sit on nodes with lag weights exactly 1 and 0:
-    each value is w0 * table[ih] + w1 * table[ih + 1] over whole head rows
-    of the (H, L) table.  Summed into +0.0, the zero-weight corners of the
-    multilinear stencil would add only +-0.0 to a sum that is never -0.0,
-    so these are its values bit for bit."""
-    heads = axes[0]
-    cell, (w0, w1) = _axis_cells(heads, spec.intervention(heads, u_grid[:, None]))
-    w0, w1 = w0[..., None], w1[..., None]
+def _head_stencil(axis, heads, lag_rows, step, width=None):
+    """values(table) -> the values of a flat grid table on the shared axis
+    at the points with these heads whose lags sit on nodes, as
+    zeros + w0 * rows[lo] + w1 * rows[lo + step]: (cell, (w0, w1)) are the
+    heads' _axis_cells, lo = cell * step + lag_rows, and the rows are the
+    table's entries, or its rows of `width` entries.  In the (H, L) table a
+    jump keeps its node's lag row, so it reads whole rows (step 1, width
+    L); an Euler successor's lag row is its node's head and leading lags,
+    n // H for node n, so it reads entries (step L).  A lag on a node
+    weighs exactly 1 on one corner, so the other corners of
+    multilinear_interp would add only +-0.0 to a sum that is never -0.0:
+    on finite tables these are its values bit for bit."""
+    cell, (w0, w1) = _axis_cells(axis, heads)
+    lo = cell * step + lag_rows
+    if width is not None:
+        w0, w1 = w0[..., None], w1[..., None]
+    corners = ((lo, w0), (lo + step, w1))
 
-    def jumped(table):
-        rows = table.reshape(len(heads), -1)
-        out = np.zeros(cell.shape + rows.shape[1:])
-        out += w0 * rows[cell]
-        out += w1 * rows[cell + 1]
+    def values(table):
+        rows = table if width is None else table.reshape(-1, width)
+        out = np.zeros(lo.shape + rows.shape[1:])
+        for at, w in corners:
+            gathered = rows[at]
+            gathered *= w  # in place: one temporary of out's size fewer
+            out += gathered
         return out
-    return jumped
+    return values
 
 
 def _sample_states(spec, grid, backend):
@@ -856,9 +847,9 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
     if backend == "GRID":
         axes = require(header, "axes", where)
         # a non-list is checked as one axis, which then fails the 1-d check
-        axes = GridBackend(axes=tuple(
-            _json_array(ax, f"{where}.axes", 1)
-            for ax in (axes if isinstance(axes, list) else [axes]))).axes
+        axes = tuple(_grid_axis(_json_array(ax, f"{where}.axes", 1),
+                                f"grid axis {d}") for d, ax in
+                     enumerate(axes if isinstance(axes, list) else [axes]))
         table = _load_table(path, (n + 1, math.prod(len(ax) for ax in axes)))
         return GridValueFunction(axes=axes, values=list(table),
                                  k_index=k_index, dt=dt)

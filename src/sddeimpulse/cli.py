@@ -127,8 +127,8 @@ class RunConfig:
     def build_backend(self):
         if self.backend == "regression":
             return self.regression
-        return GridBackend.uniform(self.grid_bound, self.points_per_axis,
-                                   self.grid.delay_steps + 1)
+        return GridBackend(np.linspace(-self.grid_bound, self.grid_bound,
+                                       self.points_per_axis))
 
     def initial_state(self):
         return initial_lifted_state(self.spec, self.grid)[None, :]
@@ -337,7 +337,7 @@ def cmd_oracle_compare(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     axis = exact_state_axis(cfg.spec, tree, k)
     iterates, _ = k_value_iteration(cfg.spec, cfg.grid,
-                                    GridBackend(axes=(axis,)), quad, u_grid,
+                                    GridBackend(axis), quad, u_grid,
                                     k_max=k, tol=1e-12)
     dp_value = float(iterates[min(k, len(iterates) - 1)].value_at(0, x0)[0])
     dp_table = table_from_decisions(
@@ -387,8 +387,9 @@ def main(argv=None):
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (SimulationError, DivergenceError) as e:
-        print(f"runtime failure: {e}", file=sys.stderr)
+    except (SimulationError, DivergenceError, MemoryError) as e:
+        print(f"runtime failure: {str(e) or type(e).__name__}",
+              file=sys.stderr)
         return 1
 
 

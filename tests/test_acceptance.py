@@ -57,7 +57,7 @@ def test_criterion_1_oracle_equivalence(capsys):
         for k in (1, 2, 3):
             axis = exact_state_axis(spec, tree, k)
             its, _ = k_value_iteration(spec, cfg.grid,
-                                       GridBackend(axes=(axis,)),
+                                       GridBackend(axis),
                                        quad, u_grid, k_max=k, tol=1e-12)
             best, oracle_table = enumerate_controls(spec, tree, k)
             v = float(its[min(k, len(its) - 1)].value_at(
@@ -178,7 +178,8 @@ def test_criterion_7_backend_cross_validation(capsys):
     u_grid = cfg.u_grid()
     # fine axes: value interpolation bias at 41 points per axis is larger
     # than the backend discrepancy this criterion is after
-    grid_backend = GridBackend.uniform(cfg.grid_bound, 161, 2)
+    grid_backend = GridBackend(np.linspace(-cfg.grid_bound, cfg.grid_bound,
+                                          161))
     g_its, _ = k_value_iteration(cfg.spec, cfg.grid, grid_backend, quad,
                                  u_grid, k_max=1, tol=1e-12)
     reg_backend = RegressionBackend(degree=4, ridge_lambda=1e-8,

@@ -22,7 +22,8 @@ from sddeimpulse.bellman import (DivergenceError, GridBackend,
                                  multilinear_interp, save_value_function)
 from sddeimpulse.cli import RunConfig
 from sddeimpulse.lattice import (gauss_hermite_quadrature,
-                                 impulse_transition_batch)
+                                 impulse_transition_batch,
+                                 step_transition_batch)
 from sddeimpulse.oracle import (FiniteTree, exact_snell_on_tree,
                                 exact_state_axis)
 from sddeimpulse.simulate import (TimeGrid, draw_noise_matrix,
@@ -41,7 +42,7 @@ def solve_reduced(spec, k_max=1, points=21, n_u=9, tol=1e-3):
     grid = TimeGrid.for_spec(spec, 0.01)
     quad = gauss_hermite_quadrature(0.01, 7)
     ug = spec.impulse_set.grid(n_u)
-    backend = GridBackend.uniform(4.0, points, grid.delay_steps + 1)
+    backend = GridBackend(np.linspace(-4.0, 4.0, points))
     its, gaps = k_value_iteration(spec, grid, backend, quad, ug,
                                   k_max=k_max, tol=tol)
     return its, gaps, grid, quad, ug
@@ -442,7 +443,7 @@ class TestKValueIteration:
         cfg, tree = tiny_instance("tiny1.json")
         axis = exact_state_axis(cfg.spec, tree, 1)
         its, _ = k_value_iteration(cfg.spec, cfg.grid,
-                                   GridBackend(axes=(axis,)),
+                                   GridBackend(axis),
                                    cfg.quadrature, cfg.u_grid(),
                                    k_max=1, tol=1e-12)
         best, _ = enumerate_controls(cfg.spec, tree, 1)
@@ -453,27 +454,27 @@ class TestKValueIteration:
                                       [0.0, 0.0, 1.0], [0.0, np.nan, 1.0]],
                              ids=["descending", "one_node", "repeated", "nan"])
     def test_bad_grid_axis_rejected(self, axis):
-        with pytest.raises(ValidationError):
-            GridBackend(axes=(np.linspace(-1.0, 1.0, 5), np.array(axis)))
+        with pytest.raises(ValidationError, match="grid axis"):
+            GridBackend(np.array(axis))
 
     def test_bad_arguments_rejected(self):
         spec = reduced_spec()
         grid = TimeGrid.for_spec(spec, 0.01)
         quad = gauss_hermite_quadrature(0.01, 3)
+        backend = GridBackend(np.linspace(-4.0, 4.0, 5))
         with pytest.raises(ValidationError):
-            k_value_iteration(spec, grid, GridBackend.uniform(4.0, 5, 2),
-                              quad, [], k_max=1)
+            k_value_iteration(spec, grid, backend, quad, [], k_max=1)
         with pytest.raises(ValidationError):
-            k_value_iteration(spec, grid, GridBackend.uniform(4.0, 5, 2),
-                              quad, [0.0], k_max=0)
+            k_value_iteration(spec, grid, backend, quad, [0.0], k_max=0)
 
     def test_nan_tol_rejected(self):
         spec = reduced_spec()
         grid = TimeGrid.for_spec(spec, 0.01)
         quad = gauss_hermite_quadrature(0.01, 3)
+        backend = GridBackend(np.linspace(-4.0, 4.0, 5))
         with pytest.raises(ValidationError):
-            k_value_iteration(spec, grid, GridBackend.uniform(4.0, 5, 2),
-                              quad, [0.0], k_max=1, tol=float("nan"))
+            k_value_iteration(spec, grid, backend, quad, [0.0], k_max=1,
+                              tol=float("nan"))
 
     @pytest.mark.parametrize("knob,value", [
         ("degree", -1), ("ridge_lambda", -1.0), ("ridge_lambda", np.nan),
@@ -514,8 +515,26 @@ def time_dependent_spec():
                                drift=lambda t, x, y: -(1.0 + t) * x + 0.5 * y)
 
 
+def lift3_spec():
+    return dataclasses.replace(feedback_spec(delay=0.02), horizon=0.2)
+
+
+def recorded_head_stencils(monkeypatch):
+    """A list that collects (heads, values) of every head stencil built."""
+    built = []
+    real = bellman._head_stencil
+
+    def recording(axis, heads, *rows):
+        built.append((heads, real(axis, heads, *rows)))
+        return built[-1][1]
+
+    monkeypatch.setattr(bellman, "_head_stencil", recording)
+    return built
+
+
 class TestStencilSolve:
-    @pytest.mark.parametrize("make_spec", [reduced_spec, time_dependent_spec])
+    @pytest.mark.parametrize("make_spec", [reduced_spec, time_dependent_spec,
+                                           lift3_spec])
     def test_equals_generic_operators_bitwise(self, make_spec):
         spec = make_spec()
         its, gaps, grid, quad, ug = solve_reduced(spec, k_max=2, tol=1e-12)
@@ -530,38 +549,40 @@ class TestStencilSolve:
 
     @pytest.mark.parametrize("k_max,horizon", [(1, 0.2), (3, 0.5)])
     def test_stencils_built_once_per_solve(self, monkeypatch, k_max, horizon):
-        calls = []
-        real = bellman.interp_stencil
-
-        def counting(axes, points, lag_cells=None):
-            calls.append(len(points))
-            return real(axes, points, lag_cells)
-
-        monkeypatch.setattr(bellman, "interp_stencil", counting)
+        built = recorded_head_stencils(monkeypatch)
         spec = dataclasses.replace(reduced_spec(), horizon=horizon)
         its, _, _, quad, ug = solve_reduced(spec, k_max=k_max, tol=1e-12)
         assert len(its) == k_max + 1
-        # one per quadrature node; the jumps use head rows, not a stencil
-        assert len(calls) == len(quad.nodes)
+        # the jumps', then one per quadrature node
+        assert [h.shape for h, _ in built] == \
+            [(len(ug), 21)] + [(21 * 21,)] * len(quad.nodes)
 
     @pytest.mark.parametrize("delay", [0.01, 0.02], ids=["reduced", "lift3"])
-    def test_head_row_jumps_equal_the_stencil_on_the_stacked_jumps(self,
-                                                                  delay):
+    def test_head_stencils_equal_multilinear_interp(self, monkeypatch, delay):
+        built = recorded_head_stencils(monkeypatch)
         spec = dataclasses.replace(feedback_spec(delay=delay), horizon=0.05)
-        its, _, _, _, ug = solve_reduced(spec, k_max=1, points=11, n_u=7)
+        its, _, grid, quad, ug = solve_reduced(spec, k_max=1, points=11, n_u=7)
         axes = its[0].axes
         points = np.stack([g.ravel() for g in np.meshgrid(*axes,
                                                           indexing="ij")], 1)
-        stencil = bellman.interp_stencil(axes, np.concatenate(
-            [impulse_transition_batch(points, u, spec) for u in ug]))
-        jumped = bellman._jump_rows(axes, spec, ug)
-        # the solve's own tables, and tables with zeros of both signs
+        # the solve's operators, each with the points it prices: every
+        # node's jumps, stacked, then its Euler successors node by node;
+        # the grid's own points put lags on the last node too
+        (_, jumped), *steps = built
+        assert len(steps) == len(quad.nodes)
+        operators = [(jumped, np.concatenate(
+            [impulse_transition_batch(points, u, spec) for u in ug]))] + [
+            (stepped, step_transition_batch(points, 0.0, z, spec, grid.dt))
+            for (_, stepped), z in zip(steps, quad.nodes)]
+        # the solve's own tables, and a table with zeros of both signs
         signed_zeros = np.random.default_rng(1).choice(
             [-0.0, 0.0, -1.5, 2.25], len(points))
         for table in [vf.values[i] for vf in its for i in (0, 3)] \
                 + [signed_zeros]:
-            want = bellman.apply_stencil(stencil, table)
-            assert jumped(table).tobytes() == want.tobytes()
+            for values, at in operators:
+                want = multilinear_interp(axes, table.reshape(its[0].shape),
+                                          at)
+                assert values(table).tobytes() == want.tobytes()
 
 
 def looped_rows(value_at, i, heads, lags):
@@ -928,7 +949,7 @@ class TestPolicy:
         its, _, grid, quad, ug = solve_reduced(reduced_spec(), k_max=1)
         spec2 = feedback_spec(delay=0.02)
         g2 = TimeGrid.for_spec(spec2, 0.02)
-        b2 = GridBackend.uniform(4.0, 5, 2)
+        b2 = GridBackend(np.linspace(-4.0, 4.0, 5))
         other, _ = k_value_iteration(spec2, g2,
                                      b2, gauss_hermite_quadrature(0.02, 3),
                                      ug, k_max=1)

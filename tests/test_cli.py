@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sddeimpulse import ValidationError, simulate
+from sddeimpulse import ValidationError, cli, simulate
 from sddeimpulse.cli import RunConfig, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -93,8 +93,14 @@ class TestCommands:
         assert rep["tables_equal"] is True
 
     @pytest.mark.parametrize("name,start,value", [
-        ("tiny1.json", 0.5, -0.78934), ("tiny2.json", 0.0, -0.61297)],
-        ids=["tiny1-start-0.5", "tiny2"])
+        ("tiny1.json", 0.5, -0.78934), ("tiny2.json", 0.0, -0.61297),
+        # the grid DP lets level k jump onto level k-1 at the same instant,
+        # so it prices two impulses at once (dp_value -1.04318) where the
+        # tree allows one per node
+        pytest.param("tiny2.json", 0.5, -1.44503,
+                     marks=pytest.mark.xfail(strict=True, reason=(
+                         "several impulses at one instant in the grid DP")))],
+        ids=["tiny1-start-0.5", "tiny2", "tiny2-start-0.5"])
     def test_oracle_compare_checks_the_configs_problem(self, tmp_path, name,
                                                        start, value):
         raw = load_raw(name)
@@ -218,6 +224,21 @@ class TestCommands:
         assert main(["probe-flow", "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error,line", [
+        (MemoryError("Unable to allocate 35.4 GiB for an array"),
+         "runtime failure: Unable to allocate 35.4 GiB for an array"),
+        (MemoryError(), "runtime failure: MemoryError")],
+        ids=["message", "bare"])
+    def test_exit_code_1_on_out_of_memory(self, tmp_path, capsys, monkeypatch,
+                                          error, line):
+        def out_of_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "k_value_iteration", out_of_memory)
+        assert main(["solve", "--config", os.path.join(CONFIGS, "tiny1.json"),
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
 
     def test_probe_flow_draws_each_path_once(self, tmp_path, monkeypatch):
         # counted at the keyed-stream kernel, which every noise row goes

@@ -130,7 +130,7 @@ class TestDualRoute:
             for k in (1, 2):
                 axis = exact_state_axis(cfg.spec, tree, k)
                 its, _ = k_value_iteration(
-                    cfg.spec, cfg.grid, GridBackend(axes=(axis,)),
+                    cfg.spec, cfg.grid, GridBackend(axis),
                     cfg.quadrature, cfg.u_grid(), k_max=k, tol=1e-12)
                 best, _ = enumerate_controls(cfg.spec, tree, k)
                 v = its[-1].value_at(0, np.array([[start]]))[0]

@@ -464,6 +464,9 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
                                 0, 1, n_rows)
     successor_rows = np.arange(len(points)) // len(axis)
     heads, step_rows = {}, {}  # per quadrature node
+    # the jump step's (U, H, L) gathers and their (H, L) max, per solve
+    jump_bufs = np.empty((2, len(u_grid), len(axis), n_rows))
+    best = np.empty((len(axis), n_rows))
 
     iterates, gaps = [], []
     for k in range(k_max + 1):
@@ -482,10 +485,11 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
             if k:
                 # the tables are finite, so no value is NaN or -0.0 and the
                 # plain max is the first-index max of _intervention_batch
-                jumped = jumped_rows(prev.values[i])
+                jumped = jumped_rows(prev.values[i], *jump_bufs)
                 jumped -= np.asarray(spec.impulse_cost(
                     axis, u_grid[:, None], t))[..., None]
-                vals = np.maximum(vals, jumped.max(axis=0).ravel())
+                np.max(jumped, axis=0, out=best)
+                vals = np.maximum(vals, best.ravel(), out=vals)
             _check_finite(vals, i, k)
             vf.values[i] = vals
         iterates.append(vf)
@@ -509,20 +513,23 @@ def _head_stencil(axis, heads, lag_rows, step, width=None):
     n // H for node n, so it reads entries (step L).  A lag on a node
     weighs exactly 1 on one corner, so the other corners of
     multilinear_interp would add only +-0.0 to a sum that is never -0.0:
-    on finite tables these are its values bit for bit."""
+    on finite tables these are its values bit for bit.  values(table, out,
+    spare) fills the two given buffers of the result's shape."""
     cell, (w0, w1) = _axis_cells(axis, heads)
     lo = cell * step + lag_rows
     if width is not None:
         w0, w1 = w0[..., None], w1[..., None]
-    corners = ((lo, w0), (lo + step, w1))
+    hi = lo + step
 
-    def values(table):
+    def values(table, out=None, spare=None):
         rows = table if width is None else table.reshape(-1, width)
-        out = np.zeros(lo.shape + rows.shape[1:])
-        for at, w in corners:
-            gathered = rows[at]
-            gathered *= w  # in place: one temporary of out's size fewer
-            out += gathered
+        # the cells are in range, and mode="clip" gathers unbuffered
+        out = np.take(rows, lo, axis=0, out=out, mode="clip")
+        out *= w0
+        out += 0.0  # as zeros + w0 * rows[lo]: a -0.0 product adds to 0.0
+        spare = np.take(rows, hi, axis=0, out=spare, mode="clip")
+        spare *= w1
+        out += spare
         return out
     return values
 

@@ -65,21 +65,27 @@ def _keyed_normal_rows(seed: int, paths, grid: TimeGrid) -> np.ndarray:
     counter are reset per row draws what a fresh generator keyed so would.
     Key words are uint64, so every seed in [0, 2**64) keys its own stream.
     Storage is time-major (the result is a transposed view); rows are drawn
-    into a path-major block of BLOCK paths, which is transposed in."""
+    into a path-major block of BLOCK paths, scaled there, and transposed
+    in."""
     bitgen = np.random.Philox(0)  # seeded: constructing pulls no OS entropy
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # zero counter, empty buffer
     key = state["state"]["key"]
     key[0] = seed
+    sd = math.sqrt(grid.dt)
     out = np.empty((grid.n_steps, len(paths)))
     block = np.empty((min(BLOCK, len(paths)), grid.n_steps))
     for start in range(0, len(paths), BLOCK):
         chunk = paths[start:start + BLOCK]
-        for row, i in zip(block, chunk):
+        rows = block[:len(chunk)]
+        for row, i in zip(rows, chunk):
             key[1] = i
             bitgen.state = state
-            row[:] = gen.normal(0.0, math.sqrt(grid.dt), grid.n_steps)
-        out[:, start:start + len(chunk)] = block[:len(chunk)].T
+            gen.standard_normal(out=row)
+        # Generator.normal(0.0, sd) computes 0.0 + sd * z: the same bits
+        rows *= sd
+        rows += 0.0
+        out[:, start:start + len(chunk)] = rows.T
     return out.T
 
 
@@ -112,6 +118,34 @@ def initial_lifted_state(spec: ProblemSpec, grid: TimeGrid) -> np.ndarray:
     return hist[::-1]
 
 
+def _start_history(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray):
+    """Time-major history of noise's paths, the initial segment filled in."""
+    if noise.shape[1] != grid.n_steps:
+        raise ValidationError("noise shape does not match grid")
+    hist = np.empty((grid.delay_steps + grid.n_steps + 1, noise.shape[0]))
+    hist[:grid.delay_steps + 1] = initial_lifted_state(spec, grid)[::-1, None]
+    return hist
+
+
+def _advance(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
+             hist: np.ndarray, k_from: int, k_to: int, act):
+    """The Euler stepping core, steps k_from .. k_to - 1: act(k, t_k) jumps
+    head row k + d, the row is checked, and below n_steps row k + d + 1 is
+    written from rows k + d and k (no row below k is read)."""
+    d = grid.delay_steps
+    for k in range(k_from, k_to):
+        t = k * grid.dt
+        act(k, t)
+        x = hist[k + d]
+        ok = np.abs(x) <= OVERFLOW_LIMIT  # False for NaN and +-inf too
+        if not ok.all():
+            raise SimulationError(
+                f"state overflow at step {k} (path {int(np.argmin(ok))})")
+        if k < grid.n_steps:
+            hist[k + d + 1] = euler_head(x, hist[k], t, noise[:, k], spec,
+                                         grid.dt)
+
+
 def simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
                    policy_or_control):
     """Euler engine: simulate all rows of `noise` at once, rows = paths.
@@ -125,21 +159,16 @@ def simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
     Row j of the time-major history is every head at time (j - d) * dt,
     d = delay_steps; a step writes row k + d + 1 from rows k + d and k, and
     a policy gets rows k .. k + d as a C-ordered (N, m) copy, newest first.
+    The running reward is summed from the finished history, in step order.
 
     Returns (payoffs, counts, paths, events): per-path payoffs and impulse
     counts, the (n_paths, n_steps + 1) post-impulse heads (a view of the
     history), and one (k, rows, u) tuple per impulse batch, in time order.
     """
-    n_paths, n_steps = noise.shape
-    if n_steps != grid.n_steps:
-        raise ValidationError("noise shape does not match grid")
     fixed = isinstance(policy_or_control, ImpulseControl)
     scheduled = _events_by_index(policy_or_control, spec, grid) if fixed else []
-
-    d = grid.delay_steps
-    hist = np.empty((d + n_steps + 1, n_paths))
-    hist[:d + 1] = initial_lifted_state(spec, grid)[::-1, None]
-    running = np.zeros(n_paths)
+    hist = _start_history(spec, grid, noise)
+    n_paths, n_steps, d = noise.shape[0], grid.n_steps, grid.delay_steps
     cost = np.zeros(n_paths)
     counts = np.zeros(n_paths, dtype=int)
     events = []
@@ -152,8 +181,7 @@ def simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
         counts[rows] += 1
         events.append((k, rows, u))
 
-    for k in range(n_steps + 1):
-        t = k * grid.dt
+    def act(k, t):
         for idx, u in scheduled:  # every scheduled index is below n_steps
             if idx == k:
                 jump(k, t, np.arange(n_paths), u)
@@ -162,15 +190,11 @@ def simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
             mask, us = policy_or_control.decide_batch(k, states)
             if np.any(mask):
                 jump(k, t, np.nonzero(mask)[0], us[mask])
-        x = hist[k + d]
-        if not np.all(np.isfinite(x)) or np.any(np.abs(x) > OVERFLOW_LIMIT):
-            bad = int(np.argmax(~np.isfinite(x) | (np.abs(x) > OVERFLOW_LIMIT)))
-            raise SimulationError(f"state overflow at step {k} (path {bad})")
-        if k == n_steps:
-            break
-        running += spec.running_reward(t, x) * grid.dt
-        hist[k + d + 1] = euler_head(x, hist[k], t, noise[:, k], spec, grid.dt)
 
+    _advance(spec, grid, noise, hist, 0, n_steps + 1, act)
+    running = np.zeros(n_paths)
+    for k in range(n_steps):  # row k + d is final once step k has run
+        running += spec.running_reward(k * grid.dt, hist[k + d]) * grid.dt
     payoffs = running + spec.terminal_reward(hist[-1]) - cost
     return payoffs, counts, hist[d:].T, events
 
@@ -197,19 +221,36 @@ def flow_stability_probe(spec: ProblemSpec, pair_a, pairs_b,
     """Monte Carlo estimates of E[sup_{s>=t_hat} |X^a_s - X^b_s|^(4+2m)],
     one per pair_b in pairs_b and one path pair per noise row, where X^a and
     X^b run under the one-impulse controls (pair_a,) and (pair_b,), t_hat is
-    the later pair time and m = 1 (scalar impulses).  The pair_a paths are
-    simulated once, and no pair_b paths outlive their own moment."""
-    pa = simulate_batch(spec, grid, noise, ImpulseControl((pair_a,)))[2]
+    the later pair time and m = 1 (scalar impulses).  Steps before k0, the
+    earliest impulse, run once; the pair_a run continues in place and each
+    pair_b run restarts at k0 in one reused history (t_hat >= t_k0)."""
+    runs = [dict(_events_by_index(ImpulseControl((pair,)), spec, grid))
+            for pair in (pair_a, *pairs_b)]
+    n, d = grid.n_steps, grid.delay_steps
+    k0 = min((k for jumps in runs for k in jumps), default=n)
+    hist_a = _start_history(spec, grid, noise)
+    _advance(spec, grid, noise, hist_a, 0, k0, lambda k, t: None)
+    start = hist_a[k0:k0 + d + 1].copy()
 
-    def moment(pair_b):
-        pb = simulate_batch(spec, grid, noise, ImpulseControl((pair_b,)))[2]
+    def run(hist, jumps):
+        def act(k, t):
+            if k in jumps:
+                x = hist[k + d]
+                x[:] = spec.intervention(x, np.broadcast_to(jumps[k], x.shape))
+        _advance(spec, grid, noise, hist, k0, n + 1, act)
+        return hist[d:].T
+
+    pa = run(hist_a, runs[0])
+    hist_b, moments = np.empty_like(hist_a), []
+    for pair_b, jumps in zip(pairs_b, runs[1:]):
+        hist_b[k0:k0 + d + 1] = start
+        pb = run(hist_b, jumps)
         k_hat = grid.index_of(max(pair_a[0], pair_b[0]))
         # in place in pb's own buffer: no (n_paths, n_steps - k_hat) temporary
         diff = np.subtract(pa[:, k_hat:], pb[:, k_hat:], out=pb[:, k_hat:])
         sups = np.max(np.abs(diff, out=diff), axis=1)
-        return float(np.mean(sups ** 6))
-
-    return [moment(pair_b) for pair_b in pairs_b]
+        moments.append(float(np.mean(sups ** 6)))
+    return moments
 
 
 def export_trajectories_csv(path, spec: ProblemSpec, policy_or_control,

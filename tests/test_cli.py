@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -273,21 +274,30 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 0
         assert sorted(calls) == list(range(RunConfig.load(cfg_path).n_paths))
 
-    def test_probe_flow_simulates_base_paths_once(self, tmp_path,
-                                                  monkeypatch):
+    def test_probe_flow_repeats_no_euler_step(self, tmp_path, monkeypatch):
+        # every run is uncontrolled before the base impulse at k0 = n / 2
+        # (each offset is at or after it): steps 0 .. k0 - 1 run once, then
+        # the base run and each of the four offsets step from k0 to n; one
+        # euler_head call writes one history row, called with its time
         calls = []
-        real = simulate.simulate_batch
+        real = simulate.euler_head
 
-        def counting(spec, grid, noise, policy_or_control):
-            calls.append(policy_or_control.events)
-            return real(spec, grid, noise, policy_or_control)
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
 
-        monkeypatch.setattr(simulate, "simulate_batch", counting)
-        cfg_path = os.path.join(CONFIGS, "tiny1.json")
-        assert main(["probe-flow", "--config", cfg_path,
+        monkeypatch.setattr(simulate, "euler_head", counting)
+        raw = load_raw("delay_feedback.json")
+        raw["evaluation"]["n_paths"] = 8
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["probe-flow", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 0
-        # the base control, then each of the four offsets once
-        assert len(calls) == 5 and len(set(calls)) == 5
+        n = RunConfig.load(str(cfg_path)).grid.n_steps
+        k0 = n // 2
+        assert len(calls) == k0 + (1 + 4) * (n - k0)
+        assert Counter(calls) == {k * 0.01: 1 if k < k0 else 5
+                                  for k in range(n)}
 
     @pytest.mark.parametrize("section,key,value", [
         ("problem", "delay", float("nan")),

@@ -122,13 +122,14 @@ class TestNoise:
 
     @pytest.mark.parametrize("n_paths", [0, 1, 255, 256, 257, 513])
     def test_matrix_blocks_match_per_path_draws(self, n_paths):
-        # rows are drawn in blocks of paths; every block edge must keep
-        # path i on its own stream
+        # rows are drawn and scaled in blocks of paths; every block edge
+        # must keep path i on its own stream, as Generator.normal draws it
         g = TimeGrid.for_spec(tiny_spec(), 0.5)
         mat = draw_noise_matrix(9, n_paths, g)
         assert mat.shape == (n_paths, g.n_steps)
         for i in range(n_paths):
             assert mat[i].tobytes() == draw_noise(9, i, g).tobytes()
+            assert mat[i].tobytes() == reference_noise(9, i, g).tobytes()
 
     def test_step_columns_contiguous(self):
         g = TimeGrid.for_spec(feedback_spec(), 0.01)
@@ -332,6 +333,124 @@ class TestCoupledProbe:
         [mom] = flow_stability_probe(spec, (0.5, u), [(0.5, v)],
                                      draw_noise_matrix(3, 8, g), g)
         assert mom == pytest.approx(abs(u - v) ** 6, abs=1e-14)
+
+
+def reference_flow_probe(spec, pair_a, pairs_b, noise, grid):
+    """The flow moments from one independent full-horizon simulate_batch
+    run per control: the probe without a shared prefix."""
+    pa = simulate_batch(spec, grid, noise, ImpulseControl((pair_a,)))[2]
+    moments = []
+    for pair_b in pairs_b:
+        pb = simulate_batch(spec, grid, noise, ImpulseControl((pair_b,)))[2]
+        k_hat = grid.index_of(max(pair_a[0], pair_b[0]))
+        sups = np.max(np.abs(pa[:, k_hat:] - pb[:, k_hat:]), axis=1)
+        moments.append(float(np.mean(sups ** 6)))
+    return moments
+
+
+def blow_up_at(t_blow, threshold):
+    """feedback_spec whose drift pushes every head above `threshold` past
+    the overflow limit in the Euler step at time t_blow."""
+    def drift(t, x, y):
+        hit = (abs(t - t_blow) < 1e-9) & (x > threshold)
+        return np.where(hit, 1e12, x - y)
+    return dataclasses.replace(feedback_spec(), drift=drift)
+
+
+class TestSharedPrefix:
+    """The probe steps the uncontrolled prefix before the earliest impulse
+    once; every case must match independent full runs bit for bit."""
+
+    def check(self, spec, pair_a, pairs_b, n_paths=32, seed=5):
+        g = TimeGrid.for_spec(spec, 0.01)
+        noise = draw_noise_matrix(seed, n_paths, g)
+        got = flow_stability_probe(spec, pair_a, pairs_b, noise, g)
+        want = reference_flow_probe(spec, pair_a, pairs_b, noise, g)
+        assert [m.hex() for m in got] == [m.hex() for m in want]
+        return got
+
+    def test_offset_earlier_than_base(self):
+        moments = self.check(feedback_spec(), (0.5, 1.0),
+                             [(0.7, 0.5), (0.3, -1.0), (0.5, -0.5)])
+        assert all(m > 0.0 for m in moments)
+
+    @pytest.mark.parametrize("pair_a,pairs_b", [
+        ((0.0, 1.0), [(0.4, -1.0), (0.0, 0.5)]),
+        ((0.5, 1.0), [(0.0, -2.0)])], ids=["base", "offset"])
+    def test_pair_at_time_zero_shares_nothing(self, pair_a, pairs_b):
+        self.check(feedback_spec(), pair_a, pairs_b)
+
+    @pytest.mark.parametrize("pair_a,pairs_b", [
+        ((0.5, 1.0), [(1.0, 2.0), (0.6, 0.5)]),
+        ((1.0, 1.0), [(0.6, 0.5), (1.0, -1.0)])],
+        ids=["offset", "base_and_offset"])
+    def test_pair_at_horizon_is_inert(self, pair_a, pairs_b):
+        self.check(feedback_spec(), pair_a, pairs_b)
+
+    def test_every_pair_at_horizon(self):
+        # no impulse at all: the whole horizon is the shared prefix and the
+        # moments are the terminal gaps, all zero
+        assert self.check(feedback_spec(), (1.0, 1.0),
+                          [(1.0, -1.0)]) == [0.0]
+
+    @pytest.mark.parametrize("pair", [(0.5, 2.5), (1.5, 1.0), (-0.1, 1.0),
+                                      (0.505, 1.0)],
+                             ids=["impulse", "late", "early", "off_grid"])
+    @pytest.mark.parametrize("side", ["base", "offset"])
+    def test_invalid_pair_raises(self, pair, side):
+        spec = feedback_spec()
+        g = TimeGrid.for_spec(spec, 0.01)
+        noise = draw_noise_matrix(5, 4, g)
+        args = ((pair, [(0.5, 1.0)]) if side == "base"
+                else ((0.5, 1.0), [(0.6, 1.0), pair]))
+        with pytest.raises(ValidationError) as want:
+            reference_flow_probe(spec, *args, noise, g)
+        with pytest.raises(ValidationError) as got:
+            flow_stability_probe(spec, *args, noise, g)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("t_blow,threshold,u_b,step", [
+        (0.2, 1.0, 0.5, 21),   # before k0 = 30: in the shared prefix
+        (0.6, 3.0, 2.0, 61)],  # after it, in the offset's run only
+        ids=["prefix", "suffix"])
+    def test_overflow_reports_step_and_path(self, t_blow, threshold, u_b,
+                                            step):
+        spec = blow_up_at(t_blow, threshold)
+        g = TimeGrid.for_spec(spec, 0.01)
+        noise = draw_noise_matrix(5, 64, g)
+        args = ((0.5, -2.0), [(0.3, u_b)], noise, g)
+        with pytest.raises(SimulationError) as want:
+            reference_flow_probe(spec, *args)
+        with pytest.raises(SimulationError) as got:
+            flow_stability_probe(spec, *args)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"state overflow at step {step} ")
+        assert "(path 0)" not in str(got.value)
+
+    def test_clamped_jump_at_k0_recovers_overflowed_head(self):
+        # the prefix's last Euler step writes the positive heads past
+        # OVERFLOW_LIMIT; every run's jump at k0 clamps them back to 5
+        # before the row is checked, and a run without a jump there raises
+        spec = build_problem_spec({
+            "drift": {"name": "zero"},
+            "diffusion": {"name": "constant", "value": 1.0},
+            "intervention": {"name": "additive_clamped", "limit": 5.0},
+            "running_reward": {"name": "neg_square"},
+            "terminal_reward": {"name": "neg_square"},
+            "impulse_cost": {"name": "quadratic", "scale": 0.1},
+            "initial_segment": {"name": "constant", "value": 0.0},
+            "impulse_set": [-2.0, 2.0],
+            "horizon": 1.0,
+            "delay": 0.05,
+        })
+        spec = dataclasses.replace(spec, drift=lambda t, x, y: np.where(
+            (abs(t - 0.49) < 1e-9) & (x > 0.0), 1e13, 0.0))
+        moments = self.check(spec, (0.5, -1.0), [(0.5, 1.0), (0.5, -2.0)])
+        assert moments[0] > 0.0 and moments[1] > 0.0
+        g = TimeGrid.for_spec(spec, 0.01)
+        with pytest.raises(SimulationError, match="at step 50 "):
+            flow_stability_probe(spec, (0.5, -1.0), [(0.6, 1.0)],
+                                 draw_noise_matrix(5, 4, g), g)
 
 
 class TestTrajectoryExport:

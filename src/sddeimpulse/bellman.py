@@ -152,23 +152,58 @@ class GridValueFunction(_HeadStacks):
     def shape(self):
         return tuple(len(ax) for ax in self.axes)
 
-    def value_at_heads(self, time_index, heads, lags):
-        """The lag cells are searched once per block, the head stack in
-        chunks of about CHUNK entries, paths at a time."""
+    def _cells(self, lags):
+        """_lag_cells of the (N, m - 1) lag block, searched once per run of
+        queries on one block."""
         key = lags.tobytes()
         if self._lags[0] != key:
             self._lags = (key, _lag_cells(self.axes, lags))
+        return self._lags[1]
+
+    def value_at_heads(self, time_index, heads, lags):
+        """The lag cells are searched once per block, the head stack in
+        chunks of about CHUNK entries, paths at a time."""
+        cells = self._cells(lags)
         table = self.values[time_index].reshape(self.shape)
         heads = np.asarray(heads, dtype=float)
-        stack = heads.reshape(-1, heads.shape[-1])
+        stack = heads.reshape(math.prod(heads.shape[:-1]), heads.shape[-1])
         out = np.empty(stack.shape)
         step = max(1, CHUNK // len(stack))
         for start in range(0, stack.shape[1], step):
             c = slice(start, start + step)
             out[:, c] = multilinear_interp(
                 self.axes, table, stack[:, c, None],
-                [(i[c], (w0[c], w1[c])) for i, (w0, w1) in self._lags[1]])
+                [(i[c], (w0[c], w1[c])) for i, (w0, w1) in cells])
         return out.reshape(heads.shape)
+
+    def head_ceiling(self, time_index, lags):
+        """(N,) upper bound, over every head h, of the values of
+        value_at_heads(time_index, h, lags) that are not NaN: the largest
+        head-axis maximum of the (H, L) table over the lag rows at the lags'
+        2^(m-1) cell corners, C, plus the rounding slack
+        (2^m + 2m) eps max|T|.
+
+        Why the slack suffices: multilinear_interp adds into zero 2^m
+        products of m weights in [0, 1] (1 - f and f, f in [0, 1]) and a
+        table entry of one of those corners, so each entry is at most C.
+        With u = eps / 2, each computed product is W_c T_c (1 + d),
+        |d| <= m u; the sum adds at most 2^m u times the sum of their sizes;
+        and the exact weights W_c sum to the product over the axes of
+        fl(1 - f) + f, within m u of 1.  So the computed value is at most
+        C + (2m + 2^m) u max|T| up to O(u^2).  The slack is twice that and
+        also covers rounding C plus it.  A NaN table entry makes the bound
+        NaN, an infinite one +inf or NaN."""
+        table = self.values[time_index].reshape(len(self.axes[0]), -1)
+        rows = table.max(axis=0)
+        strides, corners = _grid_corners(self.shape[1:])
+        base = np.zeros(len(lags), dtype=np.intp)
+        for (i, _), s in zip(self._cells(lags), strides):
+            base += i * s
+        top = functools.reduce(np.maximum,
+                               (rows[base + off] for _, off in corners))
+        m = len(self.axes)
+        eps = np.finfo(float).eps
+        return top + (2 ** m + 2 * m) * eps * np.max(np.abs(table))
 
 
 def monomial_powers(m, degree):
@@ -299,6 +334,11 @@ class RegressionValueFunction(_HeadStacks):
     def value_at_heads(self, time_index, heads, lags):
         return _RegressionLevels([self]).value_at_heads(time_index, heads,
                                                         lags)[0]
+
+    def head_ceiling(self, time_index, lags):
+        """+inf: no bound of a fit over its clip box is kept, so every
+        path's jumps are priced."""
+        return np.full(len(lags), np.inf)
 
     def plain_value_at_heads(self, time_index, heads, lags):
         return _RegressionLevels([self]).plain_value_at_heads(time_index, heads,
@@ -458,12 +498,22 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     terminal = np.asarray(spec.terminal_reward(points[:, 0]), dtype=float)
 
     # Every level queries the same points, so the head stencils are built
-    # once: the jumps', and the Euler successors', rebuilt only when the
-    # successors' heads change from one slice to the next.
+    # once per solve: the jumps', then per slice the Euler successors', one
+    # per quadrature node and shared with the slice above when their heads
+    # are equal.  Coefficients that do not depend on t build Q stencils;
+    # others keep n * Q, 32 bytes per point each.
     jumped_rows = _head_stencil(axis, spec.intervention(axis, u_grid[:, None]),
                                 0, 1, n_rows)
     successor_rows = np.arange(len(points)) // len(axis)
-    heads, step_rows = {}, {}  # per quadrature node
+    heads = stencils = [None] * len(quadrature.nodes)
+    step_rows = [None] * n
+    for i in range(n - 1, -1, -1):
+        hs = [euler_head(points[:, 0], points[:, -1], i * dt, z, spec, dt)
+              for z in quadrature.nodes]
+        stencils = [s if np.array_equal(h, old) else
+                    _head_stencil(axis, h, successor_rows, n_rows)
+                    for h, old, s in zip(hs, heads, stencils)]
+        heads, step_rows[i] = hs, stencils
     # the jump step's (U, H, L) gathers and their (H, L) max, per solve
     jump_bufs = np.empty((2, len(u_grid), len(axis), n_rows))
     best = np.empty((len(axis), n_rows))
@@ -475,13 +525,8 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
         prev = iterates[k - 1] if k else None
         for i in range(n - 1, -1, -1):
             t = i * dt
-            for j, z in enumerate(quadrature.nodes):
-                h = euler_head(points[:, 0], points[:, -1], t, z, spec, dt)
-                if not np.array_equal(h, heads.get(j)):
-                    heads[j] = h
-                    step_rows[j] = _head_stencil(axis, h, successor_rows, n_rows)
             vals = _expectation(spec, t, points, dt, quadrature.weights,
-                                lambda j: step_rows[j](vf.values[i + 1]))
+                                lambda j: step_rows[i][j](vf.values[i + 1]))
             if k:
                 # the tables are finite, so no value is NaN or -0.0 and the
                 # plain max is the first-index max of _intervention_batch
@@ -578,7 +623,7 @@ class _RegressionLevels:
         if prevs:
             # whole head rows at a time, about CHUNK jumped heads per call
             plain = _RegressionLevels(prevs).plain_value_at_heads
-            rows = heads.reshape(-1, heads.shape[-1])
+            rows = heads.reshape(math.prod(heads.shape[:-1]), heads.shape[-1])
             top = v[-len(prevs):].reshape(len(prevs), len(rows), -1)
             step = max(1, CHUNK // (len(base.u_grid) * max(1, rows.shape[1])))
             for r in range(0, len(rows), step):
@@ -723,18 +768,32 @@ class Policy:
         return self.v_top.dt
 
     def decide_batch(self, time_index, states):
-        """(intervene_mask, impulses) for an (N, m) state batch at t_k."""
+        """(intervene_mask, impulses) for an (N, m) state batch at t_k.
+
+        The jumps are priced only on the live paths, where continuing does
+        not reach v_prev.head_ceiling less the path's cheapest impulse: no
+        jump value fl(V - cost) exceeds fl(ceiling - min cost), since
+        rounding is monotone, so elsewhere the full max would not intervene
+        either.  A NaN comparison keeps a path live."""
         states = np.asarray(states, dtype=float)
-        n = self.v_top.n_steps
-        if time_index >= n:
-            return np.zeros(states.shape[0], dtype=bool), np.zeros(states.shape[0])
+        mask, us = np.zeros(len(states), dtype=bool), np.zeros(len(states))
+        if time_index >= self.v_top.n_steps:
+            return mask, us
+        t = time_index * self.dt
         cont = _continuation(self.v_top, time_index, states, self.spec,
                              self.quadrature, self.dt)
+        cost = np.broadcast_to(
+            self.spec.impulse_cost(states[:, 0], self.u_grid[:, None], t),
+            (len(self.u_grid), len(states)))
+        live = ~(cont >= self.v_prev.head_ceiling(time_index, states[:, 1:])
+                 - cost.min(axis=0))
+        at = states[live]
         interv, best_u = _intervention_batch(
-            self.v_prev.value_at_heads, time_index, states[:, 0], states[:, 1:],
-            self.spec, self.u_grid, time_index * self.dt)
-        mask = interv > cont
-        return mask, np.where(mask, best_u, 0.0)
+            self.v_prev.value_at_heads, time_index, at[:, 0], at[:, 1:],
+            self.spec, self.u_grid, t)
+        acts = interv > cont[live]
+        mask[live], us[live] = acts, np.where(acts, best_u, 0.0)
+        return mask, us
 
 
 def budget_decider(iterates, spec, u_grid, quadrature):
@@ -764,8 +823,8 @@ def save_value_function(vf, out_dir, name):
               "k_index": vf.k_index, "dt": vf.dt, "n_steps": vf.n_steps}
     if vf.backend == "GRID":
         header["axes"] = [[float(v) for v in ax] for ax in vf.axes]
-        rows = ((i, j, float(v)) for i in range(vf.n_steps + 1)
-                for j, v in enumerate(vf.values[i]))
+        columns = "time_index,flat_index,value"
+        rows = ((f"{i},", vf.values[i]) for i in range(vf.n_steps + 1))
     else:
         header["powers"] = [[int(e) for e in p] for p in vf.powers]
         header["terminal"] = "terminal_reward"
@@ -777,22 +836,23 @@ def save_value_function(vf, out_dir, name):
             levels.append(node)
             node = node.prev
         levels.reverse()
-        rows = ((lvl.k_index * 2 + part, i, j, float(v))
+        columns = "slab,time_index,flat_index,value"
+        rows = ((f"{lvl.k_index * 2 + part},{i},",
+                 (lvl.cont_coeffs, lvl.plain_coeffs)[part][i])
                 for lvl in levels for part in (0, 1)
-                for i in range(vf.n_steps)
-                for j, v in enumerate((lvl.cont_coeffs, lvl.plain_coeffs)[part][i]))
+                for i in range(vf.n_steps))
     with open(os.path.join(out_dir, f"{name}_header.json"), "w") as fh:
         json.dump(header, fh, sort_keys=True, indent=2)
         fh.write("\n")
     with open(os.path.join(out_dir, f"{name}_values.csv"), "w") as fh:
-        if vf.backend == "GRID":
-            fh.write("time_index,flat_index,value\n")
-            for i, j, v in rows:
-                fh.write(f"{i},{j},{v:.17g}\n")
-        else:
-            fh.write("slab,time_index,flat_index,value\n")
-            for s, i, j, v in rows:
-                fh.write(f"{s},{i},{j},{v:.17g}\n")
+        fh.write(columns + "\n")
+        # one line "<row prefix><flat index>,<value to 17 digits>" per
+        # entry, joined a row at a time
+        flat = []
+        for prefix, row in rows:
+            row = np.asarray(row, dtype=float).tolist()
+            flat += [f"{j}," for j in range(len(flat), len(row))]
+            fh.write("".join(map(f"{prefix}{{}}{{:.17g}}\n".format, flat, row)))
 
 
 def _bounds_json(bounds):

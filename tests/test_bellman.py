@@ -23,7 +23,7 @@ from sddeimpulse.bellman import (DivergenceError, GridBackend,
 from sddeimpulse.cli import RunConfig
 from sddeimpulse.lattice import (gauss_hermite_quadrature,
                                  impulse_transition_batch,
-                                 step_transition_batch)
+                                 step_transition_batch, two_point_quadrature)
 from sddeimpulse.oracle import (FiniteTree, exact_snell_on_tree,
                                 exact_state_axis)
 from sddeimpulse.simulate import (TimeGrid, draw_noise_matrix,
@@ -557,6 +557,25 @@ class TestStencilSolve:
         assert [h.shape for h, _ in built] == \
             [(len(ug), 21)] + [(21 * 21,)] * len(quad.nodes)
 
+    @pytest.mark.parametrize("make_spec", [reduced_spec, time_dependent_spec])
+    def test_successors_stepped_once_per_solve(self, monkeypatch, make_spec):
+        built, steps = recorded_head_stencils(monkeypatch), []
+        real = bellman.euler_head
+
+        def counting(*args):
+            steps.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(bellman, "euler_head", counting)
+        spec = dataclasses.replace(make_spec(), horizon=0.2)
+        its, _, grid, quad, _ = solve_reduced(spec, k_max=3, tol=1e-12)
+        assert len(its) == 4
+        assert len(steps) == grid.n_steps * len(quad.nodes)
+        # a slice shares the stencils of the one above unless the heads
+        # move with t
+        slices = grid.n_steps if make_spec is time_dependent_spec else 1
+        assert len(built) == 1 + slices * len(quad.nodes)
+
     @pytest.mark.parametrize("delay", [0.01, 0.02], ids=["reduced", "lift3"])
     def test_head_stencils_equal_multilinear_interp(self, monkeypatch, delay):
         built = recorded_head_stencils(monkeypatch)
@@ -585,6 +604,14 @@ class TestStencilSolve:
                 assert values(table).tobytes() == want.tobytes()
 
 
+class Unpruned:
+    """A value level with no head ceiling, so a Policy that reads it prices
+    every path's jumps: the unpruned reference of decide_batch."""
+
+    def head_ceiling(self, i, lags):
+        return np.full(len(lags), np.inf)
+
+
 def looped_rows(value_at, i, heads, lags):
     """A stacked query answered with one value_at call per head row."""
     rows = heads.reshape(-1, heads.shape[-1])
@@ -592,9 +619,10 @@ def looped_rows(value_at, i, heads, lags):
                      for h in rows]).reshape(heads.shape)
 
 
-class FreshGridLevel:
+class FreshGridLevel(Unpruned):
     """One grid level read through a fresh multilinear_interp per query,
-    with no lag memo; its stacked query loops over the head rows."""
+    with no lag memo and no head ceiling; its stacked query loops over the
+    head rows."""
 
     def value_at_heads(self, i, heads, lags):
         return looped_rows(self.value_at, i, heads, lags)
@@ -635,10 +663,27 @@ def memo_batches(m, rng):
     return [a, b, a, zero, negative_zero, a[:7]]
 
 
+def jump_rows(monkeypatch):
+    """A list that collects the number of paths whose jumps each impulse
+    max prices."""
+    rows = []
+    real = bellman._intervention_batch
+
+    def recording(value_at_heads, i, heads, *rest):
+        rows.append(len(heads))
+        return real(value_at_heads, i, heads, *rest)
+
+    monkeypatch.setattr(bellman, "_intervention_batch", recording)
+    return rows
+
+
+LEVELS = [(tiny1_levels, 1), (lambda: lift_levels(0.01), 2),
+          (lambda: lift_levels(0.02), 3)]
+LEVEL_IDS = ["tiny1", "reduced", "lift3"]
+
+
 class TestGridLagMemo:
-    @pytest.mark.parametrize("make,m", [
-        (tiny1_levels, 1), (lambda: lift_levels(0.01), 2),
-        (lambda: lift_levels(0.02), 3)], ids=["tiny1", "reduced", "lift3"])
+    @pytest.mark.parametrize("make,m", LEVELS, ids=LEVEL_IDS)
     def test_decide_batch_and_value_at_bitwise(self, make, m):
         its, spec, quad, ug = make()
         assert len(its[0].axes) == m and len(its) >= 2
@@ -682,12 +727,163 @@ class TestGridLagMemo:
             return real(axes, lags)
 
         monkeypatch.setattr(bellman, "_lag_cells", counting)
+        live = jump_rows(monkeypatch)
         policy = Policy(its[-1], its[-2], spec, ug, quad)
         states = np.random.default_rng(0).normal(size=(30, 2))
         for i in range(its[-1].n_steps):
             policy.decide_batch(i, states)
-        # successor lags on V^k, jump lags on V^{k-1}, then only hits
-        assert calls == [30, 30]
+        # the successors' lags on V^k once; on V^{k-1} the states' lags for
+        # the head ceiling, searched again after a decision whose live
+        # paths were fewer, and the live paths' lags when they are fewer
+        want = [30]
+        for d, n in enumerate(live):
+            want += [30] * (d == 0 or live[d - 1] < 30) + [n] * (n < 30)
+        assert calls == want
+        assert 0 < sum(live) < 30 * len(live)
+
+
+def assert_decisions_unpruned(policy, states, steps):
+    """decide_batch of `policy` at each step, bit for bit that of the same
+    levels read through FreshGridLevel, which prices every path's jumps."""
+    fresh = Policy(FreshGridLevel(policy.v_top), FreshGridLevel(policy.v_prev),
+                   policy.spec, policy.u_grid, policy.quadrature)
+    for i in steps:
+        for got, want in zip(policy.decide_batch(i, states),
+                             fresh.decide_batch(i, states)):
+            assert got.tobytes() == want.tobytes()
+
+
+def awkward_states(axis, m, rng):
+    """Heads and lags on nodes, off them, outside the box and non-finite."""
+    on = rng.choice(axis, (40, m))
+    off = rng.uniform(axis[0] - 2.0, axis[-1] + 2.0, (40, m))
+    odd = rng.uniform(-1.0, 1.0, (24, m))
+    odd[np.arange(24), rng.integers(0, m, 24)] = np.tile(
+        [np.nan, np.inf, -np.inf, 1e300, -1e300, axis[0]], 4)
+    return np.concatenate([on, off, odd])
+
+
+def grid_copy(vf, edit=lambda table: None):
+    """A GridValueFunction on copies of vf's tables, edit(table) applied to
+    each."""
+    values = [v.copy() for v in vf.values]
+    for v in values:
+        edit(v)
+    return GridValueFunction(axes=vf.axes, values=values, k_index=vf.k_index,
+                             dt=vf.dt)
+
+
+class TestPrunedDecisions:
+    """decide_batch prices jumps only where they can beat continuing, and
+    its decisions are those of pricing every path's jumps, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("make,m", LEVELS, ids=LEVEL_IDS)
+    def test_nodes_outside_the_box_and_non_finite_states(self, monkeypatch,
+                                                         make, m):
+        its, spec, quad, ug = make()
+        policy = Policy(its[-1], its[-2], spec, ug, quad)
+        states = awkward_states(its[0].axes[0], m, np.random.default_rng(m))
+        live = jump_rows(monkeypatch)
+        assert_decisions_unpruned(policy, states, range(its[-1].n_steps + 1))
+        pruned, full = live[0::2], live[1::2]
+        assert full == [len(states)] * its[-1].n_steps
+        assert sum(pruned) < sum(full)
+        acts = [policy.decide_batch(i, states)[0].sum()
+                for i in range(its[-1].n_steps)]
+        assert sum(acts) > 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("level", ["top", "prev"])
+    def test_non_finite_tables(self, value, level):
+        its, spec, quad, ug = lift_levels(0.01)
+        rng = np.random.default_rng(4)
+
+        def spoil(table):
+            table[rng.integers(0, len(table), 5)] = value
+
+        top, prev = its[-1], its[-2]
+        top, prev = ((grid_copy(top, spoil), prev) if level == "top"
+                     else (top, grid_copy(prev, spoil)))
+        states = rng.uniform(-5.0, 5.0, (200, 2))
+        assert_decisions_unpruned(Policy(top, prev, spec, ug, quad), states,
+                                  range(top.n_steps + 1))
+
+    @pytest.mark.parametrize("nudge,acts", [(0, False), (1, False),
+                                            (-1, True)],
+                             ids=["tie", "above", "below"])
+    def test_continuation_at_the_bound(self, monkeypatch, nudge, acts):
+        # two-point successors of (0, 0) land on the nodes -0.1 and 0.1, so
+        # continuing is worth exactly the top table's constant b; the zero
+        # table below bounds every jump by 0 - min cost = -0.1, which the
+        # jump u = 0 reaches
+        spec = reduced_spec()
+        axis = np.array([-4.0, -0.1, 0.0, 0.1, 4.0])
+        quad = two_point_quadrature(0.01)
+        ug = spec.impulse_set.grid(5)
+        b = -0.1 if nudge == 0 else np.nextafter(-0.1, nudge * np.inf)
+        top = GridValueFunction(axes=(axis, axis), values=[np.full(25, b)] * 2,
+                                k_index=1, dt=0.01)
+        prev = GridValueFunction(axes=(axis, axis), values=[np.zeros(25)] * 2,
+                                 k_index=0, dt=0.01)
+        policy = Policy(top, prev, spec, ug, quad)
+        states = np.zeros((1, 2))
+        live = jump_rows(monkeypatch)
+        assert_decisions_unpruned(policy, states, [0])
+        assert live == [int(acts), 1]
+        mask, us = policy.decide_batch(0, states)
+        assert mask.tolist() == [acts] and us.tobytes() == \
+            np.zeros(1).tobytes()
+
+    @pytest.mark.parametrize("make,m", LEVELS, ids=LEVEL_IDS)
+    def test_ceiling_bounds_every_jump(self, make, m):
+        its, spec, _, ug = make()
+        rng = np.random.default_rng(10 + m)
+        axis = its[0].axes[0]
+        def near_a_million(table):
+            table[:] = 1e6 + rng.uniform(0.0, 1e-9, len(table))
+
+        # the solved tables, and ones whose entries all round alike
+        levels = its + [grid_copy(its[0], lambda table: table.fill(0.1)),
+                        grid_copy(its[0], near_a_million)]
+        states = np.concatenate([rng.uniform(axis[0] - 1, axis[-1] + 1,
+                                             (300, m)),
+                                 rng.choice(axis, (100, m))])
+        jumped = spec.intervention(states[:, 0], ug[:, None])
+        for vf in levels:
+            for i in range(vf.n_steps + 1):
+                ceiling = vf.head_ceiling(i, states[:, 1:])
+                assert np.all(vf.value_at_heads(i, jumped, states[:, 1:])
+                              <= ceiling)
+
+
+class TestEmptyBatches:
+    def check(self, m, its, spec, quad, ug):
+        empty = np.empty((0, m))
+        policy = Policy(its[-1], its[-2], spec, ug, quad)
+        for i in range(its[-1].n_steps + 1):
+            for vf in its[-2:]:
+                assert vf.value_at(i, empty).shape == (0,)
+                assert vf.value_at_heads(i, np.empty((3, 0)),
+                                         empty[:, 1:]).shape == (3, 0)
+                assert vf.head_ceiling(i, empty[:, 1:]).shape == (0,)
+            mask, us = policy.decide_batch(i, empty)
+            assert mask.shape == us.shape == (0,) and mask.dtype == bool
+
+    @pytest.mark.parametrize("make,m", LEVELS, ids=LEVEL_IDS)
+    def test_grid(self, make, m):
+        self.check(m, *make())
+
+    def test_regression(self):
+        spec = dataclasses.replace(feedback_spec(delay=0.05), horizon=0.05)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        quad = gauss_hermite_quadrature(0.01, 3)
+        ug = spec.impulse_set.grid(5)
+        its, _ = k_value_iteration(spec, grid,
+                                   RegressionBackend(degree=3, n_samples=200),
+                                   quad, ug, k_max=2, tol=1e-12)
+        self.check(6, its, spec, quad, ug)
 
 
 def sha256_of(*arrays):
@@ -737,7 +933,7 @@ class TestGridGoldenBits:
             "24d4a02b29372fdbad944014108625d960dd2d10de4d029229ae87f115b5528d"
 
 
-class ReferenceLevel:
+class ReferenceLevel(Unpruned):
     """One regression level evaluated on its own: the head-polynomial kernel
     through a fresh memo per query, and jumps priced with the level below's
     plain fit, one level at a time; its stacked queries loop over the head
@@ -1027,7 +1223,54 @@ class TestSharedLagColumns:
                    and vf.powers is back.lag_memo.powers for vf in chain)
 
 
+def reference_values_csv(vf):
+    """The bytes of save_value_function's values file, written one entry
+    at a time."""
+    if vf.backend == "GRID":
+        lines = ["time_index,flat_index,value\n"] + [
+            f"{i},{j},{float(v):.17g}\n" for i in range(vf.n_steps + 1)
+            for j, v in enumerate(vf.values[i])]
+    else:
+        levels = [vf]
+        while levels[0].prev is not None:
+            levels.insert(0, levels[0].prev)
+        lines = ["slab,time_index,flat_index,value\n"] + [
+            f"{lvl.k_index * 2 + part},{i},{j},{float(v):.17g}\n"
+            for lvl in levels
+            for part, coeffs in enumerate((lvl.cont_coeffs, lvl.plain_coeffs))
+            for i in range(vf.n_steps) for j, v in enumerate(coeffs[i])]
+    return "".join(lines).encode()
+
+
+SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 0.1,
+                           -2.5e-7])
+
+
 class TestPersistence:
+    def test_grid_values_file_bytes(self, tmp_path):
+        spec = dataclasses.replace(reduced_spec(), horizon=0.05)
+        vf = grid_copy(solve_reduced(spec, k_max=1)[0][-1])
+        vf.values[0][:8] = SPECIAL_VALUES
+        vf.values[-1][-8:] = SPECIAL_VALUES[::-1]
+        save_value_function(vf, tmp_path, "vf")
+        assert (tmp_path / "vf_values.csv").read_bytes() == \
+            reference_values_csv(vf)
+
+    def test_regression_values_file_bytes(self, tmp_path):
+        spec = dataclasses.replace(feedback_spec(delay=0.02), horizon=0.1)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        its, _ = k_value_iteration(spec, grid,
+                                   RegressionBackend(degree=2, n_samples=300),
+                                   gauss_hermite_quadrature(0.01, 3),
+                                   spec.impulse_set.grid(5), k_max=3,
+                                   tol=1e-12)
+        assert len(its) == 4
+        its[-1].cont_coeffs[0][:8] = SPECIAL_VALUES
+        its[1].plain_coeffs[-2][-8:] = SPECIAL_VALUES[::-1]
+        save_value_function(its[-1], tmp_path, "vf")
+        assert (tmp_path / "vf_values.csv").read_bytes() == \
+            reference_values_csv(its[-1])
+
     def test_grid_round_trip(self, tmp_path):
         its, _, grid, quad, ug = solve_reduced(reduced_spec(), k_max=1)
         save_value_function(its[-1], tmp_path, "vf")

@@ -1,6 +1,7 @@
 """Config validation and CLI subcommand integration."""
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -561,3 +562,34 @@ class TestCommands:
                      "--seed", "99"]) == 0
         with open(os.path.join(out, "evaluate.json")) as fh:
             assert json.load(fh)["seed"] == 99
+
+
+class TestGridPolicyGoldenBits:
+    """The grid policy's artifacts pinned byte for byte on the reduced
+    config cut to 20 steps and 1,000 paths: the policy acts in each of
+    them, so a decision that any shortcut gets wrong changes a digest."""
+
+    @pytest.mark.parametrize("name,digest", [
+        ("evaluate.json",
+         "2806733f42befc279121c92bec6f35b7e63852a51fdc52964df1800b82a625d2"),
+        ("thresholds.csv",
+         "7d4ca21bcbaede3956731174d0e8f50defaa72fa5fa9d637f0309946bf9bac60"),
+        ("policy_surface.csv",
+         "11b05b7adc23f5501fd62c7cea6725e6d46a7351a72448ff8d6db4e9ecbf2184")])
+    def test_artifact_digest(self, reduced_grid_run, name, digest):
+        with open(os.path.join(reduced_grid_run, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def reduced_grid_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("reduced_grid_run")
+    raw = load_raw("delay_feedback_reduced.json")
+    raw["problem"]["horizon"] = 0.2
+    raw["evaluation"]["n_paths"] = 1000
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = str(tmp / "run")
+    for command in ("solve", "evaluate", "export-figures"):
+        assert main([command, "--config", str(cfg), "--out", out]) == 0
+    return out

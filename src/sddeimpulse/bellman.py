@@ -110,7 +110,11 @@ def multilinear_interp(axes, table, points, lag_cells=None):
     for corner, off in corners:
         weight = functools.reduce(operator.mul,
                                   (w[c] for (_, w), c in zip(cells, corner)))
-        out += weight * flat[off:][base]
+        # weight * T[corner] into the gathered copy, both freed before the
+        # next corner's: two point-sized temporaries at a time, not three
+        term = flat[off:][base]
+        out += np.multiply(weight, term, out=term)
+        del weight, term
     return out
 
 
@@ -160,9 +164,12 @@ class GridValueFunction(_HeadStacks):
             self._lags = (key, _lag_cells(self.axes, lags))
         return self._lags[1]
 
-    def value_at_heads(self, time_index, heads, lags):
+    def value_at_heads(self, time_index, heads, lags, rows=None):
         """The lag cells are searched once per block, the head stack in
-        chunks of about CHUNK entries, paths at a time."""
+        chunks of about CHUNK entries, paths at a time.  Given `rows`, an
+        index array of the block, the heads' columns read the lags
+        lags[rows] through the cells of the whole block, gathered a chunk
+        at a time."""
         cells = self._cells(lags)
         table = self.values[time_index].reshape(self.shape)
         heads = np.asarray(heads, dtype=float)
@@ -171,9 +178,10 @@ class GridValueFunction(_HeadStacks):
         step = max(1, CHUNK // len(stack))
         for start in range(0, stack.shape[1], step):
             c = slice(start, start + step)
+            at = c if rows is None else rows[c]
             out[:, c] = multilinear_interp(
                 self.axes, table, stack[:, c, None],
-                [(i[c], (w0[c], w1[c])) for i, (w0, w1) in cells])
+                [(i[at], (w0[at], w1[at])) for i, (w0, w1) in cells])
         return out.reshape(heads.shape)
 
     def head_ceiling(self, time_index, lags):
@@ -331,7 +339,9 @@ class RegressionValueFunction(_HeadStacks):
     def n_steps(self):
         return len(self.cont_coeffs) - 1
 
-    def value_at_heads(self, time_index, heads, lags):
+    def value_at_heads(self, time_index, heads, lags, rows=None):
+        if rows is not None:
+            lags = lags[rows]
         return _RegressionLevels([self]).value_at_heads(time_index, heads,
                                                         lags)[0]
 
@@ -499,23 +509,24 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
 
     # Every level queries the same points, so the head stencils are built
     # once per solve: the jumps', then per slice the Euler successors', one
-    # per quadrature node and shared with the slice above when their heads
-    # are equal.  Coefficients that do not depend on t build Q stencils;
-    # others keep n * Q, 32 bytes per point each.
-    jumped_rows = _head_stencil(axis, spec.intervention(axis, u_grid[:, None]),
-                                0, 1, n_rows)
+    # on the stacked (Q, N) heads of all quadrature nodes, shared with the
+    # slice above when the heads are equal.  Coefficients that do not depend
+    # on t build one; others keep n, of 32 bytes per successor each.
+    jumped_rows = _jump_stencil(axis, spec.intervention(axis, u_grid[:, None]),
+                                n_rows)
     successor_rows = np.arange(len(points)) // len(axis)
-    heads = stencils = [None] * len(quadrature.nodes)
+    heads = stencil = None
     step_rows = [None] * n
     for i in range(n - 1, -1, -1):
-        hs = [euler_head(points[:, 0], points[:, -1], i * dt, z, spec, dt)
-              for z in quadrature.nodes]
-        stencils = [s if np.array_equal(h, old) else
-                    _head_stencil(axis, h, successor_rows, n_rows)
-                    for h, old, s in zip(hs, heads, stencils)]
-        heads, step_rows[i] = hs, stencils
-    # the jump step's (U, H, L) gathers and their (H, L) max, per solve
-    jump_bufs = np.empty((2, len(u_grid), len(axis), n_rows))
+        hs = euler_head(points[:, 0], points[:, -1], i * dt,
+                        quadrature.nodes[:, None], spec, dt)
+        if not np.array_equal(hs, heads):
+            stencil = _head_stencil(axis, hs, successor_rows, n_rows)
+        heads, step_rows[i] = hs, stencil
+    # the successors' (Q, N) gathers, the jumps' (U, H, L) values and their
+    # (H, L) max, per solve
+    successor_bufs = np.empty((2,) + heads.shape)
+    jumped = np.empty((len(u_grid), len(axis), n_rows))
     best = np.empty((len(axis), n_rows))
 
     iterates, gaps = [], []
@@ -525,12 +536,13 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
         prev = iterates[k - 1] if k else None
         for i in range(n - 1, -1, -1):
             t = i * dt
+            stepped = step_rows[i](vf.values[i + 1], *successor_bufs)
             vals = _expectation(spec, t, points, dt, quadrature.weights,
-                                lambda j: step_rows[i][j](vf.values[i + 1]))
+                                stepped.__getitem__)
             if k:
                 # the tables are finite, so no value is NaN or -0.0 and the
                 # plain max is the first-index max of _intervention_batch
-                jumped = jumped_rows(prev.values[i], *jump_bufs)
+                jumped_rows(prev.values[i], jumped)
                 jumped -= np.asarray(spec.impulse_cost(
                     axis, u_grid[:, None], t))[..., None]
                 np.max(jumped, axis=0, out=best)
@@ -545,6 +557,26 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
             if gap < tol:
                 break
     return iterates, gaps
+
+
+def _jump_stencil(axis, jumped, width):
+    """values(table, out) -> out, or a new array, filled with the (U, H, L)
+    values of a flat (H, L) grid table at the jumped heads jumped[u, h] of
+    each node, lags kept, as _head_stencil's whole-row reads give them.
+    Each distinct jumped head is interpolated once, into a (D, L) buffer
+    kept with the stencil, and gathered from there.  A head's cell and
+    weights depend only on its value, and np.unique merges only -0.0 with
+    0.0 and NaNs with NaNs; a merged zero's values keep their bits, since
+    its -0.0 weight adds +-0.0 to a sum that is never -0.0.  So on finite
+    tables these are _head_stencil's values bit for bit."""
+    distinct, where = np.unique(jumped, return_inverse=True)
+    where = where.reshape(jumped.shape)
+    rows = _head_stencil(axis, distinct, 0, 1, width)
+    bufs = np.empty((2, len(distinct), width))
+
+    def values(table, out=None):
+        return np.take(rows(table, *bufs), where, axis=0, out=out, mode="clip")
+    return values
 
 
 def _head_stencil(axis, heads, lag_rows, step, width=None):
@@ -785,12 +817,14 @@ class Policy:
         cost = np.broadcast_to(
             self.spec.impulse_cost(states[:, 0], self.u_grid[:, None], t),
             (len(self.u_grid), len(states)))
-        live = ~(cont >= self.v_prev.head_ceiling(time_index, states[:, 1:])
-                 - cost.min(axis=0))
-        at = states[live]
+        lags = states[:, 1:]
+        ceiling = self.v_prev.head_ceiling(time_index, lags)
+        live = np.flatnonzero(~(cont >= ceiling - cost.min(axis=0)))
+        # the live rows of the block the ceiling read, so a grid level
+        # searches its lag cells once
         interv, best_u = _intervention_batch(
-            self.v_prev.value_at_heads, time_index, at[:, 0], at[:, 1:],
-            self.spec, self.u_grid, t)
+            functools.partial(self.v_prev.value_at_heads, rows=live),
+            time_index, states[live, 0], lags, self.spec, self.u_grid, t)
         acts = interv > cont[live]
         mask[live], us[live] = acts, np.where(acts, best_u, 0.0)
         return mask, us
@@ -847,12 +881,16 @@ def save_value_function(vf, out_dir, name):
     with open(os.path.join(out_dir, f"{name}_values.csv"), "w") as fh:
         fh.write(columns + "\n")
         # one line "<row prefix><flat index>,<value to 17 digits>" per
-        # entry, joined a row at a time
-        flat = []
+        # entry, a row formatted by one %: the index strings interleaved
+        # with the row's values
+        cells = []
         for prefix, row in rows:
             row = np.asarray(row, dtype=float).tolist()
-            flat += [f"{j}," for j in range(len(flat), len(row))]
-            fh.write("".join(map(f"{prefix}{{}}{{:.17g}}\n".format, flat, row)))
+            if len(cells) != 2 * len(row):
+                cells = [None] * (2 * len(row))
+                cells[::2] = map(str, range(len(row)))
+            cells[1::2] = row
+            fh.write(((prefix + "%s,%.17g\n") * len(row)) % tuple(cells))
 
 
 def _bounds_json(bounds):

@@ -265,19 +265,23 @@ def cmd_export_figures(cfg, out_dir):
     m = cfg.grid.delay_steps + 1
     xs = np.linspace(-cfg.grid_bound, cfg.grid_bound, 81)
     pts = _constant_history_points(xs, m)
+    # the x cells once, t once per time row, one join per row
+    x_cells = [f"{x:.17g}" for x in xs.tolist()]
     with open(os.path.join(out_dir, "value_surface.csv"), "w") as fh:
         fh.write("t,x,value\n")
         for i in range(cfg.grid.n_steps + 1):
-            vals = v_top.value_at(i, pts)
-            for x, v in zip(xs, vals):
-                fh.write(f"{i * cfg.dt:.17g},{x:.17g},{v:.17g}\n")
+            t = f"{i * cfg.dt:.17g}"
+            fh.write("".join(f"{t},{x},{v:.17g}\n" for x, v in
+                             zip(x_cells, v_top.value_at(i, pts).tolist())))
     with open(os.path.join(out_dir, "policy_surface.csv"), "w") as fh:
         fh.write("t,x,action\n")
         for i in range(cfg.grid.n_steps):
             act, us = policy.decide_batch(i, pts)
-            for x, a, u in zip(xs, act, us):
-                lbl = f"{u:.17g}" if a else "CONTINUE"
-                fh.write(f"{i * cfg.dt:.17g},{x:.17g},{lbl}\n")
+            t = f"{i * cfg.dt:.17g}"
+            labels = [f"{u:.17g}" if a else "CONTINUE"
+                      for a, u in zip(act.tolist(), us.tolist())]
+            fh.write("".join(f"{t},{x},{lbl}\n"
+                             for x, lbl in zip(x_cells, labels)))
     return 0
 
 

@@ -69,9 +69,13 @@ def _keyed_normal_rows(seed: int, paths, grid: TimeGrid) -> np.ndarray:
     in."""
     bitgen = np.random.Philox(0)  # seeded: constructing pulls no OS entropy
     gen = np.random.Generator(bitgen)
-    state = bitgen.state  # zero counter, empty buffer
-    key = state["state"]["key"]
-    key[0] = seed
+    # zero counter, empty buffer; plain lists, which the state setter reads
+    # faster than numpy arrays
+    key = [seed, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
     sd = math.sqrt(grid.dt)
     out = np.empty((grid.n_steps, len(paths)))
     block = np.empty((min(BLOCK, len(paths)), grid.n_steps))

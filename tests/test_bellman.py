@@ -21,6 +21,7 @@ from sddeimpulse.bellman import (DivergenceError, GridBackend,
                                  load_value_function, monomial_powers,
                                  multilinear_interp, save_value_function)
 from sddeimpulse.cli import RunConfig
+from sddeimpulse.core import build_problem_spec
 from sddeimpulse.lattice import (gauss_hermite_quadrature,
                                  impulse_transition_batch,
                                  step_transition_batch, two_point_quadrature)
@@ -30,6 +31,7 @@ from sddeimpulse.simulate import (TimeGrid, draw_noise_matrix,
                                   export_trajectories_csv, simulate_batch)
 
 from test_cli import CONFIGS
+import test_core
 from test_oracle import tiny_instance
 from test_simulate import feedback_spec
 
@@ -519,17 +521,28 @@ def lift3_spec():
     return dataclasses.replace(feedback_spec(delay=0.02), horizon=0.2)
 
 
-def recorded_head_stencils(monkeypatch):
-    """A list that collects (heads, values) of every head stencil built."""
+def recorded_stencils(monkeypatch, name="_head_stencil"):
+    """A list that collects (heads, values) of every stencil built through
+    bellman.<name>."""
     built = []
-    real = bellman._head_stencil
+    real = getattr(bellman, name)
 
     def recording(axis, heads, *rows):
         built.append((heads, real(axis, heads, *rows)))
         return built[-1][1]
 
-    monkeypatch.setattr(bellman, "_head_stencil", recording)
+    monkeypatch.setattr(bellman, name, recording)
     return built
+
+
+def distinct_jumps(spec, axis, ug):
+    return len(np.unique(spec.intervention(axis, ug[:, None])))
+
+
+def node_points(axes):
+    """The grid's own points, (H, L, m), in the C order of its table."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(
+        len(axes[0]), -1, len(axes))
 
 
 class TestStencilSolve:
@@ -549,50 +562,56 @@ class TestStencilSolve:
 
     @pytest.mark.parametrize("k_max,horizon", [(1, 0.2), (3, 0.5)])
     def test_stencils_built_once_per_solve(self, monkeypatch, k_max, horizon):
-        built = recorded_head_stencils(monkeypatch)
+        built = recorded_stencils(monkeypatch)
         spec = dataclasses.replace(reduced_spec(), horizon=horizon)
         its, _, _, quad, ug = solve_reduced(spec, k_max=k_max, tol=1e-12)
         assert len(its) == k_max + 1
-        # the jumps', then one per quadrature node
-        assert [h.shape for h, _ in built] == \
-            [(len(ug), 21)] + [(21 * 21,)] * len(quad.nodes)
+        # the distinct jumped heads', then the stacked successors' of all
+        # quadrature nodes
+        d = distinct_jumps(spec, its[0].axes[0], ug)
+        assert d < len(ug) * 21
+        assert [h.shape for h, _ in built] == [(d,), (len(quad.nodes), 21 * 21)]
 
     @pytest.mark.parametrize("make_spec", [reduced_spec, time_dependent_spec])
     def test_successors_stepped_once_per_solve(self, monkeypatch, make_spec):
-        built, steps = recorded_head_stencils(monkeypatch), []
+        built, steps = recorded_stencils(monkeypatch), []
         real = bellman.euler_head
 
         def counting(*args):
-            steps.append(args[2])
+            steps.append(args[3])
             return real(*args)
 
         monkeypatch.setattr(bellman, "euler_head", counting)
         spec = dataclasses.replace(make_spec(), horizon=0.2)
         its, _, grid, quad, _ = solve_reduced(spec, k_max=3, tol=1e-12)
         assert len(its) == 4
-        assert len(steps) == grid.n_steps * len(quad.nodes)
-        # a slice shares the stencils of the one above unless the heads
-        # move with t
+        # one call per slice, on every quadrature node at once
+        assert len(steps) == grid.n_steps
+        assert all(np.array_equal(z, quad.nodes[:, None]) for z in steps)
+        # a slice shares the stencil of the one above unless the heads move
+        # with t
         slices = grid.n_steps if make_spec is time_dependent_spec else 1
-        assert len(built) == 1 + slices * len(quad.nodes)
+        assert len(built) == 1 + slices
 
     @pytest.mark.parametrize("delay", [0.01, 0.02], ids=["reduced", "lift3"])
     def test_head_stencils_equal_multilinear_interp(self, monkeypatch, delay):
-        built = recorded_head_stencils(monkeypatch)
+        jumps = recorded_stencils(monkeypatch, "_jump_stencil")
+        built = recorded_stencils(monkeypatch)
         spec = dataclasses.replace(feedback_spec(delay=delay), horizon=0.05)
         its, _, grid, quad, ug = solve_reduced(spec, k_max=1, points=11, n_u=7)
         axes = its[0].axes
-        points = np.stack([g.ravel() for g in np.meshgrid(*axes,
-                                                          indexing="ij")], 1)
+        points = node_points(axes).reshape(-1, len(axes))
         # the solve's operators, each with the points it prices: every
         # node's jumps, stacked, then its Euler successors node by node;
         # the grid's own points put lags on the last node too
-        (_, jumped), *steps = built
-        assert len(steps) == len(quad.nodes)
-        operators = [(jumped, np.concatenate(
-            [impulse_transition_batch(points, u, spec) for u in ug]))] + [
-            (stepped, step_transition_batch(points, 0.0, z, spec, grid.dt))
-            for (_, stepped), z in zip(steps, quad.nodes)]
+        [(_, jumped)], (_, stepped) = jumps, built[-1]
+        assert len(built) == 2
+        operators = [
+            (jumped, np.concatenate(
+                [impulse_transition_batch(points, u, spec) for u in ug])),
+            (stepped, np.concatenate(
+                [step_transition_batch(points, 0.0, z, spec, grid.dt)
+                 for z in quad.nodes]))]
         # the solve's own tables, and a table with zeros of both signs
         signed_zeros = np.random.default_rng(1).choice(
             [-0.0, 0.0, -1.5, 2.25], len(points))
@@ -602,6 +621,55 @@ class TestStencilSolve:
                 want = multilinear_interp(axes, table.reshape(its[0].shape),
                                           at)
                 assert values(table).tobytes() == want.tobytes()
+
+
+class TestJumpStencil:
+    """The jump stencil interpolates each distinct jumped head once; its
+    (U, H, L) values are multilinear_interp's at every jumped point, bit
+    for bit."""
+
+    @staticmethod
+    def assert_equals_multilinear_interp(axes, jumped, table):
+        values = bellman._jump_stencil(axes[0], jumped, table.size // len(axes[0]))
+        lags = node_points(axes)[0, :, 1:]
+        at = np.concatenate(
+            [np.broadcast_to(jumped[..., None, None], jumped.shape
+                             + (len(lags), 1)),
+             np.broadcast_to(lags, jumped.shape + lags.shape)], -1)
+        want = multilinear_interp(axes, table.reshape([len(ax) for ax in axes]),
+                                  at)
+        got = values(table)
+        assert got.shape == jumped.shape + (len(lags),)
+        assert got.tobytes() == want.tobytes()
+        out = np.empty_like(got)
+        assert values(table, out) is out and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_awkward_heads(self, m):
+        axis = np.linspace(-4.0, 4.0, 11)
+        assert 0.0 in axis
+        rng = np.random.default_rng(m)
+        awkward = [-0.0, 0.0, np.nan, axis[0], axis[-1], axis[0] - 1e-9,
+                   axis[-1] + 3.0, -1e300, np.inf, -np.inf, axis[3],
+                   np.nextafter(axis[3], 0.0), 1.234]
+        # each value several times, in both zero orders
+        jumped = rng.permutation(np.array(awkward * 3)).reshape(3, -1)
+        jumped[0, :2], jumped[1, :2] = (-0.0, 0.0), (0.0, -0.0)
+        size = len(axis) ** m
+        for table in (rng.normal(size=size),
+                      rng.choice([-0.0, 0.0, -1.5, 2.25], size)):
+            self.assert_equals_multilinear_interp((axis,) * m, jumped, table)
+
+    def test_additive_clamped_merges_heads(self):
+        spec = build_problem_spec(dict(
+            test_core.TestRegistry.BASE,
+            intervention={"name": "additive_clamped", "limit": 1.0}))
+        axis = np.linspace(-4.0, 4.0, 21)
+        ug = spec.impulse_set.grid(9)
+        jumped = spec.intervention(axis, ug[:, None])
+        assert distinct_jumps(spec, axis, ug) < jumped.size // 5
+        table = np.random.default_rng(5).normal(size=len(axis) ** 2)
+        self.assert_equals_multilinear_interp((axis, axis), jumped, table)
 
 
 class Unpruned:
@@ -624,8 +692,9 @@ class FreshGridLevel(Unpruned):
     with no lag memo and no head ceiling; its stacked query loops over the
     head rows."""
 
-    def value_at_heads(self, i, heads, lags):
-        return looped_rows(self.value_at, i, heads, lags)
+    def value_at_heads(self, i, heads, lags, rows=None):
+        return looped_rows(self.value_at, i, heads,
+                           lags if rows is None else lags[rows])
 
     def __init__(self, vf):
         self.vf, self.n_steps, self.dt = vf, vf.n_steps, vf.dt
@@ -732,13 +801,9 @@ class TestGridLagMemo:
         states = np.random.default_rng(0).normal(size=(30, 2))
         for i in range(its[-1].n_steps):
             policy.decide_batch(i, states)
-        # the successors' lags on V^k once; on V^{k-1} the states' lags for
-        # the head ceiling, searched again after a decision whose live
-        # paths were fewer, and the live paths' lags when they are fewer
-        want = [30]
-        for d, n in enumerate(live):
-            want += [30] * (d == 0 or live[d - 1] < 30) + [n] * (n < 30)
-        assert calls == want
+        # the successors' lags on V^k once, and the states' lags on V^{k-1}
+        # once: the live paths' jumps read the head ceiling's cells
+        assert calls == [30, 30]
         assert 0 < sum(live) < 30 * len(live)
 
 
@@ -939,8 +1004,9 @@ class ReferenceLevel(Unpruned):
     plain fit, one level at a time; its stacked queries loop over the head
     rows."""
 
-    def value_at_heads(self, i, heads, lags):
-        return looped_rows(self.value_at, i, heads, lags)
+    def value_at_heads(self, i, heads, lags, rows=None):
+        return looped_rows(self.value_at, i, heads,
+                           lags if rows is None else lags[rows])
 
     def plain_value_at_heads(self, i, heads, lags):
         return looped_rows(self.plain_value_at, i, heads, lags)

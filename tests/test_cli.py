@@ -565,11 +565,18 @@ class TestCommands:
 
 
 class TestGridPolicyGoldenBits:
-    """The grid policy's artifacts pinned byte for byte on the reduced
-    config cut to 20 steps and 1,000 paths: the policy acts in each of
-    them, so a decision that any shortcut gets wrong changes a digest."""
+    """The grid solve's and policy's artifacts pinned byte for byte on the
+    reduced config cut to 20 steps and 1,000 paths: the policy acts in each
+    of them, so a value or a decision that any shortcut gets wrong changes
+    a digest."""
 
     @pytest.mark.parametrize("name,digest", [
+        ("v_top_values.csv",
+         "c797587749450c3a5a493fa75d553c57e548a957b89b8a4a3c07c90194f62c08"),
+        ("v_prev_values.csv",
+         "4868c427f4b296b7e62c55e85a088336f8bc53b8bda5eac3402b2da25cc4d349"),
+        ("value_surface.csv",
+         "a11a555502a906079dd3037f4ca318fa6c646bd46e0ebc6fe7dcb61092ee2e7d"),
         ("evaluate.json",
          "2806733f42befc279121c92bec6f35b7e63852a51fdc52964df1800b82a625d2"),
         ("thresholds.csv",

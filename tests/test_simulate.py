@@ -131,6 +131,16 @@ class TestNoise:
             assert mat[i].tobytes() == draw_noise(9, i, g).tobytes()
             assert mat[i].tobytes() == reference_noise(9, i, g).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
+    def test_key_reset_at_block_edges_matches_fresh_generators(self, seed):
+        # one bit generator's key and counter are reset for every path;
+        # paths on either side of a block edge, at the extreme seeds, draw
+        # what a fresh generator keyed (seed, path) draws
+        g = TimeGrid.for_spec(feedback_spec(), 0.01)
+        mat = draw_noise_matrix(seed, 258, g)
+        for i in (0, 255, 256, 257):
+            assert mat[i].tobytes() == reference_noise(seed, i, g).tobytes()
+
     def test_step_columns_contiguous(self):
         g = TimeGrid.for_spec(feedback_spec(), 0.01)
         assert draw_noise_matrix(5, 7, g)[:, 3].flags.c_contiguous

@@ -17,7 +17,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -260,20 +260,13 @@ class _LagMemo:
                                            return_inverse=True)
         self.slots = (powers[:, 0], where.reshape(-1))
         self.entries = []  # (key, L, {coefficient bytes: head coefficients})
-        self.clipped = (None, None)  # (key of a lag block, its clipped copy)
 
-    def values(self, time_index, head, lags, coeffs, bounds=None):
+    def values(self, time_index, head, lags, coeffs):
         """(L,) + head.shape stack of each fit in `coeffs`, of slice
-        `time_index`, at the points (head[..., n], lags[n]) clipped into
-        `bounds` = (lo, hi) if given, the lags once per run of calls on one
-        block.  One Horner pass per fit over the whole head stack; its head
-        coefficients are computed at the first query with these lags, the
-        same bytes thereafter."""
-        if bounds is not None:
-            (lo, hi), raw = bounds, (time_index, lags.shape, lags.tobytes())
-            if self.clipped[0] != raw:
-                self.clipped = (raw, np.clip(lags, lo[1:], hi[1:]))
-            head, lags = np.clip(head, lo[0], hi[0]), self.clipped[1]
+        `time_index`, at the points (head[..., n], lags[n]).  One Horner
+        pass per fit over the whole head stack; its head coefficients are
+        computed at the first query with these lags, the same bytes
+        thereafter."""
         key = (time_index, lags.shape, lags.tobytes())
         for n, entry in enumerate(self.entries):
             if entry[0] == key:
@@ -299,34 +292,35 @@ class _LagMemo:
 
 @dataclass
 class RegressionValueFunction(_HeadStacks):
-    """Per-time-step polynomial fits on the lifted state.
+    """Per-time-step polynomial fits on the lifted state: level k_index of
+    one solve's hierarchy, whose fits it holds for every level.
 
-    Two fits per slice. cont_coeffs approximates the continuation value,
-    which is smooth, so a low-degree polynomial does well. plain_coeffs is a
-    direct fit of the value itself; it carries the kink along the
-    intervention boundary and is only used inside intervention branches of
-    the level above, never iterated against itself. value_at combines the
-    continuation fit with an exact max over the impulse grid priced on the
-    previous level, so the kink never has to be represented by a polynomial.
+    Two fits per level and slice. cont_coeffs approximates the continuation
+    value, which is smooth, so a low-degree polynomial does well.
+    plain_coeffs is a direct fit of the value itself; it carries the kink
+    along the intervention boundary and is only used inside intervention
+    branches of the level above, never iterated against itself. value_at
+    combines the continuation fit with an exact max over the impulse grid
+    priced on the previous level, so the kink never has to be represented
+    by a polynomial.
 
     The terminal slice is the terminal reward itself, not a fit, so
     V(T, x) = g(x) holds pointwise.
     """
 
     powers: np.ndarray
-    cont_coeffs: list  # one vector per interior time index, None at T
+    cont_coeffs: list  # [k][i]: level k at time index i, None at T
     plain_coeffs: list
     k_index: int
     dt: float
     terminal_reward: object = field(repr=False, default=None)
-    prev: object = field(repr=False, default=None)  # level k-1, None at k=0
     spec: object = field(repr=False, default=None)
     u_grid: np.ndarray = field(repr=False, default=None)
     # per-slice (lo, hi) bounding boxes of the fitting cloud; plain-fit
     # evaluations get clipped into these so the kinked fit is never
     # extrapolated (impulses shift points up to the impulse-set width away)
     bounds: list = field(repr=False, default=None)
-    # a _LagMemo of `powers`, shared by every level of one solve or one load
+    # a _LagMemo of `powers`, shared by every level view
     lag_memo: object = field(repr=False, compare=False, default=None)
 
     backend = "REGRESSION"
@@ -337,13 +331,17 @@ class RegressionValueFunction(_HeadStacks):
 
     @property
     def n_steps(self):
-        return len(self.cont_coeffs) - 1
+        return len(self.cont_coeffs[0]) - 1
+
+    def level(self, k):
+        """Level k of the hierarchy, sharing these fits, spec, impulse grid,
+        clip boxes and lag memo."""
+        return replace(self, k_index=k)
 
     def value_at_heads(self, time_index, heads, lags, rows=None):
         if rows is not None:
             lags = lags[rows]
-        return _RegressionLevels([self]).value_at_heads(time_index, heads,
-                                                        lags)[0]
+        return self.levels_at_heads(time_index, heads, lags, (self.k_index,))[0]
 
     def head_ceiling(self, time_index, lags):
         """+inf: no bound of a fit over its clip box is kept, so every
@@ -351,8 +349,45 @@ class RegressionValueFunction(_HeadStacks):
         return np.full(len(lags), np.inf)
 
     def plain_value_at_heads(self, time_index, heads, lags):
-        return _RegressionLevels([self]).plain_value_at_heads(time_index, heads,
-                                                              lags)[0]
+        return self.plain_levels_at_heads(time_index, heads, lags,
+                                          (self.k_index,))[0]
+
+    def levels_at_heads(self, time_index, heads, lags, ks):
+        """(len(ks),) + heads.shape stack of the values of the increasing
+        levels ks, row by row one level each, through the lag memo.  The
+        jumps of every level above 0 are priced with one stacked
+        plain_levels_at_heads over the levels below them.  At T this is the
+        terminal reward."""
+        if self.cont_coeffs[ks[0]][time_index] is None:
+            return self.plain_levels_at_heads(time_index, heads, lags, ks)
+        v = self.lag_memo.values(time_index, heads, lags,
+                                 [self.cont_coeffs[k][time_index] for k in ks])
+        below = [k - 1 for k in ks if k]
+        if below:
+            # whole head rows at a time, about CHUNK jumped heads per call
+            plain = functools.partial(self.plain_levels_at_heads, ks=below)
+            rows = heads.reshape(math.prod(heads.shape[:-1]), heads.shape[-1])
+            top = v[-len(below):].reshape(len(below), len(rows), -1)
+            step = max(1, CHUNK // (len(self.u_grid) * max(1, rows.shape[1])))
+            for r in range(0, len(rows), step):
+                jump, _ = _intervention_batch(plain, time_index, rows[r:r + step],
+                                              lags, self.spec, self.u_grid,
+                                              time_index * self.dt)
+                np.maximum(top[:, r:r + step], jump, out=top[:, r:r + step])
+        return v
+
+    def plain_levels_at_heads(self, time_index, heads, lags, ks):
+        """plain_value_at_heads of the levels ks, as levels_at_heads stacks
+        them, at the points clipped into the slice's cloud box."""
+        if self.plain_coeffs[ks[0]][time_index] is None:
+            terminal = np.asarray(self.terminal_reward(heads), dtype=float)
+            return np.tile(terminal, (len(ks),) + (1,) * terminal.ndim)
+        if self.bounds is not None:
+            lo, hi = self.bounds[time_index]
+            heads = np.clip(heads, lo[0], hi[0])
+            lags = np.clip(lags, lo[1:], hi[1:])
+        return self.lag_memo.values(time_index, heads, lags,
+                                    [self.plain_coeffs[k][time_index] for k in ks])
 
 
 # ---------------------------------------------------------------------------
@@ -415,25 +450,25 @@ class RegressionBackend:
 # Operations
 # ---------------------------------------------------------------------------
 
-def _continuation(v, i, states, spec, quadrature, dt):
+def _continuation(value_at_heads, i, states, spec, quadrature, dt):
     """One-step expectation from t_i: the running reward over [t_i, t_{i+1})
-    plus the quadrature average of v at i + 1 over the Euler successors,
-    priced as one (Q, N) head stack over their shifted lags."""
+    plus the quadrature average, over the Euler successors, of
+    value_at_heads(i + 1, heads, lags), priced as one (Q, N) head stack over
+    their shifted lags."""
     t = i * dt
     heads = euler_head(states[:, 0], states[:, -1], t, quadrature.nodes[:, None],
                        spec, dt)
-    vals = v.value_at_heads(i + 1, heads, states[:, :-1])
     return _expectation(spec, t, states, dt, quadrature.weights,
-                        lambda j: vals[..., j, :])
+                        value_at_heads(i + 1, heads, states[:, :-1]))
 
 
-def _expectation(spec, t, states, dt, weights, node_value):
-    """Running reward over [t, t + dt) plus sum_j weights[j] * node_value(j),
-    where node_value(j) gives the (N,) values at the node-j successors, or
-    an (L, N) stack of L levels' values."""
+def _expectation(spec, t, states, dt, weights, values):
+    """Running reward over [t, t + dt) plus sum_j weights[j] * values[..., j, :],
+    where values holds the values at the quadrature nodes' successors as a
+    (Q, N) stack, or as an (L, Q, N) stack of L levels' values."""
     acc = np.zeros(states.shape[0])
     for j, w in enumerate(weights):
-        acc = acc + w * node_value(j)
+        acc = acc + w * values[..., j, :]
     return spec.running_reward(t, states[:, 0]) * dt + acc
 
 
@@ -537,8 +572,7 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
         for i in range(n - 1, -1, -1):
             t = i * dt
             stepped = step_rows[i](vf.values[i + 1], *successor_bufs)
-            vals = _expectation(spec, t, points, dt, quadrature.weights,
-                                stepped.__getitem__)
+            vals = _expectation(spec, t, points, dt, quadrature.weights, stepped)
             if k:
                 # the tables are finite, so no value is NaN or -0.0 and the
                 # plain max is the first-index max of _intervention_batch
@@ -634,48 +668,6 @@ def _sample_states(spec, grid, backend):
     return clouds
 
 
-@dataclass
-class _RegressionLevels:
-    """Consecutive levels of one regression chain read together:
-    value_at_heads and plain_value_at_heads return (L,) + heads.shape
-    stacks, row by row one level each, through the first level's lag memo.
-    The jumps of every level with a `prev` are priced with one stacked
-    plain_value_at_heads over those prevs.  At T both methods give the
-    terminal reward."""
-
-    levels: list
-
-    def value_at_heads(self, time_index, heads, lags):
-        base = self.levels[0]
-        if base.cont_coeffs[time_index] is None:
-            return self.plain_value_at_heads(time_index, heads, lags)
-        v = base.lag_memo.values(time_index, heads, lags,
-                                 [lvl.cont_coeffs[time_index] for lvl in self.levels])
-        prevs = [lvl.prev for lvl in self.levels if lvl.prev is not None]
-        if prevs:
-            # whole head rows at a time, about CHUNK jumped heads per call
-            plain = _RegressionLevels(prevs).plain_value_at_heads
-            rows = heads.reshape(math.prod(heads.shape[:-1]), heads.shape[-1])
-            top = v[-len(prevs):].reshape(len(prevs), len(rows), -1)
-            step = max(1, CHUNK // (len(base.u_grid) * max(1, rows.shape[1])))
-            for r in range(0, len(rows), step):
-                jump, _ = _intervention_batch(plain, time_index, rows[r:r + step],
-                                              lags, base.spec, base.u_grid,
-                                              time_index * base.dt)
-                np.maximum(top[:, r:r + step], jump, out=top[:, r:r + step])
-        return v
-
-    def plain_value_at_heads(self, time_index, heads, lags):
-        base = self.levels[0]
-        if base.plain_coeffs[time_index] is None:
-            terminal = np.asarray(base.terminal_reward(heads), dtype=float)
-            return np.tile(terminal, (len(self.levels),) + (1,) * terminal.ndim)
-        return base.lag_memo.values(
-            time_index, heads, lags,
-            [lvl.plain_coeffs[time_index] for lvl in self.levels],
-            None if base.bounds is None else base.bounds[time_index])
-
-
 def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     """Time-outer sweep over all k_max + 1 levels, then a trim at the first
     gap below tol.  Fits are read through one lag memo: the Euler successors
@@ -688,7 +680,6 @@ def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     have stopped first."""
     m = grid.delay_steps + 1
     powers = monomial_powers(m, backend.degree)
-    lag_memo = _LagMemo(powers)
     clouds = _sample_states(spec, grid, backend)
     n = grid.n_steps
     dt = grid.dt
@@ -698,40 +689,37 @@ def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     margin = float(np.max(np.abs(u_grid)))
     bounds = [(clouds[i].min(axis=0) - margin, clouds[i].max(axis=0) + margin)
               for i in range(n)] + [None]
-    levels = []
-    for k in range(k_max + 1):
-        levels.append(RegressionValueFunction(
-            powers=powers, cont_coeffs=[None] * (n + 1),
-            plain_coeffs=[None] * (n + 1), k_index=k, dt=dt,
-            terminal_reward=spec.terminal_reward,
-            prev=levels[-1] if k else None, spec=spec, u_grid=u_grid,
-            bounds=bounds, lag_memo=lag_memo))
+    fits = RegressionValueFunction(
+        powers=powers, cont_coeffs=[[None] * (n + 1) for _ in range(k_max + 1)],
+        plain_coeffs=[[None] * (n + 1) for _ in range(k_max + 1)],
+        k_index=k_max, dt=dt, terminal_reward=spec.terminal_reward, spec=spec,
+        u_grid=u_grid, bounds=bounds)
+    levels = [fits.level(k) for k in range(k_max + 1)]
     slice_gaps = [[None] * n for _ in range(k_max)]
     live, failure = k_max + 1, None
     for i in range(n - 1, -1, -1):
         pts = clouds[i]
-        cont = _continuation(_RegressionLevels(levels[:live]), i, pts, spec,
-                             quadrature, dt)
+        cont = _continuation(functools.partial(fits.levels_at_heads,
+                                               ks=range(live)),
+                             i, pts, spec, quadrature, dt)
         fit = _regression_fitter(design_matrix(pts, powers), backend.ridge_lambda)
         below = None
         for k in range(live):
-            vf = levels[k]
             try:
                 _check_finite(cont[k], i, k)
-                vf.cont_coeffs[i] = fit(cont[k])
-                v = lag_memo.values(i, pts[:, 0], pts[:, 1:],
-                                    [vf.cont_coeffs[i]])[0]
+                c = fits.cont_coeffs[k][i] = fit(cont[k])
+                v = fits.lag_memo.values(i, pts[:, 0], pts[:, 1:], [c])[0]
                 if k >= 1:
                     interv, _ = _intervention_batch(
                         levels[k - 1].plain_value_at_heads, i, pts[:, 0],
                         pts[:, 1:], spec, u_grid, i * dt)
                     vals = np.maximum(cont[k], interv)
                     _check_finite(vals, i, k)
-                    vf.plain_coeffs[i] = fit(vals)
+                    fits.plain_coeffs[k][i] = fit(vals)
                     v = np.maximum(v, interv)
                     slice_gaps[k - 1][i] = float(np.max(np.abs(v - below)))
                 else:
-                    vf.plain_coeffs[i] = vf.cont_coeffs[i]
+                    fits.plain_coeffs[k][i] = c
                 below = v
             except DivergenceError as err:
                 live, failure = k, err
@@ -755,7 +743,7 @@ def k_value_iteration(spec: ProblemSpec, grid: TimeGrid, backend,
 
     Returns (iterates, gaps): value functions for k = 0 ... k_stop and the
     sup-gap between successive levels; stops at the first gap below tol or
-    at k_max.
+    at k_max.  The regression levels are views of one hierarchy, level(k).
     """
     if k_max < 1 or not tol > 0:
         raise ValidationError("k_max must be >= 1 and tol positive")
@@ -812,8 +800,8 @@ class Policy:
         if time_index >= self.v_top.n_steps:
             return mask, us
         t = time_index * self.dt
-        cont = _continuation(self.v_top, time_index, states, self.spec,
-                             self.quadrature, self.dt)
+        cont = _continuation(self.v_top.value_at_heads, time_index, states,
+                             self.spec, self.quadrature, self.dt)
         cost = np.broadcast_to(
             self.spec.impulse_cost(states[:, 0], self.u_grid[:, None], t),
             (len(self.u_grid), len(states)))
@@ -864,16 +852,10 @@ def save_value_function(vf, out_dir, name):
         header["terminal"] = "terminal_reward"
         header["n_levels"] = vf.k_index + 1
         header["bounds"] = _bounds_json(vf.bounds)
-        levels = []
-        node = vf
-        while node is not None:
-            levels.append(node)
-            node = node.prev
-        levels.reverse()
         columns = "slab,time_index,flat_index,value"
-        rows = ((f"{lvl.k_index * 2 + part},{i},",
-                 (lvl.cont_coeffs, lvl.plain_coeffs)[part][i])
-                for lvl in levels for part in (0, 1)
+        rows = ((f"{2 * k + part},{i},", coeffs[k][i])
+                for k in range(vf.k_index + 1)
+                for part, coeffs in enumerate((vf.cont_coeffs, vf.plain_coeffs))
                 for i in range(vf.n_steps))
     with open(os.path.join(out_dir, f"{name}_header.json"), "w") as fh:
         json.dump(header, fh, sort_keys=True, indent=2)
@@ -963,12 +945,15 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
 
     if terminal_reward is None:
         raise ValidationError("regression value functions need terminal_reward")
+    n_levels = integer(header, where, "n_levels")
+    if k_index != n_levels - 1:
+        raise ValidationError(f"{where}.k_index: must be n_levels - 1 = "
+                              f"{n_levels - 1}, got {k_index}")
     if k_index >= 1 and (spec is None or u_grid is None):
         raise ValidationError("regression levels above 0 need spec and u_grid "
                               "to price intervention branches")
     powers = _json_array(require(header, "powers", where), f"{where}.powers",
                          2, integers=True)
-    n_levels = integer(header, where, "n_levels")
     slabs = _load_table(path, (2 * n_levels, n, len(powers)))
     bounds = header.get("bounds")
     if bounds is not None:
@@ -978,16 +963,9 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
                 b is None or b.shape != (2, powers.shape[1]) for b in bounds[:-1]):
             raise ValidationError(f"{where}.bounds: must hold n_steps = {n} arrays "
                                   f"of shape (2, {powers.shape[1]}), then null")
-    lag_memo = _LagMemo(powers)
-    vf = None
-    for k in range(n_levels):
-        vf = RegressionValueFunction(powers=powers,
-                                     cont_coeffs=list(slabs[2 * k]) + [None],
-                                     plain_coeffs=list(slabs[2 * k + 1]) + [None],
-                                     k_index=k, dt=dt,
-                                     terminal_reward=terminal_reward,
-                                     prev=vf, spec=spec,
-                                     u_grid=None if u_grid is None
-                                     else np.asarray(u_grid, dtype=float),
-                                     bounds=bounds, lag_memo=lag_memo)
-    return vf
+    return RegressionValueFunction(
+        powers=powers, cont_coeffs=[list(c) + [None] for c in slabs[0::2]],
+        plain_coeffs=[list(c) + [None] for c in slabs[1::2]], k_index=k_index,
+        dt=dt, terminal_reward=terminal_reward, spec=spec,
+        u_grid=None if u_grid is None else np.asarray(u_grid, dtype=float),
+        bounds=bounds)

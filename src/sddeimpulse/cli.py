@@ -17,9 +17,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import (ValidationError, build_problem_spec, check_assumptions,
-                   ImpulseControl, integer, json_object, real_number,
-                   reject_unknown, require)
+from .core import (TIME_TOL, ValidationError, build_problem_spec,
+                   check_assumptions, ImpulseControl, integer, json_object,
+                   real_number, reject_unknown, require)
 from .simulate import (TimeGrid, draw_noise_matrix, estimate_J,
                        export_trajectories_csv, flow_stability_probe,
                        initial_lifted_state, SimulationError)
@@ -285,23 +285,44 @@ def cmd_export_figures(cfg, out_dir):
     return 0
 
 
+def _probe_ladder(cfg):
+    """The flow probe's base pair (T/2, midpoint of the impulse set) and
+    its offset pairs at the distances s * (0.4, 0.2, 0.1, 0.05): each moves
+    the time by the grid multiple nearest distance / sqrt(2), or by none if
+    that reaches the distance, and the impulse by the rest, at most the
+    distance.  s = min(1, room above the midpoint / 0.4) keeps the impulses
+    in the set; if a time then lands after T - dt, s shrinks until the rung
+    0.4 moves the J grid steps from T/2 to T - dt, and the others at most
+    that.  No positive s fits a one-point impulse set."""
+    horizon, dt, impulses = cfg.spec.horizon, cfg.dt, cfg.spec.impulse_set
+    pa = (horizon / 2, 0.5 * (impulses.lower + impulses.upper))
+    ladder = (0.4, 0.2, 0.1, 0.05)
+    top = min(1.0, (impulses.upper - pa[1]) / ladder[0])
+    steps = cfg.grid.n_steps - 1 - cfg.grid.index_of(pa[0])
+    for scale in (top, min(top, steps * dt * np.sqrt(2.0) / ladder[0])):
+        offsets = []
+        for d in ladder:
+            d *= scale
+            dt_off = round((d / np.sqrt(2.0)) / dt) * dt
+            du = np.sqrt(max(d * d - dt_off * dt_off, 0.0))
+            if du == 0.0:
+                du, dt_off = d, 0.0
+            offsets.append((pa[0] + dt_off, pa[1] + du))
+        if scale > 0 and all(t <= horizon - dt + TIME_TOL for t, _ in offsets):
+            return pa, offsets
+    raise ValidationError("probe-flow: no offset ladder fits before T - dt "
+                          "and inside the impulse set")
+
+
 def cmd_probe_flow(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    base_t = cfg.spec.horizon / 2
-    base_u = 0.5 * (cfg.spec.impulse_set.lower + cfg.spec.impulse_set.upper)
-    pa = (base_t, base_u)
+    pa, offsets = _probe_ladder(cfg)
     noise = draw_noise_matrix(cfg.seed, cfg.n_paths, cfg.grid)
-    dists, offsets = [], []
-    for d in (0.4, 0.2, 0.1, 0.05):
-        dt_off = round((d / np.sqrt(2.0)) / cfg.dt) * cfg.dt
-        du = np.sqrt(max(d * d - dt_off * dt_off, 0.0))
-        if du == 0.0:
-            du = d
-            dt_off = 0.0
-        pb = (base_t + dt_off, base_u + du)
-        dists.append(float(np.hypot(pb[0] - pa[0], pb[1] - pa[1])))
-        offsets.append(pb)
+    dists = [float(np.hypot(pb[0] - pa[0], pb[1] - pa[1])) for pb in offsets]
     moments = flow_stability_probe(cfg.spec, pa, offsets, noise, cfg.grid)
+    if not all(0.0 < mo < np.inf for mo in moments):
+        raise SimulationError(f"probe-flow moments {moments} are not all "
+                              "finite and positive")
     slope = float(np.polyfit(np.log(dists), np.log(moments), 1)[0])
     with open(os.path.join(out_dir, "probe_flow.csv"), "w") as fh:
         fh.write("distance,moment\n")

@@ -365,12 +365,16 @@ class TestLagColumns:
     def test_lags_clipped_once_per_lag_block(self):
         pts, powers, memo, coeffs = lag_memo(6, 3)
         bounds = (np.full(6, -0.5), np.full(6, 0.5))
+        vf = RegressionValueFunction(
+            powers=powers, cont_coeffs=[[None, None]] * 2,
+            plain_coeffs=[[c, None] for c in coeffs], k_index=1, dt=0.01,
+            bounds=[bounds, None], lag_memo=memo)
         jumped = pts.copy()
         jumped[:, 0] += 1.0
-        first = memo.values(0, pts[:, 0], pts[:, 1:], coeffs, bounds)
-        clipped = memo.clipped[1]
-        again = memo.values(0, jumped[:, 0], jumped[:, 1:], coeffs, bounds)
-        assert memo.clipped[1] is clipped and len(memo.entries) == 1
+        first = vf.plain_levels_at_heads(0, pts[:, 0], pts[:, 1:], (0, 1))
+        again = vf.plain_levels_at_heads(0, jumped[:, 0], jumped[:, 1:], (0, 1))
+        # both clip to one lag block
+        assert len(memo.entries) == 1
         for got, p in ((first, pts), (again, jumped)):
             assert got.tobytes() == np.stack(
                 [fresh_values(np.clip(p, *bounds), powers, c)
@@ -501,7 +505,7 @@ def reference_grid_solve(spec, grid, axes, quad, u_grid, n_levels):
         vf.values[n] = np.asarray(spec.terminal_reward(points[:, 0]),
                                   dtype=float)
         for i in range(n - 1, -1, -1):
-            vals = _continuation(vf, i, points, spec, quad, dt)
+            vals = _continuation(vf.value_at_heads, i, points, spec, quad, dt)
             if k:
                 interv, _ = _intervention_batch(levels[-1].value_at_heads, i,
                                                 points[:, 0], points[:, 1:],
@@ -1015,14 +1019,14 @@ class ReferenceLevel(Unpruned):
         self.vf, self.n_steps, self.dt = vf, vf.n_steps, vf.dt
 
     def value_at(self, i, points):
-        vf = self.vf
-        if vf.cont_coeffs[i] is None:
+        vf, k = self.vf, self.vf.k_index
+        if vf.cont_coeffs[k][i] is None:
             return np.asarray(vf.terminal_reward(points[:, 0]), dtype=float)
-        v = fresh_values(points, vf.powers, vf.cont_coeffs[i])
-        if vf.prev is not None:
+        v = fresh_values(points, vf.powers, vf.cont_coeffs[k][i])
+        if k:
             jump, _ = _intervention_batch(
-                ReferenceLevel(vf.prev).plain_value_at_heads, i, points[:, 0],
-                points[:, 1:], vf.spec, vf.u_grid, i * vf.dt)
+                ReferenceLevel(vf.level(k - 1)).plain_value_at_heads, i,
+                points[:, 0], points[:, 1:], vf.spec, vf.u_grid, i * vf.dt)
             v = np.maximum(v, jump)
         return v
 
@@ -1030,7 +1034,7 @@ class ReferenceLevel(Unpruned):
         vf = self.vf
         lo, hi = vf.bounds[i]
         return fresh_values(np.clip(points, lo, hi), vf.powers,
-                            vf.plain_coeffs[i])
+                            vf.plain_coeffs[vf.k_index][i])
 
 
 def reference_regression_solve(spec, grid, backend, quad, u_grid, k_max, tol):
@@ -1048,30 +1052,32 @@ def reference_regression_solve(spec, grid, backend, quad, u_grid, k_max, tol):
         return fit_regression_step(clouds[i], targets, backend.degree,
                                    backend.ridge_lambda, powers=powers)
 
+    fits = RegressionValueFunction(powers=powers, cont_coeffs=[],
+                                   plain_coeffs=[], k_index=0, dt=dt,
+                                   terminal_reward=spec.terminal_reward,
+                                   spec=spec, u_grid=u_grid, bounds=bounds)
     levels, gaps = [], []
     for k in range(k_max + 1):
         prev = levels[-1] if k else None
-        vf = RegressionValueFunction(powers=powers,
-                                     cont_coeffs=[None] * (n + 1),
-                                     plain_coeffs=[None] * (n + 1),
-                                     k_index=k, dt=dt,
-                                     terminal_reward=spec.terminal_reward,
-                                     prev=prev, spec=spec, u_grid=u_grid,
-                                     bounds=bounds)
+        fits.cont_coeffs.append([None] * (n + 1))
+        fits.plain_coeffs.append([None] * (n + 1))
+        vf = fits.level(k)
+        cont_coeffs, plain_coeffs = vf.cont_coeffs[k], vf.plain_coeffs[k]
         ref = ReferenceLevel(vf)
         for i in range(n - 1, -1, -1):
-            cont = _continuation(ref, i, clouds[i], spec, quad, dt)
+            cont = _continuation(ref.value_at_heads, i, clouds[i], spec, quad,
+                                 dt)
             _check_finite(cont, i, k)
-            vf.cont_coeffs[i] = fit(i, cont)
+            cont_coeffs[i] = fit(i, cont)
             if k:
                 interv, _ = _intervention_batch(
                     ReferenceLevel(prev).plain_value_at_heads, i,
                     clouds[i][:, 0], clouds[i][:, 1:], spec, u_grid, i * dt)
                 vals = np.maximum(cont, interv)
                 _check_finite(vals, i, k)
-                vf.plain_coeffs[i] = fit(i, vals)
+                plain_coeffs[i] = fit(i, vals)
             else:
-                vf.plain_coeffs[i] = vf.cont_coeffs[i]
+                plain_coeffs[i] = cont_coeffs[i]
         levels.append(vf)
         if k:
             below = ReferenceLevel(prev)
@@ -1086,8 +1092,9 @@ def reference_regression_solve(spec, grid, backend, quad, u_grid, k_max, tol):
 def assert_same_levels(got, want):
     assert [vf.k_index for vf in got] == [vf.k_index for vf in want]
     for g, w in zip(got, want):
-        for a, b in zip(g.cont_coeffs + g.plain_coeffs,
-                        w.cont_coeffs + w.plain_coeffs):
+        k = g.k_index
+        for a, b in zip(g.cont_coeffs[k] + g.plain_coeffs[k],
+                        w.cont_coeffs[k] + w.plain_coeffs[k]):
             assert (a is None and b is None) or np.array_equal(a, b)
 
 
@@ -1283,10 +1290,10 @@ class TestSharedLagColumns:
         back = load_value_function(tmp_path, "vf",
                                    terminal_reward=spec.terminal_reward,
                                    spec=spec, u_grid=ug)
-        chain = [back, back.prev, back.prev.prev]
-        assert chain[2].prev is None
+        assert back.k_index == 2 and len(back.cont_coeffs) == 3
+        levels = [back.level(k) for k in range(3)]
         assert all(vf.lag_memo is back.lag_memo
-                   and vf.powers is back.lag_memo.powers for vf in chain)
+                   and vf.powers is back.lag_memo.powers for vf in levels)
 
 
 def reference_values_csv(vf):
@@ -1297,14 +1304,11 @@ def reference_values_csv(vf):
             f"{i},{j},{float(v):.17g}\n" for i in range(vf.n_steps + 1)
             for j, v in enumerate(vf.values[i])]
     else:
-        levels = [vf]
-        while levels[0].prev is not None:
-            levels.insert(0, levels[0].prev)
         lines = ["slab,time_index,flat_index,value\n"] + [
-            f"{lvl.k_index * 2 + part},{i},{j},{float(v):.17g}\n"
-            for lvl in levels
-            for part, coeffs in enumerate((lvl.cont_coeffs, lvl.plain_coeffs))
-            for i in range(vf.n_steps) for j, v in enumerate(coeffs[i])]
+            f"{k * 2 + part},{i},{j},{float(v):.17g}\n"
+            for k in range(vf.k_index + 1)
+            for part, coeffs in enumerate((vf.cont_coeffs, vf.plain_coeffs))
+            for i in range(vf.n_steps) for j, v in enumerate(coeffs[k][i])]
     return "".join(lines).encode()
 
 
@@ -1331,8 +1335,8 @@ class TestPersistence:
                                    spec.impulse_set.grid(5), k_max=3,
                                    tol=1e-12)
         assert len(its) == 4
-        its[-1].cont_coeffs[0][:8] = SPECIAL_VALUES
-        its[1].plain_coeffs[-2][-8:] = SPECIAL_VALUES[::-1]
+        its[-1].cont_coeffs[3][0][:8] = SPECIAL_VALUES
+        its[1].plain_coeffs[1][-2][-8:] = SPECIAL_VALUES[::-1]
         save_value_function(its[-1], tmp_path, "vf")
         assert (tmp_path / "vf_values.csv").read_bytes() == \
             reference_values_csv(its[-1])
@@ -1376,15 +1380,35 @@ class TestPersistence:
         back = load_value_function(tmp_path, "vf",
                                    terminal_reward=spec.terminal_reward,
                                    spec=spec, u_grid=ug)
-        chain = [back]
-        while chain[0].prev is not None:
-            chain.insert(0, chain[0].prev)
         assert len(its) == 4
-        assert_same_levels(chain, its)
+        assert_same_levels([back.level(k) for k in range(back.k_index + 1)],
+                           its)
         pts = np.array([[0.7, -0.2, 0.1], [0.0, 0.0, 0.0]])
         for i in (0, 5, 9, 10):
             assert np.array_equal(back.value_at(i, pts),
                                   its[-1].value_at(i, pts))
+
+    def test_reloaded_levels_equal_the_solves_bitwise(self, tmp_path):
+        spec = dataclasses.replace(feedback_spec(delay=0.02), horizon=0.1)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        ug = spec.impulse_set.grid(5)
+        its, _ = k_value_iteration(spec, grid,
+                                   RegressionBackend(degree=2, n_samples=300),
+                                   gauss_hermite_quadrature(0.01, 3), ug,
+                                   k_max=3, tol=1e-12)
+        save_value_function(its[-1], tmp_path, "vf")
+        back = load_value_function(tmp_path, "vf",
+                                   terminal_reward=spec.terminal_reward,
+                                   spec=spec, u_grid=ug)
+        levels = [back.level(k) for k in range(len(its))]
+        assert len(levels) == 4
+        assert all(vf.lag_memo is back.lag_memo for vf in levels)
+        # mostly outside every slice's cloud box, where plain fits clip
+        pts = np.random.default_rng(7).uniform(-6.0, 6.0, (50, 3))
+        for got, want in zip(levels, its):
+            for i in range(grid.n_steps + 1):
+                assert got.value_at(i, pts).tobytes() == \
+                    want.value_at(i, pts).tobytes()
 
     @pytest.mark.parametrize("key,value,field", [
         ("powers", [[0, "1"]], "vf_header.powers: must be a 2-d array of "

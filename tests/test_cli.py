@@ -71,6 +71,15 @@ def tiny_run(tmp_path_factory):
     return cfg_path, str(out)
 
 
+@pytest.fixture(scope="module")
+def tiny_regression_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny_regression_run")
+    cfg_path = os.path.join(CONFIGS, "tiny1.json")
+    assert main(["solve", "--config", cfg_path, "--out", str(out),
+                 "--backend", "regression"]) == 0
+    return cfg_path, str(out)
+
+
 class TestCommands:
     def test_solve_artifacts(self, tiny_run):
         _, out = tiny_run
@@ -474,29 +483,33 @@ class TestCommands:
         assert main(["evaluate", "--config", cfg_path, "--out", out]) == 2
         assert "grid axis 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit,message", [
-        (lambda h: dict(h, axes=[["x"] + h["axes"][0][1:]]),
+    @pytest.mark.parametrize("run,edit,message", [
+        ("tiny_run", lambda h: dict(h, axes=[["x"] + h["axes"][0][1:]]),
          "v_top_header.axes: must be a 1-d array of numbers"),
-        (lambda h: dict(h, axes="x"),
+        ("tiny_run", lambda h: dict(h, axes="x"),
          "v_top_header.axes: must be a 1-d array of numbers"),
-        (lambda h: {k: v for k, v in h.items() if k != "dt"},
+        ("tiny_run", lambda h: {k: v for k, v in h.items() if k != "dt"},
          "v_top_header.dt: required"),
-        (lambda h: {k: v for k, v in h.items() if k != "k_index"},
+        ("tiny_run", lambda h: {k: v for k, v in h.items() if k != "k_index"},
          "v_top_header.k_index: required"),
-        (lambda h: {k: v for k, v in h.items() if k != "format_version"},
+        ("tiny_run",
+         lambda h: {k: v for k, v in h.items() if k != "format_version"},
          "v_top_header.format_version: required"),
-        (lambda h: dict(h, n_steps="2"),
+        ("tiny_run", lambda h: dict(h, n_steps="2"),
          "v_top_header.n_steps: must be an integer"),
-        (lambda h: dict(h, backend="bogus"),
+        ("tiny_run", lambda h: dict(h, backend="bogus"),
          "v_top_header.backend: unknown backend 'bogus'"),
-        (lambda h: "{", "v_top_header.json is not valid JSON"),
-        (lambda h: [], "v_top_header: must be a JSON object")],
+        ("tiny_run", lambda h: "{", "v_top_header.json is not valid JSON"),
+        ("tiny_run", lambda h: [], "v_top_header: must be a JSON object"),
+        # the levels come from n_levels, the spec requirement from k_index
+        ("tiny_regression_run", lambda h: dict(h, k_index=0),
+         "v_top_header.k_index: must be n_levels - 1")],
         ids=["axis-entry-string", "axes-string", "no-dt", "no-k_index",
              "no-format_version", "n_steps-string", "backend-bogus",
-             "not-json", "not-an-object"])
-    def test_exit_code_2_on_bad_artifact_header(self, tiny_run, tmp_path,
-                                                capsys, edit, message):
-        cfg_path, run = tiny_run
+             "not-json", "not-an-object", "k_index-not-top-level"])
+    def test_exit_code_2_on_bad_artifact_header(self, request, tmp_path,
+                                                capsys, run, edit, message):
+        cfg_path, run = request.getfixturevalue(run)
         out = str(tmp_path / "run")
         shutil.copytree(run, out)
         for name in ("v_top", "v_prev"):
@@ -600,3 +613,69 @@ def reduced_grid_run(tmp_path_factory):
     for command in ("solve", "evaluate", "export-figures"):
         assert main([command, "--config", str(cfg), "--out", out]) == 0
     return out
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestProbeFlowLadder:
+    """probe-flow shrinks its offset ladder so that every offset pair acts
+    at a grid time before T and inside the impulse set, and never writes a
+    slope fitted to a moment that is zero or not finite."""
+
+    @staticmethod
+    def run(tmp_path, base, problem):
+        raw = load_raw(base)
+        raw["problem"].update(problem)
+        raw["evaluation"]["n_paths"] = 200
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        return main(["probe-flow", "--config", str(cfg), "--out",
+                     str(tmp_path)]), RunConfig(raw)
+
+    @pytest.mark.parametrize("base,problem", [
+        ("delay_feedback.json", {"horizon": 0.4}),
+        ("delay_feedback_reduced.json", {"horizon": 0.1}),
+        ("delay_feedback.json", {"impulse_set": [-0.1, 0.1]}),
+        # the unshrunk ladder's longest rung lands on T, where events are
+        # inert, so its moment is 0
+        ("delay_feedback.json", {"horizon": 0.56})],
+        ids=["horizon-0.4", "reduced-horizon-0.1", "narrow-impulse-set",
+             "horizon-0.56"])
+    def test_offsets_act_before_T_inside_the_set(self, tmp_path, monkeypatch,
+                                                 base, problem):
+        pairs = []
+        real = cli.flow_stability_probe
+
+        def recording(spec, pair_a, pairs_b, noise, grid):
+            pairs.extend([pair_a, *pairs_b])
+            return real(spec, pair_a, pairs_b, noise, grid)
+
+        monkeypatch.setattr(cli, "flow_stability_probe", recording)
+        code, cfg = self.run(tmp_path, base, problem)
+        assert code == 0 and len(pairs) == 5
+        last = cfg.spec.horizon - cfg.dt
+        assert all(t <= last + 1e-9 and cfg.spec.impulse_set.contains(u, 0.0)
+                   for t, u in pairs)
+        # four distinct distances, each offset moved off the base pair
+        assert len(set(pairs)) == 5
+        rep = json.loads((tmp_path / "probe_flow.json").read_text(),
+                         parse_constant=reject_constant)
+        assert np.isfinite(rep["slope"])
+
+    def test_one_point_impulse_set_exits_2(self, tmp_path, capsys):
+        code, _ = self.run(tmp_path, "delay_feedback.json",
+                           {"impulse_set": [0.5, 0.5]})
+        assert code == 2
+        assert "no offset ladder fits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")],
+                             ids=["zero", "nan", "inf"])
+    def test_bad_moment_exits_1(self, tmp_path, monkeypatch, capsys, bad):
+        monkeypatch.setattr(cli, "flow_stability_probe",
+                            lambda *args: [1.0, bad, 0.5, 0.25])
+        code, _ = self.run(tmp_path, "tiny1.json", {})
+        assert code == 1
+        assert capsys.readouterr().err.startswith("runtime failure: ")
+        assert not os.path.exists(tmp_path / "probe_flow.json")

@@ -1,0 +1,26 @@
+"""tools/run_configs.py: the artifact sets that byte-identity checks compare."""
+
+import json
+import os
+import subprocess
+import sys
+
+TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                     "tools")
+
+
+def tool(name, *args):
+    return subprocess.run([sys.executable, os.path.join(TOOLS, name),
+                           *map(str, args)],
+                          capture_output=True, text=True, check=False)
+
+
+def test_tiny1_set_is_reproducible(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert tool("run_configs.py", out, "--only", "tiny1").returncode == 0
+        assert os.listdir(out) == ["tiny1"]
+        codes = json.loads((out / "tiny1" / "exit_codes.json").read_text())
+        assert len(codes) == 7 and set(codes.values()) == {0}
+    same = tool("same_artifacts.py", a, b)
+    assert same.returncode == 0, same.stdout

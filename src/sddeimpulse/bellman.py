@@ -12,6 +12,7 @@ forward-simulated sample clouds.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -28,7 +29,7 @@ from .lattice import NoiseQuadrature, euler_head, step_transition_batch
 from .lattice import impulse_transition_batch  # noqa: F401
 from .simulate import TimeGrid, draw_noise_matrix, initial_lifted_state
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 CHUNK = 16384  # head-stack entries per interpolation chunk
 
 
@@ -839,40 +840,62 @@ def budget_decider(iterates, spec, u_grid, quadrature):
 # ---------------------------------------------------------------------------
 
 def save_value_function(vf, out_dir, name):
-    """Write a versioned header JSON plus a flat CSV of per-step values."""
+    """Write the per-step values (grid) or fit coefficients (regression) as
+    text, `<name>_values.csv`, and as the float64 array load_value_function
+    reads, `<name>_values.npy`, of shape (n + 1, H L) or (2 n_levels, n, P);
+    then the versioned `<name>_header.json`, which keeps the sha256 of
+    both, so a save cut short leaves no header that vouches for its
+    tables."""
     os.makedirs(out_dir, exist_ok=True)
     header = {"format_version": FORMAT_VERSION, "backend": vf.backend,
               "k_index": vf.k_index, "dt": vf.dt, "n_steps": vf.n_steps}
     if vf.backend == "GRID":
         header["axes"] = [[float(v) for v in ax] for ax in vf.axes]
         columns = "time_index,flat_index,value"
-        rows = ((f"{i},", vf.values[i]) for i in range(vf.n_steps + 1))
+        table = np.array(vf.values, dtype=float)
+        rows = ((f"{i},", row) for i, row in enumerate(table))
     else:
         header["powers"] = [[int(e) for e in p] for p in vf.powers]
         header["terminal"] = "terminal_reward"
         header["n_levels"] = vf.k_index + 1
         header["bounds"] = _bounds_json(vf.bounds)
         columns = "slab,time_index,flat_index,value"
-        rows = ((f"{2 * k + part},{i},", coeffs[k][i])
-                for k in range(vf.k_index + 1)
-                for part, coeffs in enumerate((vf.cont_coeffs, vf.plain_coeffs))
-                for i in range(vf.n_steps))
-    with open(os.path.join(out_dir, f"{name}_header.json"), "w") as fh:
-        json.dump(header, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out_dir, f"{name}_values.csv"), "w") as fh:
+        # slab 2k + part: level k's continuation (0) or plain (1) fits
+        table = np.array([coeffs[k][:vf.n_steps] for k in range(vf.k_index + 1)
+                          for coeffs in (vf.cont_coeffs, vf.plain_coeffs)],
+                         dtype=float)
+        rows = ((f"{s},{i},", row) for s, slab in enumerate(table)
+                for i, row in enumerate(slab))
+    values = os.path.join(out_dir, f"{name}_values.csv")
+    with open(values, "w") as fh:
         fh.write(columns + "\n")
         # one line "<row prefix><flat index>,<value to 17 digits>" per
         # entry, a row formatted by one %: the index strings interleaved
         # with the row's values
         cells = []
         for prefix, row in rows:
-            row = np.asarray(row, dtype=float).tolist()
+            row = row.tolist()
             if len(cells) != 2 * len(row):
                 cells = [None] * (2 * len(row))
                 cells[::2] = map(str, range(len(row)))
             cells[1::2] = row
             fh.write(((prefix + "%s,%.17g\n") * len(row)) % tuple(cells))
+    npy = os.path.join(out_dir, f"{name}_values.npy")
+    np.save(npy, table, allow_pickle=False)
+    header["values_sha256"] = _sha256(values)
+    header["table_sha256"] = _sha256(npy)
+    with open(os.path.join(out_dir, f"{name}_header.json"), "w") as fh:
+        json.dump(header, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _sha256(path):
+    digest, block = hashlib.sha256(), bytearray(1 << 18)
+    view = memoryview(block)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def _bounds_json(bounds):
@@ -883,19 +906,33 @@ def _bounds_json(bounds):
             for b in bounds]
 
 
-def _load_table(path, shape):
-    """The values CSV at `path` as an array of `shape`; its leading index
-    columns must enumerate that shape in C order."""
+def _load_table(out_dir, name, header, shape):
+    """The `<name>_values.npy` table, which must be a float64 array of
+    `shape`. The header binds the two files it was saved with: the sha256
+    of `<name>_values.csv` must equal its values_sha256 and that of the
+    `.npy` its table_sha256, so the commands read the table that was saved
+    with the CSV."""
+    values = os.path.join(out_dir, f"{name}_values.csv")
+    if header.get("values_sha256") != _sha256(values):
+        raise ValidationError(f"value file {values} does not match the "
+                              "values_sha256 of its header")
+    path = os.path.join(out_dir, f"{name}_values.npy")
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as e:
+        digest = _sha256(path)
+    except OSError as e:
         raise ValidationError(f"unreadable value file {path}: {e}")
-    index = np.indices(shape).reshape(len(shape), -1).T
-    if data.shape != (len(index), len(shape) + 1) \
-            or not np.array_equal(data[:, :-1], index):
-        raise ValidationError(f"value file {path} does not enumerate a "
-                              f"{shape} table")
-    return data[:, -1].reshape(shape)
+    if header.get("table_sha256") != digest:
+        raise ValidationError(f"value file {path} does not match the "
+                              "table_sha256 of its header")
+    try:
+        table = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as e:
+        raise ValidationError(f"unreadable value file {path}: {e}")
+    if not isinstance(table, np.ndarray) or table.dtype != np.float64 \
+            or table.shape != shape:
+        raise ValidationError(f"value file {path} does not hold a {shape} "
+                              "float64 table")
+    return table
 
 
 def _json_array(v, name, ndim, integers=False):
@@ -929,7 +966,6 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
     n = integer(header, where, "n_steps")
     k_index = integer(header, where, "k_index", lowest=0)
     dt = real_number(require(header, "dt", where), f"{where}.dt")
-    path = os.path.join(out_dir, f"{name}_values.csv")
 
     if backend == "GRID":
         axes = require(header, "axes", where)
@@ -937,7 +973,8 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
         axes = tuple(_grid_axis(_json_array(ax, f"{where}.axes", 1),
                                 f"grid axis {d}") for d, ax in
                      enumerate(axes if isinstance(axes, list) else [axes]))
-        table = _load_table(path, (n + 1, math.prod(len(ax) for ax in axes)))
+        table = _load_table(out_dir, name, header,
+                            (n + 1, math.prod(len(ax) for ax in axes)))
         return GridValueFunction(axes=axes, values=list(table),
                                  k_index=k_index, dt=dt)
     if backend != "REGRESSION":
@@ -954,7 +991,8 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
                               "to price intervention branches")
     powers = _json_array(require(header, "powers", where), f"{where}.powers",
                          2, integers=True)
-    slabs = _load_table(path, (2 * n_levels, n, len(powers)))
+    slabs = _load_table(out_dir, name, header,
+                        (2 * n_levels, n, len(powers)))
     bounds = header.get("bounds")
     if bounds is not None:
         bounds = [None if b is None else _json_array(b, f"{where}.bounds", 2)

@@ -286,16 +286,18 @@ def cmd_export_figures(cfg, out_dir):
 
 
 def _probe_ladder(cfg):
-    """The flow probe's base pair (T/2, midpoint of the impulse set) and
-    its offset pairs at the distances s * (0.4, 0.2, 0.1, 0.05): each moves
+    """The flow probe's base pair (the grid time (n // 2) dt, T/2 when the
+    step count n is even, and the midpoint of the impulse set) and its
+    offset pairs at the distances s * (0.4, 0.2, 0.1, 0.05): each moves
     the time by the grid multiple nearest distance / sqrt(2), or by none if
     that reaches the distance, and the impulse by the rest, at most the
     distance.  s = min(1, room above the midpoint / 0.4) keeps the impulses
     in the set; if a time then lands after T - dt, s shrinks until the rung
-    0.4 moves the J grid steps from T/2 to T - dt, and the others at most
-    that.  No positive s fits a one-point impulse set."""
+    0.4 moves the J grid steps from the base time to T - dt, and the others
+    at most that.  No positive s fits a one-point impulse set."""
     horizon, dt, impulses = cfg.spec.horizon, cfg.dt, cfg.spec.impulse_set
-    pa = (horizon / 2, 0.5 * (impulses.lower + impulses.upper))
+    pa = (cfg.grid.n_steps // 2 * dt,
+          0.5 * (impulses.lower + impulses.upper))
     ladder = (0.4, 0.2, 0.1, 0.05)
     top = min(1.0, (impulses.upper - pa[1]) / ladder[0])
     steps = cfg.grid.n_steps - 1 - cfg.grid.index_of(pa[0])

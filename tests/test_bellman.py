@@ -1325,6 +1325,8 @@ class TestPersistence:
         save_value_function(vf, tmp_path, "vf")
         assert (tmp_path / "vf_values.csv").read_bytes() == \
             reference_values_csv(vf)
+        back = load_value_function(tmp_path, "vf")
+        assert np.array(back.values).tobytes() == np.array(vf.values).tobytes()
 
     def test_regression_values_file_bytes(self, tmp_path):
         spec = dataclasses.replace(feedback_spec(delay=0.02), horizon=0.1)
@@ -1340,6 +1342,14 @@ class TestPersistence:
         save_value_function(its[-1], tmp_path, "vf")
         assert (tmp_path / "vf_values.csv").read_bytes() == \
             reference_values_csv(its[-1])
+        back = load_value_function(tmp_path, "vf",
+                                   terminal_reward=spec.terminal_reward,
+                                   spec=spec, u_grid=spec.impulse_set.grid(5))
+
+        def slabs(vf):
+            return np.array([coeffs[k][:grid.n_steps] for k in range(4)
+                             for coeffs in (vf.cont_coeffs, vf.plain_coeffs)])
+        assert slabs(back).tobytes() == slabs(its[-1]).tobytes()
 
     def test_grid_round_trip(self, tmp_path):
         its, _, grid, quad, ug = solve_reduced(reduced_spec(), k_max=1)

@@ -503,10 +503,13 @@ class TestCommands:
         ("tiny_run", lambda h: [], "v_top_header: must be a JSON object"),
         # the levels come from n_levels, the spec requirement from k_index
         ("tiny_regression_run", lambda h: dict(h, k_index=0),
-         "v_top_header.k_index: must be n_levels - 1")],
+         "v_top_header.k_index: must be n_levels - 1"),
+        ("tiny_run", lambda h: dict(h, format_version=1),
+         "unsupported format version 1")],
         ids=["axis-entry-string", "axes-string", "no-dt", "no-k_index",
              "no-format_version", "n_steps-string", "backend-bogus",
-             "not-json", "not-an-object", "k_index-not-top-level"])
+             "not-json", "not-an-object", "k_index-not-top-level",
+             "format-version-1"])
     def test_exit_code_2_on_bad_artifact_header(self, request, tmp_path,
                                                 capsys, run, edit, message):
         cfg_path, run = request.getfixturevalue(run)
@@ -566,6 +569,72 @@ class TestCommands:
         with open(values, "w") as fh:
             fh.writelines(lines[:-3])
         assert main(["evaluate", "--config", cfg_path, "--out", out]) == 2
+
+    @pytest.mark.parametrize("run,damage,message", [
+        ("tiny_run", "csv-digit", "v_top_values.csv does not match the "
+         "values_sha256 of its header"),
+        ("tiny_regression_run", "csv-digit", "v_top_values.csv does not "
+         "match the values_sha256 of its header"),
+        ("tiny_run", "no-npy", "unreadable value file"),
+        ("tiny_run", "truncated-npy", "v_top_values.npy does not match the "
+         "table_sha256 of its header"),
+        ("tiny_run", "npy-entry", "v_top_values.npy does not match the "
+         "table_sha256 of its header"),
+        ("tiny_regression_run", "npy-entry", "v_top_values.npy does not "
+         "match the table_sha256 of its header"),
+        ("tiny_run", "prev-over-top-npy", "v_top_values.npy does not match "
+         "the table_sha256 of its header"),
+        # the header's digest stamped anew: the table itself is checked
+        ("tiny_run", "truncated-npy-restamped", "unreadable value file"),
+        ("tiny_run", "wrong-shape-npy-restamped", "does not hold a (3, 81) "
+         "float64 table"),
+        ("tiny_regression_run", "wrong-shape-npy-restamped",
+         "float64 table")],
+        ids=["grid-csv-digit", "regression-csv-digit", "no-npy",
+             "truncated-npy", "grid-npy-entry", "regression-npy-entry",
+             "prev-over-top-npy", "truncated-npy-restamped",
+             "grid-wrong-shape-npy-restamped",
+             "regression-wrong-shape-npy-restamped"])
+    def test_exit_code_2_on_damaged_value_file(self, request, tmp_path, capsys,
+                                               run, damage, message):
+        cfg_path, run = request.getfixturevalue(run)
+        out = str(tmp_path / "run")
+        shutil.copytree(run, out)
+        csv_path = os.path.join(out, "v_top_values.csv")
+        npy_path = os.path.join(out, "v_top_values.npy")
+        if damage == "csv-digit":
+            # one digit of the last value changed, the length kept
+            with open(csv_path, "rb") as fh:
+                text = bytearray(fh.read())
+            at = max(i for i, c in enumerate(text) if chr(c).isdigit())
+            text[at] = ord(str((int(chr(text[at])) + 1) % 10))
+            with open(csv_path, "wb") as fh:
+                fh.write(text)
+        elif damage == "no-npy":
+            os.remove(npy_path)
+        elif damage.startswith("truncated-npy"):
+            with open(npy_path, "rb") as fh:
+                blob = fh.read()
+            with open(npy_path, "wb") as fh:
+                fh.write(blob[:len(blob) // 2])
+        elif damage == "npy-entry":
+            table = np.load(npy_path)
+            table.flat[-1] = np.nextafter(table.flat[-1], np.inf)
+            np.save(npy_path, table)
+        elif damage == "prev-over-top-npy":
+            shutil.copyfile(os.path.join(out, "v_prev_values.npy"), npy_path)
+        else:
+            np.save(npy_path, np.load(npy_path)[:-1])
+        if damage.endswith("-restamped"):
+            header_path = os.path.join(out, "v_top_header.json")
+            with open(header_path) as fh:
+                header = json.load(fh)
+            with open(npy_path, "rb") as fh:
+                header["table_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+            with open(header_path, "w") as fh:
+                json.dump(header, fh)
+        assert main(["evaluate", "--config", cfg_path, "--out", out]) == 2
+        assert message in capsys.readouterr().err
 
     def test_seed_override(self, tiny_run, tmp_path):
         cfg_path, _ = tiny_run
@@ -640,9 +709,14 @@ class TestProbeFlowLadder:
         ("delay_feedback.json", {"impulse_set": [-0.1, 0.1]}),
         # the unshrunk ladder's longest rung lands on T, where events are
         # inert, so its moment is 0
-        ("delay_feedback.json", {"horizon": 0.56})],
+        ("delay_feedback.json", {"horizon": 0.56}),
+        # odd step counts: the base time is a grid time below T/2
+        ("delay_feedback_reduced.json", {"horizon": 0.03}),
+        ("delay_feedback_reduced.json", {"horizon": 0.05}),
+        ("delay_feedback_reduced.json", {"horizon": 0.07})],
         ids=["horizon-0.4", "reduced-horizon-0.1", "narrow-impulse-set",
-             "horizon-0.56"])
+             "horizon-0.56", "reduced-horizon-0.03", "reduced-horizon-0.05",
+             "reduced-horizon-0.07"])
     def test_offsets_act_before_T_inside_the_set(self, tmp_path, monkeypatch,
                                                  base, problem):
         pairs = []

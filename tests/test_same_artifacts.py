@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                     "tools", "same_artifacts.py")
 
@@ -101,3 +103,42 @@ def test_rtol_still_requires_the_same_shape_and_other_bytes(tmp_path):
     code, out = run_rtol(a, b, 1.0)
     assert code == 1 and "manifest.txt: contents differ" in out
     assert run_rtol(a, b, -1.0)[0] == 2
+
+
+def test_rtol_compares_npy_entries_and_skips_the_values_digest(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, cell, digest in ((a, "0.25", "aa"), (b, "0.2500001", "bb")):
+        d.mkdir()
+        (d / "v_values.csv").write_text(f"i,value\n0,{cell}\n")
+        (d / "v_header.json").write_text(json.dumps(
+            {"format_version": 2, "values_sha256": digest,
+             "table_sha256": digest}, indent=2))
+        np.save(d / "v_values.npy", np.array([[float(cell), np.nan, -0.0]]))
+    # byte for byte by default: the digests and the arrays differ
+    code, out = run(a, b)
+    assert code == 1 and "v_header.json: contents differ" in out
+    code, out = run_rtol(a, b, 1e-6)
+    assert code == 0
+    assert "v_values.npy: max abs diff 1e-07, max rel diff 4e-07, 0 cells " \
+        "beyond rtol" in out
+    assert "v_header.json: max abs diff 0, max rel diff 0, 0 cells beyond " \
+        "rtol" in out
+    assert out.endswith("within rtol 1e-06: 3 files\n")
+
+    code, out = run_rtol(a, b, 1e-7)
+    assert code == 1
+    assert "v_values.npy: max abs diff 1e-07, max rel diff 4e-07, 1 cells " \
+        "beyond rtol" in out
+
+    # the digests are skipped, the other header keys are not
+    (b / "v_header.json").write_text(json.dumps(
+        {"format_version": 1, "values_sha256": "bb", "table_sha256": "bb"},
+        indent=2))
+    code, out = run_rtol(a, b, 1e-6)
+    assert code == 1 and "v_header.json: 1 cells beyond rtol" in out
+
+    (b / "v_header.json").write_text((a / "v_header.json").read_text())
+    np.save(b / "v_values.npy", np.array([0.25, np.nan, -0.0]))
+    code, out = run_rtol(a, b, 1.0)
+    assert code == 1
+    assert out.endswith("differ: v_values.npy: rows, cells or keys differ\n")

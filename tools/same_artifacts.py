@@ -12,15 +12,19 @@ line that holds wall_time; the CLI writes one key per line).  Prints the
 number of files compared and exits 0 when everything matches; otherwise
 prints the first difference (in sorted path order) and exits 1.
 
-With --rtol R, .csv and .json files are compared as numbers: a CSV cell or
-JSON number on one side may differ from its counterpart by at most R times
-the larger magnitude of the two, and everything else (row and cell counts,
-text cells, keys, strings) must be equal.  Other files are still compared
-byte for byte.  For every file that differs in its bytes the tool prints
-the maximum absolute and relative difference over its numbers and the
-number of cells beyond R (a text cell that differs, such as a policy
+With --rtol R, .csv, .json and .npy files are compared as numbers: a CSV
+cell, JSON number or array entry on one side may differ from its
+counterpart by at most R times the larger magnitude of the two, and
+everything else (row and cell counts, array shapes, text cells, keys,
+strings) must be equal.  A JSON object's values_sha256 and table_sha256
+keys are skipped: they digest a values CSV and a .npy table that are
+compared entry by entry.  Other files are still
+compared byte for byte.  For every file that differs in its bytes the tool
+prints the maximum absolute and relative difference over its numbers and
+the number of cells beyond R (a text cell that differs, such as a policy
 action that flipped, counts as one); it exits 1 if any file has a cell
-beyond R or a structural difference.  Uses the standard library only.
+beyond R or a structural difference.  Uses the standard library, and
+numpy.load(..., allow_pickle=False) for .npy files.
 """
 
 import argparse
@@ -28,6 +32,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 VARYING = {"summary.json": ("wall_time", b'"wall_time":')}
 
@@ -71,6 +77,14 @@ class Diff:
         except ValueError:
             self.beyond += a != b
 
+    def arrays(self, a, b):
+        """Two arrays of one shape, entry by entry; only the entries that
+        differ are walked."""
+        a, b = a.ravel(), b.ravel()
+        differ = (a != b) & ~(np.isnan(a) & np.isnan(b))
+        for x, y in zip(a[differ].tolist(), b[differ].tolist()):
+            self.numbers(x, y)
+
     def json(self, a, b):
         """Walk two parsed JSON values; False on a structural difference."""
         number = (int, float)
@@ -86,14 +100,24 @@ class Diff:
 
 
 def numeric_difference(path_a, path_b, rtol):
-    """A Diff of two .csv or .json files, or None if their shapes differ."""
+    """A Diff of two .csv, .json or .npy files, or None if their shapes
+    differ."""
     diff = Diff(rtol)
+    if path_a.endswith(".npy"):
+        a, b = (np.load(p, allow_pickle=False) for p in (path_a, path_b))
+        if a.shape != b.shape:
+            return None
+        diff.arrays(a, b)
+        return diff
     with open(path_a) as fa, open(path_b) as fb:
         if path_a.endswith(".json"):
             a, b = json.load(fa), json.load(fb)
-            varying = VARYING.get(os.path.basename(path_a))
-            if varying and isinstance(a, dict) and isinstance(b, dict):
-                a.pop(varying[0], None), b.pop(varying[0], None)
+            if isinstance(a, dict) and isinstance(b, dict):
+                # a JSON key is never None; the digests are of a CSV and
+                # a .npy that are compared entry by entry
+                varying = VARYING.get(os.path.basename(path_a), (None,))
+                for key in ("values_sha256", "table_sha256", varying[0]):
+                    a.pop(key, None), b.pop(key, None)
             return diff if diff.json(a, b) else None
         rows_a, rows_b = fa.read().splitlines(), fb.read().splitlines()
     if len(rows_a) != len(rows_b):
@@ -120,7 +144,7 @@ def compare(dir_a, dir_b, rtol=None):
         pa, pb = os.path.join(dir_a, rel), os.path.join(dir_b, rel)
         if content(pa) == content(pb):
             continue
-        if rtol is None or not rel.endswith((".csv", ".json")):
+        if rtol is None or not rel.endswith((".csv", ".json", ".npy")):
             return f"{rel}: contents differ", len(files_a), report
         diff = numeric_difference(pa, pb, rtol)
         if diff is None:
@@ -137,8 +161,9 @@ def main(argv=None):
         description="Compare the artifacts of two run directories.")
     parser.add_argument("dirs", nargs="*", metavar="DIR")
     parser.add_argument("--rtol", type=float, default=None,
-                        help="compare CSV cells and JSON numbers within this "
-                             "relative tolerance (default: byte for byte)")
+                        help="compare CSV cells, JSON numbers and .npy "
+                             "entries within this relative tolerance "
+                             "(default: byte for byte)")
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     if len(args.dirs) != 2 or not all(os.path.isdir(d) for d in args.dirs) \
             or (args.rtol is not None and not args.rtol >= 0):

@@ -3,12 +3,18 @@
 Noise comes from counter-based Philox streams keyed by (seed, path index), so
 results are reproducible no matter how paths are scheduled.  One batch
 engine vectorizes the time loop across paths; reductions run in path-index
-order.
+order.  The noise draw and the flow probe's per-path sup-distances each
+depend on their own path alone, so large path counts are split into
+contiguous path ranges filled by forked worker processes, one per usable
+core; the split cannot change a bit.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +24,7 @@ from .lattice import euler_head
 
 OVERFLOW_LIMIT = 1e9
 BLOCK = 256  # paths per noise block
+FORK_PATHS = 16 * BLOCK  # fewest paths a forked worker takes
 
 
 class SimulationError(RuntimeError):
@@ -59,38 +66,96 @@ class TimeGrid:
         return k
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _over_path_ranges(n: int, rows: int, fill) -> np.ndarray:
+    """(rows, n) float64 array whose columns a .. b - 1 are written by
+    fill(a, b, out[:, a:b]), for a fill whose columns depend on their own
+    paths alone.
+
+    With os.fork present and w = min(usable cores, n // FORK_PATHS) >= 2,
+    the columns are split into w contiguous ranges of one anonymous shared
+    mmap: the parent fills the first and a forked child each other one, so
+    the parent never maps a child's working arrays.  A child calls no BLAS,
+    takes no lock, does no I/O (a warning fails its range rather than
+    print) and leaves only through os._exit, so inherited stdio buffers are
+    never flushed twice.  Every child is reaped before this returns or
+    raises; if any range failed, fill(0, n, out) reruns in-process and
+    raises the serial error.  Python >= 3.12 warns on fork while OpenBLAS
+    threads exist; that case is untested.
+    """
+    workers = (min(_usable_cores(), n // FORK_PATHS)
+               if rows and hasattr(os, "fork") else 1)
+    if workers < 2:
+        out = np.empty((rows, n))
+        fill(0, n, out)
+        return out
+    edges = [n * w // workers for w in range(workers + 1)]
+    out = np.frombuffer(mmap.mmap(-1, rows * n * 8)).reshape(rows, n)
+    pids, ok = [], True
+    try:
+        for a, b in zip(edges[1:-1], edges[2:]):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        fill(a, b, out[:, a:b])
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        fill(0, edges[1], out[:, :edges[1]])
+    except Exception:  # any failure: the serial rerun below raises it
+        ok = False
+    finally:
+        for pid in pids:
+            ok = os.waitpid(pid, 0)[1] == 0 and ok
+    if not ok:
+        fill(0, n, out)
+    return out
+
+
 def _keyed_normal_rows(seed: int, paths, grid: TimeGrid) -> np.ndarray:
     """Row r: increments of the (seed, paths[r]) stream.  A Philox stream is
     fixed by its key and a zero counter, so one bit generator whose key and
     counter are reset per row draws what a fresh generator keyed so would.
     Key words are uint64, so every seed in [0, 2**64) keys its own stream.
-    Storage is time-major (the result is a transposed view); rows are drawn
-    into a path-major block of BLOCK paths, scaled there, and transposed
-    in."""
-    bitgen = np.random.Philox(0)  # seeded: constructing pulls no OS entropy
-    gen = np.random.Generator(bitgen)
-    # zero counter, empty buffer; plain lists, which the state setter reads
-    # faster than numpy arrays
-    key = [seed, 0]
-    state = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
-             "uinteger": 0}
+    Storage is time-major (the result is a transposed view), filled by
+    path range (_over_path_ranges); rows are drawn into a path-major block
+    of BLOCK paths, scaled there, and transposed in."""
     sd = math.sqrt(grid.dt)
-    out = np.empty((grid.n_steps, len(paths)))
-    block = np.empty((min(BLOCK, len(paths)), grid.n_steps))
-    for start in range(0, len(paths), BLOCK):
-        chunk = paths[start:start + BLOCK]
-        rows = block[:len(chunk)]
-        for row, i in zip(rows, chunk):
-            key[1] = i
-            bitgen.state = state
-            gen.standard_normal(out=row)
-        # Generator.normal(0.0, sd) computes 0.0 + sd * z: the same bits
-        rows *= sd
-        rows += 0.0
-        out[:, start:start + len(chunk)] = rows.T
-    return out.T
+
+    def fill(a, b, out):
+        bitgen = np.random.Philox(0)  # seeded: constructing pulls no OS entropy
+        gen = np.random.Generator(bitgen)
+        # zero counter, empty buffer; plain lists, which the state setter
+        # reads faster than numpy arrays
+        key = [seed, 0]
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": [0, 0, 0, 0], "key": key},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+                 "uinteger": 0}
+        mine = paths[a:b]
+        block = np.empty((min(BLOCK, len(mine)), grid.n_steps))
+        for start in range(0, len(mine), BLOCK):
+            chunk = mine[start:start + BLOCK]
+            rows = block[:len(chunk)]
+            for row, i in zip(rows, chunk):
+                key[1] = i
+                bitgen.state = state
+                gen.standard_normal(out=row)
+            # Generator.normal(0.0, sd) computes 0.0 + sd * z: the same bits
+            rows *= sd
+            rows += 0.0
+            out[:, start:start + len(chunk)] = rows.T
+
+    return _over_path_ranges(len(paths), grid.n_steps, fill).T
 
 
 def draw_noise(seed: int, path_index: int, grid: TimeGrid) -> np.ndarray:
@@ -227,34 +292,42 @@ def flow_stability_probe(spec: ProblemSpec, pair_a, pairs_b,
     X^b run under the one-impulse controls (pair_a,) and (pair_b,), t_hat is
     the later pair time and m = 1 (scalar impulses).  Steps before k0, the
     earliest impulse, run once; the pair_a run continues in place and each
-    pair_b run restarts at k0 in one reused history (t_hat >= t_k0)."""
+    pair_b run restarts at k0 in one reused history (t_hat >= t_k0).  The
+    (len(pairs_b), n_paths) sups are filled by path range
+    (_over_path_ranges); each moment is the mean over one full row."""
     runs = [dict(_events_by_index(ImpulseControl((pair,)), spec, grid))
             for pair in (pair_a, *pairs_b)]
+    k_hats = [grid.index_of(max(pair_a[0], pair_b[0])) for pair_b in pairs_b]
     n, d = grid.n_steps, grid.delay_steps
     k0 = min((k for jumps in runs for k in jumps), default=n)
-    hist_a = _start_history(spec, grid, noise)
-    _advance(spec, grid, noise, hist_a, 0, k0, lambda k, t: None)
-    start = hist_a[k0:k0 + d + 1].copy()
 
-    def run(hist, jumps):
-        def act(k, t):
-            if k in jumps:
-                x = hist[k + d]
-                x[:] = spec.intervention(x, np.broadcast_to(jumps[k], x.shape))
-        _advance(spec, grid, noise, hist, k0, n + 1, act)
-        return hist[d:].T
+    def fill(a, b, sups):
+        part = noise[a:b]
+        hist_a = _start_history(spec, grid, part)
+        _advance(spec, grid, part, hist_a, 0, k0, lambda k, t: None)
+        start = hist_a[k0:k0 + d + 1].copy()
 
-    pa = run(hist_a, runs[0])
-    hist_b, moments = np.empty_like(hist_a), []
-    for pair_b, jumps in zip(pairs_b, runs[1:]):
-        hist_b[k0:k0 + d + 1] = start
-        pb = run(hist_b, jumps)
-        k_hat = grid.index_of(max(pair_a[0], pair_b[0]))
-        # in place in pb's own buffer: no (n_paths, n_steps - k_hat) temporary
-        diff = np.subtract(pa[:, k_hat:], pb[:, k_hat:], out=pb[:, k_hat:])
-        sups = np.max(np.abs(diff, out=diff), axis=1)
-        moments.append(float(np.mean(sups ** 6)))
-    return moments
+        def run(hist, jumps):
+            def act(k, t):
+                if k in jumps:
+                    x = hist[k + d]
+                    x[:] = spec.intervention(
+                        x, np.broadcast_to(jumps[k], x.shape))
+            _advance(spec, grid, part, hist, k0, n + 1, act)
+            return hist[d:].T
+
+        pa = run(hist_a, runs[0])
+        hist_b = np.empty_like(hist_a)
+        for row, jumps, k_hat in zip(sups, runs[1:], k_hats):
+            hist_b[k0:k0 + d + 1] = start
+            pb = run(hist_b, jumps)
+            # in place in pb's own buffer: no (paths, n - k_hat) temporary
+            diff = np.subtract(pa[:, k_hat:], pb[:, k_hat:],
+                               out=pb[:, k_hat:])
+            np.max(np.abs(diff, out=diff), axis=1, out=row)
+
+    sups = _over_path_ranges(noise.shape[0], len(pairs_b), fill)
+    return [float(np.mean(s ** 6)) for s in sups]
 
 
 def export_trajectories_csv(path, spec: ProblemSpec, policy_or_control,

@@ -24,3 +24,15 @@ def test_tiny1_set_is_reproducible(tmp_path):
         assert len(codes) == 7 and set(codes.values()) == {0}
     same = tool("same_artifacts.py", a, b)
     assert same.returncode == 0, same.stdout
+
+
+def test_mc_probe_set_is_reproducible(tmp_path):
+    # a fresh interpreter sees the real core count: on a multi-core box
+    # the probe's noise and sup-distances are filled by forked workers
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert tool("run_configs.py", out, "--only", "mc-probe").returncode == 0
+        codes = json.loads((out / "mc-probe" / "exit_codes.json").read_text())
+        assert codes == {"probe-flow": 0}
+    same = tool("same_artifacts.py", a, b)
+    assert same.returncode == 0, same.stdout

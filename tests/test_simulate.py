@@ -3,13 +3,14 @@
 import dataclasses
 import hashlib
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 from sddeimpulse import (ImpulseControl, ImpulseSet, ProblemSpec,
-                         ValidationError, build_problem_spec)
+                         ValidationError, build_problem_spec, simulate)
 from sddeimpulse.simulate import (SimulationError, TimeGrid, draw_noise,
                                   draw_noise_matrix, estimate_J,
                                   export_trajectories_csv,
@@ -461,6 +462,153 @@ class TestSharedPrefix:
         with pytest.raises(SimulationError, match="at step 50 "):
             flow_stability_probe(spec, (0.5, -1.0), [(0.6, 1.0)],
                                  draw_noise_matrix(5, 4, g), g)
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """force(cores, floor) makes _over_path_ranges see `cores` usable cores
+    and fork down to `floor` paths per worker; it returns the pids forked
+    so far.  After the test, no child of this process is left."""
+    forked, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def force(cores, floor=1):
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(simulate, "FORK_PATHS", floor)
+        return forked
+
+    yield force
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def path_fill(bad=(), warn=()):
+    """A fill writing column c as c + row, raising on the first bad path of
+    its range and warning on each warn path."""
+    def fill(a, b, out):
+        for c in range(a, b):
+            if c in bad:
+                raise ValueError(f"bad path {c}")
+            if c in warn:
+                warnings.warn(f"odd path {c}")
+            out[:, c - a] = c + np.arange(out.shape[0])
+    return fill
+
+
+class TestPathRanges:
+    """Path ranges filled in forked workers give the serial bytes, the
+    serial errors, and leave no process behind."""
+
+    # (n_paths, floor, cores): edges inside a BLOCK, n below the floor, n 0
+    CASES = [(600, 1, 2), (600, 1, 3), (5, 8, 3), (0, 1, 3)]
+
+    @staticmethod
+    def forks(n, floor, cores):
+        workers = min(cores, n // floor)
+        return workers - 1 if workers >= 2 else 0
+
+    @pytest.mark.parametrize("n,floor,cores", CASES)
+    def test_noise_bytes_do_not_depend_on_workers(self, forking, n, floor,
+                                                  cores):
+        g = TimeGrid.for_spec(feedback_spec(), 0.01)
+        forked = forking(1)
+        want = draw_noise_matrix(2 ** 63 + 3, n, g)
+        assert forked == []
+        forked = forking(cores, floor)
+        got = draw_noise_matrix(2 ** 63 + 3, n, g)
+        assert len(forked) == self.forks(n, floor, cores)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got[:, 3].flags.c_contiguous
+
+    @pytest.mark.parametrize("n,floor,cores", CASES)
+    def test_probe_moments_do_not_depend_on_workers(self, forking, n, floor,
+                                                    cores):
+        spec = feedback_spec()
+        g = TimeGrid.for_spec(spec, 0.01)
+        args = ((0.5, 1.0), [(0.7, 0.5), (0.3, -1.0), (0.5, 1.0)])
+        noise = draw_noise_matrix(5, n, g)
+        forking(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the mean of no paths warns
+            want = flow_stability_probe(spec, *args, noise, g)
+            forked = forking(cores, floor)
+            got = flow_stability_probe(spec, *args, noise, g)
+        assert len(forked) == self.forks(n, floor, cores)
+        assert [m.hex() for m in got] == [m.hex() for m in want]
+
+    def test_golden_flow_moments_forked(self, forking):
+        forked = forking(3)
+        TestGoldenBits().test_flow_moments()
+        assert len(forked) == 4  # two workers for the noise, two for the probe
+
+    @pytest.mark.parametrize("t_blow,threshold,u_b,step", [
+        (0.2, 1.0, 0.5, 21),   # path 30: a child's range fails
+        (0.6, 3.0, 2.0, 61)],  # path 9: the parent's own range fails
+        ids=["prefix", "suffix"])
+    def test_overflow_reports_step_and_path(self, forking, t_blow, threshold,
+                                            u_b, step):
+        forked = forking(3)
+        TestSharedPrefix().test_overflow_reports_step_and_path(
+            t_blow, threshold, u_b, step)
+        assert len(forked) == 4  # two workers for the noise, two for the probe
+
+    def test_earlier_child_overflow_wins(self, forking):
+        # the parent's own paths 0..20 overflow only at step 61, path 30 in
+        # a child's range at step 21: the serial error names step 21
+        early, late = blow_up_at(0.2, 1.0).drift, blow_up_at(0.6, 3.0).drift
+        spec = dataclasses.replace(feedback_spec(), drift=lambda t, x, y:
+                                   np.maximum(early(t, x, y), late(t, x, y)))
+        g = TimeGrid.for_spec(spec, 0.01)
+        noise = draw_noise_matrix(5, 64, g)
+        args = (spec, (0.5, -2.0), [(0.3, 2.0)], noise, g)
+        with pytest.raises(SimulationError) as want:
+            reference_flow_probe(*args)
+        forked = forking(3)
+        with pytest.raises(SimulationError) as got:
+            flow_stability_probe(*args)
+        assert len(forked) == 2
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("state overflow at step 21 (path 30)")
+
+    @pytest.mark.parametrize("bad,message", [
+        ({50, 25}, "bad path 25"),  # the children's ranges
+        ({50, 5}, "bad path 5")],   # the parent's range too
+        ids=["child", "parent"])
+    def test_failed_range_raises_the_serial_error(self, forking, bad,
+                                                  message):
+        forked = forking(3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate._over_path_ranges(60, 2, path_fill(bad=bad))
+        assert len(forked) == 2
+
+    def test_child_warning_is_shown_once_by_the_parent(self, forking):
+        forked = forking(3)
+        with pytest.warns(UserWarning) as record:
+            out = simulate._over_path_ranges(60, 2, path_fill(warn={45}))
+        assert len(forked) == 2
+        assert [str(w.message) for w in record] == ["odd path 45"]
+        assert out.tobytes() == simulate._over_path_ranges(
+            60, 2, path_fill()).tobytes()
+
+    def test_in_process_without_fork(self, forking, monkeypatch):
+        forked = forking(3)
+        monkeypatch.delattr(os, "fork")
+        out = simulate._over_path_ranges(60, 2, path_fill())
+        assert forked == []
+        assert out.tobytes() == (np.arange(60) + np.arange(2)[:, None]
+                                 ).astype(float).tobytes()
+
+    @pytest.mark.parametrize("count,cores", [(3, 3), (None, 1)])
+    def test_core_count_without_affinity(self, monkeypatch, count, cores):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert simulate._usable_cores() == cores
 
 
 class TestTrajectoryExport:

@@ -31,6 +31,8 @@ from .simulate import TimeGrid, draw_noise_matrix, initial_lifted_state
 
 FORMAT_VERSION = 2
 CHUNK = 16384  # head-stack entries per interpolation chunk
+# multiply-adds of a matrix product that OpenBLAS runs on the calling thread
+SERIAL_PRODUCT = 2 ** 18
 
 
 class DivergenceError(RuntimeError):
@@ -238,6 +240,26 @@ def design_matrix(points, powers):
     return out
 
 
+def _serial_product(a, rows):
+    """a @ rows.T in near-equal column blocks of at most SERIAL_PRODUCT
+    multiply-adds each, so a forked worker starts no BLAS threads.  Each
+    entry is the same dot product, the same bits, while every block takes
+    the kernel the whole product takes: OpenBLAS 0.3.31 hands a product
+    of this layout with at most 1,200 entries (and 32 or more columns of
+    a) to a small-matrix kernel that rounds differently, and a block of
+    at least half the largest size has more entries when a has fewer
+    than 109 columns."""
+    block = max(1, SERIAL_PRODUCT // a.size)
+    parts = -(-len(rows) // block)
+    if parts <= 1:
+        return a @ rows.T
+    out = np.empty((len(a), len(rows)))
+    edges = [len(rows) * p // parts for p in range(parts + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(a, rows[lo:hi].T, out=out[:, lo:hi])
+    return out
+
+
 class _LagMemo:
     """Fits evaluated as polynomials in the head h whose coefficients
     depend on the lags: A @ c = sum_e h**e * (L @ C_e), where L is the
@@ -283,7 +305,8 @@ class _LagMemo:
             if hc is None:
                 by_head = np.zeros((self.slots[0].max() + 1, len(self.lag_powers)))
                 by_head[self.slots] = c
-                hc = served[c.tobytes()] = by_head @ lag_design.T
+                hc = served[c.tobytes()] = _serial_product(by_head,
+                                                           lag_design)
             row[:] = hc[-1]
             for e in range(len(hc) - 2, -1, -1):
                 row *= head
@@ -887,6 +910,13 @@ def save_value_function(vf, out_dir, name):
     with open(os.path.join(out_dir, f"{name}_header.json"), "w") as fh:
         json.dump(header, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def table_entries(vf):
+    """Entries of the table save_value_function writes for vf."""
+    if vf.backend == "GRID":
+        return len(vf.values) * math.prod(vf.shape)
+    return 2 * (vf.k_index + 1) * vf.n_steps * len(vf.powers)
 
 
 def _sha256(path):

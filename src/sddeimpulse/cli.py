@@ -22,12 +22,12 @@ from .core import (TIME_TOL, ValidationError, build_problem_spec,
                    real_number, reject_unknown, require)
 from .simulate import (TimeGrid, draw_noise_matrix, estimate_J,
                        export_trajectories_csv, flow_stability_probe,
-                       initial_lifted_state, SimulationError)
+                       fork_jobs, initial_lifted_state, SimulationError)
 from .lattice import (gauss_hermite_quadrature, two_point_quadrature,
                       three_point_quadrature)
 from .bellman import (GridBackend, Policy, RegressionBackend, budget_decider,
                       k_value_iteration, save_value_function,
-                      load_value_function, DivergenceError)
+                      load_value_function, table_entries, DivergenceError)
 from .oracle import (FiniteTree, enumerate_controls, exact_state_axis,
                      table_from_decisions, table_to_json)
 
@@ -39,6 +39,9 @@ _DISC_KEYS = ("dt", "grid_bound", "points_per_axis", "n_impulse",
 _SOLVER_KEYS = ("backend", "k_max", "tol", "degree", "ridge_lambda",
                 "n_samples", "exploration_rate", "sample_seed")
 _EVAL_KEYS = ("n_paths", "seed")
+# fewest value-table entries worth a forked save: a save takes about 1 us
+# an entry, a fork about 4 ms and the parent's copy-on-write faults after it
+SIDE_SAVE_ENTRIES = 2 ** 14
 
 
 class RunConfig:
@@ -189,10 +192,20 @@ def cmd_solve(cfg, out_dir):
         fh.write("k,sup_gap\n")
         for k, g in enumerate(gaps, start=1):
             fh.write(f"{k},{g:.17g}\n")
-    save_value_function(v_top, out_dir, "v_top")
-    save_value_function(v_prev, out_dir, "v_prev")
     policy = Policy(v_top, v_prev, cfg.spec, u_grid, cfg.quadrature)
-    _write_thresholds(cfg, policy, os.path.join(out_dir, "thresholds.csv"))
+
+    def top():
+        save_value_function(v_top, out_dir, "v_top")
+        _write_thresholds(cfg, policy, os.path.join(out_dir, "thresholds.csv"))
+
+    def prev():
+        save_value_function(v_prev, out_dir, "v_prev")
+
+    if table_entries(v_prev) < SIDE_SAVE_ENTRIES:
+        top()
+        prev()
+    else:  # with a second core, v_prev's table is written by a forked worker
+        fork_jobs([top, prev], lambda: (top(), prev()))
     return 0
 
 

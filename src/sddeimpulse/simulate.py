@@ -3,14 +3,17 @@
 Noise comes from counter-based Philox streams keyed by (seed, path index), so
 results are reproducible no matter how paths are scheduled.  One batch
 engine vectorizes the time loop across paths; reductions run in path-index
-order.  The noise draw and the flow probe's per-path sup-distances each
-depend on their own path alone, so large path counts are split into
-contiguous path ranges filled by forked worker processes, one per usable
-core; the split cannot change a bit.
+order.  The noise draw, the flow probe's per-path sup-distances and the
+Monte Carlo payoffs of estimate_J each depend on their own path alone, so
+large path counts are split into contiguous path ranges filled by forked
+worker processes, one per usable core; the split cannot change a bit.
+fork_jobs, the one fork primitive under those ranges, also lets `solve`
+write its two value tables side by side.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import os
@@ -25,6 +28,7 @@ from .lattice import euler_head
 OVERFLOW_LIMIT = 1e9
 BLOCK = 256  # paths per noise block
 FORK_PATHS = 16 * BLOCK  # fewest paths a forked worker takes
+POLICY_PATHS = 4 * BLOCK  # the same for a policy run's paths
 
 
 class SimulationError(RuntimeError):
@@ -72,23 +76,60 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _over_path_ranges(n: int, rows: int, fill) -> np.ndarray:
+def fork_jobs(jobs, serial):
+    """Run jobs[0]() in this process and each other job in a forked child;
+    if any job failed, run serial() in this process, which redoes the jobs'
+    work in their order and so raises the serial error.  Without os.fork
+    or with one usable core, run serial() alone.
+
+    BLAS products stay on the calling thread, and a child writes only its
+    own range or its own files and prints nothing: it takes no lock, runs
+    with warnings raised as errors (a warning fails its job rather than
+    print) and leaves only through os._exit, so inherited stdio buffers
+    are never flushed twice.  Every child is reaped before this returns or
+    raises, also when this process's own job failed.  Python >= 3.12 warns
+    on fork while OpenBLAS threads exist; that case is untested."""
+    if not hasattr(os, "fork") or _usable_cores() < 2:
+        serial()
+        return
+    pids, ok = [], True
+    try:
+        for job in jobs[1:]:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        job()
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        jobs[0]()
+    except Exception:  # any failure: serial() below raises it
+        ok = False
+    finally:
+        for pid in pids:
+            ok = os.waitpid(pid, 0)[1] == 0 and ok
+    if not ok:
+        serial()
+
+
+def _over_path_ranges(n: int, rows: int, fill, floor=None) -> np.ndarray:
     """(rows, n) float64 array whose columns a .. b - 1 are written by
     fill(a, b, out[:, a:b]), for a fill whose columns depend on their own
     paths alone.
 
-    With os.fork present and w = min(usable cores, n // FORK_PATHS) >= 2,
-    the columns are split into w contiguous ranges of one anonymous shared
-    mmap: the parent fills the first and a forked child each other one, so
-    the parent never maps a child's working arrays.  A child calls no BLAS,
-    takes no lock, does no I/O (a warning fails its range rather than
-    print) and leaves only through os._exit, so inherited stdio buffers are
-    never flushed twice.  Every child is reaped before this returns or
-    raises; if any range failed, fill(0, n, out) reruns in-process and
-    raises the serial error.  Python >= 3.12 warns on fork while OpenBLAS
-    threads exist; that case is untested.
-    """
-    workers = (min(_usable_cores(), n // FORK_PATHS)
+    With os.fork present and w = min(usable cores, n // floor) >= 2, floor
+    FORK_PATHS unless given, the columns are split into w contiguous
+    ranges of one anonymous shared mmap and filled by fork_jobs: the
+    parent fills the first and a forked child each other one, so the
+    parent never maps a child's working arrays.  If any range failed,
+    fill(0, n, out) reruns in-process and raises the serial error (its
+    step and global path index)."""
+    floor = FORK_PATHS if floor is None else floor
+    workers = (min(_usable_cores(), n // floor)
                if rows and hasattr(os, "fork") else 1)
     if workers < 2:
         out = np.empty((rows, n))
@@ -96,28 +137,8 @@ def _over_path_ranges(n: int, rows: int, fill) -> np.ndarray:
         return out
     edges = [n * w // workers for w in range(workers + 1)]
     out = np.frombuffer(mmap.mmap(-1, rows * n * 8)).reshape(rows, n)
-    pids, ok = [], True
-    try:
-        for a, b in zip(edges[1:-1], edges[2:]):
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("error")
-                        fill(a, b, out[:, a:b])
-                    status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-        fill(0, edges[1], out[:, :edges[1]])
-    except Exception:  # any failure: the serial rerun below raises it
-        ok = False
-    finally:
-        for pid in pids:
-            ok = os.waitpid(pid, 0)[1] == 0 and ok
-    if not ok:
-        fill(0, n, out)
+    fork_jobs([functools.partial(fill, a, b, out[:, a:b])
+               for a, b in zip(edges, edges[1:])], lambda: fill(0, n, out))
     return out
 
 
@@ -274,12 +295,24 @@ def estimate_J(spec: ProblemSpec, policy_or_control, noise: np.ndarray,
     paths of `noise`, one per row (draw_noise_matrix).
 
     `policy_or_control` is either a fixed ImpulseControl (same events on every
-    path) or a policy object with decide_batch.
+    path) or a policy object with decide_batch.  The (n_paths,) payoffs are
+    filled by path range (_over_path_ranges), a policy's from POLICY_PATHS
+    paths a worker; mean and stderr are taken over the full row.
     """
     n_paths = noise.shape[0]
     if n_paths < 2:
         raise ValidationError("n_paths must be >= 2")
-    payoffs = simulate_batch(spec, grid, noise, policy_or_control)[0]
+    # a policy path costs 10 to 250 times a noise row, so a lower floor;
+    # a range of 1,024 paths keeps a regression policy's lag products
+    # (2 or more head powers) out of OpenBLAS's small-matrix kernel
+    # whenever the serial products are out of it
+    floor = (FORK_PATHS if isinstance(policy_or_control, ImpulseControl)
+             else POLICY_PATHS)
+
+    def fill(a, b, out):
+        out[0] = simulate_batch(spec, grid, noise[a:b], policy_or_control)[0]
+
+    payoffs = _over_path_ranges(n_paths, 1, fill, floor)[0]
     mean = float(np.mean(payoffs))
     stderr = float(np.std(payoffs, ddof=1) / math.sqrt(n_paths))
     return mean, stderr

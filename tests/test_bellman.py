@@ -1226,6 +1226,40 @@ class TestPolicy:
             Policy(its[-1], other[0], spec2, ug, quad)
 
 
+class TestSerialProduct:
+    """The lag memo forms its head coefficients in column blocks small
+    enough for OpenBLAS to run each on the calling thread; on this numpy
+    they must equal the one product bit for bit."""
+
+    @pytest.mark.parametrize("extra", [1, 400, 1169])
+    def test_blocked_head_coefficients_equal_one_product(self, extra):
+        # lift 6, degree 3: 4 head powers by 56 lag columns, blocks of
+        # at most 1,170 lag rows; three blocks' worth plus a remainder
+        memo = bellman._LagMemo(monomial_powers(6, 3))
+        block = bellman.SERIAL_PRODUCT // (4 * len(memo.lag_powers))
+        assert len(memo.lag_powers) == 56 and block == 1170
+        rng = np.random.default_rng(extra)
+        lags = rng.uniform(-2.0, 2.0, (3 * block + extra, 5))
+        c = rng.normal(size=len(memo.powers))
+        memo.values(0, lags[:, 0], lags, [c])
+        _, lag_design, served = memo.entries[0]
+        by_head = np.zeros((4, 56))
+        by_head[memo.slots] = c
+        want = by_head @ lag_design.T
+        assert served[c.tobytes()].tobytes() == want.tobytes()
+
+    def test_short_designs_take_one_product(self, monkeypatch):
+        calls = []
+        real = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(
+            a[1].shape) or real(*a, **k))
+        a, rows = np.ones((4, 56)), np.ones((1171, 56))
+        assert bellman._serial_product(a, rows[:1170]).shape == (4, 1170)
+        assert calls == []
+        bellman._serial_product(a, rows)
+        assert calls == [(56, 585), (56, 586)]
+
+
 class TestSharedLagColumns:
     def test_decide_batch_lift6_bitwise(self):
         spec = dataclasses.replace(feedback_spec(delay=0.05), horizon=0.05)

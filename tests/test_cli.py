@@ -646,6 +646,72 @@ class TestCommands:
             assert json.load(fh)["seed"] == 99
 
 
+class TestSideBySideSave:
+    """solve writes a large v_prev value table in a forked worker while the
+    parent writes v_top's and thresholds.csv; a failure on either side
+    ends as the serial run does and leaves no process behind.  tiny1's
+    tables (243 entries) count as large once SIDE_SAVE_ENTRIES is cut."""
+
+    @staticmethod
+    def solve(tmp_path, name):
+        out = tmp_path / name
+        cfg = os.path.join(CONFIGS, "tiny1.json")
+        return main(["solve", "--config", cfg, "--out", str(out)]), out
+
+    @pytest.mark.parametrize("entries,forks", [(243, 1), (244, 0)])
+    def test_only_large_tables_fork(self, forking, tmp_path, monkeypatch,
+                                    entries, forks):
+        monkeypatch.setattr(cli, "SIDE_SAVE_ENTRIES", entries)
+        forked = forking(2)
+        assert self.solve(tmp_path, "run")[0] == 0
+        assert len(forked) == forks
+
+    @staticmethod
+    def artifacts(out):
+        # summary.json holds the wall time
+        return {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != "summary.json"}
+
+    def test_worker_only_failure_reruns_in_process(self, forking, tmp_path,
+                                                   monkeypatch):
+        forking(1)
+        rc, serial = self.solve(tmp_path, "serial")
+        parent, saved, real = os.getpid(), [], cli.save_value_function
+
+        def save(vf, out_dir, name):
+            if os.getpid() != parent:
+                raise OSError("no space left in the worker")
+            saved.append(name)
+            real(vf, out_dir, name)
+
+        monkeypatch.setattr(cli, "save_value_function", save)
+        monkeypatch.setattr(cli, "SIDE_SAVE_ENTRIES", 0)
+        forked = forking(2)
+        rc_forked, out = self.solve(tmp_path, "forked")
+        assert rc == rc_forked == 0 and len(forked) == 1
+        # the parent's own job, then the serial rerun of both
+        assert saved == ["v_top", "v_top", "v_prev"]
+        assert self.artifacts(out) == self.artifacts(serial)
+        assert len(self.artifacts(out)) == 9
+
+    def test_failing_parent_job_reaps_its_worker(self, forking, tmp_path,
+                                                 monkeypatch):
+        def fail(cfg, policy, path):
+            raise RuntimeError("thresholds failed")
+
+        monkeypatch.setattr(cli, "_write_thresholds", fail)
+        monkeypatch.setattr(cli, "SIDE_SAVE_ENTRIES", 0)
+        forked = forking(2)
+        with pytest.raises(RuntimeError, match="^thresholds failed$"):
+            self.solve(tmp_path, "run")
+        assert len(forked) == 1
+        # reaped before the serial rerun raised: the worker's table is whole
+        header = json.loads((tmp_path / "run" / "v_prev_header.json")
+                            .read_text())
+        assert header["table_sha256"] == hashlib.sha256(
+            (tmp_path / "run" / "v_prev_values.npy").read_bytes()).hexdigest()
+
+
 class TestGridPolicyGoldenBits:
     """The grid solve's and policy's artifacts pinned byte for byte on the
     reduced config cut to 20 steps and 1,000 paths: the policy acts in each

@@ -36,3 +36,18 @@ def test_mc_probe_set_is_reproducible(tmp_path):
         assert codes == {"probe-flow": 0}
     same = tool("same_artifacts.py", a, b)
     assert same.returncode == 0, same.stdout
+
+
+def test_grid_reduced_set_is_reproducible(tmp_path):
+    # on a multi-core box the policy's 4,000 evaluation paths and the
+    # v_prev value table are each handled by a forked worker
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert tool("run_configs.py", out, "--only",
+                    "grid-reduced").returncode == 0
+        codes = json.loads((out / "grid-reduced" / "exit_codes.json")
+                           .read_text())
+        assert codes == {"solve": 0, "evaluate": 0, "simulate": 0,
+                         "export-figures": 0}
+    same = tool("same_artifacts.py", a, b)
+    assert same.returncode == 0, same.stdout

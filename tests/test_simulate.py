@@ -1,6 +1,7 @@
 """Path simulation, noise streams, Monte Carlo estimates, coupled probes."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 from sddeimpulse import (ImpulseControl, ImpulseSet, ProblemSpec,
-                         ValidationError, build_problem_spec, simulate)
+                         ValidationError, bellman, build_problem_spec,
+                         simulate)
+from sddeimpulse.lattice import gauss_hermite_quadrature
 from sddeimpulse.simulate import (SimulationError, TimeGrid, draw_noise,
                                   draw_noise_matrix, estimate_J,
                                   export_trajectories_csv,
@@ -464,30 +467,6 @@ class TestSharedPrefix:
                                  draw_noise_matrix(5, 4, g), g)
 
 
-@pytest.fixture
-def forking(monkeypatch):
-    """force(cores, floor) makes _over_path_ranges see `cores` usable cores
-    and fork down to `floor` paths per worker; it returns the pids forked
-    so far.  After the test, no child of this process is left."""
-    forked, real_fork = [], os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def force(cores, floor=1):
-        monkeypatch.setattr(os, "fork", counting_fork)
-        monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
-        monkeypatch.setattr(simulate, "FORK_PATHS", floor)
-        return forked
-
-    yield force
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def path_fill(bad=(), warn=()):
     """A fill writing column c as c + row, raising on the first bad path of
     its range and warning on each warn path."""
@@ -499,6 +478,25 @@ def path_fill(bad=(), warn=()):
                 warnings.warn(f"odd path {c}")
             out[:, c - a] = c + np.arange(out.shape[0])
     return fill
+
+
+@functools.lru_cache(maxsize=None)
+def lift3_policy(backend):
+    """(spec, grid, Policy of levels 2 over 1) of a lift-3 solve on the
+    "grid" or "regression" backend (degree 3: 4 head powers, 10 lag
+    columns), started at 1.5 so that the policy acts."""
+    spec = dataclasses.replace(
+        feedback_spec(delay=0.02), horizon=0.2,
+        initial_segment=lambda t: np.full(np.shape(t), 1.5))
+    grid = TimeGrid.for_spec(spec, 0.01)
+    quad = gauss_hermite_quadrature(0.01, 3)
+    ug = spec.impulse_set.grid(5)
+    solver = (bellman.GridBackend(np.linspace(-4.0, 4.0, 9))
+              if backend == "grid"
+              else bellman.RegressionBackend(degree=3, n_samples=200))
+    its, _ = bellman.k_value_iteration(spec, grid, solver, quad, ug,
+                                       k_max=2, tol=1e-12)
+    return spec, grid, bellman.Policy(its[2], its[1], spec, ug, quad)
 
 
 class TestPathRanges:
@@ -572,6 +570,51 @@ class TestPathRanges:
         forked = forking(3)
         with pytest.raises(SimulationError) as got:
             flow_stability_probe(*args)
+        assert len(forked) == 2
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("state overflow at step 21 (path 30)")
+
+    @pytest.mark.parametrize("kind", ["grid", "regression", "fixed"])
+    @pytest.mark.parametrize("n,floor,cores", CASES)
+    def test_payoffs_do_not_depend_on_workers(self, forking, monkeypatch,
+                                              kind, n, floor, cores):
+        # 64-column lag products: the regression policy's 600 paths span
+        # ten, a worker's 200 or 300 paths four or five
+        monkeypatch.setattr(bellman, "SERIAL_PRODUCT", 4 * 10 * 64)
+        spec, g, policy = lift3_policy(kind)
+        if kind == "fixed":
+            policy = ImpulseControl(((0.05, 1.0), (0.1, -0.5)))
+        noise = draw_noise_matrix(9, n, g)
+
+        def payoff():
+            try:
+                return [x.hex() for x in estimate_J(spec, policy, noise, g)]
+            except ValidationError as e:  # fewer than two paths
+                return str(e)
+
+        forking(1)
+        want = payoff()
+        forked = forking(cores, floor)
+        assert payoff() == want
+        assert len(forked) == self.forks(n, floor, cores)
+
+    def test_policy_overflow_in_a_child_raises_the_serial_error(self,
+                                                                 forking):
+        # path 30, in a child's range, overflows at step 21; the parent's
+        # own range 0..20 only at step 41
+        early, late = blow_up_at(0.2, 1.0).drift, blow_up_at(0.4, 1.3).drift
+        spec = dataclasses.replace(feedback_spec(), drift=lambda t, x, y:
+                                   np.maximum(early(t, x, y), late(t, x, y)))
+        g = TimeGrid.for_spec(spec, 0.01)
+        noise = draw_noise_matrix(5, 64, g)
+        with pytest.raises(SimulationError) as own:
+            simulate_batch(spec, g, noise[:21], NeverIntervene())
+        assert str(own.value).startswith("state overflow at step 41 ")
+        with pytest.raises(SimulationError) as want:
+            simulate_batch(spec, g, noise, NeverIntervene())
+        forked = forking(3)
+        with pytest.raises(SimulationError) as got:
+            estimate_J(spec, NeverIntervene(), noise, g)
         assert len(forked) == 2
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("state overflow at step 21 (path 30)")

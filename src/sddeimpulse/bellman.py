@@ -11,6 +11,7 @@ forward-simulated sample clouds.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -27,6 +28,7 @@ from .core import (ProblemSpec, ValidationError, integer, json_object,
 from .lattice import NoiseQuadrature, euler_head, step_transition_batch
 # no longer called here; bench/layers.py traces it under this name
 from .lattice import impulse_transition_batch  # noqa: F401
+from . import simulate
 from .simulate import TimeGrid, draw_noise_matrix, initial_lifted_state
 
 FORMAT_VERSION = 2
@@ -558,6 +560,13 @@ def _check_finite(arr, time_index, k):
 
 
 def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
+    """Grid levels k = 0, 1, ..., each swept backward in time from the
+    terminal reward: slice i of level k reads slice i + 1 of level k and,
+    through its jumps, slice i of level k - 1.  Where os.memfd_create
+    exists (Linux), a table of at least simulate.FORK_ENTRIES entries runs
+    as a two-process wavefront (_grid_wavefront), which with one usable
+    core runs _grid_sweep in-process, as any other table does.  Both give
+    the same iterates and gaps, bit for bit."""
     axis = backend.axis
     axes = (axis,) * (grid.delay_steps + 1)
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
@@ -588,33 +597,168 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     jumped = np.empty((len(u_grid), len(axis), n_rows))
     best = np.empty((len(axis), n_rows))
 
+    def level_slice(k, i, above, below):
+        """Slice i of level k from its slice above, i + 1, and for k >= 1
+        the slice below, level k - 1's slice i."""
+        t = i * dt
+        stepped = step_rows[i](above, *successor_bufs)
+        vals = _expectation(spec, t, points, dt, quadrature.weights, stepped)
+        if k:
+            # the tables are finite, so no value is NaN or -0.0 and the
+            # plain max is the first-index max of _intervention_batch
+            jumped_rows(below, jumped)
+            np.subtract(jumped, np.asarray(spec.impulse_cost(
+                axis, u_grid[:, None], t))[..., None], out=jumped)
+            np.max(jumped, axis=0, out=best)
+            vals = np.maximum(vals, best.ravel(), out=vals)
+        _check_finite(vals, i, k)
+        return vals
+
+    def new_level(k):
+        vf = GridValueFunction(axes=axes, values=[None] * (n + 1), k_index=k,
+                               dt=dt)
+        vf.values[n] = terminal.copy()
+        return vf
+
+    sweep = functools.partial(_grid_sweep, level_slice, new_level, k_max, tol)
+    if len(points) * (n + 1) < simulate.FORK_ENTRIES \
+            or not hasattr(os, "memfd_create"):
+        return sweep()
+    return _grid_wavefront(level_slice, new_level, sweep, k_max, tol)
+
+
+def _slice_gap(a, b):
+    """The sup-distance of two slices; a level's gap is its largest."""
+    return float(np.max(np.abs(a - b)))
+
+
+def _grid_sweep(level_slice, new_level, k_max, tol):
+    """The levels one after another in this process, each from slice n - 1
+    down to 0; a non-finite slice raises DivergenceError, and the sweep
+    ends at the first gap below tol or at k_max."""
     iterates, gaps = [], []
     for k in range(k_max + 1):
-        vf = GridValueFunction(axes=axes, values=[None] * (n + 1), k_index=k, dt=dt)
-        vf.values[n] = terminal.copy()
+        vf = new_level(k)
         prev = iterates[k - 1] if k else None
-        for i in range(n - 1, -1, -1):
-            t = i * dt
-            stepped = step_rows[i](vf.values[i + 1], *successor_bufs)
-            vals = _expectation(spec, t, points, dt, quadrature.weights, stepped)
-            if k:
-                # the tables are finite, so no value is NaN or -0.0 and the
-                # plain max is the first-index max of _intervention_batch
-                jumped_rows(prev.values[i], jumped)
-                jumped -= np.asarray(spec.impulse_cost(
-                    axis, u_grid[:, None], t))[..., None]
-                np.max(jumped, axis=0, out=best)
-                vals = np.maximum(vals, best.ravel(), out=vals)
-            _check_finite(vals, i, k)
-            vf.values[i] = vals
+        for i in range(vf.n_steps - 1, -1, -1):
+            vf.values[i] = level_slice(k, i, vf.values[i + 1],
+                                       prev.values[i] if k else None)
         iterates.append(vf)
         if k >= 1:
-            gap = max(float(np.max(np.abs(vf.values[i] - prev.values[i])))
-                      for i in range(n + 1))
+            gap = max(_slice_gap(a, b) for a, b in zip(vf.values, prev.values))
             gaps.append(gap)
             if gap < tol:
                 break
     return iterates, gaps
+
+
+def _grid_wavefront(level_slice, new_level, sweep, k_max, tol):
+    """sweep()'s iterates and gaps, from two processes: this one computes
+    the even levels and a worker forked by simulate.fork_jobs the odd ones,
+    each level's slice i waiting only for slice i of the level below.
+
+    Slices cross through an unmapped memfd, a ring of n slots per
+    direction, each a slice, its level's running gap and its level index,
+    and each slot read live is announced by a one-byte pipe signal.  Slot i
+    of level k is next written by level k + 2, whose owner reaches slice i
+    only after the other side has read slot i for level k + 1.  A level's
+    owner whose gap ends below tol sets its stop byte at the head of the
+    memfd and ends; the other side drops the level above at its next
+    slice.  A side also ends at a non-finite slice or at EOF from the other
+    side, drops its signals to a side that ended, and closes its pipe ends
+    as it ends.
+
+    This process keeps every level in private arrays, the worker only the
+    slice it computes and the one it reads.  After reaping the worker, the
+    slices of its levels not yet read come from the ring.  The levels up
+    to the first gap below tol, or to k_max, are returned if each is
+    whole; if one is not, or either side failed, sweep() reruns in-process
+    and so raises the serial error."""
+    iterates = [new_level(k) for k in range(k_max + 1)]
+    n, width = iterates[0].n_steps, len(iterates[0].values[-1])
+    slot = (width + 2) * 8
+    gaps = [None] * (k_max + 1)
+    trailer = np.empty(2)
+    result = []
+
+    with contextlib.ExitStack() as files:
+        def opened(fd, mode):
+            return files.enter_context(open(fd, mode, buffering=0))
+
+        ring = opened(os.memfd_create("grid-levels"), "r+b").fileno()
+        os.ftruncate(ring, 8 + 2 * n * slot)
+        # the signals to the worker, and to this process
+        (down_r, down_w), (up_r, up_w) = (
+            (opened(r, "rb"), opened(w, "wb")) for r, w in (os.pipe(),
+                                                            os.pipe()))
+
+        def read_slot(k, i, out):
+            """Slot i of level k into out, and the level's gap from slot 0;
+            False unless the slot holds level k."""
+            got = os.preadv(ring, [out, trailer], 8 + ((k % 2) * n + i) * slot)
+            if got != slot or trailer[1] != k:
+                return False
+            if i == 0:
+                gaps[k] = float(trailer[0])
+            return True
+
+        def run(side, signals_in, signals_out, *theirs):
+            """Levels side, side + 2, ... <= k_max, on this side's pipe
+            ends; the worker (side 1) keeps none of them."""
+            for end in theirs:
+                end.close()
+            with signals_in, signals_out:
+                for k in range(side, k_max + 1, 2):
+                    level, gap = iterates[k], 0.0
+                    above = level.values[n]
+                    for i in range(n - 1, -1, -1):
+                        if os.pread(ring, 1, 1 - side) != b"\0":
+                            return  # the other side's level below converged
+                        below = None
+                        if k:
+                            below = np.empty(width)
+                            if not (signals_in.read(1)
+                                    and read_slot(k - 1, i, below)):
+                                return
+                            if side == 0:
+                                iterates[k - 1].values[i] = below
+                        try:
+                            vals = level_slice(k, i, above, below)
+                        except DivergenceError:
+                            return
+                        if k:
+                            gap = max(gap, _slice_gap(vals, below))
+                        if side or k < k_max:  # the worker's top is read too
+                            os.pwritev(ring, [vals, np.array([gap, k])],
+                                       8 + (side * n + i) * slot)
+                        if k < k_max:
+                            with contextlib.suppress(BrokenPipeError):
+                                signals_out.write(b"\1")
+                        above = vals
+                        if side == 0:
+                            level.values[i] = vals
+                    gaps[k] = gap
+                    if k and gap < tol:
+                        os.pwrite(ring, b"\1", side)
+                        return
+
+        simulate.fork_jobs(
+            [functools.partial(run, 0, up_r, down_w, down_r, up_w),
+             functools.partial(run, 1, down_r, up_w, down_w, up_r)],
+            lambda: result.append(sweep()))
+        if result:
+            return result[0]
+        for k, level in enumerate(iterates):
+            for i in range(n if k % 2 else 0):  # the worker's, unread
+                if level.values[i] is None:
+                    out = np.empty(width)
+                    if read_slot(k, i, out):
+                        level.values[i] = out
+            if any(v is None for v in level.values):
+                return sweep()
+            if k and gaps[k] < tol:
+                return iterates[:k + 1], gaps[1:k + 1]
+    return iterates, gaps[1:]
 
 
 def _jump_stencil(axis, jumped, width):

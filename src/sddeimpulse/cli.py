@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, simulate
 from .core import (TIME_TOL, ValidationError, build_problem_spec,
                    check_assumptions, ImpulseControl, integer, json_object,
                    real_number, reject_unknown, require)
@@ -39,9 +39,6 @@ _DISC_KEYS = ("dt", "grid_bound", "points_per_axis", "n_impulse",
 _SOLVER_KEYS = ("backend", "k_max", "tol", "degree", "ridge_lambda",
                 "n_samples", "exploration_rate", "sample_seed")
 _EVAL_KEYS = ("n_paths", "seed")
-# fewest value-table entries worth a forked save: a save takes about 1 us
-# an entry, a fork about 4 ms and the parent's copy-on-write faults after it
-SIDE_SAVE_ENTRIES = 2 ** 14
 
 
 class RunConfig:
@@ -201,7 +198,7 @@ def cmd_solve(cfg, out_dir):
     def prev():
         save_value_function(v_prev, out_dir, "v_prev")
 
-    if table_entries(v_prev) < SIDE_SAVE_ENTRIES:
+    if table_entries(v_prev) < simulate.FORK_ENTRIES:
         top()
         prev()
     else:  # with a second core, v_prev's table is written by a forked worker

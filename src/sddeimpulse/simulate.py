@@ -8,7 +8,9 @@ Monte Carlo payoffs of estimate_J each depend on their own path alone, so
 large path counts are split into contiguous path ranges filled by forked
 worker processes, one per usable core; the split cannot change a bit.
 fork_jobs, the one fork primitive under those ranges, also lets `solve`
-write its two value tables side by side.
+write its two value tables side by side and the grid solve run its levels
+as a two-process wavefront, both for value tables of at least
+FORK_ENTRIES entries.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ OVERFLOW_LIMIT = 1e9
 BLOCK = 256  # paths per noise block
 FORK_PATHS = 16 * BLOCK  # fewest paths a forked worker takes
 POLICY_PATHS = 4 * BLOCK  # the same for a policy run's paths
+# fewest value-table entries worth a fork: a save takes about 1 us an
+# entry, a grid level about 0.2 us, a fork about 4 ms and the parent's
+# copy-on-write faults after it
+FORK_ENTRIES = 2 ** 14
 
 
 class SimulationError(RuntimeError):
@@ -83,12 +89,13 @@ def fork_jobs(jobs, serial):
     or with one usable core, run serial() alone.
 
     BLAS products stay on the calling thread, and a child writes only its
-    own range or its own files and prints nothing: it takes no lock, runs
-    with warnings raised as errors (a warning fails its job rather than
-    print) and leaves only through os._exit, so inherited stdio buffers
-    are never flushed twice.  Every child is reaped before this returns or
-    raises, also when this process's own job failed.  Python >= 3.12 warns
-    on fork while OpenBLAS threads exist; that case is untested."""
+    own range, files, ring slots or pipe, and prints nothing: it takes no
+    lock, runs with warnings raised as errors (a warning fails its job
+    rather than print) and leaves only through os._exit, so inherited
+    stdio buffers are never flushed twice.  Every child is reaped before
+    this returns or raises, also when this process's own job failed.
+    Python >= 3.12 warns on fork while OpenBLAS threads exist; that case
+    is untested."""
     if not hasattr(os, "fork") or _usable_cores() < 2:
         serial()
         return

@@ -9,10 +9,12 @@ from sddeimpulse import simulate
 
 @pytest.fixture
 def forking(monkeypatch):
-    """force(cores, floor) makes the fork sites see `cores` usable cores
-    and fork path ranges down to `floor` paths per worker, a policy run's
-    included; it returns the pids forked so far.  After the test, no child
-    of this process is left."""
+    """force(cores, floor, entries) makes the fork sites see `cores` usable
+    cores and fork path ranges down to `floor` paths per worker, a policy
+    run's included, and, given `entries`, value tables (the grid solve's
+    and solve's side-by-side save) down to that many entries; it returns
+    the pids forked so far.  After the test, no child of this process is
+    left."""
     forked, real_fork = [], os.fork
 
     def counting_fork():
@@ -21,11 +23,13 @@ def forking(monkeypatch):
             forked.append(pid)
         return pid
 
-    def force(cores, floor=1):
+    def force(cores, floor=1, entries=None):
         monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
         monkeypatch.setattr(simulate, "FORK_PATHS", floor)
         monkeypatch.setattr(simulate, "POLICY_PATHS", floor)
+        if entries is not None:
+            monkeypatch.setattr(simulate, "FORK_ENTRIES", entries)
         return forked
 
     yield force

@@ -6,6 +6,8 @@ import itertools
 import json
 import os
 import re
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -1000,6 +1002,151 @@ class TestGridGoldenBits:
         assert int(counts.sum()) == 51
         assert sha256_of(payoffs) == \
             "24d4a02b29372fdbad944014108625d960dd2d10de4d029229ae87f115b5528d"
+
+
+class Hung(BaseException):
+    """Raised by the alarm; fork_jobs's serial rerun does not catch it."""
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test that runs for more than 60 s instead of letting it
+    hang."""
+    def expire(signum, frame):
+        raise Hung("the wavefront hung")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestGridWavefront:
+    """The grid levels as a two-process wavefront (_grid_wavefront): the
+    parent's even levels and one worker's odd ones give the in-process
+    sweep's iterates, gaps and decisions bit for bit, without a serial
+    rerun; a non-finite slice ends as the in-process sweep does, and no
+    process or file descriptor is left behind.  The grid: lift 2, 11
+    points a coordinate, 10 slices, 1,331 table entries, above the floor
+    forced to 1,000; its gaps are 11.2, 3.76, 0.487, 0.153, 0.0515, ..."""
+
+    @staticmethod
+    def solve(forking, monkeypatch, cores, k_max, tol):
+        """(iterates, gaps, decisions, forks, serial reruns) of one solve"""
+        forked = forking(cores, entries=1000)
+        before = len(forked)
+        reruns, real = [], bellman._grid_sweep
+
+        def counting(*args):
+            reruns.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bellman, "_grid_sweep", counting)
+        spec = dataclasses.replace(reduced_spec(), horizon=0.1)
+        its, gaps, grid, quad, ug = solve_reduced(spec, k_max=k_max,
+                                                  points=11, n_u=7, tol=tol)
+        # budget_decider's policies, one per budget, on lift-2 states
+        states = np.random.default_rng(3).normal(0.0, 2.0, (40, 2))
+        decisions = [a.tobytes() for lo, hi in zip(its, its[1:])
+                     for i in range(grid.n_steps)
+                     for a in Policy(hi, lo, spec, ug, quad).decide_batch(
+                         i, states)]
+        return its, gaps, decisions, len(forked) - before, len(reruns)
+
+    @pytest.mark.parametrize("k_max,tol,k_stop", [
+        (8, 1.0, 3), (8, 0.2, 4), (5, 1e-3, 5), (4, 1e-3, 4), (1, 1e-3, 1)],
+        ids=["stop_odd", "stop_even", "k_max_odd", "k_max_even", "k_max_1"])
+    def test_bits_equal_the_serial_sweep(self, forking, monkeypatch, deadline,
+                                         k_max, tol, k_stop):
+        fds = open_fds()
+        its, gaps, decisions, forks, reruns = self.solve(
+            forking, monkeypatch, 1, k_max, tol)
+        assert (forks, reruns) == (0, 1)
+        got_its, got_gaps, got_decisions, forks, reruns = self.solve(
+            forking, monkeypatch, 2, k_max, tol)
+        assert (forks, reruns) == (1, 0)
+        assert len(its) == len(got_its) == k_stop + 1
+        assert [vf.k_index for vf in got_its] == list(range(k_stop + 1))
+        assert [v.tobytes() for vf in got_its for v in vf.values] == \
+            [v.tobytes() for vf in its for v in vf.values]
+        assert [g.hex() for g in got_gaps] == [g.hex() for g in gaps]
+        assert got_decisions == decisions
+        assert open_fds() == fds
+
+    @staticmethod
+    def poison(monkeypatch, k, i, hold=None):
+        """Slice i of level k, and no other, turns non-finite, in whichever
+        process computes it; slice 0 of level `hold` waits 0.2 s before
+        its check."""
+        def check(arr, time_index, level):
+            if (level, time_index) == (hold, 0):
+                time.sleep(0.2)
+            if (level, time_index) == (k, i):
+                arr[0] = np.nan
+            _check_finite(arr, time_index, level)
+
+        monkeypatch.setattr(bellman, "_check_finite", check)
+
+    # the worker's top level is read from the ring after the worker ends,
+    # where its unwritten slots still hold level 1
+    @pytest.mark.parametrize("k_max,k", [(8, 2), (8, 3), (3, 3)],
+                             ids=["parent_level", "worker_level",
+                                  "worker_top_level"])
+    def test_non_finite_slice_raises_the_serial_error(
+            self, forking, monkeypatch, deadline, k_max, k):
+        fds = open_fds()
+        self.poison(monkeypatch, k, 5)
+        with pytest.raises(DivergenceError, match=f"index 5, level k={k};") \
+                as want:
+            self.solve(forking, monkeypatch, 1, k_max, 1e-3)
+        with pytest.raises(DivergenceError) as got:
+            self.solve(forking, monkeypatch, 2, k_max, 1e-3)
+        assert str(got.value) == str(want.value)
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("tol,k", [(1.0, 4), (0.2, 5)],
+                             ids=["parent_level", "worker_level"])
+    def test_non_finite_slice_past_convergence(self, forking, monkeypatch,
+                                               deadline, tol, k):
+        fds = open_fds()
+        its, gaps, decisions, _, _ = self.solve(forking, monkeypatch, 1, 8,
+                                                tol)
+        assert len(its) == k
+        # level k runs beside level k - 1, the last one the sweep needs, and
+        # is dropped once level k - 1's gap is known; holding level k - 1's
+        # last slice lets level k reach slices 8 and 1, which need only
+        # slices 8 and 1 of level k - 1
+        for i in (8, 1):
+            self.poison(monkeypatch, k, i, hold=k - 1)
+            got_its, got_gaps, got_decisions, forks, reruns = self.solve(
+                forking, monkeypatch, 2, 8, tol)
+            assert (forks, reruns) == (1, 0)
+            assert [v.tobytes() for vf in got_its for v in vf.values] == \
+                [v.tobytes() for vf in its for v in vf.values]
+            assert (got_gaps, got_decisions) == (gaps, decisions)
+        assert open_fds() == fds
+
+    def test_reduced_config_forks_without_rerun(self, forking, monkeypatch,
+                                                deadline):
+        cfg = RunConfig.load(os.path.join(CONFIGS,
+                                          "delay_feedback_reduced.json"))
+        args = (cfg.spec, cfg.grid, cfg.build_backend(), cfg.quadrature,
+                cfg.u_grid(), cfg.k_max, cfg.tol)
+        forking(1)
+        its, gaps = k_value_iteration(*args)
+        forked, reruns, real = forking(2), [], bellman._grid_sweep
+        monkeypatch.setattr(bellman, "_grid_sweep",
+                            lambda *a: reruns.append(a) or real(*a))
+        got_its, got_gaps = k_value_iteration(*args)
+        assert (len(forked), len(reruns)) == (1, 0)
+        assert [v.tobytes() for vf in got_its for v in vf.values] == \
+            [v.tobytes() for vf in its for v in vf.values]
+        assert got_gaps == gaps
 
 
 class ReferenceLevel(Unpruned):

@@ -650,7 +650,8 @@ class TestSideBySideSave:
     """solve writes a large v_prev value table in a forked worker while the
     parent writes v_top's and thresholds.csv; a failure on either side
     ends as the serial run does and leaves no process behind.  tiny1's
-    tables (243 entries) count as large once SIDE_SAVE_ENTRIES is cut."""
+    tables (243 entries) count as large once simulate.FORK_ENTRIES is cut,
+    and its grid solve then forks a worker too."""
 
     @staticmethod
     def solve(tmp_path, name):
@@ -658,11 +659,9 @@ class TestSideBySideSave:
         cfg = os.path.join(CONFIGS, "tiny1.json")
         return main(["solve", "--config", cfg, "--out", str(out)]), out
 
-    @pytest.mark.parametrize("entries,forks", [(243, 1), (244, 0)])
-    def test_only_large_tables_fork(self, forking, tmp_path, monkeypatch,
-                                    entries, forks):
-        monkeypatch.setattr(cli, "SIDE_SAVE_ENTRIES", entries)
-        forked = forking(2)
+    @pytest.mark.parametrize("entries,forks", [(243, 2), (244, 0)])
+    def test_only_large_tables_fork(self, forking, tmp_path, entries, forks):
+        forked = forking(2, entries=entries)
         assert self.solve(tmp_path, "run")[0] == 0
         assert len(forked) == forks
 
@@ -685,10 +684,10 @@ class TestSideBySideSave:
             real(vf, out_dir, name)
 
         monkeypatch.setattr(cli, "save_value_function", save)
-        monkeypatch.setattr(cli, "SIDE_SAVE_ENTRIES", 0)
-        forked = forking(2)
+        forked = forking(2, entries=0)
         rc_forked, out = self.solve(tmp_path, "forked")
-        assert rc == rc_forked == 0 and len(forked) == 1
+        # the grid solve's worker, then the save's
+        assert rc == rc_forked == 0 and len(forked) == 2
         # the parent's own job, then the serial rerun of both
         assert saved == ["v_top", "v_top", "v_prev"]
         assert self.artifacts(out) == self.artifacts(serial)
@@ -700,11 +699,10 @@ class TestSideBySideSave:
             raise RuntimeError("thresholds failed")
 
         monkeypatch.setattr(cli, "_write_thresholds", fail)
-        monkeypatch.setattr(cli, "SIDE_SAVE_ENTRIES", 0)
-        forked = forking(2)
+        forked = forking(2, entries=0)
         with pytest.raises(RuntimeError, match="^thresholds failed$"):
             self.solve(tmp_path, "run")
-        assert len(forked) == 1
+        assert len(forked) == 2
         # reaped before the serial rerun raised: the worker's table is whole
         header = json.loads((tmp_path / "run" / "v_prev_header.json")
                             .read_text())

@@ -562,11 +562,11 @@ def _check_finite(arr, time_index, k):
 def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     """Grid levels k = 0, 1, ..., each swept backward in time from the
     terminal reward: slice i of level k reads slice i + 1 of level k and,
-    through its jumps, slice i of level k - 1.  Where os.memfd_create
-    exists (Linux), a table of at least simulate.FORK_ENTRIES entries runs
-    as a two-process wavefront (_grid_wavefront), which with one usable
-    core runs _grid_sweep in-process, as any other table does.  Both give
-    the same iterates and gaps, bit for bit."""
+    through its jumps, slice i of level k - 1.  A table of at least
+    simulate.FORK_ENTRIES entries runs as a two-process wavefront
+    (_grid_wavefront), which without a second usable core runs _grid_sweep
+    in-process, as any other table does.  Both give the same iterates and
+    gaps, bit for bit."""
     axis = backend.axis
     axes = (axis,) * (grid.delay_steps + 1)
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
@@ -614,17 +614,19 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
         _check_finite(vals, i, k)
         return vals
 
-    def new_level(k):
-        vf = GridValueFunction(axes=axes, values=[None] * (n + 1), k_index=k,
-                               dt=dt)
-        vf.values[n] = terminal.copy()
-        return vf
+    def new_level(k, values=None):
+        """Level k on `values`, a new (n + 1, N) array unless given, its
+        row n set to the terminal reward."""
+        values = np.empty((n + 1, len(points))) if values is None else values
+        values[n] = terminal
+        return GridValueFunction(axes=axes, values=list(values), k_index=k,
+                                 dt=dt)
 
     sweep = functools.partial(_grid_sweep, level_slice, new_level, k_max, tol)
-    if len(points) * (n + 1) < simulate.FORK_ENTRIES \
-            or not hasattr(os, "memfd_create"):
+    if len(points) * (n + 1) < simulate.FORK_ENTRIES:
         return sweep()
-    return _grid_wavefront(level_slice, new_level, sweep, k_max, tol)
+    return _grid_wavefront(level_slice, new_level, sweep,
+                           (k_max + 1, n + 1, len(points)), tol)
 
 
 def _slice_gap(a, b):
@@ -632,133 +634,101 @@ def _slice_gap(a, b):
     return float(np.max(np.abs(a - b)))
 
 
+def _grid_level(level_slice, level, below, wait=None, signal=None):
+    """Slices n - 1 down to 0 of `level`, written into its rows, and its
+    gap to `below`, the level under it (+inf for level 0).  wait(), if
+    given, runs before each slice and drops the level, returning NaN, if
+    it is false; signal(), if given, runs after each slice.  A non-finite
+    slice raises DivergenceError."""
+    k, gap = level.k_index, 0.0
+    for i in range(level.n_steps - 1, -1, -1):
+        if wait is not None and not wait():
+            return math.nan
+        level.values[i][:] = level_slice(k, i, level.values[i + 1],
+                                         below.values[i] if k else None)
+        if k:
+            gap = max(gap, _slice_gap(level.values[i], below.values[i]))
+        if signal is not None:
+            signal()
+    return gap if k else math.inf
+
+
 def _grid_sweep(level_slice, new_level, k_max, tol):
-    """The levels one after another in this process, each from slice n - 1
-    down to 0; a non-finite slice raises DivergenceError, and the sweep
-    ends at the first gap below tol or at k_max."""
+    """The levels one after another in this process, each in an array of
+    its own; the sweep ends at the first gap below tol or at k_max."""
     iterates, gaps = [], []
     for k in range(k_max + 1):
-        vf = new_level(k)
-        prev = iterates[k - 1] if k else None
-        for i in range(vf.n_steps - 1, -1, -1):
-            vf.values[i] = level_slice(k, i, vf.values[i + 1],
-                                       prev.values[i] if k else None)
-        iterates.append(vf)
-        if k >= 1:
-            gap = max(_slice_gap(a, b) for a, b in zip(vf.values, prev.values))
-            gaps.append(gap)
-            if gap < tol:
-                break
-    return iterates, gaps
+        iterates.append(new_level(k))
+        gaps.append(_grid_level(level_slice, iterates[k],
+                                iterates[k - 1] if k else None))
+        if gaps[-1] < tol:
+            break
+    return iterates, gaps[1:]
 
 
-def _grid_wavefront(level_slice, new_level, sweep, k_max, tol):
+def _grid_wavefront(level_slice, new_level, sweep, shape, tol):
     """sweep()'s iterates and gaps, from two processes: this one computes
     the even levels and a worker forked by simulate.fork_jobs the odd ones,
-    each level's slice i waiting only for slice i of the level below.
-
-    Slices cross through an unmapped memfd, a ring of n slots per
-    direction, each a slice, its level's running gap and its level index,
-    and each slot read live is announced by a one-byte pipe signal.  Slot i
-    of level k is next written by level k + 2, whose owner reaches slice i
-    only after the other side has read slot i for level k + 1.  A level's
-    owner whose gap ends below tol sets its stop byte at the head of the
-    memfd and ends; the other side drops the level above at its next
-    slice.  A side also ends at a non-finite slice or at EOF from the other
-    side, drops its signals to a side that ended, and closes its pipe ends
-    as it ends.
-
-    This process keeps every level in private arrays, the worker only the
-    slice it computes and the one it reads.  After reaping the worker, the
-    slices of its levels not yet read come from the ring.  The levels up
-    to the first gap below tol, or to k_max, are returned if each is
-    whole; if one is not, or either side failed, sweep() reruns in-process
-    and so raises the serial error."""
-    iterates = [new_level(k) for k in range(k_max + 1)]
-    n, width = iterates[0].n_steps, len(iterates[0].values[-1])
-    slot = (width + 2) * 8
-    gaps = [None] * (k_max + 1)
-    trailer = np.empty(2)
+    each into its rows of one shared (k_max + 1, n + 1, N) table, slice i
+    of a level waiting for the one-byte pipe signal of slice i below.  A
+    whole level's gap goes into a shared row, NaN until then; a side drops
+    its level once the gap below is under tol, and ends at a non-finite
+    slice or at EOF from the other side.  The levels up to the first gap
+    under tol, or to k_max, are returned as row views of the table unless
+    one has a NaN gap; then, or if either side failed or the table was
+    refused, sweep() runs in-process and raises the serial error."""
+    try:
+        table = simulate.shared_array(shape)
+        gaps = simulate.shared_array(shape[:1])
+    except OSError:  # no room for k_max + 1 levels of address space
+        return sweep()
+    k_max = len(gaps) - 1
+    gaps[:] = np.nan
+    iterates = [new_level(k, table[k]) for k in range(k_max + 1)]
     result = []
 
     with contextlib.ExitStack() as files:
-        def opened(fd, mode):
-            return files.enter_context(open(fd, mode, buffering=0))
-
-        ring = opened(os.memfd_create("grid-levels"), "r+b").fileno()
-        os.ftruncate(ring, 8 + 2 * n * slot)
         # the signals to the worker, and to this process
         (down_r, down_w), (up_r, up_w) = (
-            (opened(r, "rb"), opened(w, "wb")) for r, w in (os.pipe(),
-                                                            os.pipe()))
-
-        def read_slot(k, i, out):
-            """Slot i of level k into out, and the level's gap from slot 0;
-            False unless the slot holds level k."""
-            got = os.preadv(ring, [out, trailer], 8 + ((k % 2) * n + i) * slot)
-            if got != slot or trailer[1] != k:
-                return False
-            if i == 0:
-                gaps[k] = float(trailer[0])
-            return True
+            (files.enter_context(open(r, "rb", buffering=0)),
+             files.enter_context(open(w, "wb", buffering=0)))
+            for r, w in (os.pipe(), os.pipe()))
 
         def run(side, signals_in, signals_out, *theirs):
             """Levels side, side + 2, ... <= k_max, on this side's pipe
-            ends; the worker (side 1) keeps none of them."""
+            ends."""
             for end in theirs:
                 end.close()
+
+            def wait():  # level k - 1 not under tol, and its next slice out
+                return not gaps[k - 1] < tol and signals_in.read(1)
+
+            def signal():
+                with contextlib.suppress(BrokenPipeError):
+                    signals_out.write(b"\1")
+
             with signals_in, signals_out:
                 for k in range(side, k_max + 1, 2):
-                    level, gap = iterates[k], 0.0
-                    above = level.values[n]
-                    for i in range(n - 1, -1, -1):
-                        if os.pread(ring, 1, 1 - side) != b"\0":
-                            return  # the other side's level below converged
-                        below = None
-                        if k:
-                            below = np.empty(width)
-                            if not (signals_in.read(1)
-                                    and read_slot(k - 1, i, below)):
-                                return
-                            if side == 0:
-                                iterates[k - 1].values[i] = below
-                        try:
-                            vals = level_slice(k, i, above, below)
-                        except DivergenceError:
-                            return
-                        if k:
-                            gap = max(gap, _slice_gap(vals, below))
-                        if side or k < k_max:  # the worker's top is read too
-                            os.pwritev(ring, [vals, np.array([gap, k])],
-                                       8 + (side * n + i) * slot)
-                        if k < k_max:
-                            with contextlib.suppress(BrokenPipeError):
-                                signals_out.write(b"\1")
-                        above = vals
-                        if side == 0:
-                            level.values[i] = vals
-                    gaps[k] = gap
-                    if k and gap < tol:
-                        os.pwrite(ring, b"\1", side)
+                    try:
+                        gaps[k] = _grid_level(level_slice, iterates[k],
+                                              iterates[k - 1] if k else None,
+                                              wait if k else None, signal)
+                    except DivergenceError:
+                        return
+                    if not gaps[k] >= tol:  # converged, or dropped (NaN)
                         return
 
         simulate.fork_jobs(
             [functools.partial(run, 0, up_r, down_w, down_r, up_w),
              functools.partial(run, 1, down_r, up_w, down_w, up_r)],
             lambda: result.append(sweep()))
-        if result:
-            return result[0]
-        for k, level in enumerate(iterates):
-            for i in range(n if k % 2 else 0):  # the worker's, unread
-                if level.values[i] is None:
-                    out = np.empty(width)
-                    if read_slot(k, i, out):
-                        level.values[i] = out
-            if any(v is None for v in level.values):
-                return sweep()
-            if k and gaps[k] < tol:
-                return iterates[:k + 1], gaps[1:k + 1]
-    return iterates, gaps[1:]
+    if result:
+        return result[0]
+    for k in range(1, k_max + 1):
+        if np.isnan(gaps[k]):
+            return sweep()
+        if gaps[k] < tol or k == k_max:
+            return iterates[:k + 1], [float(g) for g in gaps[1:k + 1]]
 
 
 def _jump_stencil(axis, jumped, width):

@@ -10,7 +10,8 @@ worker processes, one per usable core; the split cannot change a bit.
 fork_jobs, the one fork primitive under those ranges, also lets `solve`
 write its two value tables side by side and the grid solve run its levels
 as a two-process wavefront, both for value tables of at least
-FORK_ENTRIES entries.
+FORK_ENTRIES entries.  Forked workers write numbers back into a
+shared_array, the ranges their columns and the wavefront its levels.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def fork_jobs(jobs, serial):
     or with one usable core, run serial() alone.
 
     BLAS products stay on the calling thread, and a child writes only its
-    own range, files, ring slots or pipe, and prints nothing: it takes no
+    own range, files, levels or pipe, and prints nothing: it takes no
     lock, runs with warnings raised as errors (a warning fails its job
     rather than print) and leaves only through os._exit, so inherited
     stdio buffers are never flushed twice.  Every child is reaped before
@@ -123,6 +124,14 @@ def fork_jobs(jobs, serial):
         serial()
 
 
+def shared_array(shape) -> np.ndarray:
+    """A float64 array of this shape in an anonymous shared mmap, which
+    forked children write in place and their parent reads; the pages are
+    committed as they are first written.  OSError if the mapping is
+    refused."""
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
+
+
 def _over_path_ranges(n: int, rows: int, fill, floor=None) -> np.ndarray:
     """(rows, n) float64 array whose columns a .. b - 1 are written by
     fill(a, b, out[:, a:b]), for a fill whose columns depend on their own
@@ -130,11 +139,11 @@ def _over_path_ranges(n: int, rows: int, fill, floor=None) -> np.ndarray:
 
     With os.fork present and w = min(usable cores, n // floor) >= 2, floor
     FORK_PATHS unless given, the columns are split into w contiguous
-    ranges of one anonymous shared mmap and filled by fork_jobs: the
-    parent fills the first and a forked child each other one, so the
-    parent never maps a child's working arrays.  If any range failed,
-    fill(0, n, out) reruns in-process and raises the serial error (its
-    step and global path index)."""
+    ranges of one shared_array and filled by fork_jobs: the parent fills
+    the first and a forked child each other one, so the parent never maps
+    a child's working arrays.  If any range failed, fill(0, n, out) reruns
+    in-process and raises the serial error (its step and global path
+    index)."""
     floor = FORK_PATHS if floor is None else floor
     workers = (min(_usable_cores(), n // floor)
                if rows and hasattr(os, "fork") else 1)
@@ -143,7 +152,7 @@ def _over_path_ranges(n: int, rows: int, fill, floor=None) -> np.ndarray:
         fill(0, n, out)
         return out
     edges = [n * w // workers for w in range(workers + 1)]
-    out = np.frombuffer(mmap.mmap(-1, rows * n * 8)).reshape(rows, n)
+    out = shared_array((rows, n))
     fork_jobs([functools.partial(fill, a, b, out[:, a:b])
                for a, b in zip(edges, edges[1:])], lambda: fill(0, n, out))
     return out

@@ -1,6 +1,7 @@
 """Value iteration, interpolation, regression fits, policies, persistence."""
 
 import dataclasses
+import errno
 import hashlib
 import itertools
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from sddeimpulse import ValidationError
-from sddeimpulse import bellman
+from sddeimpulse import bellman, simulate
 from sddeimpulse.bellman import (DivergenceError, GridBackend,
                                  GridValueFunction, RegressionBackend,
                                  RegressionValueFunction, _check_finite,
@@ -1026,6 +1027,11 @@ def open_fds():
     return len(os.listdir("/proc/self/fd"))
 
 
+def refused(shape):
+    """simulate.shared_array on a box whose address space is full"""
+    raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+
 class TestGridWavefront:
     """The grid levels as a two-process wavefront (_grid_wavefront): the
     parent's even levels and one worker's odd ones give the in-process
@@ -1092,8 +1098,7 @@ class TestGridWavefront:
 
         monkeypatch.setattr(bellman, "_check_finite", check)
 
-    # the worker's top level is read from the ring after the worker ends,
-    # where its unwritten slots still hold level 1
+    # the worker's top level, whose gap stays NaN in the shared row
     @pytest.mark.parametrize("k_max,k", [(8, 2), (8, 3), (3, 3)],
                              ids=["parent_level", "worker_level",
                                   "worker_top_level"])
@@ -1147,6 +1152,25 @@ class TestGridWavefront:
         assert [v.tobytes() for vf in got_its for v in vf.values] == \
             [v.tobytes() for vf in its for v in vf.values]
         assert got_gaps == gaps
+
+    # the wavefront needs only fork and an anonymous shared mmap; a table
+    # whose reservation is refused is swept in-process
+    @pytest.mark.parametrize("patch,runs", [
+        (lambda mp: mp.delattr(os, "memfd_create", raising=False), (1, 0)),
+        (lambda mp: mp.setattr(simulate, "shared_array", refused), (0, 1))],
+        ids=["without_memfd", "table_refused"])
+    def test_serial_bits_without(self, forking, monkeypatch, deadline, patch,
+                                 runs):
+        its, gaps, decisions, _, _ = self.solve(forking, monkeypatch, 1, 5,
+                                                1e-3)
+        patch(monkeypatch)
+        got_its, got_gaps, got_decisions, forks, reruns = self.solve(
+            forking, monkeypatch, 2, 5, 1e-3)
+        assert (forks, reruns) == runs
+        assert [v.tobytes() for vf in got_its for v in vf.values] == \
+            [v.tobytes() for vf in its for v in vf.values]
+        assert [g.hex() for g in got_gaps] == [g.hex() for g in gaps]
+        assert got_decisions == decisions
 
 
 class ReferenceLevel(Unpruned):

@@ -20,7 +20,7 @@ from . import __version__, simulate
 from .core import (TIME_TOL, ValidationError, build_problem_spec,
                    check_assumptions, ImpulseControl, integer, json_object,
                    real_number, reject_unknown, require)
-from .simulate import (TimeGrid, draw_noise_matrix, estimate_J,
+from .simulate import (KeyedNoise, TimeGrid, estimate_J,
                        export_trajectories_csv, flow_stability_probe,
                        fork_jobs, initial_lifted_state, SimulationError)
 from .lattice import (gauss_hermite_quadrature, two_point_quadrature,
@@ -258,10 +258,10 @@ def cmd_simulate(cfg, out_dir):
 
 def cmd_evaluate(cfg, out_dir):
     policy = _load_policy(cfg, out_dir)
-    # both estimates run on the same paths
-    noise = draw_noise_matrix(cfg.seed, cfg.n_paths, cfg.grid)
-    mean, se = estimate_J(cfg.spec, policy, noise, cfg.grid)
-    base, base_se = estimate_J(cfg.spec, ImpulseControl(), noise, cfg.grid)
+    # both estimates run on the same paths, each range drawn once
+    noise = KeyedNoise(cfg.seed, cfg.n_paths, cfg.grid)
+    (mean, se), (base, base_se) = estimate_J(
+        cfg.spec, [policy, ImpulseControl()], noise, cfg.grid)
     _write_json(os.path.join(out_dir, "evaluate.json"),
                 {"policy_mean": mean, "policy_stderr": se,
                  "baseline_mean": base, "baseline_stderr": base_se,
@@ -329,7 +329,7 @@ def _probe_ladder(cfg):
 def cmd_probe_flow(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     pa, offsets = _probe_ladder(cfg)
-    noise = draw_noise_matrix(cfg.seed, cfg.n_paths, cfg.grid)
+    noise = KeyedNoise(cfg.seed, cfg.n_paths, cfg.grid)
     dists = [float(np.hypot(pb[0] - pa[0], pb[1] - pa[1])) for pb in offsets]
     moments = flow_stability_probe(cfg.spec, pa, offsets, noise, cfg.grid)
     if not all(0.0 < mo < np.inf for mo in moments):

@@ -7,11 +7,14 @@ order.  The noise draw, the flow probe's per-path sup-distances and the
 Monte Carlo payoffs of estimate_J each depend on their own path alone, so
 large path counts are split into contiguous path ranges filled by forked
 worker processes, one per usable core; the split cannot change a bit.
-fork_jobs, the one fork primitive under those ranges, also lets `solve`
-write its two value tables side by side and the grid solve run its levels
-as a two-process wavefront, both for value tables of at least
-FORK_ENTRIES entries.  Forked workers write numbers back into a
-shared_array, the ranges their columns and the wavefront its levels.
+draw_noise_matrix fills a whole noise matrix so; on a KeyedNoise the probe
+and estimate_J draw each range's rows inside the fill that simulates them,
+so each call forks once and no worker forks again.  fork_jobs, the one
+fork primitive under those ranges, also lets `solve` write its two value
+tables side by side and the grid solve run its levels as a two-process
+wavefront, both for value tables of at least FORK_ENTRIES entries.
+Forked workers write numbers back into a shared_array, the ranges their
+columns and the wavefront its levels.
 """
 
 from __future__ import annotations
@@ -158,41 +161,57 @@ def _over_path_ranges(n: int, rows: int, fill, floor=None) -> np.ndarray:
     return out
 
 
-def _keyed_normal_rows(seed: int, paths, grid: TimeGrid) -> np.ndarray:
-    """Row r: increments of the (seed, paths[r]) stream.  A Philox stream is
-    fixed by its key and a zero counter, so one bit generator whose key and
-    counter are reset per row draws what a fresh generator keyed so would.
-    Key words are uint64, so every seed in [0, 2**64) keys its own stream.
-    Storage is time-major (the result is a transposed view), filled by
-    path range (_over_path_ranges); rows are drawn into a path-major block
-    of BLOCK paths, scaled there, and transposed in."""
+def _keyed_normal_rows(seed: int, paths, grid: TimeGrid,
+                       out=None) -> np.ndarray:
+    """Row r: increments of the (seed, paths[r]) stream, drawn serially in
+    the calling process.  A Philox stream is fixed by its key and a zero
+    counter, so one bit generator whose key and counter are reset per row
+    draws what a fresh generator keyed so would.  Key words are uint64, so
+    every seed in [0, 2**64) keys its own stream.  Storage is time-major:
+    the (n_steps, len(paths)) `out`, or a fresh array, whose transposed
+    view is returned; rows are drawn into a path-major block of BLOCK
+    paths, scaled there, and transposed in."""
     sd = math.sqrt(grid.dt)
+    if out is None:
+        out = np.empty((grid.n_steps, len(paths)))
+    bitgen = np.random.Philox(0)  # seeded: constructing pulls no OS entropy
+    gen = np.random.Generator(bitgen)
+    # zero counter, empty buffer; plain lists, which the state setter reads
+    # faster than numpy arrays
+    key = [seed, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
+    block = np.empty((min(BLOCK, len(paths)), grid.n_steps))
+    for start in range(0, len(paths), BLOCK):
+        chunk = paths[start:start + BLOCK]
+        rows = block[:len(chunk)]
+        for row, i in zip(rows, chunk):
+            key[1] = i
+            bitgen.state = state
+            gen.standard_normal(out=row)
+        # Generator.normal(0.0, sd) computes 0.0 + sd * z: the same bits
+        rows *= sd
+        rows += 0.0
+        out[:, start:start + len(chunk)] = rows.T
+    return out.T
 
-    def fill(a, b, out):
-        bitgen = np.random.Philox(0)  # seeded: constructing pulls no OS entropy
-        gen = np.random.Generator(bitgen)
-        # zero counter, empty buffer; plain lists, which the state setter
-        # reads faster than numpy arrays
-        key = [seed, 0]
-        state = {"bit_generator": "Philox",
-                 "state": {"counter": [0, 0, 0, 0], "key": key},
-                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
-                 "uinteger": 0}
-        mine = paths[a:b]
-        block = np.empty((min(BLOCK, len(mine)), grid.n_steps))
-        for start in range(0, len(mine), BLOCK):
-            chunk = mine[start:start + BLOCK]
-            rows = block[:len(chunk)]
-            for row, i in zip(rows, chunk):
-                key[1] = i
-                bitgen.state = state
-                gen.standard_normal(out=row)
-            # Generator.normal(0.0, sd) computes 0.0 + sd * z: the same bits
-            rows *= sd
-            rows += 0.0
-            out[:, start:start + len(chunk)] = rows.T
 
-    return _over_path_ranges(len(paths), grid.n_steps, fill).T
+class KeyedNoise:
+    """The increments draw_noise_matrix(seed, n_paths, grid) holds, drawn
+    lazily: noise[a:b] draws rows a .. b - 1 serially in the calling
+    process, so a path range's fill draws its own rows in the process that
+    simulates them and never forks again.  It has the matrix's .shape, and
+    estimate_J and flow_stability_probe read nothing else of it."""
+
+    def __init__(self, seed: int, n_paths: int, grid: TimeGrid):
+        self.seed, self.grid = seed, grid
+        self.shape = (n_paths, grid.n_steps)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        a, b, _ = rows.indices(self.shape[0])
+        return _keyed_normal_rows(self.seed, range(a, b), self.grid)
 
 
 def draw_noise(seed: int, path_index: int, grid: TimeGrid) -> np.ndarray:
@@ -203,8 +222,12 @@ def draw_noise(seed: int, path_index: int, grid: TimeGrid) -> np.ndarray:
 
 def draw_noise_matrix(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
     """(n_paths, n_steps) increments; row i is path i's stream.  A
-    transposed view of time-major storage, so noise[:, k] is contiguous."""
-    return _keyed_normal_rows(seed, range(n_paths), grid)
+    transposed view of time-major storage, so noise[:, k] is contiguous;
+    filled by path range (_over_path_ranges)."""
+    def fill(a, b, out):
+        _keyed_normal_rows(seed, range(a, b), grid, out)
+
+    return _over_path_ranges(n_paths, grid.n_steps, fill).T
 
 
 def _events_by_index(control: ImpulseControl, spec: ProblemSpec, grid: TimeGrid):
@@ -305,16 +328,20 @@ def simulate_batch(spec: ProblemSpec, grid: TimeGrid, noise: np.ndarray,
     return payoffs, counts, hist[d:].T, events
 
 
-def estimate_J(spec: ProblemSpec, policy_or_control, noise: np.ndarray,
-               grid: TimeGrid):
+def estimate_J(spec: ProblemSpec, policy_or_control, noise, grid: TimeGrid):
     """Monte Carlo mean and standard error of the total payoff over the
-    paths of `noise`, one per row (draw_noise_matrix).
+    paths of `noise`, one per row: a draw_noise_matrix, or a KeyedNoise
+    whose path ranges draw their own rows.
 
     `policy_or_control` is either a fixed ImpulseControl (same events on every
-    path) or a policy object with decide_batch.  The (n_paths,) payoffs are
-    filled by path range (_over_path_ranges), a policy's from POLICY_PATHS
-    paths a worker; mean and stderr are taken over the full row.
+    path) or a policy object with decide_batch, or a list or tuple of them,
+    which are all scored on each range's noise and get one (mean, stderr)
+    pair each, in order.  The payoffs are filled by path range
+    (_over_path_ranges), from POLICY_PATHS paths a worker if a policy is
+    among them; each mean and stderr is taken over one full row.
     """
+    many = isinstance(policy_or_control, (list, tuple))
+    runs = list(policy_or_control) if many else [policy_or_control]
     n_paths = noise.shape[0]
     if n_paths < 2:
         raise ValidationError("n_paths must be >= 2")
@@ -322,28 +349,32 @@ def estimate_J(spec: ProblemSpec, policy_or_control, noise: np.ndarray,
     # a range of 1,024 paths keeps a regression policy's lag products
     # (2 or more head powers) out of OpenBLAS's small-matrix kernel
     # whenever the serial products are out of it
-    floor = (FORK_PATHS if isinstance(policy_or_control, ImpulseControl)
+    floor = (FORK_PATHS if all(isinstance(r, ImpulseControl) for r in runs)
              else POLICY_PATHS)
 
     def fill(a, b, out):
-        out[0] = simulate_batch(spec, grid, noise[a:b], policy_or_control)[0]
+        part = noise[a:b]
+        for row, run in zip(out, runs):
+            row[:] = simulate_batch(spec, grid, part, run)[0]
 
-    payoffs = _over_path_ranges(n_paths, 1, fill, floor)[0]
-    mean = float(np.mean(payoffs))
-    stderr = float(np.std(payoffs, ddof=1) / math.sqrt(n_paths))
-    return mean, stderr
+    pairs = [(float(np.mean(payoffs)),
+              float(np.std(payoffs, ddof=1) / math.sqrt(n_paths)))
+             for payoffs in _over_path_ranges(n_paths, len(runs), fill, floor)]
+    return pairs if many else pairs[0]
 
 
-def flow_stability_probe(spec: ProblemSpec, pair_a, pairs_b,
-                         noise: np.ndarray, grid: TimeGrid) -> list:
+def flow_stability_probe(spec: ProblemSpec, pair_a, pairs_b, noise,
+                         grid: TimeGrid) -> list:
     """Monte Carlo estimates of E[sup_{s>=t_hat} |X^a_s - X^b_s|^(4+2m)],
-    one per pair_b in pairs_b and one path pair per noise row, where X^a and
-    X^b run under the one-impulse controls (pair_a,) and (pair_b,), t_hat is
-    the later pair time and m = 1 (scalar impulses).  Steps before k0, the
-    earliest impulse, run once; the pair_a run continues in place and each
-    pair_b run restarts at k0 in one reused history (t_hat >= t_k0).  The
-    (len(pairs_b), n_paths) sups are filled by path range
-    (_over_path_ranges); each moment is the mean over one full row."""
+    one per pair_b in pairs_b and one path pair per row of `noise` (a
+    draw_noise_matrix, or a KeyedNoise whose path ranges draw their own
+    rows), where X^a and X^b run under the one-impulse controls (pair_a,)
+    and (pair_b,), t_hat is the later pair time and m = 1 (scalar
+    impulses).  Steps before k0, the earliest impulse, run once; the
+    pair_a run continues in place and each pair_b run restarts at k0 in one
+    reused history (t_hat >= t_k0).  The (len(pairs_b), n_paths) sups are
+    filled by path range (_over_path_ranges); each moment is the mean over
+    one full row."""
     runs = [dict(_events_by_index(ImpulseControl((pair,)), spec, grid))
             for pair in (pair_a, *pairs_b)]
     k_hats = [grid.index_of(max(pair_a[0], pair_b[0])) for pair_b in pairs_b]

@@ -284,6 +284,58 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 0
         assert sorted(calls) == list(range(RunConfig.load(cfg_path).n_paths))
 
+    @staticmethod
+    def count_draws_across_processes(monkeypatch, n_paths):
+        """Per path, how often any process draws its noise row."""
+        drawn = simulate.shared_array((n_paths,))
+        real = simulate._keyed_normal_rows
+
+        def counting(seed, paths, grid, out=None):
+            drawn[np.asarray(paths, dtype=int)] += 1
+            return real(seed, paths, grid, out)
+
+        monkeypatch.setattr(simulate, "_keyed_normal_rows", counting)
+        return drawn
+
+    def test_probe_flow_forked_draws_each_path_once(self, tmp_path,
+                                                    monkeypatch, forking):
+        # each worker draws its own range's rows: one fork, no second
+        # set of workers for the noise
+        cfg_path = os.path.join(CONFIGS, "tiny1.json")
+        n_paths = RunConfig.load(cfg_path).n_paths
+        forking(1)
+        assert main(["probe-flow", "--config", cfg_path,
+                     "--out", str(tmp_path / "serial")]) == 0
+        drawn = self.count_draws_across_processes(monkeypatch, n_paths)
+        forked = forking(2)
+        assert main(["probe-flow", "--config", cfg_path,
+                     "--out", str(tmp_path / "forked")]) == 0
+        assert len(forked) == 1
+        assert drawn.tolist() == [1.0] * n_paths
+        for name in ("probe_flow.csv", "probe_flow.json"):
+            assert ((tmp_path / "forked" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
+
+    def test_evaluate_forked_draws_each_path_once(self, tmp_path,
+                                                  monkeypatch, forking):
+        # the policy and the never-intervene baseline are scored on each
+        # range's noise in the one process that draws it
+        cfg_path = os.path.join(CONFIGS, "tiny1.json")
+        n_paths = RunConfig.load(cfg_path).n_paths
+        assert main(["solve", "--config", cfg_path,
+                     "--out", str(tmp_path)]) == 0
+        forking(1)
+        assert main(["evaluate", "--config", cfg_path,
+                     "--out", str(tmp_path)]) == 0
+        want = (tmp_path / "evaluate.json").read_bytes()
+        drawn = self.count_draws_across_processes(monkeypatch, n_paths)
+        forked = forking(2)
+        assert main(["evaluate", "--config", cfg_path,
+                     "--out", str(tmp_path)]) == 0
+        assert len(forked) == 1
+        assert drawn.tolist() == [1.0] * n_paths
+        assert (tmp_path / "evaluate.json").read_bytes() == want
+
     def test_probe_flow_repeats_no_euler_step(self, tmp_path, monkeypatch):
         # every run is uncontrolled before the base impulse at k0 = n / 2
         # (each offset is at or after it): steps 0 .. k0 - 1 run once, then

@@ -14,8 +14,8 @@ from sddeimpulse import (ImpulseControl, ImpulseSet, ProblemSpec,
                          ValidationError, bellman, build_problem_spec,
                          simulate)
 from sddeimpulse.lattice import gauss_hermite_quadrature
-from sddeimpulse.simulate import (SimulationError, TimeGrid, draw_noise,
-                                  draw_noise_matrix, estimate_J,
+from sddeimpulse.simulate import (KeyedNoise, SimulationError, TimeGrid,
+                                  draw_noise, draw_noise_matrix, estimate_J,
                                   export_trajectories_csv,
                                   flow_stability_probe, initial_lifted_state,
                                   simulate_batch)
@@ -119,6 +119,18 @@ class TestNoise:
         for mat, s in zip(interleaved, (1, 2, 1, 2)):
             assert mat.tobytes() == np.stack(
                 [reference_noise(s, i, g) for i in range(3)]).tobytes()
+
+    @pytest.mark.parametrize("a,b", [(0, 513), (3, 300), (256, 257),
+                                     (-2, None), (600, 700), (9, 9)])
+    def test_keyed_source_slices_the_matrix(self, a, b):
+        g = TimeGrid.for_spec(feedback_spec(), 0.01)
+        noise = KeyedNoise(2 ** 63 + 3, 513, g)
+        want = draw_noise_matrix(2 ** 63 + 3, 513, g)
+        assert noise.shape == want.shape
+        got = noise[a:b]
+        assert got.shape == want[a:b].shape
+        assert got.tobytes() == want[a:b].tobytes()
+        assert got[:, 3].flags.c_contiguous  # time-major, as the matrix
 
     def test_empty_matrix_keeps_step_axis(self):
         g = TimeGrid.for_spec(feedback_spec(), 0.01)
@@ -540,6 +552,74 @@ class TestPathRanges:
         assert len(forked) == self.forks(n, floor, cores)
         assert [m.hex() for m in got] == [m.hex() for m in want]
 
+    PROBE = ((0.5, 1.0), [(0.7, 0.5), (0.3, -1.0), (0.5, 1.0)])
+    RUNS = [LagPolicy(), ImpulseControl(((0.25, 1.0),))]
+
+    def keyed_results(self, spec, g, noise, forked):
+        """Moments and payoff pairs as .hex(), and the forks of each call."""
+        counts = [len(forked)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the mean of no paths warns
+            moments = [m.hex() for m in
+                       flow_stability_probe(spec, *self.PROBE, noise, g)]
+        counts.append(len(forked))
+        try:
+            payoffs = [[x.hex() for x in pair]
+                       for pair in estimate_J(spec, self.RUNS, noise, g)]
+        except ValidationError as e:  # fewer than two paths
+            payoffs = str(e)
+        counts.append(len(forked))
+        return moments, payoffs, [b - a for a, b in zip(counts, counts[1:])]
+
+    @pytest.mark.parametrize("n,floor,cores", CASES)
+    def test_keyed_source_gives_the_matrix_bits(self, forking, n, floor,
+                                                cores):
+        spec = feedback_spec()
+        g = TimeGrid.for_spec(spec, 0.01)
+        forked = forking(1)
+        want = self.keyed_results(spec, g, draw_noise_matrix(5, n, g),
+                                  forked)
+        forked = forking(cores, floor)
+        got = self.keyed_results(spec, g, KeyedNoise(5, n, g), forked)
+        assert got[:2] == want[:2]
+        # one set of workers per call; below 2 paths the estimate raises
+        # before it forks
+        forks = self.forks(n, floor, cores)
+        assert got[2] == [forks, forks if n >= 2 else 0]
+
+    def test_workers_draw_their_own_rows_and_never_fork(self, forking,
+                                                        monkeypatch):
+        # os.fork raises in every process but this one: a worker that
+        # forked again would fail its range and bring a serial rerun,
+        # which would draw every row a second time
+        spec = feedback_spec()
+        g = TimeGrid.for_spec(spec, 0.01)
+        n = 600
+        forked = forking(1)
+        want = self.keyed_results(spec, g, draw_noise_matrix(5, n, g),
+                                  forked)
+        forked = forking(3)
+        counting_fork, me = os.fork, os.getpid()
+
+        def fork_here_only():
+            if os.getpid() != me:
+                raise OSError("a worker forked")
+            return counting_fork()
+
+        drawn = simulate.shared_array((n,))
+        real = simulate._keyed_normal_rows
+
+        def counting(seed, paths, grid, out=None):
+            drawn[np.asarray(paths, dtype=int)] += 1
+            return real(seed, paths, grid, out)
+
+        monkeypatch.setattr(os, "fork", fork_here_only)
+        monkeypatch.setattr(simulate, "_keyed_normal_rows", counting)
+        got = self.keyed_results(spec, g, KeyedNoise(5, n, g), forked)
+        assert got[:2] == want[:2]
+        assert got[2] == [2, 2]
+        assert drawn.tolist() == [2.0] * n  # once by each call
+
     def test_golden_flow_moments_forked(self, forking):
         forked = forking(3)
         TestGoldenBits().test_flow_moments()
@@ -598,6 +678,39 @@ class TestPathRanges:
         assert payoff() == want
         assert len(forked) == self.forks(n, floor, cores)
 
+    @pytest.mark.parametrize("kind", ["grid", "regression", "fixed"])
+    @pytest.mark.parametrize("n,floor,cores", CASES)
+    def test_scoring_together_equals_scoring_alone(self, forking,
+                                                    monkeypatch, kind, n,
+                                                    floor, cores):
+        monkeypatch.setattr(bellman, "SERIAL_PRODUCT", 4 * 10 * 64)
+        spec, g, policy = lift3_policy(kind)
+        if kind == "fixed":
+            policy = ImpulseControl(((0.05, 1.0), (0.1, -0.5)))
+        noise = draw_noise_matrix(9, n, g)
+
+        def hexed(runs):
+            try:
+                got = estimate_J(spec, runs, noise, g)
+            except ValidationError as e:  # fewer than two paths
+                return str(e)
+            return [[x.hex() for x in pair]
+                    for pair in (got if isinstance(runs, list) else [got])]
+
+        forking(1)
+        alone = [hexed(policy), hexed(ImpulseControl())]
+        for force in (1, cores):
+            forked = forking(force, floor)
+            before = len(forked)
+            together = hexed([policy, ImpulseControl()])
+            if n < 2:
+                assert together == alone[0] == alone[1] == (
+                    "n_paths must be >= 2")
+            else:
+                assert together == alone[0] + alone[1]
+            assert len(forked) - before == (
+                self.forks(n, floor, force) if n >= 2 else 0)
+
     def test_policy_overflow_in_a_child_raises_the_serial_error(self,
                                                                  forking):
         # path 30, in a child's range, overflows at step 21; the parent's
@@ -615,6 +728,25 @@ class TestPathRanges:
         forked = forking(3)
         with pytest.raises(SimulationError) as got:
             estimate_J(spec, NeverIntervene(), noise, g)
+        assert len(forked) == 2
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("state overflow at step 21 (path 30)")
+
+    def test_scoring_together_raises_a_childs_serial_overflow(self,
+                                                              forking):
+        # as above, with the never-intervene control scored after the
+        # policy on each range's noise
+        early, late = blow_up_at(0.2, 1.0).drift, blow_up_at(0.4, 1.3).drift
+        spec = dataclasses.replace(feedback_spec(), drift=lambda t, x, y:
+                                   np.maximum(early(t, x, y), late(t, x, y)))
+        g = TimeGrid.for_spec(spec, 0.01)
+        with pytest.raises(SimulationError) as want:
+            simulate_batch(spec, g, draw_noise_matrix(5, 64, g),
+                           NeverIntervene())
+        forked = forking(3)
+        with pytest.raises(SimulationError) as got:
+            estimate_J(spec, [NeverIntervene(), ImpulseControl()],
+                       KeyedNoise(5, 64, g), g)
         assert len(forked) == 2
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("state overflow at step 21 (path 30)")

@@ -270,37 +270,55 @@ class _LagMemo:
 
     The point sets one regression solve or policy decision prices share
     their lag block: a jump moves only the head, and all Euler successors
-    of a set carry the same shifted lags.  So for the two most recently
-    used pairs of a time index and a lag block, keyed by the block's bytes
-    (lags that differ in the sign of a zero miss), an entry keeps L and,
-    per coefficient vector served, the (d + 1, N) head coefficients; every
-    further point set with those lags costs one Horner pass in the head.
-    The time index bounds an entry's fits by two per level, also at lift 1
-    where every lag block of N rows is the same.  Calls alternate between a
-    point set and its clipped jumps, so two entries suffice."""
+    of a set carry the same shifted lags.  So an entry, keyed by the
+    block's bytes (lags that differ in the sign of a zero miss), keeps L
+    and, per time index and coefficient vector served, the (d + 1, N) head
+    coefficients; every further point set with those lags costs one Horner
+    pass in the head, at any time index.
+
+    A sweep reads one time index and the next: the solve backward, a
+    policy forward.  So a lookup first drops the head coefficients of time
+    indices more than one step from its own, and every other entry left
+    with none; then at most three entries stay, the most recently used
+    first.  The solve keeps two, its slice's cloud lags and the slice
+    above's; a policy step on constant histories reads three, the states'
+    lags and their clips into two adjacent slices' cloud boxes."""
 
     def __init__(self, powers):
         self.powers = powers
         self.lag_powers, where = np.unique(powers[:, 1:], axis=0,
                                            return_inverse=True)
         self.slots = (powers[:, 0], where.reshape(-1))
-        self.entries = []  # (key, L, {coefficient bytes: head coefficients})
+        # (key, L, {time index: {coefficient bytes: head coefficients}})
+        self.entries = []
+
+    def block(self, time_index, lags):
+        """values(head, coeffs) -> the (L,) + head.shape stack of each fit
+        in `coeffs`, of slice `time_index`, at the points (head[..., n],
+        lags[n]).  One Horner pass per fit over the whole head stack; its
+        head coefficients are computed at the first query of the slice
+        with these lags, the same bytes thereafter."""
+        key = (lags.shape, lags.tobytes())
+        hit, kept = None, []
+        for entry in self.entries:
+            served = entry[2]
+            for t in [t for t in served if abs(t - time_index) > 1]:
+                del served[t]
+            if entry[0] == key:
+                hit = entry
+            elif served:
+                kept.append(entry)
+        if hit is None:
+            hit = (key, design_matrix(lags, self.lag_powers), {})
+        self.entries = [hit] + kept[:2]
+        return functools.partial(self._horner, hit[1],
+                                 hit[2].setdefault(time_index, {}))
 
     def values(self, time_index, head, lags, coeffs):
-        """(L,) + head.shape stack of each fit in `coeffs`, of slice
-        `time_index`, at the points (head[..., n], lags[n]).  One Horner
-        pass per fit over the whole head stack; its head coefficients are
-        computed at the first query with these lags, the same bytes
-        thereafter."""
-        key = (time_index, lags.shape, lags.tobytes())
-        for n, entry in enumerate(self.entries):
-            if entry[0] == key:
-                self.entries.insert(0, self.entries.pop(n))
-                break
-        else:
-            entry = (key, design_matrix(lags, self.lag_powers), {})
-            self.entries = [entry] + self.entries[:1]
-        _, lag_design, served = entry
+        """block(time_index, lags)(head, coeffs)."""
+        return self.block(time_index, lags)(head, coeffs)
+
+    def _horner(self, lag_design, served, head, coeffs):
         out = np.empty((len(coeffs),) + head.shape)
         for row, c in zip(out, coeffs):
             hc = served.get(c.tobytes())
@@ -382,8 +400,8 @@ class RegressionValueFunction(_HeadStacks):
         """(len(ks),) + heads.shape stack of the values of the increasing
         levels ks, row by row one level each, through the lag memo.  The
         jumps of every level above 0 are priced with one stacked
-        plain_levels_at_heads over the levels below them.  At T this is the
-        terminal reward."""
+        plain_levels_at_heads over the levels below them, whose lags are
+        clipped and looked up once.  At T this is the terminal reward."""
         if self.cont_coeffs[ks[0]][time_index] is None:
             return self.plain_levels_at_heads(time_index, heads, lags, ks)
         v = self.lag_memo.values(time_index, heads, lags,
@@ -391,29 +409,38 @@ class RegressionValueFunction(_HeadStacks):
         below = [k - 1 for k in ks if k]
         if below:
             # whole head rows at a time, about CHUNK jumped heads per call
-            plain = functools.partial(self.plain_levels_at_heads, ks=below)
+            plain = self._plain_block(time_index, lags, below)
             rows = heads.reshape(math.prod(heads.shape[:-1]), heads.shape[-1])
             top = v[-len(below):].reshape(len(below), len(rows), -1)
             step = max(1, CHUNK // (len(self.u_grid) * max(1, rows.shape[1])))
             for r in range(0, len(rows), step):
-                jump, _ = _intervention_batch(plain, time_index, rows[r:r + step],
-                                              lags, self.spec, self.u_grid,
-                                              time_index * self.dt)
+                jump, _ = _intervention_batch(
+                    lambda i, jumped, _: plain(jumped), time_index,
+                    rows[r:r + step], lags, self.spec, self.u_grid,
+                    time_index * self.dt)
                 np.maximum(top[:, r:r + step], jump, out=top[:, r:r + step])
         return v
 
     def plain_levels_at_heads(self, time_index, heads, lags, ks):
         """plain_value_at_heads of the levels ks, as levels_at_heads stacks
         them, at the points clipped into the slice's cloud box."""
-        if self.plain_coeffs[ks[0]][time_index] is None:
-            terminal = np.asarray(self.terminal_reward(heads), dtype=float)
-            return np.tile(terminal, (len(ks),) + (1,) * terminal.ndim)
-        if self.bounds is not None:
-            lo, hi = self.bounds[time_index]
-            heads = np.clip(heads, lo[0], hi[0])
-            lags = np.clip(lags, lo[1:], hi[1:])
-        return self.lag_memo.values(time_index, heads, lags,
-                                    [self.plain_coeffs[k][time_index] for k in ks])
+        return self._plain_block(time_index, lags, ks)(heads)
+
+    def _plain_block(self, time_index, lags, ks):
+        """plain_levels_at_heads(time_index, heads, lags, ks) as a function
+        of the heads, its lags clipped and looked up once."""
+        coeffs = [self.plain_coeffs[k][time_index] for k in ks]
+        if coeffs[0] is None:
+            def terminal(heads):
+                v = np.asarray(self.terminal_reward(heads), dtype=float)
+                return np.tile(v, (len(ks),) + (1,) * v.ndim)
+            return terminal
+        if self.bounds is None:
+            values = self.lag_memo.block(time_index, lags)
+            return lambda heads: values(heads, coeffs)
+        lo, hi = self.bounds[time_index]
+        values = self.lag_memo.block(time_index, np.clip(lags, lo[1:], hi[1:]))
+        return lambda heads: values(np.clip(heads, lo[0], hi[0]), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +529,30 @@ def _intervention_batch(value_at_heads, time_index, heads, lags, spec, u_grid,
                         t):
     """Best immediate jump from the points (heads[..., n], lags[n]), priced
     with value_at_heads(time_index, jumped heads, lags) of the level below
-    as one (U,) + heads.shape stack: max_u V(Gamma(head, u), lags) -
-    ell(head, u, t) and its argmax; ties take the smallest grid index.  A
-    level stack that prices with (L, U, ...) values gives (L, ...) results."""
+    as one (U,) + heads.shape stack of jump values V(Gamma(head, u), lags)
+    - ell(head, u, t): their max over u, and the stack.  A level stack
+    that prices with (L, U, ...) values gives (L, ...) maxima.  Only
+    Policy.decide_batch reads the argmax, the first maximiser, and only on
+    the paths where it acts; the solve and the levels' own jumps read the
+    max alone."""
     us = u_grid.reshape((-1,) + (1,) * heads.ndim)
     val = (value_at_heads(time_index, spec.intervention(heads, us), lags)
            - spec.impulse_cost(heads, us, t))
-    axis = val.ndim - heads.ndim - 1
-    best = np.expand_dims(np.argmax(val, axis=axis), axis)
-    return (np.take_along_axis(val, best, axis).squeeze(axis),
-            u_grid[best.squeeze(axis)])
+    return _first_max(val, val.ndim - heads.ndim - 1), val
+
+
+def _first_max(val, axis):
+    """The max of val over `axis`, entry for entry the one np.argmax picks:
+    the first maximal entry, or the first NaN.  Where that max is neither
+    zero nor NaN, every maximal entry has its bits; where it is, np.max
+    may return another zero's sign or another NaN, so the first maximiser
+    is taken there."""
+    best = np.max(val, axis=axis)
+    odd = ~(best != 0)
+    if odd.any():
+        ties = np.moveaxis(val, axis, -1)[odd]
+        best[odd] = ties[np.arange(len(ties)), np.argmax(ties, axis=-1)]
+    return best
 
 
 def fit_regression_step(samples, targets, degree, ridge_lambda=0.0, powers=None):
@@ -948,11 +989,12 @@ class Policy:
         live = np.flatnonzero(~(cont >= ceiling - cost.min(axis=0)))
         # the live rows of the block the ceiling read, so a grid level
         # searches its lag cells once
-        interv, best_u = _intervention_batch(
+        interv, jumps = _intervention_batch(
             functools.partial(self.v_prev.value_at_heads, rows=live),
             time_index, states[live, 0], lags, self.spec, self.u_grid, t)
         acts = interv > cont[live]
-        mask[live], us[live] = acts, np.where(acts, best_u, 0.0)
+        mask[live] = acts
+        us[live[acts]] = self.u_grid[np.argmax(jumps[:, acts], axis=0)]
         return mask, us
 
 

@@ -223,6 +223,10 @@ def _load_policy(cfg, out_dir):
     if v_top.n_steps != cfg.grid.n_steps \
             or any(v.dt != cfg.grid.dt for v in (v_top, v_prev)):
         raise ValidationError("artifact time grid does not match config")
+    if v_top.backend == v_prev.backend == "REGRESSION" and np.array_equal(
+            v_top.powers, v_prev.powers):
+        # a policy step reads both levels at the same lag blocks
+        v_prev.lag_memo = v_top.lag_memo
     return Policy(v_top, v_prev, cfg.spec, u_grid, cfg.quadrature)
 
 
@@ -275,23 +279,24 @@ def cmd_export_figures(cfg, out_dir):
     m = cfg.grid.delay_steps + 1
     xs = np.linspace(-cfg.grid_bound, cfg.grid_bound, 81)
     pts = _constant_history_points(xs, m)
-    # the x cells once, t once per time row, one join per row
+    # the x cells once, t once per time row, one join per row; both
+    # surfaces in one pass, so a regression level builds each lag design once
     x_cells = [f"{x:.17g}" for x in xs.tolist()]
-    with open(os.path.join(out_dir, "value_surface.csv"), "w") as fh:
-        fh.write("t,x,value\n")
+    with open(os.path.join(out_dir, "value_surface.csv"), "w") as values, \
+            open(os.path.join(out_dir, "policy_surface.csv"), "w") as actions:
+        values.write("t,x,value\n")
+        actions.write("t,x,action\n")
         for i in range(cfg.grid.n_steps + 1):
             t = f"{i * cfg.dt:.17g}"
-            fh.write("".join(f"{t},{x},{v:.17g}\n" for x, v in
-                             zip(x_cells, v_top.value_at(i, pts).tolist())))
-    with open(os.path.join(out_dir, "policy_surface.csv"), "w") as fh:
-        fh.write("t,x,action\n")
-        for i in range(cfg.grid.n_steps):
+            values.write("".join(f"{t},{x},{v:.17g}\n" for x, v in
+                                 zip(x_cells, v_top.value_at(i, pts).tolist())))
+            if i == cfg.grid.n_steps:
+                break
             act, us = policy.decide_batch(i, pts)
-            t = f"{i * cfg.dt:.17g}"
             labels = [f"{u:.17g}" if a else "CONTINUE"
                       for a, u in zip(act.tolist(), us.tolist())]
-            fh.write("".join(f"{t},{x},{lbl}\n"
-                             for x, lbl in zip(x_cells, labels)))
+            actions.write("".join(f"{t},{x},{lbl}\n"
+                                  for x, lbl in zip(x_cells, labels)))
     return 0
 
 

@@ -190,11 +190,13 @@ def frozen_quadratic(time_index, heads, lags):
 
 
 def intervention_at(head, spec, u_grid):
-    """(value, impulse) of the best jump from the one-row state (head,)."""
-    val, u = _intervention_batch(frozen_quadratic, 0, np.array([head]),
-                                 np.zeros((1, 0)), spec, np.asarray(u_grid),
-                                 0.0)
-    return val[0], u[0]
+    """(value, impulse) of the best jump from the one-row state (head,): the
+    max, and the first impulse of the grid that attains it."""
+    u_grid = np.asarray(u_grid)
+    val, jumps = _intervention_batch(frozen_quadratic, 0, np.array([head]),
+                                     np.zeros((1, 0)), spec, u_grid, 0.0)
+    assert jumps.shape == (len(u_grid), 1)
+    return val[0], u_grid[np.argmax(jumps[:, 0])]
 
 
 class TestInterventionValue:
@@ -215,6 +217,116 @@ class TestInterventionValue:
         val, u = intervention_at(0.0, spec, [-1.0, 1.0])
         assert u == -1.0
         assert val == pytest.approx(-1.2)
+
+
+def first_argmax_entry(val, axis):
+    """The entry of val that np.argmax picks over `axis`."""
+    best = np.expand_dims(np.argmax(val, axis=axis), axis)
+    return np.take_along_axis(val, best, axis).squeeze(axis)
+
+
+# a NaN of another sign and payload than np.nan
+OTHER_NAN = np.frombuffer(b"\x01\x00\x00\x00\x00\x00\xf8\xff", dtype=float)[0]
+
+
+def jump_stacks():
+    """(U, N) and (L, U, R, C) jump-value stacks with ties across the
+    impulse axis, both orders of a -0.0/+0.0 tie and NaN columns."""
+    rng = np.random.default_rng(5)
+    flat = np.round(rng.normal(size=(7, 40)), 1)  # many equal values
+    flat[:, 0] = [1.0, 3.0, 3.0, -1.0, 3.0, 0.5, 2.0]
+    flat[:, 1] = [-1.0, -0.0, 0.0, -0.0, -2.0, -3.0, 0.0]
+    flat[:, 2] = [-1.0, 0.0, -0.0, 0.0, -2.0, -3.0, -0.0]
+    flat[:, 3] = -0.0
+    flat[:, 4] = [1.0, np.nan, 5.0, OTHER_NAN, 2.0, 0.0, 1.0]
+    flat[:, 5] = [OTHER_NAN, 1.0, np.nan, 2.0, 0.0, -0.0, 3.0]
+    flat[:, 6] = [-np.inf, -np.inf, -np.inf, -np.inf, -np.inf, -np.inf,
+                  -np.inf]
+    stacked = np.stack([flat.reshape(7, 8, 5), -flat.reshape(7, 8, 5),
+                        flat[::-1].reshape(7, 8, 5)])
+    return [flat, stacked]
+
+
+class TestJumpMax:
+    @pytest.mark.parametrize("which", [0, 1], ids=["U_N", "L_U_R_C"])
+    def test_max_is_the_first_argmax_entry_bitwise(self, which):
+        val = jump_stacks()[which]
+        got = bellman._first_max(val, which)
+        want = first_argmax_entry(val, which)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_signed_zero_ties_keep_the_first_sign(self):
+        val = np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, -0.0],
+                        [0.0, 0.0, 0.0]])
+        got = bellman._first_max(val, 0)
+        assert got.tolist() == [0.0, 0.0, 0.0]
+        assert np.signbit(got).tolist() == [True, False, True]
+
+    def test_nan_takes_the_first_nan(self):
+        val = np.array([[1.0, OTHER_NAN], [OTHER_NAN, np.nan],
+                        [np.nan, 2.0]])
+        got = bellman._first_max(val, 0)
+        assert got.tobytes() == np.array([OTHER_NAN, OTHER_NAN]).tobytes()
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["U_N", "L_U_R_C"])
+    def test_intervention_batch_prices_the_stack(self, which):
+        # a level that returns the prepared stack at the jumped heads, and
+        # a zero fee, so the jump values are the stack's entries
+        val = jump_stacks()[which]
+        heads = np.zeros(val.shape[which + 1:])
+        spec = dataclasses.replace(
+            feedback_spec(delay=0.0),
+            impulse_cost=lambda x, u, t: np.zeros(np.broadcast(x, u).shape))
+        best, jumps = _intervention_batch(
+            lambda i, jumped, lags: val, 0, heads, np.zeros((len(heads), 0)),
+            spec, np.linspace(-1.0, 1.0, 7), 0.0)
+        assert jumps.tobytes() == val.tobytes()
+        assert best.tobytes() == first_argmax_entry(val, which).tobytes()
+
+
+class ConstantLevel:
+    """A value level worth `value` everywhere on a one-step grid, or
+    -head^2 with value None; no jump bound."""
+
+    n_steps, dt = 1, 0.01
+
+    def __init__(self, value=None):
+        self.value = value
+
+    def value_at_heads(self, i, heads, lags, rows=None):
+        if self.value is None:
+            return -(heads ** 2)
+        return np.full(np.shape(heads), self.value)
+
+    def head_ceiling(self, i, lags):
+        return np.full(len(lags), np.inf)
+
+
+class TestPolicyImpulse:
+    @pytest.mark.parametrize("u_grid", [[-1.0, 1.0], [1.0, -1.0],
+                                        [-2.0, -1.0, 0.0, 1.0, 2.0]])
+    def test_takes_the_smallest_index_maximiser(self, u_grid):
+        # at head 0 the jumps to -1 and +1 tie, and beat staying at -100
+        spec = feedback_spec(delay=0.0)
+        policy = Policy(ConstantLevel(-100.0), ConstantLevel(), spec,
+                        u_grid, gauss_hermite_quadrature(0.01, 3))
+        heads = [0.0, 0.0, 0.5]
+        mask, us = policy.decide_batch(0, np.array(heads)[:, None])
+        assert mask.all()
+        for head, u in zip(heads, us):
+            jumps = [-(head + v) ** 2 - float(spec.impulse_cost(head, v, 0.0))
+                     for v in u_grid]
+            assert u == u_grid[jumps.index(max(jumps))]
+        if len(u_grid) == 2:  # the tie at head 0
+            assert us[0] == u_grid[0]
+
+    def test_continuing_paths_get_no_impulse(self):
+        spec = feedback_spec(delay=0.0)
+        policy = Policy(ConstantLevel(100.0), ConstantLevel(), spec,
+                        [-1.0, 1.0], gauss_hermite_quadrature(0.01, 3))
+        mask, us = policy.decide_batch(0, np.zeros((4, 1)))
+        assert not mask.any() and us.tolist() == [0.0] * 4
 
 
 def per_column_design_matrix(points, powers):
@@ -278,7 +390,7 @@ def memo_values(memo, pts, coeffs, time_index=0):
         want = [fresh_values(pts, memo.powers, c) for c in coeffs]
     assert got.shape == (len(coeffs), len(pts))
     assert got.tobytes() == np.stack(want).tobytes()
-    assert 1 <= len(memo.entries) <= 2
+    assert 1 <= len(memo.entries) <= 3
     return memo.entries[0]
 
 
@@ -325,28 +437,38 @@ class TestLagColumns:
         jumped[:, 0] = jumped[:, 0] * 0.5 + 1.0
         assert memo_values(memo, jumped, coeffs) is first
         assert len(memo.entries) == 1
-        assert len(first[2]) == len(coeffs)
+        assert len(first[2][0]) == len(coeffs)
         if scale > 1e100:
             with np.errstate(over="ignore", invalid="ignore"):
                 assert not np.all(np.isfinite(
                     memo.values(0, jumped[:, 0], jumped[:, 1:], coeffs)))
 
-    @pytest.mark.parametrize("new", ["next_float", "signed_zero",
-                                     "time_index"])
+    @pytest.mark.parametrize("new", ["next_float", "signed_zero"])
     def test_single_lag_entry_change_misses(self, new):
         pts, powers, memo, coeffs = lag_memo(6, 3)
         pts[:, 2] = 0.0
         first = memo_values(memo, pts, coeffs)
-        other, time_index = pts.copy(), 0
+        other = pts.copy()
         if new == "next_float":
             other[17, 3] = np.nextafter(other[17, 3], np.inf)
-        elif new == "signed_zero":
+        else:
             # equal as numbers, but the key is the bytes
             other[17, 2] = -0.0
-        else:
-            time_index = 1
-        assert memo_values(memo, other, coeffs, time_index) is not first
+        assert memo_values(memo, other, coeffs) is not first
         assert len(memo.entries) == 2
+
+    def test_time_index_change_shares_the_design(self):
+        pts, powers, memo, coeffs = lag_memo(6, 3)
+        first = memo_values(memo, pts, coeffs)
+        design = first[1]
+        # the same fits at the next slice: one design, head coefficients
+        # per time index
+        assert memo_values(memo, pts, coeffs, 1) is first
+        assert first[1] is design and sorted(first[2]) == [0, 1]
+        # three slices on, those of slices 0 and 1 are dropped
+        assert memo_values(memo, pts, coeffs[:1], 4) is first
+        assert first[1] is design and list(first[2]) == [4]
+        assert len(first[2][4]) == 1
 
     def test_caller_mutation_between_calls(self):
         pts, powers, memo, coeffs = lag_memo(6, 3)
@@ -364,6 +486,7 @@ class TestLagColumns:
         first = memo_values(memo, pts, coeffs)
         assert memo_values(memo, pts[:40], coeffs) is not first
         assert memo_values(memo, pts[:1], coeffs) is not first
+        assert memo.entries[2] is first
 
     def test_lags_clipped_once_per_lag_block(self):
         pts, powers, memo, coeffs = lag_memo(6, 3)
@@ -383,16 +506,29 @@ class TestLagColumns:
                 [fresh_values(np.clip(p, *bounds), powers, c)
                  for c in coeffs]).tobytes()
 
-    def test_keeps_the_two_most_recent_lag_blocks(self):
+    def test_keeps_the_three_most_recent_lag_blocks(self):
         pts, powers, memo, coeffs = lag_memo(3, 2)
-        sets = [pts, pts + 1.0, pts + 2.0]
+        sets = [pts, pts + 1.0, pts + 2.0, pts + 3.0]
         a = memo_values(memo, sets[0], coeffs)
         b = memo_values(memo, sets[1], coeffs)
-        assert memo_values(memo, sets[0], coeffs) is a
         c = memo_values(memo, sets[2], coeffs)
-        assert memo.entries == [c, a]
+        assert memo_values(memo, sets[0], coeffs) is a
+        d = memo_values(memo, sets[3], coeffs)
+        assert memo.entries == [d, a, c]
         assert memo_values(memo, sets[1], coeffs) is not b
-        assert memo.entries[1] is c
+        assert memo.entries[1] is d
+
+    def test_drops_lag_blocks_of_far_time_indices(self):
+        pts, powers, memo, coeffs = lag_memo(3, 2)
+        a = memo_values(memo, pts, coeffs, 0)
+        b = memo_values(memo, pts + 1.0, coeffs, 1)
+        # a query at slice 2 keeps the head coefficients of slices 1 to 3
+        c = memo_values(memo, pts + 2.0, coeffs, 2)
+        assert memo.entries == [c, b]
+        assert memo_values(memo, pts, coeffs, 2) is not a
+        # a backward sweep: slice 0 drops slice 2's entries, not slice 1's
+        d = memo_values(memo, pts + 1.0, coeffs, 0)
+        assert d is b and memo.entries == [b] and sorted(b[2]) == [0, 1]
 
 
 class TestFitRegressionStep:
@@ -1346,8 +1482,9 @@ class TestRegressionSweep:
         assert len(its) == 4
         # per slice: the cloud's fit design, and one lag design for the
         # cloud, its jumps and the successors of the slice below, which
-        # carry the same lags
-        assert calls == [(200, 2), (200, 1)] * grid.n_steps
+        # carry the same lags; the clouds of slices 0 and 1 both carry the
+        # initial segment as lags, so slice 0 reads slice 1's design
+        assert calls == [(200, 2), (200, 1)] * (grid.n_steps - 1) + [(200, 2)]
 
 
 class TestPolicy:
@@ -1417,7 +1554,7 @@ class TestSerialProduct:
         by_head = np.zeros((4, 56))
         by_head[memo.slots] = c
         want = by_head @ lag_design.T
-        assert served[c.tobytes()].tobytes() == want.tobytes()
+        assert served[0][c.tobytes()].tobytes() == want.tobytes()
 
     def test_short_designs_take_one_product(self, monkeypatch):
         calls = []
@@ -1455,7 +1592,7 @@ class TestSharedLagColumns:
                 assert got.tobytes() == want.tobytes()
             assert its[2].value_at(i, states).tobytes() == \
                 ReferenceLevel(its[2]).value_at(i, states).tobytes()
-            assert len(memo.entries) <= 2
+            assert len(memo.entries) <= 3
 
     def test_lag_designs_per_decision(self, monkeypatch):
         spec = dataclasses.replace(feedback_spec(delay=0.05), horizon=0.05)
@@ -1480,8 +1617,12 @@ class TestSharedLagColumns:
             del calls[:]
             policy.decide_batch(i, states)
             # the successors' lags for V^k at i + 1 (none at T), and the
-            # states' lags for V^{k-1} at i; every jump of either hits
-            assert calls == [(30, 5)] * (1 if i == grid.n_steps - 1 else 2)
+            # states' lags for V^{k-1} at i; every jump of either hits.
+            # A later decision on the same states rereads the successors'
+            # design, last read one slice back, but not the states', two
+            # slices back, unless it reads the states' alone, at T - dt
+            want = 2 if i == 0 else 0 if i == grid.n_steps - 1 else 1
+            assert calls == [(30, 5)] * want
 
     def test_loaded_levels_share_one_memo(self, tmp_path):
         spec = dataclasses.replace(feedback_spec(delay=0.02), horizon=0.05)

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sddeimpulse import ValidationError, cli, simulate
+from sddeimpulse import ValidationError, bellman, cli, simulate
 from sddeimpulse.cli import RunConfig, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -696,6 +696,66 @@ class TestCommands:
                      "--seed", "99"]) == 0
         with open(os.path.join(out, "evaluate.json")) as fh:
             assert json.load(fh)["seed"] == 99
+
+
+class TestLagDesignSharing:
+    """A regression policy on constant histories reads, at every step, one
+    lag block and its clips into the slices' cloud boxes.  thresholds.csv
+    and export-figures build each block's lag design once; the solve keeps
+    at most two designs, and a policy three."""
+
+    def test_one_design_per_lag_block(self, tmp_path, monkeypatch):
+        raw = load_raw("delay_feedback.json")
+        raw["problem"]["horizon"] = 0.05
+        raw["discretization"]["n_impulse"] = 5
+        raw["solver"].update(n_samples=300, k_max=2)
+        raw["evaluation"]["n_paths"] = 50
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        phase, designs, queries, kept = [None], [], [], Counter()
+
+        def during(name, real):
+            def run(*args, **kwargs):
+                phase[0] = name
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    phase[0] = None
+            return run
+
+        real_design, real_block = bellman.design_matrix, bellman._LagMemo.block
+
+        def design(points, powers):
+            if points.shape[1] == 5:  # lift 6: the lag blocks
+                designs.append((phase[0], points.tobytes()))
+            return real_design(points, powers)
+
+        def block(memo, i, lags):
+            out = real_block(memo, i, lags)
+            queries.append((phase[0], i, lags.tobytes()))
+            kept[phase[0]] = max(kept[phase[0]], len(memo.entries))
+            return out
+
+        monkeypatch.setattr(bellman, "design_matrix", design)
+        monkeypatch.setattr(bellman._LagMemo, "block", block)
+        monkeypatch.setattr(cli, "k_value_iteration",
+                            during("solve", cli.k_value_iteration))
+        monkeypatch.setattr(cli, "_write_thresholds",
+                            during("thresholds", cli._write_thresholds))
+        for command, name in (("solve", None), ("export-figures", "export")):
+            phase[0] = name
+            assert main([command, "--config", str(cfg), "--out",
+                         str(tmp_path)]) == 0
+        for name in ("thresholds", "export"):
+            built = [b for p, b in designs if p == name]
+            read = [(i, b) for p, i, b in queries if p == name]
+            blocks = {b for _, b in read}
+            assert len(blocks) > 2
+            assert sorted(built) == sorted(blocks)
+            # fewer than the pairs of a slice and a block read
+            assert len(set(read)) > len(built)
+        assert kept["solve"] == 2
+        assert kept["thresholds"] <= 3 and kept["export"] <= 3
 
 
 class TestSideBySideSave:

@@ -51,3 +51,20 @@ def test_grid_reduced_set_is_reproducible(tmp_path):
                          "export-figures": 0}
     same = tool("same_artifacts.py", a, b)
     assert same.returncode == 0, same.stdout
+
+
+def test_forked_regression_set_is_reproducible(tmp_path):
+    # 4,096 paths are two POLICY_PATHS ranges and more: on a multi-core
+    # box the regression policy runs in forked workers
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert tool("run_configs.py", out, "--only",
+                    "regression-lift6-forked").returncode == 0
+        set_dir = out / "regression-lift6-forked"
+        codes = json.loads((set_dir / "exit_codes.json").read_text())
+        assert codes == {"solve": 0, "evaluate": 0}
+        config = json.loads((set_dir / "config.json").read_text())
+        assert config["evaluation"]["n_paths"] == 4096
+        assert config["solver"]["backend"] == "regression"
+    same = tool("same_artifacts.py", a, b)
+    assert same.returncode == 0, same.stdout

@@ -12,7 +12,9 @@ path) on these sets, or on the one named by --only:
 - main: delay_feedback.json at 2,000 paths: solve, evaluate and
   export-figures;
 - grid-reduced, regression-lift6, mc-probe: the benchmark workloads at
-  seed 1, as bench/workloads.make_config builds them, with their commands.
+  seed 1, as bench/workloads.make_config builds them, with their commands;
+- regression-lift6-forked: regression-lift6 at 4,096 paths, solve and
+  evaluate, so that the regression policy runs in two forked path ranges.
 
 Set NAME lands in OUT/NAME/: the config it ran (config.json), the
 artifacts of its commands, and each command's exit code
@@ -43,7 +45,10 @@ SHIPPED = {"tiny1": ("tiny1.json", EVERY + ("oracle-compare",), None),
            "reduced": ("delay_feedback_reduced.json", EVERY, None),
            "main": ("delay_feedback.json",
                     ("solve", "evaluate", "export-figures"), 2000)}
-SETS = list(SHIPPED) + list(workloads.WORKLOADS)
+# set -> (benchmark workload at seed 1, commands, evaluation.n_paths)
+FORKED = {"regression-lift6-forked": ("regression-lift6", ("solve", "evaluate"),
+                                      4096)}
+SETS = list(SHIPPED) + list(workloads.WORKLOADS) + list(FORKED)
 
 
 def set_config(name):
@@ -51,9 +56,13 @@ def set_config(name):
     if name in workloads.WORKLOADS:
         return (workloads.make_config(name, 1, CONFIGS)[0],
                 workloads.WORKLOADS[name].commands)
-    base, commands, n_paths = SHIPPED[name]
-    with open(os.path.join(CONFIGS, base)) as fh:
-        raw = json.load(fh)
+    if name in FORKED:
+        base, commands, n_paths = FORKED[name]
+        raw = workloads.make_config(base, 1, CONFIGS)[0]
+    else:
+        base, commands, n_paths = SHIPPED[name]
+        with open(os.path.join(CONFIGS, base)) as fh:
+            raw = json.load(fh)
     if n_paths is not None:
         raw["evaluation"]["n_paths"] = n_paths
     return raw, commands

@@ -292,12 +292,14 @@ class _LagMemo:
         # (key, L, {time index: {coefficient bytes: head coefficients}})
         self.entries = []
 
-    def block(self, time_index, lags):
+    def block(self, time_index, lags, design=None):
         """values(head, coeffs) -> the (L,) + head.shape stack of each fit
         in `coeffs`, of slice `time_index`, at the points (head[..., n],
         lags[n]).  One Horner pass per fit over the whole head stack; its
         head coefficients are computed at the first query of the slice
-        with these lags, the same bytes thereafter."""
+        with these lags, the same bytes thereafter.  Given `design`, on
+        monomial_powers, a new entry's L is its leading head-power-0
+        columns."""
         key = (lags.shape, lags.tobytes())
         hit, kept = None, []
         for entry in self.entries:
@@ -309,7 +311,8 @@ class _LagMemo:
             elif served:
                 kept.append(entry)
         if hit is None:
-            hit = (key, design_matrix(lags, self.lag_powers), {})
+            hit = (key, design_matrix(lags, self.lag_powers) if design is None
+                   else design[:, :len(self.lag_powers)], {})
         self.entries = [hit] + kept[:2]
         return functools.partial(self._horner, hit[1],
                                  hit[2].setdefault(time_index, {}))
@@ -392,18 +395,14 @@ class RegressionValueFunction(_HeadStacks):
         path's jumps are priced."""
         return np.full(len(lags), np.inf)
 
-    def plain_value_at_heads(self, time_index, heads, lags):
-        return self.plain_levels_at_heads(time_index, heads, lags,
-                                          (self.k_index,))[0]
-
     def levels_at_heads(self, time_index, heads, lags, ks):
         """(len(ks),) + heads.shape stack of the values of the increasing
         levels ks, row by row one level each, through the lag memo.  The
-        jumps of every level above 0 are priced with one stacked
-        plain_levels_at_heads over the levels below them, whose lags are
-        clipped and looked up once.  At T this is the terminal reward."""
+        jumps of every level above 0 are priced with one _plain_block of
+        the levels below them, whose lags are clipped and looked up once.
+        At T this is the terminal reward."""
         if self.cont_coeffs[ks[0]][time_index] is None:
-            return self.plain_levels_at_heads(time_index, heads, lags, ks)
+            return self._plain_block(time_index, lags, ks)(heads)
         v = self.lag_memo.values(time_index, heads, lags,
                                  [self.cont_coeffs[k][time_index] for k in ks])
         below = [k - 1 for k in ks if k]
@@ -421,23 +420,16 @@ class RegressionValueFunction(_HeadStacks):
                 np.maximum(top[:, r:r + step], jump, out=top[:, r:r + step])
         return v
 
-    def plain_levels_at_heads(self, time_index, heads, lags, ks):
-        """plain_value_at_heads of the levels ks, as levels_at_heads stacks
-        them, at the points clipped into the slice's cloud box."""
-        return self._plain_block(time_index, lags, ks)(heads)
-
     def _plain_block(self, time_index, lags, ks):
-        """plain_levels_at_heads(time_index, heads, lags, ks) as a function
-        of the heads, its lags clipped and looked up once."""
+        """values(heads) -> the plain fits of the levels ks, stacked as
+        levels_at_heads stacks values, at the points clipped into the
+        slice's cloud box; the lags are clipped and looked up once."""
         coeffs = [self.plain_coeffs[k][time_index] for k in ks]
         if coeffs[0] is None:
             def terminal(heads):
                 v = np.asarray(self.terminal_reward(heads), dtype=float)
                 return np.tile(v, (len(ks),) + (1,) * v.ndim)
             return terminal
-        if self.bounds is None:
-            values = self.lag_memo.block(time_index, lags)
-            return lambda heads: values(heads, coeffs)
         lo, hi = self.bounds[time_index]
         values = self.lag_memo.block(time_index, np.clip(lags, lo[1:], hi[1:]))
         return lambda heads: values(np.clip(heads, lo[0], hi[0]), coeffs)
@@ -604,10 +596,10 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     """Grid levels k = 0, 1, ..., each swept backward in time from the
     terminal reward: slice i of level k reads slice i + 1 of level k and,
     through its jumps, slice i of level k - 1.  A table of at least
-    simulate.FORK_ENTRIES entries runs as a two-process wavefront
-    (_grid_wavefront), which without a second usable core runs _grid_sweep
-    in-process, as any other table does.  Both give the same iterates and
-    gaps, bit for bit."""
+    simulate.FORK_ENTRIES entries runs as a two-process wavefront, which
+    without a second usable core runs in-process, as any other table
+    does; _grid_levels runs both, with the same iterates and gaps, bit
+    for bit."""
     axis = backend.axis
     axes = (axis,) * (grid.delay_steps + 1)
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
@@ -663,113 +655,102 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
         return GridValueFunction(axes=axes, values=list(values), k_index=k,
                                  dt=dt)
 
-    sweep = functools.partial(_grid_sweep, level_slice, new_level, k_max, tol)
-    if len(points) * (n + 1) < simulate.FORK_ENTRIES:
-        return sweep()
-    return _grid_wavefront(level_slice, new_level, sweep,
-                           (k_max + 1, n + 1, len(points)), tol)
-
-
-def _slice_gap(a, b):
-    """The sup-distance of two slices; a level's gap is its largest."""
-    return float(np.max(np.abs(a - b)))
+    shared = len(points) * (n + 1) >= simulate.FORK_ENTRIES
+    return _grid_levels(level_slice, new_level, k_max, tol,
+                        (k_max + 1, n + 1, len(points)) if shared else None)
 
 
 def _grid_level(level_slice, level, below, wait=None, signal=None):
     """Slices n - 1 down to 0 of `level`, written into its rows, and its
-    gap to `below`, the level under it (+inf for level 0).  wait(), if
-    given, runs before each slice and drops the level, returning NaN, if
-    it is false; signal(), if given, runs after each slice.  A non-finite
+    gap to `below`, the level under it (+inf for level 0): the largest
+    sup-distance of a slice to the one below.  wait(k), if given, runs
+    before each slice of level k and drops the level, returning NaN, if it
+    is false; signal(), if given, runs after each slice.  A non-finite
     slice raises DivergenceError."""
     k, gap = level.k_index, 0.0
     for i in range(level.n_steps - 1, -1, -1):
-        if wait is not None and not wait():
+        if wait is not None and not wait(k):
             return math.nan
         level.values[i][:] = level_slice(k, i, level.values[i + 1],
                                          below.values[i] if k else None)
         if k:
-            gap = max(gap, _slice_gap(level.values[i], below.values[i]))
+            gap = max(gap, float(np.max(np.abs(level.values[i]
+                                               - below.values[i]))))
         if signal is not None:
             signal()
     return gap if k else math.inf
 
 
-def _grid_sweep(level_slice, new_level, k_max, tol):
-    """The levels one after another in this process, each in an array of
-    its own; the sweep ends at the first gap below tol or at k_max."""
-    iterates, gaps = [], []
-    for k in range(k_max + 1):
-        iterates.append(new_level(k))
-        gaps.append(_grid_level(level_slice, iterates[k],
-                                iterates[k - 1] if k else None))
-        if gaps[-1] < tol:
-            break
-    return iterates, gaps[1:]
+def _grid_levels(level_slice, new_level, k_max, tol, table_shape=None):
+    """The levels up to the first gap under tol, or to k_max, and their
+    gaps, from one loop: run(side, step, wait, signal) sweeps the levels
+    side, side + step, ... <= k_max by _grid_level, each gap into its row
+    of `gaps`, until a gap is not >= tol (converged, or dropped as NaN).
+    In-process, run(0, 1) gives each level an array as it starts.
 
+    Given `table_shape`, (k_max + 1, n + 1, N), the levels are row views
+    of one shared table, swept as a two-process wavefront: run(0, 2, ...)
+    here and run(1, 2, ...) in a worker forked by simulate.fork_jobs,
+    slice i of a level waiting for the one-byte pipe signal of slice i
+    below.  `gaps` is then shared, NaN until a level is whole; a side
+    drops its level once the gap below is under tol, and ends at a
+    non-finite slice or at EOF from the other side.  If either side
+    failed, run(0, 1) reruns in the table; if a level the result needs
+    has a NaN gap, or the table is refused, the levels run in-process.
+    Either way a DivergenceError is the serial one, and the iterates and
+    gaps are the in-process ones, bit for bit."""
+    iterates, gaps, table = [None] * (k_max + 1), np.empty(k_max + 1), None
 
-def _grid_wavefront(level_slice, new_level, sweep, shape, tol):
-    """sweep()'s iterates and gaps, from two processes: this one computes
-    the even levels and a worker forked by simulate.fork_jobs the odd ones,
-    each into its rows of one shared (k_max + 1, n + 1, N) table, slice i
-    of a level waiting for the one-byte pipe signal of slice i below.  A
-    whole level's gap goes into a shared row, NaN until then; a side drops
-    its level once the gap below is under tol, and ends at a non-finite
-    slice or at EOF from the other side.  The levels up to the first gap
-    under tol, or to k_max, are returned as row views of the table unless
-    one has a NaN gap; then, or if either side failed or the table was
-    refused, sweep() runs in-process and raises the serial error."""
-    try:
-        table = simulate.shared_array(shape)
-        gaps = simulate.shared_array(shape[:1])
-    except OSError:  # no room for k_max + 1 levels of address space
-        return sweep()
-    k_max = len(gaps) - 1
-    gaps[:] = np.nan
-    iterates = [new_level(k, table[k]) for k in range(k_max + 1)]
-    result = []
+    def run(side, step, wait=None, signal=None):
+        for k in range(side, k_max + 1, step):
+            if iterates[k] is None:
+                iterates[k] = new_level(k)
+            gaps[k] = _grid_level(level_slice, iterates[k],
+                                  iterates[k - 1] if k else None,
+                                  wait if k else None, signal)
+            if not gaps[k] >= tol:
+                return
 
-    with contextlib.ExitStack() as files:
-        # the signals to the worker, and to this process
-        (down_r, down_w), (up_r, up_w) = (
-            (files.enter_context(open(r, "rb", buffering=0)),
-             files.enter_context(open(w, "wb", buffering=0)))
-            for r, w in (os.pipe(), os.pipe()))
+    if table_shape is not None:
+        with contextlib.suppress(OSError):  # no room for k_max + 1 levels
+            table, gaps = (simulate.shared_array(table_shape),
+                           simulate.shared_array(table_shape[:1]))
+    gaps[:] = math.nan
+    if table is None:
+        run(0, 1)
+    else:
+        iterates[:] = [new_level(k, row) for k, row in enumerate(table)]
+        with contextlib.ExitStack() as files:
+            # the signals to the worker, and to this process
+            (down_r, down_w), (up_r, up_w) = (
+                (files.enter_context(open(r, "rb", buffering=0)),
+                 files.enter_context(open(w, "wb", buffering=0)))
+                for r, w in (os.pipe(), os.pipe()))
 
-        def run(side, signals_in, signals_out, *theirs):
-            """Levels side, side + 2, ... <= k_max, on this side's pipe
-            ends."""
-            for end in theirs:
-                end.close()
+            def side(first, signals_in, signals_out, *theirs):
+                for end in theirs:
+                    end.close()
 
-            def wait():  # level k - 1 not under tol, and its next slice out
-                return not gaps[k - 1] < tol and signals_in.read(1)
+                def wait(k):  # level k - 1 not under tol, its next slice out
+                    return not gaps[k - 1] < tol and signals_in.read(1)
 
-            def signal():
-                with contextlib.suppress(BrokenPipeError):
-                    signals_out.write(b"\1")
+                def signal():
+                    with contextlib.suppress(BrokenPipeError):
+                        signals_out.write(b"\1")
 
-            with signals_in, signals_out:
-                for k in range(side, k_max + 1, 2):
-                    try:
-                        gaps[k] = _grid_level(level_slice, iterates[k],
-                                              iterates[k - 1] if k else None,
-                                              wait if k else None, signal)
-                    except DivergenceError:
-                        return
-                    if not gaps[k] >= tol:  # converged, or dropped (NaN)
-                        return
+                with signals_in, signals_out, \
+                        contextlib.suppress(DivergenceError):
+                    run(first, 2, wait, signal)
 
-        simulate.fork_jobs(
-            [functools.partial(run, 0, up_r, down_w, down_r, up_w),
-             functools.partial(run, 1, down_r, up_w, down_w, up_r)],
-            lambda: result.append(sweep()))
-    if result:
-        return result[0]
-    for k in range(1, k_max + 1):
-        if np.isnan(gaps[k]):
-            return sweep()
-        if gaps[k] < tol or k == k_max:
-            return iterates[:k + 1], [float(g) for g in gaps[1:k + 1]]
+            simulate.fork_jobs(
+                [functools.partial(side, 0, up_r, down_w, down_r, up_w),
+                 functools.partial(side, 1, down_r, up_w, down_w, up_r)],
+                lambda: run(0, 1))
+    k = next(k for k in range(1, k_max + 1)
+             if not gaps[k] >= tol or k == k_max)
+    if math.isnan(gaps[k]):
+        return _grid_levels(level_slice, new_level, k_max, tol)
+    return iterates[:k + 1], [float(g) for g in gaps[1:k + 1]]
 
 
 def _jump_stencil(axis, jumped, width):
@@ -881,17 +862,21 @@ def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
         cont = _continuation(functools.partial(fits.levels_at_heads,
                                                ks=range(live)),
                              i, pts, spec, quadrature, dt)
-        fit = _regression_fitter(design_matrix(pts, powers), backend.ridge_lambda)
+        design = design_matrix(pts, powers)
+        fit = _regression_fitter(design, backend.ridge_lambda)
+        # its head-power-0 columns are the cloud's lag design, bit for bit
+        values = fits.lag_memo.block(i, pts[:, 1:], design)
         below = None
         for k in range(live):
             try:
                 _check_finite(cont[k], i, k)
                 c = fits.cont_coeffs[k][i] = fit(cont[k])
-                v = fits.lag_memo.values(i, pts[:, 0], pts[:, 1:], [c])[0]
+                v = values(pts[:, 0], [c])[0]
                 if k >= 1:
+                    plain = fits._plain_block(i, pts[:, 1:], (k - 1,))
                     interv, _ = _intervention_batch(
-                        levels[k - 1].plain_value_at_heads, i, pts[:, 0],
-                        pts[:, 1:], spec, u_grid, i * dt)
+                        lambda _, jumped, __: plain(jumped)[0], i,
+                        pts[:, 0], pts[:, 1:], spec, u_grid, i * dt)
                     vals = np.maximum(cont[k], interv)
                     _check_finite(vals, i, k)
                     fits.plain_coeffs[k][i] = fit(vals)
@@ -1037,7 +1022,8 @@ def save_value_function(vf, out_dir, name):
         header["powers"] = [[int(e) for e in p] for p in vf.powers]
         header["terminal"] = "terminal_reward"
         header["n_levels"] = vf.k_index + 1
-        header["bounds"] = _bounds_json(vf.bounds)
+        header["bounds"] = [None if b is None else np.asarray(b).tolist()
+                            for b in vf.bounds]
         columns = "slab,time_index,flat_index,value"
         # slab 2k + part: level k's continuation (0) or plain (1) fits
         table = np.array([coeffs[k][:vf.n_steps] for k in range(vf.k_index + 1)
@@ -1082,14 +1068,6 @@ def _sha256(path):
         while size := fh.readinto(block):
             digest.update(view[:size])
     return digest.hexdigest()
-
-
-def _bounds_json(bounds):
-    if bounds is None:
-        return None
-    return [None if b is None else [[float(v) for v in b[0]],
-                                    [float(v) for v in b[1]]]
-            for b in bounds]
 
 
 def _load_table(out_dir, name, header, shape):
@@ -1177,16 +1155,22 @@ def load_value_function(out_dir, name, terminal_reward=None, spec=None,
                               "to price intervention branches")
     powers = _json_array(require(header, "powers", where), f"{where}.powers",
                          2, integers=True)
+    if np.any(powers < 0) or len(np.unique(powers, axis=0)) < len(powers):
+        raise ValidationError(f"{where}.powers: exponents must be >= 0 and "
+                              "each monomial listed once")
     slabs = _load_table(out_dir, name, header,
                         (2 * n_levels, n, len(powers)))
-    bounds = header.get("bounds")
-    if bounds is not None:
-        bounds = [None if b is None else _json_array(b, f"{where}.bounds", 2)
-                  for b in (bounds if isinstance(bounds, list) else [bounds])]
-        if len(bounds) != n + 1 or bounds[-1] is not None or any(
-                b is None or b.shape != (2, powers.shape[1]) for b in bounds[:-1]):
-            raise ValidationError(f"{where}.bounds: must hold n_steps = {n} arrays "
-                                  f"of shape (2, {powers.shape[1]}), then null")
+    bounds = require(header, "bounds", where)
+    bounds = [None if b is None else _json_array(b, f"{where}.bounds", 2)
+              for b in (bounds if isinstance(bounds, list) else [bounds])]
+    if len(bounds) != n + 1 or bounds[-1] is not None or any(
+            b is None or b.shape != (2, powers.shape[1]) for b in bounds[:-1]):
+        raise ValidationError(f"{where}.bounds: must hold n_steps = {n} arrays "
+                              f"of shape (2, {powers.shape[1]}), then null")
+    if not all(np.all(np.isfinite(b)) and np.all(b[0] <= b[1])
+               for b in bounds[:-1]):
+        raise ValidationError(f"{where}.bounds: every (lo, hi) pair must be "
+                              "finite with lo <= hi")
     return RegressionValueFunction(
         powers=powers, cont_coeffs=[list(c) + [None] for c in slabs[0::2]],
         plain_coeffs=[list(c) + [None] for c in slabs[1::2]], k_index=k_index,

@@ -3,18 +3,18 @@
 Noise comes from counter-based Philox streams keyed by (seed, path index), so
 results are reproducible no matter how paths are scheduled.  One batch
 engine vectorizes the time loop across paths; reductions run in path-index
-order.  The noise draw, the flow probe's per-path sup-distances and the
-Monte Carlo payoffs of estimate_J each depend on their own path alone, so
-large path counts are split into contiguous path ranges filled by forked
-worker processes, one per usable core; the split cannot change a bit.
-draw_noise_matrix fills a whole noise matrix so; on a KeyedNoise the probe
-and estimate_J draw each range's rows inside the fill that simulates them,
-so each call forks once and no worker forks again.  fork_jobs, the one
-fork primitive under those ranges, also lets `solve` write its two value
-tables side by side and the grid solve run its levels as a two-process
-wavefront, both for value tables of at least FORK_ENTRIES entries.
-Forked workers write numbers back into a shared_array, the ranges their
-columns and the wavefront its levels.
+order.  The flow probe's per-path sup-distances and the Monte Carlo payoffs
+of estimate_J each depend on their own path alone, so large path counts are
+split into contiguous path ranges filled by forked worker processes, one
+per usable core; the split cannot change a bit.  On a KeyedNoise each
+range draws its own rows inside the fill that simulates them, so each call
+forks once and no worker forks again; draw_noise_matrix draws a whole
+matrix in the calling process.  fork_jobs, the one fork primitive under
+those ranges, also lets `solve` write its two value tables side by side
+and the grid solve run its levels as a two-process wavefront, both for
+value tables of at least FORK_ENTRIES entries.  Forked workers write
+numbers back into a shared_array, the ranges their columns and the
+wavefront its levels.
 """
 
 from __future__ import annotations
@@ -33,8 +33,10 @@ from .lattice import euler_head
 
 OVERFLOW_LIMIT = 1e9
 BLOCK = 256  # paths per noise block
-FORK_PATHS = 16 * BLOCK  # fewest paths a forked worker takes
-POLICY_PATHS = 4 * BLOCK  # the same for a policy run's paths
+# fewest paths a forked worker takes; a range of 1,024 paths keeps a
+# regression policy's lag products (2 or more head powers) out of
+# OpenBLAS's small-matrix kernel whenever the serial products are out of it
+FORK_PATHS = 4 * BLOCK
 # fewest value-table entries worth a fork: a save takes about 1 us an
 # entry, a grid level about 0.2 us, a fork about 4 ms and the parent's
 # copy-on-write faults after it
@@ -135,20 +137,18 @@ def shared_array(shape) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
 
 
-def _over_path_ranges(n: int, rows: int, fill, floor=None) -> np.ndarray:
+def _over_path_ranges(n: int, rows: int, fill) -> np.ndarray:
     """(rows, n) float64 array whose columns a .. b - 1 are written by
     fill(a, b, out[:, a:b]), for a fill whose columns depend on their own
     paths alone.
 
-    With os.fork present and w = min(usable cores, n // floor) >= 2, floor
-    FORK_PATHS unless given, the columns are split into w contiguous
-    ranges of one shared_array and filled by fork_jobs: the parent fills
-    the first and a forked child each other one, so the parent never maps
-    a child's working arrays.  If any range failed, fill(0, n, out) reruns
-    in-process and raises the serial error (its step and global path
-    index)."""
-    floor = FORK_PATHS if floor is None else floor
-    workers = (min(_usable_cores(), n // floor)
+    With os.fork present and w = min(usable cores, n // FORK_PATHS) >= 2,
+    the columns are split into w contiguous ranges of one shared_array and
+    filled by fork_jobs: the parent fills the first and a forked child
+    each other one, so the parent never maps a child's working arrays.
+    If any range failed, fill(0, n, out) reruns in-process and raises the
+    serial error (its step and global path index)."""
+    workers = (min(_usable_cores(), n // FORK_PATHS)
                if rows and hasattr(os, "fork") else 1)
     if workers < 2:
         out = np.empty((rows, n))
@@ -161,19 +161,17 @@ def _over_path_ranges(n: int, rows: int, fill, floor=None) -> np.ndarray:
     return out
 
 
-def _keyed_normal_rows(seed: int, paths, grid: TimeGrid,
-                       out=None) -> np.ndarray:
+def _keyed_normal_rows(seed: int, paths, grid: TimeGrid) -> np.ndarray:
     """Row r: increments of the (seed, paths[r]) stream, drawn serially in
     the calling process.  A Philox stream is fixed by its key and a zero
     counter, so one bit generator whose key and counter are reset per row
     draws what a fresh generator keyed so would.  Key words are uint64, so
     every seed in [0, 2**64) keys its own stream.  Storage is time-major:
-    the (n_steps, len(paths)) `out`, or a fresh array, whose transposed
-    view is returned; rows are drawn into a path-major block of BLOCK
-    paths, scaled there, and transposed in."""
+    a fresh (n_steps, len(paths)) array, whose transposed view is
+    returned; rows are drawn into a path-major block of BLOCK paths,
+    scaled there, and transposed in."""
     sd = math.sqrt(grid.dt)
-    if out is None:
-        out = np.empty((grid.n_steps, len(paths)))
+    out = np.empty((grid.n_steps, len(paths)))
     bitgen = np.random.Philox(0)  # seeded: constructing pulls no OS entropy
     gen = np.random.Generator(bitgen)
     # zero counter, empty buffer; plain lists, which the state setter reads
@@ -223,11 +221,9 @@ def draw_noise(seed: int, path_index: int, grid: TimeGrid) -> np.ndarray:
 def draw_noise_matrix(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
     """(n_paths, n_steps) increments; row i is path i's stream.  A
     transposed view of time-major storage, so noise[:, k] is contiguous;
-    filled by path range (_over_path_ranges)."""
-    def fill(a, b, out):
-        _keyed_normal_rows(seed, range(a, b), grid, out)
-
-    return _over_path_ranges(n_paths, grid.n_steps, fill).T
+    drawn in the calling process, since no command draws enough rows to
+    pay for a fork (a regression cloud, exported trajectories)."""
+    return _keyed_normal_rows(seed, range(n_paths), grid)
 
 
 def _events_by_index(control: ImpulseControl, spec: ProblemSpec, grid: TimeGrid):
@@ -337,20 +333,13 @@ def estimate_J(spec: ProblemSpec, policy_or_control, noise, grid: TimeGrid):
     path) or a policy object with decide_batch, or a list or tuple of them,
     which are all scored on each range's noise and get one (mean, stderr)
     pair each, in order.  The payoffs are filled by path range
-    (_over_path_ranges), from POLICY_PATHS paths a worker if a policy is
-    among them; each mean and stderr is taken over one full row.
+    (_over_path_ranges); each mean and stderr is taken over one full row.
     """
     many = isinstance(policy_or_control, (list, tuple))
     runs = list(policy_or_control) if many else [policy_or_control]
     n_paths = noise.shape[0]
     if n_paths < 2:
         raise ValidationError("n_paths must be >= 2")
-    # a policy path costs 10 to 250 times a noise row, so a lower floor;
-    # a range of 1,024 paths keeps a regression policy's lag products
-    # (2 or more head powers) out of OpenBLAS's small-matrix kernel
-    # whenever the serial products are out of it
-    floor = (FORK_PATHS if all(isinstance(r, ImpulseControl) for r in runs)
-             else POLICY_PATHS)
 
     def fill(a, b, out):
         part = noise[a:b]
@@ -359,7 +348,7 @@ def estimate_J(spec: ProblemSpec, policy_or_control, noise, grid: TimeGrid):
 
     pairs = [(float(np.mean(payoffs)),
               float(np.std(payoffs, ddof=1) / math.sqrt(n_paths)))
-             for payoffs in _over_path_ranges(n_paths, len(runs), fill, floor)]
+             for payoffs in _over_path_ranges(n_paths, len(runs), fill)]
     return pairs if many else pairs[0]
 
 

@@ -10,10 +10,9 @@ from sddeimpulse import simulate
 @pytest.fixture
 def forking(monkeypatch):
     """force(cores, floor, entries) makes the fork sites see `cores` usable
-    cores and fork path ranges down to `floor` paths per worker, a policy
-    run's included, and, given `entries`, value tables (the grid solve's
-    and solve's side-by-side save) down to that many entries; it returns
-    the pids forked so far.  After the test, no child of this process is
+    cores and fork path ranges down to `floor` paths per worker, and, given
+    `entries`, value tables (the grid solve's and solve's side-by-side
+    save) down to that many entries; it returns the pids forked so far.  After the test, no child of this process is
     left."""
     forked, real_fork = [], os.fork
 
@@ -27,7 +26,6 @@ def forking(monkeypatch):
         monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
         monkeypatch.setattr(simulate, "FORK_PATHS", floor)
-        monkeypatch.setattr(simulate, "POLICY_PATHS", floor)
         if entries is not None:
             monkeypatch.setattr(simulate, "FORK_ENTRIES", entries)
         return forked

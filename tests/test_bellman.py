@@ -5,6 +5,7 @@ import errno
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import signal
@@ -497,8 +498,8 @@ class TestLagColumns:
             bounds=[bounds, None], lag_memo=memo)
         jumped = pts.copy()
         jumped[:, 0] += 1.0
-        first = vf.plain_levels_at_heads(0, pts[:, 0], pts[:, 1:], (0, 1))
-        again = vf.plain_levels_at_heads(0, jumped[:, 0], jumped[:, 1:], (0, 1))
+        first = vf._plain_block(0, pts[:, 1:], (0, 1))(pts[:, 0])
+        again = vf._plain_block(0, jumped[:, 1:], (0, 1))(jumped[:, 0])
         # both clip to one lag block
         assert len(memo.entries) == 1
         for got, p in ((first, pts), (again, jumped)):
@@ -1163,13 +1164,27 @@ def open_fds():
     return len(os.listdir("/proc/self/fd"))
 
 
+def count_level_one_passes(monkeypatch):
+    """A list that gets one entry per pass of this process over level 1,
+    through a wrapped bellman._grid_level."""
+    passes, real, me = [], bellman._grid_level, os.getpid()
+
+    def counting(level_slice, level, *args):
+        if level.k_index == 1 and os.getpid() == me:
+            passes.append(level)
+        return real(level_slice, level, *args)
+
+    monkeypatch.setattr(bellman, "_grid_level", counting)
+    return passes
+
+
 def refused(shape):
     """simulate.shared_array on a box whose address space is full"""
     raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
 
 
 class TestGridWavefront:
-    """The grid levels as a two-process wavefront (_grid_wavefront): the
+    """The grid levels as a two-process wavefront (_grid_levels): the
     parent's even levels and one worker's odd ones give the in-process
     sweep's iterates, gaps and decisions bit for bit, without a serial
     rerun; a non-finite slice ends as the in-process sweep does, and no
@@ -1179,16 +1194,12 @@ class TestGridWavefront:
 
     @staticmethod
     def solve(forking, monkeypatch, cores, k_max, tol):
-        """(iterates, gaps, decisions, forks, serial reruns) of one solve"""
+        """(iterates, gaps, decisions, forks, serial runs) of one solve; a
+        serial run is a pass over level 1 by the solving process, whose
+        wavefront side sweeps the even levels only"""
         forked = forking(cores, entries=1000)
         before = len(forked)
-        reruns, real = [], bellman._grid_sweep
-
-        def counting(*args):
-            reruns.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(bellman, "_grid_sweep", counting)
+        reruns = count_level_one_passes(monkeypatch)
         spec = dataclasses.replace(reduced_spec(), horizon=0.1)
         its, gaps, grid, quad, ug = solve_reduced(spec, k_max=k_max,
                                                   points=11, n_u=7, tol=tol)
@@ -1280,9 +1291,8 @@ class TestGridWavefront:
                 cfg.u_grid(), cfg.k_max, cfg.tol)
         forking(1)
         its, gaps = k_value_iteration(*args)
-        forked, reruns, real = forking(2), [], bellman._grid_sweep
-        monkeypatch.setattr(bellman, "_grid_sweep",
-                            lambda *a: reruns.append(a) or real(*a))
+        forked = forking(2)
+        reruns = count_level_one_passes(monkeypatch)
         got_its, got_gaps = k_value_iteration(*args)
         assert (len(forked), len(reruns)) == (1, 0)
         assert [v.tobytes() for vf in got_its for v in vf.values] == \
@@ -1480,11 +1490,12 @@ class TestRegressionSweep:
                                    RegressionBackend(degree=2, n_samples=200),
                                    quad, ug, k_max=3, tol=1e-12)
         assert len(its) == 4
-        # per slice: the cloud's fit design, and one lag design for the
-        # cloud, its jumps and the successors of the slice below, which
-        # carry the same lags; the clouds of slices 0 and 1 both carry the
-        # initial segment as lags, so slice 0 reads slice 1's design
-        assert calls == [(200, 2), (200, 1)] * (grid.n_steps - 1) + [(200, 2)]
+        # per slice only the cloud's fit design, whose head-power-0 columns
+        # are the lag design for the cloud, its jumps and the successors
+        # of the slice below, which carry the same lags; the clouds of
+        # slices 0 and 1 both carry the initial segment as lags, so slice 0
+        # reads slice 1's lag design
+        assert calls == [(200, 2)] * grid.n_steps
 
 
 class TestPolicy:
@@ -1662,6 +1673,12 @@ SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 0.1,
                            -2.5e-7])
 
 
+BAD_POWERS = "vf_header.powers: exponents must be >= 0 and each monomial " \
+    "listed once"
+BAD_BOUNDS = "vf_header.bounds: every (lo, hi) pair must be finite with " \
+    "lo <= hi"
+
+
 class TestPersistence:
     def test_grid_values_file_bytes(self, tmp_path):
         spec = dataclasses.replace(reduced_spec(), horizon=0.05)
@@ -1773,9 +1790,22 @@ class TestPersistence:
         ("powers", [[0.0, 1.0]], "vf_header.powers"),
         ("n_levels", "3", "vf_header.n_levels: must be an integer"),
         ("bounds", [[["x", 0.0], [1.0, 1.0]]], "vf_header.bounds: must be a "
-         "2-d array of numbers")],
+         "2-d array of numbers"),
+        # the saved powers are monomial_powers(3, 2), (0, 0, 0) first and
+        # (2, 0, 0) last
+        ("powers", lambda p: p[:-1] + [[-1, 0, 0]], BAD_POWERS),
+        ("powers", lambda p: p[:-1] + [[0, 0, -1]], BAD_POWERS),
+        ("powers", lambda p: p[:-1] + [p[0]], BAD_POWERS),
+        ("bounds", None, "vf_header.bounds: must hold n_steps = 5 arrays"),
+        ("bounds", lambda b: [[[math.nan] + b[0][0][1:], b[0][1]]] + b[1:],
+         BAD_BOUNDS),
+        ("bounds", lambda b: b[:1] + [[b[1][0], b[1][1][:-1] + [math.inf]]]
+         + b[2:], BAD_BOUNDS),
+        ("bounds", lambda b: b[:2] + [b[2][::-1]] + b[3:], BAD_BOUNDS)],
         ids=["powers-string", "powers-ragged", "powers-float",
-             "n_levels-string", "bounds-string"])
+             "n_levels-string", "bounds-string", "powers-negative-head",
+             "powers-negative-lag", "powers-repeated-row", "bounds-null",
+             "bounds-nan-head", "bounds-infinite-lag", "bounds-swapped"])
     def test_bad_regression_header_field_rejected(self, tmp_path, key, value,
                                                   field):
         spec = dataclasses.replace(feedback_spec(delay=0.02), horizon=0.05)
@@ -1788,7 +1818,7 @@ class TestPersistence:
         save_value_function(its[-1], tmp_path, "vf")
         path = tmp_path / "vf_header.json"
         header = json.loads(path.read_text())
-        header[key] = value
+        header[key] = value(header[key]) if callable(value) else value
         path.write_text(json.dumps(header))
         with pytest.raises(ValidationError, match=re.escape(field)):
             load_value_function(tmp_path, "vf",

@@ -290,9 +290,9 @@ class TestCommands:
         drawn = simulate.shared_array((n_paths,))
         real = simulate._keyed_normal_rows
 
-        def counting(seed, paths, grid, out=None):
+        def counting(seed, paths, grid):
             drawn[np.asarray(paths, dtype=int)] += 1
-            return real(seed, paths, grid, out)
+            return real(seed, paths, grid)
 
         monkeypatch.setattr(simulate, "_keyed_normal_rows", counting)
         return drawn
@@ -730,8 +730,8 @@ class TestLagDesignSharing:
                 designs.append((phase[0], points.tobytes()))
             return real_design(points, powers)
 
-        def block(memo, i, lags):
-            out = real_block(memo, i, lags)
+        def block(memo, i, lags, *design):
+            out = real_block(memo, i, lags, *design)
             queries.append((phase[0], i, lags.tobytes()))
             kept[phase[0]] = max(kept[phase[0]], len(memo.entries))
             return out

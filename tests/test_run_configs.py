@@ -54,7 +54,7 @@ def test_grid_reduced_set_is_reproducible(tmp_path):
 
 
 def test_forked_regression_set_is_reproducible(tmp_path):
-    # 4,096 paths are two POLICY_PATHS ranges and more: on a multi-core
+    # 4,096 paths are two FORK_PATHS ranges and more: on a multi-core
     # box the regression policy runs in forked workers
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -67,4 +67,19 @@ def test_forked_regression_set_is_reproducible(tmp_path):
         assert config["evaluation"]["n_paths"] == 4096
         assert config["solver"]["backend"] == "regression"
     same = tool("same_artifacts.py", a, b)
+    assert same.returncode == 0, same.stdout
+
+
+def test_serial_grid_set_equals_the_grid_set(tmp_path):
+    # one usable core: the grid levels, the policy's path ranges and the
+    # value-table saves run in-process, and write the same files
+    out = tmp_path / "out"
+    for name in ("grid-reduced", "grid-reduced-serial"):
+        assert tool("run_configs.py", out, "--only", name).returncode == 0
+    codes = json.loads((out / "grid-reduced-serial" / "exit_codes.json")
+                       .read_text())
+    assert codes == {"solve": 0, "evaluate": 0, "simulate": 0,
+                     "export-figures": 0}
+    same = tool("same_artifacts.py", out / "grid-reduced",
+                out / "grid-reduced-serial")
     assert same.returncode == 0, same.stdout

@@ -14,7 +14,10 @@ path) on these sets, or on the one named by --only:
 - grid-reduced, regression-lift6, mc-probe: the benchmark workloads at
   seed 1, as bench/workloads.make_config builds them, with their commands;
 - regression-lift6-forked: regression-lift6 at 4,096 paths, solve and
-  evaluate, so that the regression policy runs in two forked path ranges.
+  evaluate, so that the regression policy runs in two forked path ranges;
+- grid-reduced-serial: grid-reduced with one usable core, so that its
+  levels, policy runs and value-table saves all run in-process; its files
+  equal grid-reduced's.
 
 Set NAME lands in OUT/NAME/: the config it ran (config.json), the
 artifacts of its commands, and each command's exit code
@@ -32,7 +35,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "configs")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
-from sddeimpulse import cli  # noqa: E402
+from sddeimpulse import cli, simulate  # noqa: E402
 import workloads  # noqa: E402
 
 EVERY = ("solve", "evaluate", "simulate", "export-figures", "probe-flow",
@@ -48,11 +51,14 @@ SHIPPED = {"tiny1": ("tiny1.json", EVERY + ("oracle-compare",), None),
 # set -> (benchmark workload at seed 1, commands, evaluation.n_paths)
 FORKED = {"regression-lift6-forked": ("regression-lift6", ("solve", "evaluate"),
                                       4096)}
-SETS = list(SHIPPED) + list(workloads.WORKLOADS) + list(FORKED)
+# set -> benchmark workload at seed 1, run with one usable core
+SERIAL = {"grid-reduced-serial": "grid-reduced"}
+SETS = list(SHIPPED) + list(workloads.WORKLOADS) + list(FORKED) + list(SERIAL)
 
 
 def set_config(name):
     """(raw config, commands) of the set `name`."""
+    name = SERIAL.get(name, name)
     if name in workloads.WORKLOADS:
         return (workloads.make_config(name, 1, CONFIGS)[0],
                 workloads.WORKLOADS[name].commands)
@@ -73,8 +79,14 @@ def run_set(name, out):
     os.makedirs(out, exist_ok=True)
     config = os.path.join(out, "config.json")
     workloads.write_config(raw, config)
-    codes = {command: cli.main([command, "--config", config, "--out", out])
-             for command in commands}
+    cores = simulate._usable_cores
+    if name in SERIAL:
+        simulate._usable_cores = lambda: 1
+    try:
+        codes = {command: cli.main([command, "--config", config, "--out", out])
+                 for command in commands}
+    finally:
+        simulate._usable_cores = cores
     with open(os.path.join(out, "exit_codes.json"), "w") as fh:
         json.dump(codes, fh, indent=2)
         fh.write("\n")

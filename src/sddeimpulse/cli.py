@@ -22,7 +22,8 @@ from .core import (TIME_TOL, ValidationError, build_problem_spec,
                    real_number, reject_unknown, require)
 from .simulate import (KeyedNoise, TimeGrid, estimate_J,
                        export_trajectories_csv, flow_stability_probe,
-                       fork_jobs, initial_lifted_state, SimulationError)
+                       fork_jobs, initial_lifted_state, noise_cancels,
+                       SimulationError)
 from .lattice import (gauss_hermite_quadrature, two_point_quadrature,
                       three_point_quadrature)
 from .bellman import (GridBackend, Policy, RegressionBackend, budget_decider,
@@ -215,11 +216,15 @@ def _load_policy(cfg, out_dir):
         v_prev = load_value_function(out_dir, "v_prev", **kw)
     except OSError as e:
         raise ValidationError(f"missing solve artifacts in {out_dir}: {e}")
+    if v_prev.backend != v_top.backend:
+        raise ValidationError(f"v_prev backend {v_prev.backend} does not "
+                              f"match v_top backend {v_top.backend}")
     m = cfg.grid.delay_steps + 1
-    dim = len(v_top.axes) if v_top.backend == "GRID" else v_top.powers.shape[1]
-    if dim != m:
-        raise ValidationError(f"artifact dimension {dim} does not match "
-                              f"config lift dimension {m}")
+    for name, v in (("v_top", v_top), ("v_prev", v_prev)):
+        dim = len(v.axes) if v.backend == "GRID" else v.powers.shape[1]
+        if dim != m:
+            raise ValidationError(f"{name} artifact dimension {dim} does not "
+                                  f"match config lift dimension {m}")
     if v_top.n_steps != cfg.grid.n_steps \
             or any(v.dt != cfg.grid.dt for v in (v_top, v_prev)):
         raise ValidationError("artifact time grid does not match config")
@@ -334,7 +339,11 @@ def _probe_ladder(cfg):
 def cmd_probe_flow(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     pa, offsets = _probe_ladder(cfg)
-    noise = KeyedNoise(cfg.seed, cfg.n_paths, cfg.grid)
+    # where the noise cancels, one path pair on zero noise gives every
+    # pair's sup-distance: nothing is drawn and nothing forks
+    deterministic = noise_cancels(cfg.spec)
+    noise = (np.zeros((1, cfg.grid.n_steps)) if deterministic
+             else KeyedNoise(cfg.seed, cfg.n_paths, cfg.grid))
     dists = [float(np.hypot(pb[0] - pa[0], pb[1] - pa[1])) for pb in offsets]
     moments = flow_stability_probe(cfg.spec, pa, offsets, noise, cfg.grid)
     if not all(0.0 < mo < np.inf for mo in moments):
@@ -346,7 +355,8 @@ def cmd_probe_flow(cfg, out_dir):
         for d, mo in zip(dists, moments):
             fh.write(f"{d:.17g},{mo:.17g}\n")
     _write_json(os.path.join(out_dir, "probe_flow.json"),
-                {"slope": slope, "n_paths": cfg.n_paths, "seed": cfg.seed})
+                {"slope": slope, "n_paths": noise.shape[0], "seed": cfg.seed,
+                 "deterministic": deterministic})
     return 0
 
 

@@ -5,7 +5,8 @@ validation instances are one-dimensional, and every downstream module (lattice,
 bellman) assumes a scalar current value with scalar lags.
 
 All coefficient callables must accept numpy arrays elementwise (the built-in
-registry functions do).
+registry functions do).  A registry coefficient also carries its structure
+tag (see `structure`), which callers read to know when a shortcut is exact.
 """
 
 from __future__ import annotations
@@ -262,54 +263,78 @@ def _full(x, value):
     return np.full_like(np.asarray(x, dtype=float), value)
 
 
+def _tag(kind, **fixed):
+    """A tag maker: (kind, the entry's parameters and `fixed`)."""
+    return lambda **params: (kind, {**params, **fixed})
+
+
 # family -> registry name -> (required parameters, optional parameters with
 # their defaults, factory taking the parameters by keyword and returning the
-# coefficient)
+# coefficient, tag maker taking the same parameters and returning the
+# coefficient's structure tag)
 _REGISTRY = {
     "drift": {
-        "zero": ((), {}, lambda: lambda t, x, y: _zeros(x)),
+        "zero": ((), {}, lambda: lambda t, x, y: _zeros(x),
+                 _tag("affine", c0=0.0, c_x=0.0, c_y=0.0)),
         "linear_delay_feedback": (
-            ("a", "k_p"), {}, lambda a, k_p: lambda t, x, y: a * x - k_p * y),
+            ("a", "k_p"), {}, lambda a, k_p: lambda t, x, y: a * x - k_p * y,
+            lambda a, k_p: ("affine", {"c0": 0.0, "c_x": a, "c_y": -k_p})),
         "custom_affine": (
             (), {"c0": 0.0, "c_x": 0.0, "c_y": 0.0},
-            lambda c0, c_x, c_y: lambda t, x, y: c0 + c_x * x + c_y * y),
+            lambda c0, c_x, c_y: lambda t, x, y: c0 + c_x * x + c_y * y,
+            _tag("affine")),
     },
     "diffusion": {
         "constant": (("value",), {},
-                     lambda value: lambda t, x, y: _full(x, value)),
-        "zero": ((), {}, lambda: lambda t, x, y: _zeros(x)),
+                     lambda value: lambda t, x, y: _full(x, value),
+                     _tag("constant")),
+        "zero": ((), {}, lambda: lambda t, x, y: _zeros(x),
+                 _tag("constant", value=0.0)),
     },
     "intervention": {
-        "additive": ((), {}, lambda: lambda x, u: x + u),
+        "additive": ((), {}, lambda: lambda x, u: x + u, _tag("additive")),
         "additive_clamped": (
             ("limit",), {},
-            lambda limit: lambda x, u: np.clip(x + u, -limit, limit)),
+            lambda limit: lambda x, u: np.clip(x + u, -limit, limit),
+            _tag("additive_clamped")),
     },
     "running_reward": {
-        "neg_square": ((), {}, lambda: lambda t, x: -(x * x)),
-        "zero": ((), {}, lambda: lambda t, x: _zeros(x)),
+        "neg_square": ((), {}, lambda: lambda t, x: -(x * x),
+                       _tag("quadratic", scale=-1.0)),
+        "zero": ((), {}, lambda: lambda t, x: _zeros(x), _tag("zero")),
     },
     "terminal_reward": {
-        "neg_square": ((), {}, lambda: lambda x: -(x * x)),
-        "zero": ((), {}, lambda: lambda x: _zeros(x)),
+        "neg_square": ((), {}, lambda: lambda x: -(x * x),
+                       _tag("quadratic", scale=-1.0)),
+        "zero": ((), {}, lambda: lambda x: _zeros(x), _tag("zero")),
     },
     "impulse_cost": {
         "quadratic": ((), {"scale": 0.1},
-                      lambda scale: lambda x, u, t: scale * (1.0 + u * u)),
+                      lambda scale: lambda x, u, t: scale * (1.0 + u * u),
+                      _tag("quadratic")),
         "constant": (("value",), {}, lambda value: lambda x, u, t: _full(
-            np.broadcast_arrays(x, u)[0], value)),
+            np.broadcast_arrays(x, u)[0], value), _tag("constant")),
     },
     "initial_segment": {
         "constant": ((), {"value": 0.0},
-                     lambda value: lambda t: _full(t, value)),
+                     lambda value: lambda t: _full(t, value),
+                     _tag("constant")),
     },
 }
 _PROBLEM_KEYS = (*_REGISTRY, "impulse_set", "horizon", "delay",
                  "min_impulse_cost")
 
 
+def structure(coefficient):
+    """The (kind, parameters) tag of a coefficient built from the registry,
+    or None for any other callable, whose structure is unknown."""
+    return getattr(coefficient, "structure", None)
+
+
 def _build(family, cfg):
-    """The `family` coefficient that the registry entry `cfg` names."""
+    """The `family` coefficient that the registry entry `cfg` names, tagged
+    with its structure (its `structure` attribute).  The tag belongs to the
+    callable, so a spec whose coefficient is replaced loses it."""
     where = f"problem.{family}"
     name = json_object(cfg, where).get("name")
     # a name that is not a string is unknown too, not an unhashable key
@@ -317,12 +342,14 @@ def _build(family, cfg):
     if entry is None:
         raise ValidationError(f"{where}.name: unknown {family} registry "
                               f"name {name!r}")
-    required, optional, factory = entry
+    required, optional, factory, tag = entry
     reject_unknown(cfg, ("name", *required, *optional), where)
     params = {k: require(cfg, k, where) for k in required}
     params.update({k: cfg.get(k, d) for k, d in optional.items()})
-    return factory(**{k: real_number(v, f"{where}.{k}")
-                      for k, v in params.items()})
+    params = {k: real_number(v, f"{where}.{k}") for k, v in params.items()}
+    coefficient = factory(**params)
+    coefficient.structure = tag(**params)
+    return coefficient
 
 
 def build_problem_spec(problem_cfg: dict) -> ProblemSpec:

@@ -9,12 +9,15 @@ split into contiguous path ranges filled by forked worker processes, one
 per usable core; the split cannot change a bit.  On a KeyedNoise each
 range draws its own rows inside the fill that simulates them, so each call
 forks once and no worker forks again; draw_noise_matrix draws a whole
-matrix in the calling process.  fork_jobs, the one fork primitive under
-those ranges, also lets `solve` write its two value tables side by side
-and the grid solve run its levels as a two-process wavefront, both for
-value tables of at least FORK_ENTRIES entries.  Forked workers write
-numbers back into a shared_array, the ranges their columns and the
-wavefront its levels.
+matrix in the calling process.  Where noise_cancels holds (affine drift,
+constant diffusion and additive jump, by the registry's structure tags),
+every path pair of the flow probe has the same sup-distance, so the
+probe-flow command runs it on one row of zero noise: one path, no draw,
+no fork.  fork_jobs, the one fork primitive under those ranges, also lets
+`solve` write its two value tables side by side and the grid solve run
+its levels as a two-process wavefront, both for value tables of at least
+FORK_ENTRIES entries.  Forked workers write numbers back into a
+shared_array, the ranges their columns and the wavefront its levels.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TIME_TOL, ImpulseControl, ProblemSpec, ValidationError
+from .core import (TIME_TOL, ImpulseControl, ProblemSpec, ValidationError,
+                   structure)
 from .lattice import euler_head
 
 OVERFLOW_LIMIT = 1e9
@@ -350,6 +354,18 @@ def estimate_J(spec: ProblemSpec, policy_or_control, noise, grid: TimeGrid):
               float(np.std(payoffs, ddof=1) / math.sqrt(n_paths)))
              for payoffs in _over_path_ranges(n_paths, len(runs), fill)]
     return pairs if many else pairs[0]
+
+
+def noise_cancels(spec: ProblemSpec) -> bool:
+    """Whether the registry tags say the drift is affine, the diffusion
+    constant and the jump additive.  Then two paths on shared noise that
+    differ in one impulse differ by a deterministic linear delay
+    recursion, so every path pair of flow_stability_probe has the same
+    sup-distance, which the pair on zero noise gives.  A coefficient with
+    no tag (built by hand, or replaced) makes this False."""
+    kinds = [(structure(f) or (None,))[0]
+             for f in (spec.drift, spec.diffusion, spec.intervention)]
+    return kinds == ["affine", "constant", "additive"]
 
 
 def flow_stability_probe(spec: ProblemSpec, pair_a, pairs_b, noise,

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 import warnings
 from collections import Counter
 
@@ -16,6 +17,7 @@ from sddeimpulse.cli import RunConfig, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(HERE, os.pardir, "configs")
+BENCH = os.path.join(HERE, os.pardir, "bench")
 
 
 def load_raw(name):
@@ -26,6 +28,27 @@ def load_raw(name):
 def read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def clamped_tiny1(tmp_path):
+    """Path of tiny1 with its jump clamped at 5, so that the flow probe's
+    noise does not cancel."""
+    raw = load_raw("tiny1.json")
+    raw["problem"]["intervention"] = {"name": "additive_clamped",
+                                      "limit": 5.0}
+    path = tmp_path / "clamped.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def mc_probe_config():
+    """The benchmark's mc-probe config at workload seed 1."""
+    sys.path.insert(0, BENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(BENCH)
+    return workloads.make_config("mc-probe", 1, CONFIGS)[0]
 
 
 class TestRunConfig:
@@ -262,7 +285,7 @@ class TestCommands:
             return real(seed, paths, grid)
 
         monkeypatch.setattr(simulate, "_keyed_normal_rows", counting)
-        cfg_path = os.path.join(CONFIGS, "tiny1.json")
+        cfg_path = clamped_tiny1(tmp_path)
         assert main(["probe-flow", "--config", cfg_path,
                      "--out", str(tmp_path)]) == 0
         assert sorted(calls) == list(range(RunConfig.load(cfg_path).n_paths))
@@ -301,7 +324,7 @@ class TestCommands:
                                                     monkeypatch, forking):
         # each worker draws its own range's rows: one fork, no second
         # set of workers for the noise
-        cfg_path = os.path.join(CONFIGS, "tiny1.json")
+        cfg_path = clamped_tiny1(tmp_path)
         n_paths = RunConfig.load(cfg_path).n_paths
         forking(1)
         assert main(["probe-flow", "--config", cfg_path,
@@ -476,6 +499,57 @@ class TestCommands:
         cfg.write_text(json.dumps(raw))
         assert main(["evaluate", "--config", str(cfg), "--out", out]) == 2
         assert "lift dimension 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base,settings,delay", [
+        # lift 6 against a lift 2 v_prev, on a 5-step time grid
+        ("delay_feedback.json",
+         {"problem": {"horizon": 0.05},
+          "solver": {"k_max": 1, "n_samples": 200},
+          "discretization": {"n_impulse": 3}}, 0.01),
+        # lift 2 against a lift 3 v_prev, on a 20-step time grid
+        ("delay_feedback_reduced.json",
+         {"problem": {"horizon": 0.2}, "solver": {"k_max": 1},
+          "discretization": {"points_per_axis": 11, "n_impulse": 5}}, 0.02)],
+        ids=["regression", "grid"])
+    def test_exit_code_2_on_v_prev_of_other_lift(self, tmp_path, capsys, base,
+                                                 settings, delay):
+        raw = load_raw(base)
+        for section, values in settings.items():
+            raw[section].update(values)
+        raw["evaluation"]["n_paths"] = 10
+        cfg, other = tmp_path / "cfg.json", tmp_path / "other.json"
+        cfg.write_text(json.dumps(raw))
+        lift = RunConfig(raw).grid.delay_steps + 1
+        raw["problem"]["delay"] = delay
+        other.write_text(json.dumps(raw))
+        out, other_out = tmp_path / "run", tmp_path / "other"
+        for path, run in ((cfg, out), (other, other_out)):
+            assert main(["solve", "--config", str(path), "--out",
+                         str(run)]) == 0
+        for name in os.listdir(other_out):
+            if name.startswith("v_prev_"):
+                shutil.copy(other_out / name, out / name)
+        assert main(["evaluate", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        other_lift = RunConfig(raw).grid.delay_steps + 1
+        assert (f"v_prev artifact dimension {other_lift} does not match "
+                f"config lift dimension {lift}") in capsys.readouterr().err
+        assert not os.path.exists(out / "evaluate.json")
+
+    def test_exit_code_2_on_v_prev_of_other_backend(self, tmp_path, capsys,
+                                                    tiny_run,
+                                                    tiny_regression_run):
+        cfg_path, grid_out = tiny_run
+        _, regression_out = tiny_regression_run
+        out = tmp_path / "run"
+        shutil.copytree(grid_out, out)
+        for name in os.listdir(regression_out):
+            if name.startswith("v_prev_"):
+                shutil.copy(os.path.join(regression_out, name), out / name)
+        assert main(["evaluate", "--config", cfg_path, "--out",
+                     str(out)]) == 2
+        assert "v_prev backend REGRESSION does not match v_top backend " \
+            "GRID" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         lambda b: [b[0] + [b[0][0]]] + b[1:],
@@ -862,6 +936,73 @@ def reduced_grid_run(tmp_path_factory):
 
 def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
+
+
+class TestNoiseFreeProbe:
+    """Where the registry tags say the noise cancels, probe-flow runs one
+    path pair on zero noise, which gives the many-path moments and slope;
+    elsewhere it runs every path on its keyed noise."""
+
+    @pytest.mark.parametrize("name", ["tiny1.json", "tiny2.json",
+                                      "delay_feedback_reduced.json",
+                                      "mc-probe"])
+    def test_equals_the_keyed_many_path_probe(self, tmp_path, name):
+        raw = mc_probe_config() if name == "mc-probe" else load_raw(name)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["probe-flow", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+        cfg = RunConfig(raw)
+        pa, offsets = cli._probe_ladder(cfg)
+        want = simulate.flow_stability_probe(
+            cfg.spec, pa, offsets,
+            simulate.KeyedNoise(cfg.seed, cfg.n_paths, cfg.grid), cfg.grid)
+        rows = read_rows(tmp_path / "probe_flow.csv")
+        np.testing.assert_allclose([float(r["moment"]) for r in rows], want,
+                                   rtol=1e-12, atol=0)
+        dists = [float(r["distance"]) for r in rows]
+        slope = float(np.polyfit(np.log(dists), np.log(want), 1)[0])
+        rep = json.loads((tmp_path / "probe_flow.json").read_text())
+        assert rep["slope"] == pytest.approx(slope, rel=1e-12, abs=0)
+        assert rep == {"slope": rep["slope"], "n_paths": 1, "seed": cfg.seed,
+                       "deterministic": True}
+
+    def test_draws_no_noise_and_forks_nothing(self, tmp_path, monkeypatch,
+                                              forking):
+        calls = []
+        real = simulate._keyed_normal_rows
+
+        def counting(seed, paths, grid):
+            calls.extend(paths)
+            return real(seed, paths, grid)
+
+        monkeypatch.setattr(simulate, "_keyed_normal_rows", counting)
+        forked = forking(2)
+        assert main(["probe-flow", "--config",
+                     os.path.join(CONFIGS, "tiny1.json"),
+                     "--out", str(tmp_path)]) == 0
+        assert calls == [] and forked == []
+
+    def test_stochastic_config_runs_every_path(self, tmp_path, monkeypatch):
+        noises = []
+        real = cli.flow_stability_probe
+
+        def recording(spec, pair_a, pairs_b, noise, grid):
+            noises.append(noise)
+            return real(spec, pair_a, pairs_b, noise, grid)
+
+        monkeypatch.setattr(cli, "flow_stability_probe", recording)
+        cfg_path = clamped_tiny1(tmp_path)
+        assert main(["probe-flow", "--config", cfg_path,
+                     "--out", str(tmp_path)]) == 0
+        cfg = RunConfig.load(cfg_path)
+        [noise] = noises
+        assert isinstance(noise, simulate.KeyedNoise)
+        assert noise.shape == (cfg.n_paths, cfg.grid.n_steps)
+        assert noise.seed == cfg.seed
+        rep = json.loads((tmp_path / "probe_flow.json").read_text())
+        assert rep["deterministic"] is False
+        assert rep["n_paths"] == cfg.n_paths
 
 
 class TestProbeFlowLadder:

@@ -8,6 +8,7 @@ import pytest
 
 from sddeimpulse import (ImpulseControl, ImpulseSet, ProblemSpec,
                          ValidationError, build_problem_spec, check_assumptions)
+from sddeimpulse.core import _REGISTRY, structure
 from sddeimpulse.simulate import TimeGrid, simulate_batch
 
 
@@ -216,3 +217,61 @@ def test_registry_entry_matches_closed_form(family, entry, closed_form):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
 
+
+
+# Every registry entry, with the structure tag it carries
+_AFFINE_ZERO = ("affine", {"c0": 0.0, "c_x": 0.0, "c_y": 0.0})
+REGISTRY_TAGS = [
+    ("drift", {"name": "zero"}, _AFFINE_ZERO),
+    ("drift", {"name": "linear_delay_feedback", "a": 1.5, "k_p": 0.7},
+     ("affine", {"c0": 0.0, "c_x": 1.5, "c_y": -0.7})),
+    ("drift", {"name": "custom_affine", "c0": 0.25, "c_x": -1.5, "c_y": 0.5},
+     ("affine", {"c0": 0.25, "c_x": -1.5, "c_y": 0.5})),
+    ("drift", {"name": "custom_affine"}, _AFFINE_ZERO),
+    ("diffusion", {"name": "constant", "value": 3},
+     ("constant", {"value": 3.0})),
+    ("diffusion", {"name": "zero"}, ("constant", {"value": 0.0})),
+    ("intervention", {"name": "additive"}, ("additive", {})),
+    ("intervention", {"name": "additive_clamped", "limit": 1.5},
+     ("additive_clamped", {"limit": 1.5})),
+    ("running_reward", {"name": "neg_square"}, ("quadratic", {"scale": -1.0})),
+    ("running_reward", {"name": "zero"}, ("zero", {})),
+    ("terminal_reward", {"name": "neg_square"}, ("quadratic", {"scale": -1.0})),
+    ("terminal_reward", {"name": "zero"}, ("zero", {})),
+    ("impulse_cost", {"name": "quadratic", "scale": 0.2},
+     ("quadratic", {"scale": 0.2})),
+    ("impulse_cost", {"name": "quadratic"}, ("quadratic", {"scale": 0.1})),
+    ("impulse_cost", {"name": "constant", "value": 0.4},
+     ("constant", {"value": 0.4})),
+    ("initial_segment", {"name": "constant", "value": -0.5},
+     ("constant", {"value": -0.5})),
+    ("initial_segment", {"name": "constant"}, ("constant", {"value": 0.0})),
+]
+
+
+def test_registry_tags_cover_every_entry():
+    assert ({(family, entry["name"]) for family, entry, _ in REGISTRY_TAGS}
+            == {(family, name) for family, names in _REGISTRY.items()
+                for name in names})
+
+
+@pytest.mark.parametrize(
+    "family,entry,tag", REGISTRY_TAGS,
+    ids=["-".join([f, *map(str, e.values())]) for f, e, _ in REGISTRY_TAGS])
+def test_registry_entry_carries_its_tag(family, entry, tag):
+    spec = build_problem_spec(dict(TestRegistry.BASE, **{family: entry}))
+    got = structure(getattr(spec, family))
+    assert got == tag
+    # the parameters are the config's, read as floats
+    assert all(type(v) is float for v in got[1].values())
+
+
+def test_replaced_coefficient_has_no_tag():
+    spec = build_problem_spec(TestRegistry.BASE)
+    replaced = dataclasses.replace(spec, drift=lambda t, x, y: x - y)
+    assert structure(replaced.drift) is None
+    assert structure(replaced.diffusion) == ("constant", {"value": 1.0})
+    assert structure(spec.drift) == ("affine",
+                                     {"c0": 0.0, "c_x": 1.0, "c_y": -1.0})
+    assert all(structure(getattr(tiny_spec(), family)) is None
+               for family in _REGISTRY)

@@ -27,13 +27,30 @@ def test_tiny1_set_is_reproducible(tmp_path):
 
 
 def test_mc_probe_set_is_reproducible(tmp_path):
-    # a fresh interpreter sees the real core count: on a multi-core box
-    # the probe's noise and sup-distances are filled by forked workers
+    # the main config's noise cancels: the probe runs one noise-free path
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert tool("run_configs.py", out, "--only", "mc-probe").returncode == 0
         codes = json.loads((out / "mc-probe" / "exit_codes.json").read_text())
         assert codes == {"probe-flow": 0}
+    same = tool("same_artifacts.py", a, b)
+    assert same.returncode == 0, same.stdout
+
+
+def test_stochastic_mc_probe_set_is_reproducible(tmp_path):
+    # a fresh interpreter sees the real core count: on a multi-core box
+    # the probe's 50,000 keyed noise rows and sup-distances are filled by
+    # forked workers
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert tool("run_configs.py", out, "--only",
+                    "mc-probe-stochastic").returncode == 0
+        set_dir = out / "mc-probe-stochastic"
+        codes = json.loads((set_dir / "exit_codes.json").read_text())
+        assert codes == {"probe-flow": 0}
+        probe = json.loads((set_dir / "probe_flow.json").read_text())
+        assert probe["deterministic"] is False
+        assert probe["n_paths"] == 50000
     same = tool("same_artifacts.py", a, b)
     assert same.returncode == 0, same.stdout
 

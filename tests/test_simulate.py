@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import json
 import math
 import os
 import warnings
@@ -18,7 +19,7 @@ from sddeimpulse.simulate import (KeyedNoise, SimulationError, TimeGrid,
                                   draw_noise, draw_noise_matrix, estimate_J,
                                   export_trajectories_csv,
                                   flow_stability_probe, initial_lifted_state,
-                                  simulate_batch)
+                                  noise_cancels, simulate_batch)
 
 from test_core import tiny_spec
 
@@ -333,6 +334,38 @@ class TestEstimateJ:
         # hand tree sum: E[-(z1-1)^2 * .5 - (z1-1+z2)^2] - 0.2
         expect = -0.5 * (0.5 + 1.0) - (0.5 + 1.0 + 0.5) - 0.2
         assert np.mean(vals) == pytest.approx(expect, abs=1e-12)
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "configs")
+
+
+def shipped_problem(name):
+    with open(os.path.join(CONFIGS, name)) as fh:
+        return json.load(fh)["problem"]
+
+
+class TestNoiseCancels:
+    @pytest.mark.parametrize("name", ["tiny1.json", "tiny2.json",
+                                      "delay_feedback_reduced.json",
+                                      "delay_feedback.json"])
+    def test_holds_on_every_shipped_config(self, name):
+        assert noise_cancels(build_problem_spec(shipped_problem(name)))
+
+    def test_fails_for_a_clamped_jump(self):
+        problem = shipped_problem("delay_feedback.json")
+        problem["intervention"] = {"name": "additive_clamped", "limit": 10.0}
+        assert not noise_cancels(build_problem_spec(problem))
+
+    def test_fails_for_a_replaced_diffusion(self):
+        # the same constant, but no tag says so
+        spec = dataclasses.replace(
+            feedback_spec(), diffusion=lambda t, x, y: np.ones_like(x))
+        assert noise_cancels(feedback_spec())
+        assert not noise_cancels(spec)
+
+    def test_fails_for_a_hand_built_spec(self):
+        assert not noise_cancels(tiny_spec())
 
 
 class TestCoupledProbe:

@@ -18,6 +18,9 @@ path) on these sets, or on the one named by --only:
 - grid-reduced-serial: grid-reduced with one usable core, so that its
   levels, policy runs and value-table saves all run in-process; its files
   equal grid-reduced's.
+- mc-probe-stochastic: mc-probe with the jump clamped at 10, so that the
+  probe's noise does not cancel and probe-flow still draws its 50,000
+  keyed rows in forked path ranges.
 
 Set NAME lands in OUT/NAME/: the config it ran (config.json), the
 artifacts of its commands, and each command's exit code
@@ -53,12 +56,21 @@ FORKED = {"regression-lift6-forked": ("regression-lift6", ("solve", "evaluate"),
                                       4096)}
 # set -> benchmark workload at seed 1, run with one usable core
 SERIAL = {"grid-reduced-serial": "grid-reduced"}
-SETS = list(SHIPPED) + list(workloads.WORKLOADS) + list(FORKED) + list(SERIAL)
+# set -> (benchmark workload at seed 1, limit of its additive_clamped jump)
+CLAMPED = {"mc-probe-stochastic": ("mc-probe", 10.0)}
+SETS = (list(SHIPPED) + list(workloads.WORKLOADS) + list(FORKED)
+        + list(SERIAL) + list(CLAMPED))
 
 
 def set_config(name):
     """(raw config, commands) of the set `name`."""
     name = SERIAL.get(name, name)
+    if name in CLAMPED:
+        base, limit = CLAMPED[name]
+        raw, commands = set_config(base)
+        raw["problem"]["intervention"] = {"name": "additive_clamped",
+                                          "limit": limit}
+        return raw, commands
     if name in workloads.WORKLOADS:
         return (workloads.make_config(name, 1, CONFIGS)[0],
                 workloads.WORKLOADS[name].commands)

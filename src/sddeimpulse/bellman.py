@@ -946,6 +946,12 @@ class Policy:
         if self.v_top.n_steps != self.v_prev.n_steps:
             raise ValidationError("value functions live on different time grids")
         self.u_grid = np.asarray(self.u_grid, dtype=float)
+        top, prev = self.v_top, self.v_prev
+        if all(isinstance(v, RegressionValueFunction) for v in (top, prev)) \
+                and np.array_equal(top.powers, prev.powers):
+            # a step reads both levels at the same lag blocks (the level
+            # views of one hierarchy share the memo already)
+            prev.lag_memo = top.lag_memo
 
     @property
     def dt(self):

@@ -228,10 +228,6 @@ def _load_policy(cfg, out_dir):
     if v_top.n_steps != cfg.grid.n_steps \
             or any(v.dt != cfg.grid.dt for v in (v_top, v_prev)):
         raise ValidationError("artifact time grid does not match config")
-    if v_top.backend == v_prev.backend == "REGRESSION" and np.array_equal(
-            v_top.powers, v_prev.powers):
-        # a policy step reads both levels at the same lag blocks
-        v_prev.lag_memo = v_top.lag_memo
     return Policy(v_top, v_prev, cfg.spec, u_grid, cfg.quadrature)
 
 
@@ -362,8 +358,7 @@ def cmd_probe_flow(cfg, out_dir):
 
 def cmd_check_assumptions(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    report = check_assumptions(cfg.spec, sample_budget=max(cfg.n_paths, 1000),
-                               rng_seed=cfg.seed)
+    report = check_assumptions(cfg.spec)
     _write_json(os.path.join(out_dir, "assumptions.json"),
                 {"passed": report.passed,
                  "checks": [{"name": c.name, "passed": c.passed,
@@ -436,7 +431,7 @@ def main(argv=None):
             cfg.backend = args.backend
         out_dir = args.out if args.out is not None else cfg.output_dir
         return _COMMANDS[args.command](cfg, out_dir)
-    except ValidationError as e:
+    except (ValidationError, OSError) as e:  # OSError: unusable run dir
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (SimulationError, DivergenceError, MemoryError) as e:

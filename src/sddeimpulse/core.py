@@ -114,11 +114,17 @@ class ImpulseControl:
 # Assumption checks
 # ---------------------------------------------------------------------------
 
+# The state box [-R_BOX, R_BOX] of the running-reward and jump-growth checks,
+# and the growth bound: |Gamma(x, u)| <= max(K_GROWTH, |x|), which is
+# K_GROWTH on the box
+R_BOX, K_GROWTH = 5.0, 10.0
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
-    estimate: float
+    estimate: float | None  # None: the coefficient's structure is unknown
     witness: tuple
     detail: str = ""
 
@@ -138,73 +144,60 @@ class AssumptionReport:
         raise KeyError(name)
 
 
-def check_assumptions(spec: ProblemSpec, sample_budget: int, rng_seed: int,
-                      growth_bound: float = 10.0, state_range: float = 5.0) -> AssumptionReport:
-    """Monte Carlo probe of the regularity assumptions on (a, b, f, ell, Gamma).
-
-    Estimates Lipschitz ratios over random point pairs and checks the jump
-    growth bound |Gamma(x,u)| <= max(growth_bound, |x|), the jump contraction
-    |Gamma(x,u)-Gamma(y,v)| <= |(x,u)-(y,v)| and the strict cost floor
-    ell >= min_impulse_cost.  Report-only: failures are entries, not errors.
-    """
-    if sample_budget < 1:
-        raise ValidationError("sample_budget must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    n = int(sample_budget)
-    t = rng.uniform(0, spec.horizon, n)
-    x, y, x2, y2 = (rng.uniform(-state_range, state_range, n) for _ in range(4))
+def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
+    """The exact constants of the regularity assumptions on (a, b, f, ell,
+    Gamma), read from the coefficients' structure tags; the README states
+    each check's inequality, norm and domain.  A coefficient with no tag
+    reads estimate None and fails.  Report-only: failures are entries, not
+    errors."""
     lo, hi = spec.impulse_set.lower, spec.impulse_set.upper
-    u, v = rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
-    t2 = rng.uniform(0, spec.horizon, n)
-
-    def lip_ratio(num, den):
-        den = np.maximum(den, 1e-12)
-        return num / den
-
-    checks = []
-
-    def ratio_check(name, num, den, args):
-        r = lip_ratio(np.abs(num), den)
-        i = int(np.argmax(r))
-        checks.append(CheckResult(name, bool(np.all(np.isfinite(r))), float(r[i]),
-                                  tuple(float(a[i]) for a in args),
-                                  "estimated Lipschitz ratio (max over samples)"))
-
-    pair_dist = np.abs(x - x2) + np.abs(y - y2)
-    ratio_check("drift_lipschitz",
-                spec.drift(t, x, y) - spec.drift(t, x2, y2), pair_dist, (t, x, y, x2, y2))
-    ratio_check("diffusion_lipschitz",
-                spec.diffusion(t, x, y) - spec.diffusion(t, x2, y2), pair_dist, (t, x, y, x2, y2))
-    ratio_check("running_reward_lipschitz",
-                spec.running_reward(t, x) - spec.running_reward(t, x2),
-                np.abs(x - x2), (t, x, x2))
-    ell_dist = np.sqrt((x - x2) ** 2 + (u - v) ** 2 + (t - t2) ** 2)
-    ratio_check("impulse_cost_lipschitz",
-                spec.impulse_cost(x, u, t) - spec.impulse_cost(x2, v, t2),
-                ell_dist, (x, u, t, x2, v, t2))
-
-    gx = spec.intervention(x, u)
-    excess = np.abs(gx) - np.maximum(growth_bound, np.abs(x))
-    i = int(np.argmax(excess))
-    checks.append(CheckResult("intervention_growth", bool(excess[i] <= 1e-12),
-                              float(excess[i]), (float(x[i]), float(u[i])),
-                              f"|Gamma(x,u)| - max({growth_bound}, |x|), max over samples"))
-
-    gy = spec.intervention(y, v)
-    contraction = np.abs(gx - gy) - np.sqrt((x - y) ** 2 + (u - v) ** 2)
-    i = int(np.argmax(contraction))
-    checks.append(CheckResult("intervention_lipschitz", bool(contraction[i] <= 1e-12),
-                              float(contraction[i]),
-                              (float(x[i]), float(u[i]), float(y[i]), float(v[i])),
-                              "|Gamma(x,u)-Gamma(y,v)| - |(x,u)-(y,v)|, max over samples"))
-
-    ell = spec.impulse_cost(x, u, t)
-    i = int(np.argmin(ell))
-    checks.append(CheckResult("impulse_cost_positive", bool(ell[i] > spec.min_impulse_cost),
-                              float(ell[i]), (float(x[i]), float(u[i]), float(t[i])),
-                              f"min sampled cost, required > {spec.min_impulse_cost}"))
-
-    return AssumptionReport(tuple(checks))
+    # |x + u| peaks on the box at `peak`, whose impulse is the one farthest
+    # from 0; `near` is the one nearest 0.  A one-point set moves no u
+    peak = (R_BOX, hi) if hi >= -lo else (-R_BOX, lo)
+    near, far = min(max(0.0, lo), hi), peak[1]
+    jump = (math.sqrt(2.0) if lo < hi else 1.0, ())
+    fee = 2.0 * abs(far) if lo < hi else 0.0
+    checks = (
+        ("drift_lipschitz", spec.drift, math.isfinite,
+         {"affine": lambda c0, c_x, c_y: (max(abs(c_x), abs(c_y)), ())},
+         "L in |a(t,x,y) - a(t,x',y')| <= L (|x-x'| + |y-y'|)"),
+        ("diffusion_lipschitz", spec.diffusion, math.isfinite,
+         {"constant": lambda value: (0.0, ())},
+         "L in |b(t,x,y) - b(t,x',y')| <= L (|x-x'| + |y-y'|)"),
+        ("running_reward_lipschitz", spec.running_reward, math.isfinite,
+         {"quadratic": lambda scale: (2.0 * abs(scale) * R_BOX, ()),
+          "zero": lambda: (0.0, ())},
+         f"L in |f(t,x) - f(t,x')| <= L |x-x'| on |x|, |x'| <= {R_BOX}"),
+        ("impulse_cost_lipschitz", spec.impulse_cost, math.isfinite,
+         {"quadratic": lambda scale: (abs(scale) * fee, ()),
+          "constant": lambda value: (0.0, ())},
+         "L in |ell(x,u,t) - ell(x',u',t')| <= L |(x,u,t) - (x',u',t')|"),
+        ("intervention_growth", spec.intervention, lambda e: e <= 0.0,
+         {"additive": lambda: (abs(sum(peak)) - K_GROWTH, peak),
+          "additive_clamped": lambda limit: (
+              min(abs(sum(peak)), limit) - K_GROWTH, peak)},
+         f"max |Gamma(x,u)| - {K_GROWTH} on |x| <= {R_BOX}, required <= 0"),
+        ("intervention_lipschitz", spec.intervention, lambda e: e <= 1.0,
+         {"additive": lambda: jump, "additive_clamped": lambda limit: jump},
+         "L in |Gamma(x,u) - Gamma(y,v)| <= L |(x,u) - (y,v)|, "
+         "required <= 1"),
+        ("impulse_cost_positive", spec.impulse_cost,
+         lambda e: e > spec.min_impulse_cost,
+         {"quadratic": lambda scale: min((scale * (1.0 + u * u), (0.0, u, 0.0))
+                                        for u in (near, far)),
+          "constant": lambda value: (value, (0.0, lo, 0.0))},
+         f"min ell over the impulse set, required > {spec.min_impulse_cost}"),
+    )
+    results = []
+    for name, coefficient, verdict, rules, detail in checks:
+        # each rule maps the tag's parameters to an (estimate, witness) pair
+        kind, params = structure(coefficient) or (None, {})
+        estimate, witness = (rules[kind](**params) if kind in rules
+                             else (None, ()))
+        results.append(CheckResult(
+            name, estimate is not None and bool(verdict(estimate)), estimate,
+            witness, detail))
+    return AssumptionReport(tuple(results))
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +340,9 @@ def _build(family, cfg):
     params = {k: require(cfg, k, where) for k in required}
     params.update({k: cfg.get(k, d) for k, d in optional.items()})
     params = {k: real_number(v, f"{where}.{k}") for k, v in params.items()}
+    if not 0.0 < params.get("limit", 1.0) < math.inf:  # a clamp must clamp
+        raise ValidationError(f"{where}.limit: must be finite and positive, "
+                              f"got {params['limit']}")
     coefficient = factory(**params)
     coefficient.structure = tag(**params)
     return coefficient

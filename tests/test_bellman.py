@@ -1652,6 +1652,30 @@ class TestSharedLagColumns:
         assert all(vf.lag_memo is back.lag_memo
                    and vf.powers is back.lag_memo.powers for vf in levels)
 
+    def test_policy_on_two_loaded_levels_shares_one_memo(self, tmp_path):
+        spec = dataclasses.replace(feedback_spec(delay=0.02), horizon=0.05)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        quad = gauss_hermite_quadrature(0.01, 3)
+        ug = spec.impulse_set.grid(5)
+        its, _ = k_value_iteration(spec, grid,
+                                   RegressionBackend(degree=2, n_samples=100),
+                                   quad, ug, k_max=2, tol=1e-12)
+        for name, vf in (("top", its[-1]), ("prev", its[-2])):
+            save_value_function(vf, tmp_path, name)
+        top, prev = (load_value_function(
+            tmp_path, name, terminal_reward=spec.terminal_reward, spec=spec,
+            u_grid=ug) for name in ("top", "prev"))
+        assert prev.lag_memo is not top.lag_memo
+        loaded = Policy(top, prev, spec, ug, quad)
+        assert prev.lag_memo is top.lag_memo
+        solved = Policy(its[-1], its[-2], spec, ug, quad)
+        assert its[-2].lag_memo is its[0].lag_memo
+        states = np.random.default_rng(5).normal(size=(30, 3))
+        for i in range(grid.n_steps):
+            for got, want in zip(loaded.decide_batch(i, states),
+                                 solved.decide_batch(i, states)):
+                assert got.tobytes() == want.tobytes()
+
 
 def reference_values_csv(vf):
     """The bytes of save_value_function's values file, written one entry

@@ -1,6 +1,7 @@
 """Config validation and CLI subcommand integration."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -664,6 +665,33 @@ class TestCommands:
         assert "output_dir: must be a nonempty string" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("out,error", [
+        ("", "No such file or directory"), ("file", "File exists"),
+        ("file/sub", "Not a directory")], ids=["empty", "file", "in-a-file"])
+    def test_exit_code_2_on_bad_out(self, tmp_path, monkeypatch, capsys, out,
+                                    error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        cfg_path = os.path.join(CONFIGS, "tiny1.json")
+        assert main(["check-assumptions", "--config", cfg_path,
+                     "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and error in err
+        assert os.listdir(tmp_path) == ["file"]
+
+    @pytest.mark.parametrize("limit", [-1.0, 0.0])
+    def test_exit_code_2_on_clamp_that_cannot_clamp(self, tmp_path, capsys,
+                                                    limit):
+        raw = load_raw("tiny1.json")
+        raw["problem"]["intervention"] = {"name": "additive_clamped",
+                                          "limit": limit}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        assert "problem.intervention.limit: must be finite and positive" in \
+            capsys.readouterr().err
+
     def test_exit_code_2_on_integer_literal_too_long_to_parse(self, tmp_path):
         text = json.dumps(load_raw("tiny1.json"))
         bad = tmp_path / "bad.json"
@@ -770,6 +798,45 @@ class TestCommands:
                      "--seed", "99"]) == 0
         with open(os.path.join(out, "evaluate.json")) as fh:
             assert json.load(fh)["seed"] == 99
+
+
+class TestAssumptionReport:
+    """check-assumptions reads the problem alone: its report is exact, and
+    neither evaluation.n_paths nor the seed moves a byte of it."""
+
+    def test_same_bytes_at_any_path_count_and_seed(self, tmp_path):
+        raw, reports = load_raw("tiny1.json"), set()
+        for n_paths, seed in ((1000, "1"), (2000, "1"), (1000, "2")):
+            raw["evaluation"]["n_paths"] = n_paths
+            cfg = tmp_path / f"{n_paths}.json"
+            cfg.write_text(json.dumps(raw))
+            out = tmp_path / f"{n_paths}-{seed}"
+            assert main(["check-assumptions", "--config", str(cfg),
+                         "--out", str(out), "--seed", seed]) == 0
+            reports.add((out / "assumptions.json").read_bytes())
+        assert len(reports) == 1
+        report = json.loads(reports.pop())
+        assert report["passed"] is False
+        assert [(c["name"], c["passed"], c["estimate"])
+                for c in report["checks"]] == [
+            ("drift_lipschitz", True, 0.0),
+            ("diffusion_lipschitz", True, 0.0),
+            ("running_reward_lipschitz", True, 10.0),
+            ("impulse_cost_lipschitz", True, 0.2),
+            ("intervention_growth", True, -4.0),
+            ("intervention_lipschitz", False, 2.0 ** 0.5),
+            ("impulse_cost_positive", True, 0.1)]
+
+    def test_untagged_coefficient_reads_null(self, tmp_path):
+        cfg = RunConfig.load(os.path.join(CONFIGS, "tiny1.json"))
+        cfg.spec = dataclasses.replace(
+            cfg.spec, impulse_cost=lambda x, u, t: 0.1 * (1.0 + u * u))
+        assert cli.cmd_check_assumptions(cfg, str(tmp_path)) == 0
+        report = json.loads((tmp_path / "assumptions.json").read_text())
+        unknown = [c for c in report["checks"] if c["estimate"] is None]
+        assert [c["name"] for c in unknown] == ["impulse_cost_lipschitz",
+                                                "impulse_cost_positive"]
+        assert not any(c["passed"] for c in unknown)
 
 
 class TestLagDesignSharing:

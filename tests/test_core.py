@@ -1,15 +1,21 @@
 """Problem specs, fixed controls, payoff evaluation, assumption probes."""
 
 import dataclasses
+import inspect
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from sddeimpulse import (ImpulseControl, ImpulseSet, ProblemSpec,
                          ValidationError, build_problem_spec, check_assumptions)
-from sddeimpulse.core import _REGISTRY, structure
+from sddeimpulse.core import K_GROWTH, R_BOX, _REGISTRY, structure
 from sddeimpulse.simulate import TimeGrid, simulate_batch
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "configs")
 
 
 def tiny_spec():
@@ -89,31 +95,77 @@ class TestTotalPayoff:
             assert payoff == pytest.approx(expect, abs=1e-12)
 
 
+def registry_spec(**entries):
+    """TestRegistry.BASE with the given problem entries replaced."""
+    return build_problem_spec(dict(TestRegistry.BASE, **entries))
+
+
 class TestCheckAssumptions:
     def test_zero_cost_fails_with_witness(self):
-        spec = dataclasses.replace(tiny_spec(),
-                                   impulse_cost=lambda x, u, t: 0.0 * u)
-        report = check_assumptions(spec, sample_budget=500, rng_seed=3)
-        bad = report["impulse_cost_positive"]
-        assert not bad.passed
-        assert len(bad.witness) == 3
+        spec = registry_spec(impulse_cost={"name": "constant", "value": 0.0})
+        bad = check_assumptions(spec)["impulse_cost_positive"]
+        assert not bad.passed and bad.estimate == 0.0
+        x, u, t = bad.witness
+        assert spec.impulse_cost(x, u, t) == 0.0
 
     def test_clamped_jump_growth_passes(self):
-        spec = dataclasses.replace(
-            tiny_spec(),
-            intervention=lambda x, u: np.clip(x + u, -5.0, 5.0),
-            impulse_set=ImpulseSet(-2.0, 2.0))
-        report = check_assumptions(spec, sample_budget=2000, rng_seed=3,
-                                   growth_bound=7.0)
-        assert report["intervention_growth"].passed
+        # |x + u| reaches 5 + 8 on the box; the clamp at 5 keeps it in 10
+        wide = [-8.0, 8.0]
+        additive = check_assumptions(registry_spec(impulse_set=wide))
+        clamped = check_assumptions(registry_spec(
+            impulse_set=wide,
+            intervention={"name": "additive_clamped", "limit": 5.0}))
+        assert additive["intervention_growth"].estimate == 3.0
+        assert not additive["intervention_growth"].passed
+        assert clamped["intervention_growth"].estimate == -5.0
+        assert clamped["intervention_growth"].passed
 
     def test_quadratic_cost_passes_floor(self):
-        report = check_assumptions(tiny_spec(), sample_budget=2000, rng_seed=3)
-        assert report["impulse_cost_positive"].passed
+        floor = check_assumptions(registry_spec())["impulse_cost_positive"]
+        assert floor.passed and floor.estimate == 0.1
+        assert floor.witness == (0.0, 0.0, 0.0)
 
-    def test_budget_validated(self):
-        with pytest.raises(ValidationError):
-            check_assumptions(tiny_spec(), sample_budget=0, rng_seed=1)
+    def test_takes_the_spec_alone(self):
+        assert list(inspect.signature(check_assumptions).parameters) == [
+            "spec"]
+        assert check_assumptions(registry_spec()) == \
+            check_assumptions(registry_spec())
+
+    def test_untagged_coefficient_reads_unknown(self):
+        spec = dataclasses.replace(registry_spec(),
+                                   drift=lambda t, x, y: x - y)
+        report = check_assumptions(spec)
+        unknown = report["drift_lipschitz"]
+        assert unknown.estimate is None and not unknown.passed
+        assert report["diffusion_lipschitz"].passed
+        assert all(c.estimate is None and not c.passed
+                   for c in check_assumptions(tiny_spec()).checks)
+
+    @pytest.mark.parametrize("bounds,scale,floor,witness", [
+        ([-2.0, 2.0], 0.1, 0.1, 0.0), ([0.5, 3.0], 0.1, 0.125, 0.5),
+        ([-3.0, -0.5], 0.1, 0.125, -0.5), ([-1.0, 3.0], -0.1, -1.0, 3.0),
+        ([-3.0, 1.0], -0.1, -1.0, -3.0)])
+    def test_fee_floor_either_sign(self, bounds, scale, floor, witness):
+        spec = registry_spec(impulse_set=bounds, impulse_cost={
+            "name": "quadratic", "scale": scale})
+        got = check_assumptions(spec)["impulse_cost_positive"]
+        assert got.estimate == pytest.approx(floor, rel=1e-15)
+        assert got.witness == (0.0, witness, 0.0)
+        assert got.passed == (floor > spec.min_impulse_cost)
+
+    @pytest.mark.parametrize("config,drift,fee,growth", [
+        ("tiny1.json", 0.0, 0.2, -4.0), ("tiny2.json", 1.0, 0.2, -4.0),
+        ("delay_feedback_reduced.json", 1.0, 0.4, -3.0),
+        ("delay_feedback.json", 1.0, 0.4, -3.0)])
+    def test_shipped_configs(self, config, drift, fee, growth):
+        with open(os.path.join(CONFIGS, config)) as fh:
+            spec = build_problem_spec(json.load(fh)["problem"])
+        report = check_assumptions(spec)
+        assert [c.estimate for c in report.checks] == [
+            drift, 0.0, 10.0, fee, growth, math.sqrt(2.0), 0.1]
+        # every shipped jump x + u moves faster than a contraction
+        assert [c.name for c in report.checks if not c.passed] == [
+            "intervention_lipschitz"]
 
 
 class TestRegistry:
@@ -155,6 +207,16 @@ class TestRegistry:
     def test_negative_horizon_rejected(self):
         cfg = dict(self.BASE, horizon=-1.0)
         with pytest.raises(ValidationError):
+            build_problem_spec(cfg)
+
+    @pytest.mark.parametrize("limit", [-1.0, 0.0, -0.0, math.inf, math.nan])
+    def test_clamp_that_cannot_clamp_rejected(self, limit):
+        # np.clip maps every state to -1 at limit -1, and to +-0 at limit 0
+        cfg = dict(self.BASE, intervention={"name": "additive_clamped",
+                                            "limit": limit})
+        with pytest.raises(ValidationError,
+                           match=r"^problem\.intervention\.limit: must be "
+                                 "finite and positive"):
             build_problem_spec(cfg)
 
     def test_unknown_name_that_is_not_a_string(self):
@@ -275,3 +337,66 @@ def test_replaced_coefficient_has_no_tag():
                                      {"c0": 0.0, "c_x": 1.0, "c_y": -1.0})
     assert all(structure(getattr(tiny_spec(), family)) is None
                for family in _REGISTRY)
+
+
+def sampled_constants(spec, n, seed=0):
+    """The random-pair sampler that check_assumptions replaced, kept as a
+    reference: per check, the largest sampled Lipschitz ratio or growth
+    excess, or the smallest sampled fee, over n pairs drawn on the checks'
+    domains (|x|, |y| <= R_BOX, u in the impulse set, t in [0, T])."""
+    rng = np.random.default_rng(seed)
+    t, t2 = (rng.uniform(0, spec.horizon, n) for _ in range(2))
+    x, y, x2, y2 = (rng.uniform(-R_BOX, R_BOX, n) for _ in range(4))
+    lo, hi = spec.impulse_set.lower, spec.impulse_set.upper
+    u, v = rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
+
+    def ratio(num, den):
+        return float(np.max(np.abs(num) / np.maximum(den, 1e-12)))
+
+    pair = np.abs(x - x2) + np.abs(y - y2)
+    gx, gy = spec.intervention(x, u), spec.intervention(y, v)
+    return {
+        "drift_lipschitz": ratio(
+            spec.drift(t, x, y) - spec.drift(t, x2, y2), pair),
+        "diffusion_lipschitz": ratio(
+            spec.diffusion(t, x, y) - spec.diffusion(t, x2, y2), pair),
+        "running_reward_lipschitz": ratio(
+            spec.running_reward(t, x) - spec.running_reward(t, x2),
+            np.abs(x - x2)),
+        "impulse_cost_lipschitz": ratio(
+            spec.impulse_cost(x, u, t) - spec.impulse_cost(x2, v, t2),
+            np.sqrt((x - x2) ** 2 + (u - v) ** 2 + (t - t2) ** 2)),
+        "intervention_growth": float(np.max(
+            np.abs(gx) - np.maximum(K_GROWTH, np.abs(x)))),
+        # the sampler reported the excess |dGamma| - |d(x, u)|; the exact
+        # check reports the constant that bounds this ratio
+        "intervention_lipschitz": ratio(gx - gy, np.hypot(x - y, u - v)),
+        "impulse_cost_positive": float(np.min(spec.impulse_cost(x, u, t))),
+    }
+
+
+# family -> the checks its coefficient feeds
+FEEDS = {"drift": ("drift_lipschitz",),
+         "diffusion": ("diffusion_lipschitz",),
+         "running_reward": ("running_reward_lipschitz",),
+         "impulse_cost": ("impulse_cost_lipschitz", "impulse_cost_positive"),
+         "intervention": ("intervention_growth", "intervention_lipschitz")}
+CHECKED_TAGS = [(f, e) for f, e, _ in REGISTRY_TAGS if f in FEEDS]
+
+
+@pytest.mark.parametrize("bounds", [[-2.0, 2.0], [0.5, 3.0], [-3.0, -0.5]])
+@pytest.mark.parametrize(
+    "family,entry", CHECKED_TAGS,
+    ids=["-".join([f, *map(str, e.values())]) for f, e in CHECKED_TAGS])
+def test_exact_constant_bounds_the_sampler(family, entry, bounds):
+    spec = registry_spec(impulse_set=bounds, **{family: entry})
+    report = check_assumptions(spec)
+    assert all(math.isfinite(report[name].estimate) for name in FEEDS[family])
+    sampled = sampled_constants(spec, 100_000)
+    for check in report.checks:
+        # the sampler never passes the constant, and comes close to it: the
+        # constant is the least bound (the fee's ratio converges slowest)
+        gap = sampled[check.name] - check.estimate
+        if check.name == "impulse_cost_positive":
+            gap = -gap
+        assert -0.15 * max(1.0, abs(check.estimate)) <= gap <= 1e-12

@@ -1,6 +1,7 @@
 """tools/run_configs.py: the artifact sets that byte-identity checks compare."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -47,10 +48,15 @@ def test_stochastic_mc_probe_set_is_reproducible(tmp_path):
                     "mc-probe-stochastic").returncode == 0
         set_dir = out / "mc-probe-stochastic"
         codes = json.loads((set_dir / "exit_codes.json").read_text())
-        assert codes == {"probe-flow": 0}
+        assert codes == {"probe-flow": 0, "check-assumptions": 0}
         probe = json.loads((set_dir / "probe_flow.json").read_text())
         assert probe["deterministic"] is False
         assert probe["n_paths"] == 50000
+        # on the box |x| <= 5 with |u| <= 2 the clamp at 10 never binds
+        report = json.loads((set_dir / "assumptions.json").read_text())
+        estimates = {c["name"]: c["estimate"] for c in report["checks"]}
+        assert estimates["intervention_growth"] == -3.0
+        assert estimates["intervention_lipschitz"] == math.sqrt(2.0)
     same = tool("same_artifacts.py", a, b)
     assert same.returncode == 0, same.stdout
 

@@ -9,8 +9,8 @@ path) on these sets, or on the one named by --only:
 - tiny1, tiny2: the shipped configs, with every command;
 - reduced: delay_feedback_reduced.json, with every command but
   oracle-compare, which takes only delay-free problems;
-- main: delay_feedback.json at 2,000 paths: solve, evaluate and
-  export-figures;
+- main: delay_feedback.json at 2,000 paths: solve, evaluate,
+  export-figures and check-assumptions;
 - grid-reduced, regression-lift6, mc-probe: the benchmark workloads at
   seed 1, as bench/workloads.make_config builds them, with their commands;
 - regression-lift6-forked: regression-lift6 at 4,096 paths, solve and
@@ -20,7 +20,8 @@ path) on these sets, or on the one named by --only:
   equal grid-reduced's.
 - mc-probe-stochastic: mc-probe with the jump clamped at 10, so that the
   probe's noise does not cancel and probe-flow still draws its 50,000
-  keyed rows in forked path ranges.
+  keyed rows in forked path ranges; check-assumptions reports the
+  clamped jump's constants.
 
 Set NAME lands in OUT/NAME/: the config it ran (config.json), the
 artifacts of its commands, and each command's exit code
@@ -50,7 +51,8 @@ SHIPPED = {"tiny1": ("tiny1.json", EVERY + ("oracle-compare",), None),
            "tiny2": ("tiny2.json", EVERY + ("oracle-compare",), None),
            "reduced": ("delay_feedback_reduced.json", EVERY, None),
            "main": ("delay_feedback.json",
-                    ("solve", "evaluate", "export-figures"), 2000)}
+                    ("solve", "evaluate", "export-figures",
+                     "check-assumptions"), 2000)}
 # set -> (benchmark workload at seed 1, commands, evaluation.n_paths)
 FORKED = {"regression-lift6-forked": ("regression-lift6", ("solve", "evaluate"),
                                       4096)}
@@ -70,7 +72,7 @@ def set_config(name):
         raw, commands = set_config(base)
         raw["problem"]["intervention"] = {"name": "additive_clamped",
                                           "limit": limit}
-        return raw, commands
+        return raw, commands + ("check-assumptions",)
     if name in workloads.WORKLOADS:
         return (workloads.make_config(name, 1, CONFIGS)[0],
                 workloads.WORKLOADS[name].commands)

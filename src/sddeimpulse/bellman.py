@@ -592,14 +592,15 @@ def _check_finite(arr, time_index, k):
             "grid or basis is under-resolved")
 
 
-def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
+def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol,
+                    keep=None):
     """Grid levels k = 0, 1, ..., each swept backward in time from the
     terminal reward: slice i of level k reads slice i + 1 of level k and,
     through its jumps, slice i of level k - 1.  A table of at least
     simulate.FORK_ENTRIES entries runs as a two-process wavefront, which
     without a second usable core runs in-process, as any other table
     does; _grid_levels runs both, with the same iterates and gaps, bit
-    for bit."""
+    for bit, and holds the levels `keep` asks for."""
     axis = backend.axis
     axes = (axis,) * (grid.delay_steps + 1)
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
@@ -656,8 +657,8 @@ def _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
                                  dt=dt)
 
     shared = len(points) * (n + 1) >= simulate.FORK_ENTRIES
-    return _grid_levels(level_slice, new_level, k_max, tol,
-                        (k_max + 1, n + 1, len(points)) if shared else None)
+    return _grid_levels(level_slice, new_level, k_max, tol, keep,
+                        (n + 1, len(points)) if shared else None)
 
 
 def _grid_level(level_slice, level, below, wait=None, signal=None):
@@ -681,45 +682,61 @@ def _grid_level(level_slice, level, below, wait=None, signal=None):
     return gap if k else math.inf
 
 
-def _grid_levels(level_slice, new_level, k_max, tol, table_shape=None):
+def _grid_levels(level_slice, new_level, k_max, tol, keep=None,
+                 level_shape=None):
     """The levels up to the first gap under tol, or to k_max, and their
     gaps, from one loop: run(side, step, wait, signal) sweeps the levels
     side, side + step, ... <= k_max by _grid_level, each gap into its row
     of `gaps`, until a gap is not >= tol (converged, or dropped as NaN).
-    In-process, run(0, 1) gives each level an array as it starts.
+    The result is the top depth = max(2, keep) levels, or every level if
+    keep is None.  In-process, run(0, 1) gives each level an array as it
+    starts and drops level k - depth then, which neither level k nor the
+    result reads.
 
-    Given `table_shape`, (k_max + 1, n + 1, N), the levels are row views
-    of one shared table, swept as a two-process wavefront: run(0, 2, ...)
-    here and run(1, 2, ...) in a worker forked by simulate.fork_jobs,
-    slice i of a level waiting for the one-byte pipe signal of slice i
-    below.  `gaps` is then shared, NaN until a level is whole; a side
-    drops its level once the gap below is under tol, and ends at a
-    non-finite slice or at EOF from the other side.  If either side
-    failed, run(0, 1) reruns in the table; if a level the result needs
-    has a NaN gap, or the table is refused, the levels run in-process.
-    Either way a DivergenceError is the serial one, and the iterates and
-    gaps are the in-process ones, bit for bit."""
-    iterates, gaps, table = [None] * (k_max + 1), np.empty(k_max + 1), None
+    Given `level_shape`, (n + 1, N), level k is a view of slot k mod R of
+    one shared table of R = min(k_max + 1, depth + 1) levels, swept as a
+    two-process wavefront: run(0, 2, ...) here and run(1, 2, ...) in a
+    worker forked by simulate.fork_jobs, slice i of a level waiting for
+    the one-byte pipe signal of slice i below.  A side starts level k + 2
+    only after its level k, the last reader of level k - 1, is whole; the
+    level past the converged one, started beside it and then dropped,
+    lands in a slot under the result.  `gaps` is then shared, NaN until a
+    level is whole; a side drops its level once the gap below is under
+    tol, and ends at a non-finite slice or at EOF from the other side.  If
+    either side failed, run(0, 1) reruns in the table; if a level the
+    result needs has a NaN gap, or the table is refused, the levels run
+    in-process.  Either way a DivergenceError is the serial one, and the
+    iterates and gaps are the in-process ones, bit for bit."""
+    depth = k_max + 1 if keep is None else max(2, keep)
+    gaps, levels, ring = np.empty(k_max + 1), {}, None
+
+    def level(k):
+        """Level k: in-process its own array, else a view of its slot"""
+        if ring is None:
+            return levels[k]
+        return replace(ring[k % len(ring)], k_index=k)
 
     def run(side, step, wait=None, signal=None):
         for k in range(side, k_max + 1, step):
-            if iterates[k] is None:
-                iterates[k] = new_level(k)
-            gaps[k] = _grid_level(level_slice, iterates[k],
-                                  iterates[k - 1] if k else None,
+            if ring is None:
+                levels.pop(k - depth, None)
+                levels[k] = new_level(k)
+            gaps[k] = _grid_level(level_slice, level(k),
+                                  level(k - 1) if k else None,
                                   wait if k else None, signal)
             if not gaps[k] >= tol:
                 return
 
-    if table_shape is not None:
-        with contextlib.suppress(OSError):  # no room for k_max + 1 levels
-            table, gaps = (simulate.shared_array(table_shape),
-                           simulate.shared_array(table_shape[:1]))
+    if level_shape is not None:
+        with contextlib.suppress(OSError):  # no room for the ring
+            table = simulate.shared_array((min(k_max + 1, depth + 1),)
+                                          + level_shape)
+            gaps = simulate.shared_array(gaps.shape)
+            ring = [new_level(k, row) for k, row in enumerate(table)]
     gaps[:] = math.nan
-    if table is None:
+    if ring is None:
         run(0, 1)
     else:
-        iterates[:] = [new_level(k, row) for k, row in enumerate(table)]
         with contextlib.ExitStack() as files:
             # the signals to the worker, and to this process
             (down_r, down_w), (up_r, up_w) = (
@@ -749,8 +766,9 @@ def _grid_levels(level_slice, new_level, k_max, tol, table_shape=None):
     k = next(k for k in range(1, k_max + 1)
              if not gaps[k] >= tol or k == k_max)
     if math.isnan(gaps[k]):
-        return _grid_levels(level_slice, new_level, k_max, tol)
-    return iterates[:k + 1], [float(g) for g in gaps[1:k + 1]]
+        return _grid_levels(level_slice, new_level, k_max, tol, keep)
+    return ([level(j) for j in range(max(0, k + 1 - depth), k + 1)],
+            [float(g) for g in gaps[1:k + 1]])
 
 
 def _jump_stencil(axis, jumped, width):
@@ -902,24 +920,33 @@ def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
 
 def k_value_iteration(spec: ProblemSpec, grid: TimeGrid, backend,
                       quadrature: NoiseQuadrature, u_grid, k_max: int = 20,
-                      tol: float = 1e-3):
+                      tol: float = 1e-3, keep: int | None = None):
     """Backward-in-time value iteration over the allowed-intervention count.
 
     Returns (iterates, gaps): value functions for k = 0 ... k_stop and the
     sup-gap between successive levels; stops at the first gap below tol or
     at k_max.  The regression levels are views of one hierarchy, level(k).
+
+    keep, the number of top levels the caller reads, returns only those
+    and every gap; a grid solve then holds a ring of max(2, keep) + 1
+    levels, not k_max + 1 (_grid_levels).
     """
     if k_max < 1 or not tol > 0:
         raise ValidationError("k_max must be >= 1 and tol positive")
+    if keep is not None and keep < 1:
+        raise ValidationError("keep must be >= 1")
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.size == 0:
         raise ValidationError("impulse grid must be nonempty")
     if isinstance(backend, GridBackend):
-        return _grid_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol)
-    if isinstance(backend, RegressionBackend):
-        return _regression_iteration(spec, grid, backend, quadrature, u_grid,
-                                     k_max, tol)
-    raise ValidationError(f"unknown backend {backend!r}")
+        iterates, gaps = _grid_iteration(spec, grid, backend, quadrature,
+                                         u_grid, k_max, tol, keep)
+    elif isinstance(backend, RegressionBackend):
+        iterates, gaps = _regression_iteration(spec, grid, backend,
+                                               quadrature, u_grid, k_max, tol)
+    else:
+        raise ValidationError(f"unknown backend {backend!r}")
+    return (iterates if keep is None else iterates[-keep:]), gaps
 
 
 # ---------------------------------------------------------------------------

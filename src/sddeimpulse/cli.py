@@ -173,7 +173,7 @@ def cmd_solve(cfg, out_dir):
     t0 = time.perf_counter()
     iterates, gaps = k_value_iteration(cfg.spec, cfg.grid, cfg.build_backend(),
                                        cfg.quadrature, u_grid, k_max=cfg.k_max,
-                                       tol=cfg.tol)
+                                       tol=cfg.tol, keep=2)
     wall = time.perf_counter() - t0
     v_top, v_prev = iterates[-1], iterates[-2]
     x0 = cfg.initial_state()

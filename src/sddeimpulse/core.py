@@ -145,8 +145,8 @@ class AssumptionReport:
 
 
 def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
-    """The exact constants of the regularity assumptions on (a, b, f, ell,
-    Gamma), read from the coefficients' structure tags; the README states
+    """The exact constants of the regularity assumptions on (a, b, f, g,
+    ell, Gamma), read from the coefficients' structure tags; the README states
     each check's inequality, norm and domain.  A coefficient with no tag
     reads estimate None and fails.  Report-only: failures are entries, not
     errors."""
@@ -157,6 +157,9 @@ def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
     near, far = min(max(0.0, lo), hi), peak[1]
     jump = (math.sqrt(2.0) if lo < hi else 1.0, ())
     fee = 2.0 * abs(far) if lo < hi else 0.0
+    # f and g: a reward s x^2 moves by at most 2|s| R per unit on the box
+    reward = {"quadratic": lambda scale: (2.0 * abs(scale) * R_BOX, ()),
+              "zero": lambda: (0.0, ())}
     checks = (
         ("drift_lipschitz", spec.drift, math.isfinite,
          {"affine": lambda c0, c_x, c_y: (max(abs(c_x), abs(c_y)), ())},
@@ -165,9 +168,11 @@ def check_assumptions(spec: ProblemSpec) -> AssumptionReport:
          {"constant": lambda value: (0.0, ())},
          "L in |b(t,x,y) - b(t,x',y')| <= L (|x-x'| + |y-y'|)"),
         ("running_reward_lipschitz", spec.running_reward, math.isfinite,
-         {"quadratic": lambda scale: (2.0 * abs(scale) * R_BOX, ()),
-          "zero": lambda: (0.0, ())},
+         reward,
          f"L in |f(t,x) - f(t,x')| <= L |x-x'| on |x|, |x'| <= {R_BOX}"),
+        ("terminal_reward_lipschitz", spec.terminal_reward, math.isfinite,
+         reward,
+         f"L in |g(x) - g(x')| <= L |x-x'| on |x|, |x'| <= {R_BOX}"),
         ("impulse_cost_lipschitz", spec.impulse_cost, math.isfinite,
          {"quadratic": lambda scale: (abs(scale) * fee, ()),
           "constant": lambda value: (0.0, ())},

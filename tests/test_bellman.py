@@ -10,6 +10,7 @@ import os
 import re
 import signal
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -44,13 +45,13 @@ def reduced_spec():
     return feedback_spec(delay=0.01)
 
 
-def solve_reduced(spec, k_max=1, points=21, n_u=9, tol=1e-3):
+def solve_reduced(spec, k_max=1, points=21, n_u=9, tol=1e-3, keep=None):
     grid = TimeGrid.for_spec(spec, 0.01)
     quad = gauss_hermite_quadrature(0.01, 7)
     ug = spec.impulse_set.grid(n_u)
     backend = GridBackend(np.linspace(-4.0, 4.0, points))
     its, gaps = k_value_iteration(spec, grid, backend, quad, ug,
-                                  k_max=k_max, tol=tol)
+                                  k_max=k_max, tol=tol, keep=keep)
     return its, gaps, grid, quad, ug
 
 
@@ -612,6 +613,9 @@ class TestKValueIteration:
             k_value_iteration(spec, grid, backend, quad, [], k_max=1)
         with pytest.raises(ValidationError):
             k_value_iteration(spec, grid, backend, quad, [0.0], k_max=0)
+        with pytest.raises(ValidationError, match="keep must be >= 1"):
+            k_value_iteration(spec, grid, backend, quad, [0.0], k_max=1,
+                              keep=0)
 
     def test_nan_tol_rejected(self):
         spec = reduced_spec()
@@ -1171,7 +1175,7 @@ def count_level_one_passes(monkeypatch):
 
     def counting(level_slice, level, *args):
         if level.k_index == 1 and os.getpid() == me:
-            passes.append(level)
+            passes.append(level.k_index)
         return real(level_slice, level, *args)
 
     monkeypatch.setattr(bellman, "_grid_level", counting)
@@ -1181,6 +1185,42 @@ def count_level_one_passes(monkeypatch):
 def refused(shape):
     """simulate.shared_array on a box whose address space is full"""
     raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+
+def spy_shared_arrays(monkeypatch):
+    """A list that gets the shape of each simulate.shared_array this
+    process asks for."""
+    shapes, real = [], simulate.shared_array
+
+    def spying(shape):
+        shapes.append(tuple(shape))
+        return real(shape)
+
+    monkeypatch.setattr(simulate, "shared_array", spying)
+    return shapes
+
+
+def count_held_levels(monkeypatch):
+    """A list that gets, per slice loop of this process, the number of
+    levels it still holds, through weak references taken by a wrapped
+    bellman._grid_level."""
+    held, seen, real, me = [], [], bellman._grid_level, os.getpid()
+
+    def counting(level_slice, level, *args):
+        if os.getpid() == me:
+            seen.append(weakref.ref(level))
+            held.append(sum(ref() is not None for ref in seen))
+        return real(level_slice, level, *args)
+
+    monkeypatch.setattr(bellman, "_grid_level", counting)
+    return held
+
+
+def top_levels(its, gaps, keep=2):
+    """The top `keep` levels' k_index and value bytes, and every gap's
+    bits."""
+    return ([(vf.k_index, [v.tobytes() for v in vf.values])
+             for vf in its[-keep:]], [g.hex() for g in gaps])
 
 
 class TestGridWavefront:
@@ -1193,7 +1233,7 @@ class TestGridWavefront:
     forced to 1,000; its gaps are 11.2, 3.76, 0.487, 0.153, 0.0515, ..."""
 
     @staticmethod
-    def solve(forking, monkeypatch, cores, k_max, tol):
+    def solve(forking, monkeypatch, cores, k_max, tol, keep=None):
         """(iterates, gaps, decisions, forks, serial runs) of one solve; a
         serial run is a pass over level 1 by the solving process, whose
         wavefront side sweeps the even levels only"""
@@ -1202,7 +1242,8 @@ class TestGridWavefront:
         reruns = count_level_one_passes(monkeypatch)
         spec = dataclasses.replace(reduced_spec(), horizon=0.1)
         its, gaps, grid, quad, ug = solve_reduced(spec, k_max=k_max,
-                                                  points=11, n_u=7, tol=tol)
+                                                  points=11, n_u=7, tol=tol,
+                                                  keep=keep)
         # budget_decider's policies, one per budget, on lift-2 states
         states = np.random.default_rng(3).normal(0.0, 2.0, (40, 2))
         decisions = [a.tobytes() for lo, hi in zip(its, its[1:])
@@ -1317,6 +1358,113 @@ class TestGridWavefront:
             [v.tobytes() for vf in its for v in vf.values]
         assert [g.hex() for g in got_gaps] == [g.hex() for g in gaps]
         assert got_decisions == decisions
+
+    # keep=2, as solve asks: a ring of three level slots, level k in slot
+    # k mod 3 (two when k_max is 1), and the shared row of every gap; the
+    # level past the converged one needs a slot beside the kept ones
+    @pytest.mark.parametrize("keep", [2, 3])
+    @pytest.mark.parametrize("k_max,tol", [
+        (8, 1.0), (8, 0.2), (5, 1e-3), (4, 1e-3), (1, 1e-3)],
+        ids=["stop_odd", "stop_even", "k_max_odd", "k_max_even", "k_max_1"])
+    def test_ring_keeps_the_top_levels(self, forking, monkeypatch, deadline,
+                                       k_max, tol, keep):
+        fds = open_fds()
+        its, gaps, decisions, _, _ = self.solve(forking, monkeypatch, 1,
+                                                k_max, tol)
+        shapes = spy_shared_arrays(monkeypatch)
+        got_its, got_gaps, got_decisions, forks, reruns = self.solve(
+            forking, monkeypatch, 2, k_max, tol, keep=keep)
+        assert (forks, reruns) == (1, 0)
+        assert len(got_its) == min(keep, len(its))
+        assert top_levels(got_its, got_gaps, keep) == \
+            top_levels(its, gaps, keep)
+        assert got_decisions == decisions[-len(got_decisions):]
+        assert shapes == [(min(k_max + 1, keep + 1), 11, 121), (k_max + 1,)]
+        assert open_fds() == fds
+
+    # the dropped level above the converged one lands in the slot of the
+    # level two under the top, which neither the result nor a gap reads
+    @pytest.mark.parametrize("tol,k", [(1.0, 4), (0.2, 5)],
+                             ids=["parent_level", "worker_level"])
+    def test_ring_non_finite_slice_past_convergence(
+            self, forking, monkeypatch, deadline, tol, k):
+        fds = open_fds()
+        its, gaps, decisions, _, _ = self.solve(forking, monkeypatch, 1, 8,
+                                                tol)
+        assert len(its) == k
+        for i in (8, 1):
+            self.poison(monkeypatch, k, i, hold=k - 1)
+            shapes = spy_shared_arrays(monkeypatch)
+            got_its, got_gaps, got_decisions, forks, reruns = self.solve(
+                forking, monkeypatch, 2, 8, tol, keep=2)
+            assert (forks, reruns) == (1, 0)
+            assert shapes == [(3, 11, 121), (9,)]
+            assert top_levels(got_its, got_gaps) == top_levels(its, gaps)
+            assert got_decisions == decisions[-len(got_decisions):]
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("k_max,k", [(8, 2), (8, 3), (3, 3)],
+                             ids=["parent_level", "worker_level",
+                                  "worker_top_level"])
+    def test_ring_non_finite_slice_raises_the_serial_error(
+            self, forking, monkeypatch, deadline, k_max, k):
+        fds = open_fds()
+        self.poison(monkeypatch, k, 5)
+        with pytest.raises(DivergenceError) as want:
+            self.solve(forking, monkeypatch, 1, k_max, 1e-3)
+        with pytest.raises(DivergenceError) as got:
+            self.solve(forking, monkeypatch, 2, k_max, 1e-3, keep=2)
+        assert str(got.value) == str(want.value)
+        assert open_fds() == fds
+
+    # every slot is taken three times over; a slow side makes the other
+    # wait on each slice, and must never find its slot still being read
+    @pytest.mark.parametrize("slow", [0, 1], ids=["even_levels",
+                                                  "odd_levels"])
+    def test_ring_reuse_under_skewed_sides(self, forking, monkeypatch,
+                                           deadline, slow):
+        its, gaps, decisions, _, _ = self.solve(forking, monkeypatch, 1, 8,
+                                                1e-9)
+        assert len(its) == 9
+
+        def check(arr, time_index, level):
+            if level % 2 == slow:
+                time.sleep(0.001)
+            _check_finite(arr, time_index, level)
+
+        monkeypatch.setattr(bellman, "_check_finite", check)
+        got_its, got_gaps, got_decisions, forks, reruns = self.solve(
+            forking, monkeypatch, 2, 8, 1e-9, keep=2)
+        assert (forks, reruns) == (1, 0)
+        assert top_levels(got_its, got_gaps) == top_levels(its, gaps)
+        assert got_decisions == decisions[-len(got_decisions):]
+
+    # one core sweeps the ring in this process, a refused table in-process
+    @pytest.mark.parametrize("cores,patch", [
+        (1, lambda mp: None),
+        (2, lambda mp: mp.setattr(simulate, "shared_array", refused))],
+        ids=["one_core", "table_refused"])
+    def test_ring_serial_bits(self, forking, monkeypatch, deadline, cores,
+                              patch):
+        its, gaps, decisions, _, _ = self.solve(forking, monkeypatch, 1, 5,
+                                                1e-3)
+        patch(monkeypatch)
+        got_its, got_gaps, got_decisions, forks, reruns = self.solve(
+            forking, monkeypatch, cores, 5, 1e-3, keep=2)
+        assert (forks, reruns) == (0, 1)
+        assert top_levels(got_its, got_gaps) == top_levels(its, gaps)
+        assert got_decisions == decisions[-len(got_decisions):]
+
+    def test_in_process_sweep_drops_the_levels_it_no_longer_reads(
+            self, forking, monkeypatch):
+        monkeypatch.setattr(simulate, "shared_array", refused)
+        for keep, held in ((None, [1, 2, 3, 4, 5, 6]), (2, [1, 2, 2, 2, 2, 2]),
+                           (3, [1, 2, 3, 3, 3, 3])):
+            got = count_held_levels(monkeypatch)
+            its, _, _, _, _ = self.solve(forking, monkeypatch, 2, 5, 1e-3,
+                                         keep=keep)
+            assert got == held
+            assert [vf.k_index for vf in its] == list(range(6))[-(keep or 6):]
 
 
 class ReferenceLevel(Unpruned):
@@ -1437,6 +1585,18 @@ class TestRegressionSweep:
         assert grid.delay_steps + 1 == 3 and len(its) == 4
         assert_same_levels(its, ref)
         assert gaps == ref_gaps
+
+    @pytest.mark.parametrize("keep", [1, 2, 8])
+    def test_keep_returns_the_top_levels(self, keep):
+        cfg, _ = tiny_instance("tiny2.json")
+        args = (cfg.spec, cfg.grid, RegressionBackend(),
+                cfg.quadrature, cfg.u_grid(), 8, 1e-2)
+        its, gaps = k_value_iteration(*args)
+        got, got_gaps = k_value_iteration(*args, keep=keep)
+        assert [vf.k_index for vf in got] == \
+            [vf.k_index for vf in its][-keep:]
+        assert_same_levels(got, its[-keep:])
+        assert got_gaps == gaps
 
     def test_levels_above_convergence_are_trimmed(self):
         cfg, _ = tiny_instance("tiny2.json")

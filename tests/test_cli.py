@@ -822,6 +822,7 @@ class TestAssumptionReport:
             ("drift_lipschitz", True, 0.0),
             ("diffusion_lipschitz", True, 0.0),
             ("running_reward_lipschitz", True, 10.0),
+            ("terminal_reward_lipschitz", True, 10.0),
             ("impulse_cost_lipschitz", True, 0.2),
             ("intervention_growth", True, -4.0),
             ("intervention_lipschitz", False, 2.0 ** 0.5),

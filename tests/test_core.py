@@ -153,6 +153,19 @@ class TestCheckAssumptions:
         assert got.witness == (0.0, witness, 0.0)
         assert got.passed == (floor > spec.min_impulse_cost)
 
+    @pytest.mark.parametrize("entry,estimate", [
+        ({"name": "neg_square"}, 10.0), ({"name": "zero"}, 0.0)])
+    def test_terminal_reward_lipschitz(self, entry, estimate):
+        spec = registry_spec(terminal_reward=entry)
+        got = check_assumptions(spec)["terminal_reward_lipschitz"]
+        assert (got.estimate, got.passed, got.witness) == (estimate, True, ())
+        untagged = check_assumptions(dataclasses.replace(
+            spec, terminal_reward=lambda x: -(x * x)))
+        got = untagged["terminal_reward_lipschitz"]
+        assert got.estimate is None and not got.passed
+        assert not untagged.passed
+        assert [c for c in untagged.checks if c.estimate is None] == [got]
+
     @pytest.mark.parametrize("config,drift,fee,growth", [
         ("tiny1.json", 0.0, 0.2, -4.0), ("tiny2.json", 1.0, 0.2, -4.0),
         ("delay_feedback_reduced.json", 1.0, 0.4, -3.0),
@@ -162,7 +175,7 @@ class TestCheckAssumptions:
             spec = build_problem_spec(json.load(fh)["problem"])
         report = check_assumptions(spec)
         assert [c.estimate for c in report.checks] == [
-            drift, 0.0, 10.0, fee, growth, math.sqrt(2.0), 0.1]
+            drift, 0.0, 10.0, 10.0, fee, growth, math.sqrt(2.0), 0.1]
         # every shipped jump x + u moves faster than a contraction
         assert [c.name for c in report.checks if not c.passed] == [
             "intervention_lipschitz"]
@@ -363,6 +376,9 @@ def sampled_constants(spec, n, seed=0):
         "running_reward_lipschitz": ratio(
             spec.running_reward(t, x) - spec.running_reward(t, x2),
             np.abs(x - x2)),
+        "terminal_reward_lipschitz": ratio(
+            spec.terminal_reward(x) - spec.terminal_reward(x2),
+            np.abs(x - x2)),
         "impulse_cost_lipschitz": ratio(
             spec.impulse_cost(x, u, t) - spec.impulse_cost(x2, v, t2),
             np.sqrt((x - x2) ** 2 + (u - v) ** 2 + (t - t2) ** 2)),
@@ -379,6 +395,7 @@ def sampled_constants(spec, n, seed=0):
 FEEDS = {"drift": ("drift_lipschitz",),
          "diffusion": ("diffusion_lipschitz",),
          "running_reward": ("running_reward_lipschitz",),
+         "terminal_reward": ("terminal_reward_lipschitz",),
          "impulse_cost": ("impulse_cost_lipschitz", "impulse_cost_positive"),
          "intervention": ("intervention_growth", "intervention_lipschitz")}
 CHECKED_TAGS = [(f, e) for f, e, _ in REGISTRY_TAGS if f in FEEDS]

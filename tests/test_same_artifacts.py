@@ -45,6 +45,41 @@ def test_wall_time_ignored_and_first_difference_named(tmp_path):
     assert code == 1 and "extra.csv: only in" in out
 
 
+def test_every_difference_reported_in_path_order(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        (d / "sub").mkdir(parents=True)
+        for name in ("a.csv", "z.csv", os.path.join("sub", "v.csv")):
+            (d / name).write_text("k,v\n1,0.25\n")
+        (d / "m.json").write_text(json.dumps({"v": 0.25}))
+    (b / "m.json").write_text(json.dumps({"v": 0.5}))
+    (b / "sub" / "v.csv").write_text("k,v\n1,0.5\n")
+    proc = subprocess.run([sys.executable, TOOL, str(a), str(b)],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "differ: m.json: contents differ",
+        f"differ: {os.path.join('sub', 'v.csv')}: contents differ"]
+    assert proc.stderr == "identical: 2 files, 2 differ\n"
+
+    # one-sided files, in their place in path order; with --rtol too
+    (a / "b.csv").write_text("")
+    (b / "n.csv").write_text("")
+    for rtol, reason in ((None, "contents differ"),
+                         (0.1, "1 cells beyond rtol 0.1")):
+        flag = [] if rtol is None else ["--rtol", str(rtol)]
+        proc = subprocess.run([sys.executable, TOOL, *flag, str(a), str(b)],
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 1
+        assert [line for line in proc.stdout.splitlines()
+                if line.startswith("differ: ")] == [
+            f"differ: b.csv: only in {a}",
+            f"differ: m.json: {reason}",
+            f"differ: n.csv: only in {b}",
+            f"differ: {os.path.join('sub', 'v.csv')}: {reason}"]
+        assert proc.stderr == "identical: 2 files, 4 differ\n"
+
+
 def run_rtol(a, b, rtol):
     proc = subprocess.run([sys.executable, TOOL, "--rtol", str(rtol), str(a),
                            str(b)], capture_output=True, text=True, check=False)

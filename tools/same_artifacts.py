@@ -10,7 +10,9 @@ allowed to vary.
 By default the files must hold the same bytes (summary.json without the
 line that holds wall_time; the CLI writes one key per line).  Prints the
 number of files compared and exits 0 when everything matches; otherwise
-prints the first difference (in sorted path order) and exits 1.
+prints one "differ:" line per file that differs or is on one side only,
+in sorted path order, then the number of identical files (on stderr), and
+exits 1.
 
 With --rtol R, .csv, .json and .npy files are compared as numbers: a CSV
 cell, JSON number or array entry on one side may differ from its
@@ -18,13 +20,13 @@ counterpart by at most R times the larger magnitude of the two, and
 everything else (row and cell counts, array shapes, text cells, keys,
 strings) must be equal.  A JSON object's values_sha256 and table_sha256
 keys are skipped: they digest a values CSV and a .npy table that are
-compared entry by entry.  Other files are still
-compared byte for byte.  For every file that differs in its bytes the tool
-prints the maximum absolute and relative difference over its numbers and
-the number of cells beyond R (a text cell that differs, such as a policy
-action that flipped, counts as one); it exits 1 if any file has a cell
-beyond R or a structural difference.  Uses the standard library, and
-numpy.load(..., allow_pickle=False) for .npy files.
+compared entry by entry.  Other files are still compared byte for byte.
+For every file that differs in its bytes the tool prints the maximum
+absolute and relative difference over its numbers and the number of
+cells beyond R (a text cell that differs, such as a policy action that
+flipped, counts as one), before the "differ:" lines; it exits 1 if any
+file has a cell beyond R or a structural difference.  Uses the standard
+library, and numpy.load(..., allow_pickle=False) for .npy files.
 """
 
 import argparse
@@ -132,28 +134,34 @@ def numeric_difference(path_a, path_b, rtol):
 
 
 def compare(dir_a, dir_b, rtol=None):
-    """(message, n_files, per-file lines): message is None when the trees
-    match (within rtol, if given)."""
-    files_a, files_b = relative_files(dir_a), relative_files(dir_b)
-    only = sorted(set(files_a) ^ set(files_b))
-    if only:
-        side = dir_a if only[0] in files_a else dir_b
-        return f"{only[0]}: only in {side}", len(files_a), []
-    message, report = None, []
-    for rel in files_a:
+    """(differences, n_identical, report): one line per file that differs
+    (beyond rtol, if given) or is on one side only, in sorted path order;
+    the number of files whose contents match on both sides; and, given
+    rtol, one line per file compared as numbers."""
+    files_a, files_b = set(relative_files(dir_a)), set(relative_files(dir_b))
+    differences, identical, report = [], 0, []
+    for rel in sorted(files_a | files_b):
+        if rel not in files_a or rel not in files_b:
+            side = dir_a if rel in files_a else dir_b
+            differences.append(f"{rel}: only in {side}")
+            continue
         pa, pb = os.path.join(dir_a, rel), os.path.join(dir_b, rel)
         if content(pa) == content(pb):
+            identical += 1
             continue
         if rtol is None or not rel.endswith((".csv", ".json", ".npy")):
-            return f"{rel}: contents differ", len(files_a), report
+            differences.append(f"{rel}: contents differ")
+            continue
         diff = numeric_difference(pa, pb, rtol)
         if diff is None:
-            return f"{rel}: rows, cells or keys differ", len(files_a), report
+            differences.append(f"{rel}: rows, cells or keys differ")
+            continue
         report.append(f"{rel}: max abs diff {diff.abs:.3g}, max rel diff "
                       f"{diff.rel:.3g}, {diff.beyond} cells beyond rtol")
-        if diff.beyond and message is None:
-            message = f"{rel}: {diff.beyond} cells beyond rtol {rtol:g}"
-    return message, len(files_a), report
+        if diff.beyond:
+            differences.append(f"{rel}: {diff.beyond} cells beyond rtol "
+                               f"{rtol:g}")
+    return differences, identical, report
 
 
 def main(argv=None):
@@ -170,16 +178,19 @@ def main(argv=None):
         print("usage: same_artifacts.py [--rtol R >= 0] DIR_A DIR_B "
               "(two directories)", file=sys.stderr)
         return 2
-    message, n, report = compare(*args.dirs, rtol=args.rtol)
+    differences, identical, report = compare(*args.dirs, rtol=args.rtol)
     for line in report:
         print(line)
-    if message is not None:
-        print(f"differ: {message}")
+    for line in differences:
+        print(f"differ: {line}")
+    if differences:
+        print(f"identical: {identical} files, {len(differences)} differ",
+              file=sys.stderr)
         return 1
     if report:
-        print(f"within rtol {args.rtol:g}: {n} files")
+        print(f"within rtol {args.rtol:g}: {identical + len(report)} files")
     else:
-        print(f"identical: {n} files")
+        print(f"identical: {identical} files")
     return 0
 
 

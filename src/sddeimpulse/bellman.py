@@ -25,11 +25,12 @@ import numpy as np
 
 from .core import (ProblemSpec, ValidationError, integer, json_object,
                    real_number, require)
-from .lattice import NoiseQuadrature, euler_head, step_transition_batch
-# no longer called here; bench/layers.py traces it under this name
-from .lattice import impulse_transition_batch  # noqa: F401
+from .lattice import NoiseQuadrature, euler_head
+# no longer called here; bench/layers.py traces them under these names
+from .lattice import (impulse_transition_batch,  # noqa: F401
+                      step_transition_batch)
 from . import simulate
-from .simulate import TimeGrid, draw_noise_matrix, initial_lifted_state
+from .simulate import TimeGrid, draw_noise_matrix
 
 FORMAT_VERSION = 2
 CHUNK = 16384  # head-stack entries per interpolation chunk
@@ -466,14 +467,12 @@ class GridBackend:
 class RegressionBackend:
     """Regression backend: polynomial degree plus the sampling-cloud knobs.
 
-    Sample states come from forward simulation of the uncontrolled dynamics
-    with random exploration impulses, so post-jump regions are represented.
+    Sample states come from forward simulation of the uncontrolled dynamics.
     """
 
     degree: int = 3
     ridge_lambda: float = 1e-8
     n_samples: int = 4000
-    exploration_rate: float = 0.1
     sample_seed: int = 1234
 
     def __post_init__(self):
@@ -483,9 +482,6 @@ class RegressionBackend:
         if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
             raise ValidationError("ridge_lambda must be finite and >= 0, got "
                                   f"{self.ridge_lambda}")
-        if not 0.0 <= self.exploration_rate <= 1.0:
-            raise ValidationError("exploration_rate must lie in [0, 1], got "
-                                  f"{self.exploration_rate}")
         if not 0 <= self.sample_seed < 2 ** 64:
             raise ValidationError("sample_seed must lie in [0, 2**64), got "
                                   f"{self.sample_seed}")
@@ -824,26 +820,16 @@ def _head_stencil(axis, heads, lag_rows, step, width=None):
 
 
 def _sample_states(spec, grid, backend):
-    """Forward exploration cloud: (n_steps+1) arrays of (n_samples, m) states."""
-    n_paths = backend.n_samples
-    noise = draw_noise_matrix(backend.sample_seed, n_paths, grid)
-    exp_rng = np.random.Generator(np.random.Philox(
-        key=np.array([backend.sample_seed, 2 ** 32], dtype=np.uint64)))
-    states = np.tile(initial_lifted_state(spec, grid), (n_paths, 1))
-    clouds = []
-    for k in range(grid.n_steps + 1):
-        if k > 0 and backend.exploration_rate > 0:
-            mask = exp_rng.uniform(size=n_paths) < backend.exploration_rate
-            if np.any(mask):
-                us = exp_rng.uniform(spec.impulse_set.lower,
-                                     spec.impulse_set.upper, int(mask.sum()))
-                states[mask, 0] = spec.intervention(states[mask, 0], us)
-        clouds.append(states.copy())
-        if k == grid.n_steps:
-            break
-        states = step_transition_batch(states, k * grid.dt,
-                                       noise[:, k], spec, grid.dt)
-    return clouds
+    """Uncontrolled sample cloud on the Euler engine: (n_steps+1) C-ordered
+    (n_samples, m) lifted states, newest first; the same clouds as stepping
+    initial_lifted_state with lattice.step_transition_batch."""
+    noise = draw_noise_matrix(backend.sample_seed, backend.n_samples, grid)
+    hist = simulate._start_history(spec, grid, noise)
+    simulate._advance(spec, grid, noise, hist, 0, grid.n_steps + 1,
+                      lambda k, t: None)
+    d = grid.delay_steps
+    return [np.ascontiguousarray(hist[k:k + d + 1][::-1].T)
+            for k in range(grid.n_steps + 1)]
 
 
 def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):

@@ -38,7 +38,7 @@ _TOP_KEYS = ("problem", "discretization", "solver", "evaluation",
 _DISC_KEYS = ("dt", "grid_bound", "points_per_axis", "n_impulse",
               "quadrature", "quadrature_nodes")
 _SOLVER_KEYS = ("backend", "k_max", "tol", "degree", "ridge_lambda",
-                "n_samples", "exploration_rate", "sample_seed")
+                "n_samples", "sample_seed")
 _EVAL_KEYS = ("n_paths", "seed")
 
 
@@ -94,8 +94,6 @@ class RunConfig:
             ridge_lambda=real_number(sol.get("ridge_lambda", 1e-8),
                                      "solver.ridge_lambda"),
             n_samples=integer(sol, "solver", "n_samples", 4000),
-            exploration_rate=real_number(sol.get("exploration_rate", 0.1),
-                                         "solver.exploration_rate"),
             sample_seed=integer(sol, "solver", "sample_seed", 1234,
                                 lowest=None))
         self.spec = build_problem_spec(self.problem)

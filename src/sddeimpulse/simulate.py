@@ -98,8 +98,8 @@ def fork_jobs(jobs, serial):
     work in their order and so raises the serial error.  Without os.fork
     or with one usable core, run serial() alone.
 
-    BLAS products stay on the calling thread, and a child writes only its
-    own range, files, levels or pipe, and prints nothing: it takes no
+    The lag memo's products stay on the calling thread; a child writes its
+    own range, files, levels or pipe alone, and prints nothing: it takes no
     lock, runs with warnings raised as errors (a warning fails its job
     rather than print) and leaves only through os._exit, so inherited
     stdio buffers are never flushed twice.  Every child is reaped before

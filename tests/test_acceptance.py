@@ -183,8 +183,7 @@ def test_criterion_7_backend_cross_validation(capsys):
     g_its, _ = k_value_iteration(cfg.spec, cfg.grid, grid_backend, quad,
                                  u_grid, k_max=1, tol=1e-12)
     reg_backend = RegressionBackend(degree=4, ridge_lambda=1e-8,
-                                    n_samples=4000, exploration_rate=0.0,
-                                    sample_seed=1234)
+                                    n_samples=4000, sample_seed=1234)
     r_its, _ = k_value_iteration(cfg.spec, cfg.grid, reg_backend, quad,
                                  u_grid, k_max=1, tol=1e-12)
     x0 = cfg.initial_state()

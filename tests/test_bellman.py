@@ -33,7 +33,8 @@ from sddeimpulse.lattice import (gauss_hermite_quadrature,
 from sddeimpulse.oracle import (FiniteTree, exact_snell_on_tree,
                                 exact_state_axis)
 from sddeimpulse.simulate import (TimeGrid, draw_noise_matrix,
-                                  export_trajectories_csv, simulate_batch)
+                                  export_trajectories_csv,
+                                  initial_lifted_state, simulate_batch)
 
 from test_cli import CONFIGS
 import test_core
@@ -628,9 +629,8 @@ class TestKValueIteration:
 
     @pytest.mark.parametrize("knob,value", [
         ("degree", -1), ("ridge_lambda", -1.0), ("ridge_lambda", np.nan),
-        ("ridge_lambda", np.inf), ("exploration_rate", 2.0),
-        ("exploration_rate", -0.5), ("exploration_rate", np.nan),
-        ("sample_seed", -1), ("sample_seed", 2 ** 64)])
+        ("ridge_lambda", np.inf), ("sample_seed", -1),
+        ("sample_seed", 2 ** 64)])
     def test_bad_regression_knob_rejected(self, knob, value):
         with pytest.raises(ValidationError):
             RegressionBackend(**{knob: value})
@@ -1563,6 +1563,27 @@ def assert_same_levels(got, want):
             assert (a is None and b is None) or np.array_equal(a, b)
 
 
+class TestSampleCloud:
+    @pytest.mark.parametrize("delay", [0.0, 0.01, 0.05],
+                             ids=["lift1", "lift2", "lift6"])
+    def test_equals_lifted_state_stepping(self, delay):
+        # a sloped initial segment, so the first slices' lags differ too
+        spec = dataclasses.replace(feedback_spec(delay=delay),
+                                   initial_segment=lambda t: 0.5 - 3.0 * t)
+        grid = TimeGrid.for_spec(spec, 0.01)
+        clouds = bellman._sample_states(
+            spec, grid, RegressionBackend(n_samples=300, sample_seed=77))
+        noise = draw_noise_matrix(77, 300, grid)
+        states = np.tile(initial_lifted_state(spec, grid), (300, 1))
+        assert len(clouds) == grid.n_steps + 1
+        for k, cloud in enumerate(clouds):
+            assert cloud.shape == states.shape and cloud.flags.c_contiguous
+            assert cloud.tobytes() == states.tobytes()
+            if k < grid.n_steps:
+                states = step_transition_batch(states, k * grid.dt,
+                                               noise[:, k], spec, grid.dt)
+
+
 def rewarded_impulse_spec(reward):
     """Lift dimension 1 with a fee of -reward: level k is worth about
     k * reward, so with a reward near the float range the upper levels
@@ -1615,8 +1636,7 @@ class TestRegressionSweep:
         # below the level k = 3 that overflows
         spec = rewarded_impulse_spec(3e306)
         grid = TimeGrid.for_spec(spec, 0.01)
-        args = (spec, grid, RegressionBackend(degree=1, n_samples=20,
-                                              exploration_rate=0.0),
+        args = (spec, grid, RegressionBackend(degree=1, n_samples=20),
                 gauss_hermite_quadrature(0.01, 3), spec.impulse_set.grid(3),
                 6, tol)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1799,8 +1819,9 @@ class TestSharedLagColumns:
         spec = dataclasses.replace(feedback_spec(delay=0.02), horizon=0.05)
         grid = TimeGrid.for_spec(spec, 0.01)
         ug = spec.impulse_set.grid(5)
+        # 200 samples: on 100 no jump pays, so the solve stops at k = 1
         its, _ = k_value_iteration(spec, grid,
-                                   RegressionBackend(degree=2, n_samples=100),
+                                   RegressionBackend(degree=2, n_samples=200),
                                    gauss_hermite_quadrature(0.01, 3), ug,
                                    k_max=2, tol=1e-12)
         save_value_function(its[-1], tmp_path, "vf")
@@ -1912,8 +1933,7 @@ class TestPersistence:
         grid = TimeGrid.for_spec(spec, 0.01)
         quad = gauss_hermite_quadrature(0.01, 5)
         ug = spec.impulse_set.grid(9)
-        backend = RegressionBackend(degree=2, n_samples=400,
-                                    exploration_rate=0.0)
+        backend = RegressionBackend(degree=2, n_samples=400)
         its, _ = k_value_iteration(spec, grid, backend, quad, ug, k_max=1,
                                    tol=1e-3)
         save_value_function(its[-1], tmp_path, "vf")
@@ -2012,8 +2032,7 @@ class TestPersistence:
     def test_regression_load_needs_context(self, tmp_path):
         spec = reduced_spec()
         grid = TimeGrid.for_spec(spec, 0.01)
-        backend = RegressionBackend(degree=2, n_samples=400,
-                                    exploration_rate=0.0)
+        backend = RegressionBackend(degree=2, n_samples=400)
         its, _ = k_value_iteration(spec, grid, backend,
                                    gauss_hermite_quadrature(0.01, 5),
                                    spec.impulse_set.grid(9), k_max=1)

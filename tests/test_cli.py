@@ -60,7 +60,6 @@ class TestRunConfig:
         assert cfg.dt == 0.01
         assert cfg.spec.delay == pytest.approx(0.05)
         assert cfg.n_paths == 10000 and cfg.seed == 2718
-        assert cfg.regression.exploration_rate == 0.0
 
     def test_dt_must_divide_delay(self):
         raw = load_raw("delay_feedback.json")
@@ -228,8 +227,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("key,value", [
         ("degree", -1), ("ridge_lambda", -1.0), ("ridge_lambda", float("nan")),
-        ("exploration_rate", 2.0), ("exploration_rate", -0.5),
-        ("exploration_rate", float("nan")), ("tol", float("nan"))])
+        ("tol", float("nan"))])
     def test_exit_code_2_on_bad_solver_knob(self, tmp_path, capsys, key,
                                             value):
         # every setting is checked at load, whatever the backend and command
@@ -243,6 +241,17 @@ class TestCommands:
             assert main([command, "--config", str(bad),
                          "--out", str(tmp_path)]) == 2
             assert key in capsys.readouterr().err
+
+    def test_exit_code_2_on_exploration_rate(self, tmp_path, capsys):
+        # the regression cloud has no exploration jumps, and no key for them
+        raw = load_raw("delay_feedback.json")
+        raw["solver"]["exploration_rate"] = 0.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 2
+        assert "solver: unknown keys ['exploration_rate']" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("settings,key", [
         ({"quadrature": "nonsense"}, "discretization.quadrature:"),
@@ -274,6 +283,21 @@ class TestCommands:
         assert main(["solve", "--config", os.path.join(CONFIGS, "tiny1.json"),
                      "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.splitlines() == [line]
+
+    def test_exit_code_1_on_overflowing_sample_cloud(self, tmp_path, capsys):
+        # the regression cloud runs on the Euler engine and its overflow
+        # check: no fit is made on heads past simulate.OVERFLOW_LIMIT
+        raw = load_raw("delay_feedback.json")
+        raw["problem"]["drift"] = {"name": "custom_affine", "c_x": 3000.0}
+        raw["problem"]["horizon"] = 0.1
+        raw["solver"]["n_samples"] = 200
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "runtime failure: state overflow at step 8 (path 0)"]
+        assert not os.path.exists(tmp_path / "summary.json")
 
     def test_probe_flow_draws_each_path_once(self, tmp_path, monkeypatch):
         # counted at the keyed-stream kernel, which every noise row goes
@@ -441,8 +465,7 @@ class TestCommands:
         (("problem", "impulse_cost", "scale"), "0.1"),
         (("discretization", "dt"), "0.01"),
         (("discretization", "grid_bound"), "big"),
-        (("solver", "tol"), [1]), (("solver", "ridge_lambda"), False),
-        (("solver", "exploration_rate"), "0.1")])
+        (("solver", "tol"), [1]), (("solver", "ridge_lambda"), False)])
     def test_exit_code_2_on_non_number_setting(self, tmp_path, capsys, keys,
                                                value):
         raw = load_raw("tiny1.json")
@@ -1000,6 +1023,24 @@ def reduced_grid_run(tmp_path_factory):
     for command in ("solve", "evaluate", "export-figures"):
         assert main([command, "--config", str(cfg), "--out", out]) == 0
     return out
+
+
+class TestLift3Twin:
+    """delay_feedback_lift3.json: the headline problem at dt 0.025 (lift 3)
+    and horizon 0.5, where both backends solve in under a second."""
+
+    @pytest.mark.parametrize("backend,value", [
+        # the headline defect: the shipped basis puts V above the reward
+        # bound 0, which every reward -x^2 and every positive fee keep V under
+        ("regression", 5.414538750987068),
+        ("grid", -0.3145041145530005)], ids=["regression", "grid"])
+    def test_value_at_origin(self, tmp_path, backend, value):
+        assert main(["solve", "--config",
+                     os.path.join(CONFIGS, "delay_feedback_lift3.json"),
+                     "--backend", backend, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["backend"] == backend
+        assert summary["value_at_origin"] == value
 
 
 def reject_constant(name):

@@ -348,7 +348,8 @@ def shipped_problem(name):
 class TestNoiseCancels:
     @pytest.mark.parametrize("name", ["tiny1.json", "tiny2.json",
                                       "delay_feedback_reduced.json",
-                                      "delay_feedback.json"])
+                                      "delay_feedback.json",
+                                      "delay_feedback_lift3.json"])
     def test_holds_on_every_shipped_config(self, name):
         assert noise_cancels(build_problem_spec(shipped_problem(name)))
 

@@ -53,6 +53,11 @@ class RunConfig:
             for section in ("problem", "discretization", "solver",
                             "evaluation"))
         reject_unknown(disc, _DISC_KEYS, "discretization")
+        if "exploration_rate" in sol:
+            # named apart from other unknown keys, as older configs set it
+            raise ValidationError("solver.exploration_rate: no longer a "
+                                  "setting; the regression sample cloud has "
+                                  "no exploration jumps")
         reject_unknown(sol, _SOLVER_KEYS, "solver")
         reject_unknown(ev, _EVAL_KEYS, "evaluation")
 

@@ -227,7 +227,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("key,value", [
         ("degree", -1), ("ridge_lambda", -1.0), ("ridge_lambda", float("nan")),
-        ("tol", float("nan"))])
+        ("exploration_rate", 2.0), ("exploration_rate", -0.5),
+        ("exploration_rate", float("nan")), ("tol", float("nan"))])
     def test_exit_code_2_on_bad_solver_knob(self, tmp_path, capsys, key,
                                             value):
         # every setting is checked at load, whatever the backend and command
@@ -250,8 +251,9 @@ class TestCommands:
         bad.write_text(json.dumps(raw))
         assert main(["solve", "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
-        assert "solver: unknown keys ['exploration_rate']" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: solver.exploration_rate: no longer a setting; "
+            "the regression sample cloud has no exploration jumps"]
 
     @pytest.mark.parametrize("settings,key", [
         ({"quadrature": "nonsense"}, "discretization.quadrature:"),
@@ -465,7 +467,8 @@ class TestCommands:
         (("problem", "impulse_cost", "scale"), "0.1"),
         (("discretization", "dt"), "0.01"),
         (("discretization", "grid_bound"), "big"),
-        (("solver", "tol"), [1]), (("solver", "ridge_lambda"), False)])
+        (("solver", "tol"), [1]), (("solver", "ridge_lambda"), False),
+        (("solver", "exploration_rate"), "0.1")])
     def test_exit_code_2_on_non_number_setting(self, tmp_path, capsys, keys,
                                                value):
         raw = load_raw("tiny1.json")

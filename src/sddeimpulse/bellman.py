@@ -282,8 +282,10 @@ class _LagMemo:
     indices more than one step from its own, and every other entry left
     with none; then at most three entries stay, the most recently used
     first.  The solve keeps two, its slice's cloud lags and the slice
-    above's; a policy step on constant histories reads three, the states'
-    lags and their clips into two adjacent slices' cloud boxes."""
+    above's, each L a copy of the head-power-0 columns of its slice's fit
+    design, which then goes with its slice; a policy step on constant
+    histories reads three, the states' lags and their clips into two
+    adjacent slices' cloud boxes."""
 
     def __init__(self, powers):
         self.powers = powers
@@ -299,8 +301,8 @@ class _LagMemo:
         lags[n]).  One Horner pass per fit over the whole head stack; its
         head coefficients are computed at the first query of the slice
         with these lags, the same bytes thereafter.  Given `design`, on
-        monomial_powers, a new entry's L is its leading head-power-0
-        columns."""
+        monomial_powers, a new entry's L is a copy of its leading
+        head-power-0 columns, so the entry does not pin the whole design."""
         key = (lags.shape, lags.tobytes())
         hit, kept = None, []
         for entry in self.entries:
@@ -313,7 +315,7 @@ class _LagMemo:
                 kept.append(entry)
         if hit is None:
             hit = (key, design_matrix(lags, self.lag_powers) if design is None
-                   else design[:, :len(self.lag_powers)], {})
+                   else design[:, :len(self.lag_powers)].copy(), {})
         self.entries = [hit] + kept[:2]
         return functools.partial(self._horner, hit[1],
                                  hit[2].setdefault(time_index, {}))
@@ -414,10 +416,10 @@ class RegressionValueFunction(_HeadStacks):
             top = v[-len(below):].reshape(len(below), len(rows), -1)
             step = max(1, CHUNK // (len(self.u_grid) * max(1, rows.shape[1])))
             for r in range(0, len(rows), step):
-                jump, _ = _intervention_batch(
+                jump = _intervention_batch(
                     lambda i, jumped, _: plain(jumped), time_index,
                     rows[r:r + step], lags, self.spec, self.u_grid,
-                    time_index * self.dt)
+                    time_index * self.dt)[0]
                 np.maximum(top[:, r:r + step], jump, out=top[:, r:r + step])
         return v
 
@@ -519,13 +521,15 @@ def _intervention_batch(value_at_heads, time_index, heads, lags, spec, u_grid,
     with value_at_heads(time_index, jumped heads, lags) of the level below
     as one (U,) + heads.shape stack of jump values V(Gamma(head, u), lags)
     - ell(head, u, t): their max over u, and the stack.  A level stack
-    that prices with (L, U, ...) values gives (L, ...) maxima.  Only
-    Policy.decide_batch reads the argmax, the first maximiser, and only on
-    the paths where it acts; the solve and the levels' own jumps read the
-    max alone."""
+    that prices with (L, U, ...) values gives (L, ...) maxima.  The fee is
+    subtracted in place from the stack value_at_heads returns, so that
+    stack must be a fresh float array, and becomes the returned one; one
+    stack is then live, not two.  Only Policy.decide_batch reads the
+    argmax, the first maximiser, and only on the paths where it acts; the
+    solve and the levels' own jumps read the max alone."""
     us = u_grid.reshape((-1,) + (1,) * heads.ndim)
-    val = (value_at_heads(time_index, spec.intervention(heads, us), lags)
-           - spec.impulse_cost(heads, us, t))
+    val = value_at_heads(time_index, spec.intervention(heads, us), lags)
+    val -= spec.impulse_cost(heads, us, t)
     return _first_max(val, val.ndim - heads.ndim - 1), val
 
 
@@ -819,39 +823,50 @@ def _head_stencil(axis, heads, lag_rows, step, width=None):
     return values
 
 
-def _sample_states(spec, grid, backend):
-    """Uncontrolled sample cloud on the Euler engine: (n_steps+1) C-ordered
-    (n_samples, m) lifted states, newest first; the same clouds as stepping
-    initial_lifted_state with lattice.step_transition_batch."""
+def _sample_history(spec, grid, backend):
+    """The uncontrolled sample paths on the Euler engine, as its time-major
+    (d + n_steps + 1, n_samples) history, d = delay_steps: row j holds
+    every path's head at (j - d) * dt."""
     noise = draw_noise_matrix(backend.sample_seed, backend.n_samples, grid)
     hist = simulate._start_history(spec, grid, noise)
     simulate._advance(spec, grid, noise, hist, 0, grid.n_steps + 1,
                       lambda k, t: None)
-    d = grid.delay_steps
-    return [np.ascontiguousarray(hist[k:k + d + 1][::-1].T)
-            for k in range(grid.n_steps + 1)]
+    return hist
+
+
+def _cloud(hist, i, d):
+    """Slice i's sample cloud: rows i .. i + d of the sample history as
+    C-ordered (n_samples, d + 1) lifted states, newest first; the states
+    of stepping initial_lifted_state i times with
+    lattice.step_transition_batch."""
+    return np.ascontiguousarray(hist[i:i + d + 1][::-1].T)
 
 
 def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     """Time-outer sweep over all k_max + 1 levels, then a trim at the first
-    gap below tol.  Fits are read through one lag memo: the Euler successors
-    of cloud i carry the lags of cloud i + 1, read at the slice above, and
-    its jumps its own.  The cloud's design and Gram matrices serve both fits
-    of every level.  Levels are fitted in increasing k, since level k's jump
-    prices with level k-1's plain fit at the same slice.  A level that turns
-    non-finite ends itself and every level above it; its error is raised
-    only if no level below it converges, as a level-by-level solve would
-    have stopped first."""
-    m = grid.delay_steps + 1
-    powers = monomial_powers(m, backend.degree)
-    clouds = _sample_states(spec, grid, backend)
+    gap below tol.  The sample paths are drawn once, as the engine's
+    history: slice i's cloud is its window of rows i .. i + d, built when
+    the slice starts, and its clip box the window's per-row extrema, so the
+    clouds cost O(N (n + d)) memory, not O(N n m).  Fits are read through
+    one lag memo: the Euler successors of cloud i carry the lags of cloud
+    i + 1, read at the slice above, and its jumps its own.  The cloud's
+    design and Gram matrices serve both fits of every level, and go with
+    the slice's value stacks before the next slice starts.  Levels are
+    fitted in increasing k, since level k's jump prices with level k-1's
+    plain fit at the same slice.  A level that turns non-finite ends itself
+    and every level above it; its error is raised only if no level below it
+    converges, as a level-by-level solve would have stopped first."""
+    d = grid.delay_steps
+    powers = monomial_powers(d + 1, backend.degree)
+    hist = _sample_history(spec, grid, backend)
     n = grid.n_steps
     dt = grid.dt
 
     # margin lets any in-cloud point be re-evaluated after one impulse
     # without hitting the clamp
     margin = float(np.max(np.abs(u_grid)))
-    bounds = [(clouds[i].min(axis=0) - margin, clouds[i].max(axis=0) + margin)
+    lo, hi = hist.min(axis=1) - margin, hist.max(axis=1) + margin
+    bounds = [(lo[i:i + d + 1][::-1], hi[i:i + d + 1][::-1])
               for i in range(n)] + [None]
     fits = RegressionValueFunction(
         powers=powers, cont_coeffs=[[None] * (n + 1) for _ in range(k_max + 1)],
@@ -862,7 +877,7 @@ def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
     slice_gaps = [[None] * n for _ in range(k_max)]
     live, failure = k_max + 1, None
     for i in range(n - 1, -1, -1):
-        pts = clouds[i]
+        pts = _cloud(hist, i, d)
         cont = _continuation(functools.partial(fits.levels_at_heads,
                                                ks=range(live)),
                              i, pts, spec, quadrature, dt)
@@ -878,9 +893,9 @@ def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
                 v = values(pts[:, 0], [c])[0]
                 if k >= 1:
                     plain = fits._plain_block(i, pts[:, 1:], (k - 1,))
-                    interv, _ = _intervention_batch(
+                    interv = _intervention_batch(
                         lambda _, jumped, __: plain(jumped)[0], i,
-                        pts[:, 0], pts[:, 1:], spec, u_grid, i * dt)
+                        pts[:, 0], pts[:, 1:], spec, u_grid, i * dt)[0]
                     vals = np.maximum(cont[k], interv)
                     _check_finite(vals, i, k)
                     fits.plain_coeffs[k][i] = fit(vals)
@@ -892,6 +907,7 @@ def _regression_iteration(spec, grid, backend, quadrature, u_grid, k_max, tol):
             except DivergenceError as err:
                 live, failure = k, err
                 break
+        del cont, design, fit, values
         if not live:
             raise failure
     gaps = []

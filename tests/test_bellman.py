@@ -10,6 +10,7 @@ import os
 import re
 import signal
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -274,16 +275,17 @@ class TestJumpMax:
 
     @pytest.mark.parametrize("which", [0, 1], ids=["U_N", "L_U_R_C"])
     def test_intervention_batch_prices_the_stack(self, which):
-        # a level that returns the prepared stack at the jumped heads, and
-        # a zero fee, so the jump values are the stack's entries
+        # a level that returns a fresh copy of the prepared stack at the
+        # jumped heads, and a zero fee, so the jump values are the stack's
+        # entries
         val = jump_stacks()[which]
         heads = np.zeros(val.shape[which + 1:])
         spec = dataclasses.replace(
             feedback_spec(delay=0.0),
             impulse_cost=lambda x, u, t: np.zeros(np.broadcast(x, u).shape))
         best, jumps = _intervention_batch(
-            lambda i, jumped, lags: val, 0, heads, np.zeros((len(heads), 0)),
-            spec, np.linspace(-1.0, 1.0, 7), 0.0)
+            lambda i, jumped, lags: val.copy(), 0, heads,
+            np.zeros((len(heads), 0)), spec, np.linspace(-1.0, 1.0, 7), 0.0)
         assert jumps.tobytes() == val.tobytes()
         assert best.tobytes() == first_argmax_entry(val, which).tobytes()
 
@@ -1507,7 +1509,9 @@ def reference_regression_solve(spec, grid, backend, quad, u_grid, k_max, tol):
     each level read through ReferenceLevel, and each level stops the solve
     as soon as its gap falls below tol."""
     powers = monomial_powers(grid.delay_steps + 1, backend.degree)
-    clouds = bellman._sample_states(spec, grid, backend)
+    hist = bellman._sample_history(spec, grid, backend)
+    clouds = [bellman._cloud(hist, i, grid.delay_steps)
+              for i in range(grid.n_steps + 1)]
     n, dt = grid.n_steps, grid.dt
     margin = float(np.max(np.abs(u_grid)))
     bounds = [(c.min(axis=0) - margin, c.max(axis=0) + margin)
@@ -1571,12 +1575,14 @@ class TestSampleCloud:
         spec = dataclasses.replace(feedback_spec(delay=delay),
                                    initial_segment=lambda t: 0.5 - 3.0 * t)
         grid = TimeGrid.for_spec(spec, 0.01)
-        clouds = bellman._sample_states(
+        d = grid.delay_steps
+        hist = bellman._sample_history(
             spec, grid, RegressionBackend(n_samples=300, sample_seed=77))
         noise = draw_noise_matrix(77, 300, grid)
         states = np.tile(initial_lifted_state(spec, grid), (300, 1))
-        assert len(clouds) == grid.n_steps + 1
-        for k, cloud in enumerate(clouds):
+        assert hist.shape == (d + grid.n_steps + 1, 300)
+        for k in range(grid.n_steps + 1):
+            cloud = bellman._cloud(hist, k, d)
             assert cloud.shape == states.shape and cloud.flags.c_contiguous
             assert cloud.tobytes() == states.tobytes()
             if k < grid.n_steps:
@@ -1676,6 +1682,29 @@ class TestRegressionSweep:
         # slices 0 and 1 both carry the initial segment as lags, so slice 0
         # reads slice 1's lag design
         assert calls == [(200, 2)] * grid.n_steps
+
+    def test_solve_holds_less_than_every_cloud(self):
+        # the main config's problem, lift 6 over 100 steps: the solve's
+        # traced peak stays under the bytes of its n + 1 clouds, as it
+        # builds one slice's cloud at a time from the sample history
+        cfg = RunConfig.load(os.path.join(CONFIGS, "delay_feedback.json"))
+        backend = dataclasses.replace(cfg.regression, n_samples=500, degree=1)
+        m = cfg.grid.delay_steps + 1
+        clouds = (cfg.grid.n_steps + 1) * backend.n_samples * m * 8
+        assert (m, cfg.grid.n_steps, clouds) == (6, 100, 2_424_000)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            k_value_iteration(cfg.spec, cfg.grid, backend, cfg.quadrature,
+                              cfg.u_grid(), k_max=1, tol=cfg.tol)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < clouds
 
 
 class TestPolicy:

@@ -9,7 +9,8 @@ path) on these sets, or on the one named by --only:
 - tiny1, tiny2: the shipped configs, with every command;
 - reduced: delay_feedback_reduced.json, with every command but
   oracle-compare, which takes only delay-free problems;
-- main: delay_feedback.json at 2,000 paths: solve, evaluate,
+- main, lift3: delay_feedback.json and its lift-3 twin
+  delay_feedback_lift3.json at 2,000 paths: solve, evaluate,
   export-figures and check-assumptions;
 - grid-reduced, regression-lift6, mc-probe: the benchmark workloads at
   seed 1, as bench/workloads.make_config builds them, with their commands;
@@ -53,6 +54,7 @@ SHIPPED = {"tiny1": ("tiny1.json", EVERY + ("oracle-compare",), None),
            "main": ("delay_feedback.json",
                     ("solve", "evaluate", "export-figures",
                      "check-assumptions"), 2000)}
+SHIPPED["lift3"] = ("delay_feedback_lift3.json",) + SHIPPED["main"][1:]
 # set -> (benchmark workload at seed 1, commands, evaluation.n_paths)
 FORKED = {"regression-lift6-forked": ("regression-lift6", ("solve", "evaluate"),
                                       4096)}
